@@ -12,8 +12,8 @@ from .dde import (AdjointTrajectory, IntegratorConfig, integrate_adjoint_linear,
                   integrate_adjoint_nonlinear, integrate_forward)
 from .errors import (IncommensurableDelayError, MismatchedLatticeError,
                      NoConvergenceError, NonFiniteDerivativeError,
-                     OutOfDomainError, ProblemFileError, RetardOCError,
-                     SeamMismatchError, UnboundedCriterionError,
+                     NonFiniteStateError, OutOfDomainError, ProblemFileError,
+                     RetardOCError, SeamMismatchError, UnboundedCriterionError,
                      UnboundedDescentError, ZeroDelaysError)
 from .lattice import (CommensurabilityLattice, Rational, as_rational,
                       make_lattice, rational_gcd)

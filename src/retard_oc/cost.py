@@ -7,12 +7,11 @@ by cell preserves Simpson's O(step^4) accuracy.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import OutOfDomainError
 from .problems import AnyProblem, CandidateSolution
+from .trajectory import cell_values
 
 
 def _simpson_weights(steps: int) -> np.ndarray:
@@ -24,60 +23,46 @@ def _simpson_weights(steps: int) -> np.ndarray:
     return w
 
 
-def _delayed_cell_curve(traj, lo: Fraction, hi: Fraction, shift: Fraction,
-                        history, boundary: Fraction):
-    """Curve for values at t - shift over the closed cell [lo, hi].
-
-    Falls back to the history callable when the shifted cell lies before
-    ``boundary`` (the history/solution seam).
-    """
-    slo, shi = lo - shift, hi - shift
-    if shi <= boundary:
-        return lambda t: np.asarray(history(float(t) - float(shift)), dtype=float)
-    curve = traj.cell_curve(slo, shi)
-    return lambda t: curve(float(t) - float(shift))
-
-
 def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
                   quadrature_steps_per_cell: int = 512) -> float:
     """Total cost of a candidate pair: terminal cost plus the running
     integral over [a, b].
 
     The running integrand is sampled on ``quadrature_steps_per_cell`` equal
-    subintervals of each lattice cell and integrated with composite Simpson.
+    subintervals of each lattice cell and integrated with composite Simpson;
+    every curve a cell reads is looked up at all of its nodes at once.
     Raises :class:`OutOfDomainError` when the candidate does not cover the
     delayed lookups.
     """
     lattice = problem.lattice()
     steps = quadrature_steps_per_cell
-    weights = _simpson_weights(steps)
+    weights = _simpson_weights(steps).tolist()
+    fractions = np.arange(steps + 1) / steps
 
     if not cand.state.covers(problem.state_history_start, problem.b):
         raise OutOfDomainError("state trajectory does not cover [a - delay, b]")
     if not cand.control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control trajectory does not cover [a - s, b]")
 
-    r, s, a = lattice.r, lattice.s, lattice.a
+    k_r, k_s = lattice.state_shift, lattice.control_shift
+    rf, sf = float(lattice.r), float(lattice.s)
+    x_cells = cand.state.cell_curves(lattice)
+    u_cells = cand.control.cell_curves(lattice)
     total = 0.0
-    for _, lo, hi in lattice.cells():
-        x_cur = cand.state.cell_curve(lo, hi)
-        u_cur = cand.control.cell_curve(lo, hi)
-        if r == 0:
-            x_del = x_cur
-        else:
-            x_del = _delayed_cell_curve(cand.state, lo, hi, r, problem.phi, a)
-        if s == 0:
-            u_del = u_cur
-        else:
-            u_del = _delayed_cell_curve(cand.control, lo, hi, s, problem.psi, a)
-
+    for i, lo, hi in lattice.cells():
         lof, span = float(lo), float(hi) - float(lo)
+        ts = lof + span * fractions
+        ts[-1] = float(hi)
+        x = x_cells[i].eval_many(ts)
+        u = u_cells[i].eval_many(ts)
+        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi,
+                                            problem.n)
+        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, problem.psi,
+                                            problem.m)
         dt = span / steps
         acc = 0.0
-        for k in range(steps + 1):
-            t = float(hi) if k == steps else lof + span * (k / steps)
-            acc += float(weights[k]) * problem.running_cost(
-                t, x_cur(t), x_del(t), u_cur(t), u_del(t))
+        for k, t in enumerate(ts.tolist()):
+            acc += weights[k] * problem.running_cost(t, x[k], xd[k], u[k], ud[k])
         total += acc * dt / 3.0
 
     return float(total + problem.terminal_cost(cand.state.eval(problem.b)))

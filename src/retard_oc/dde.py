@@ -13,6 +13,11 @@ O(dt^5) budget a plain RK4 substep would give, and it is what lets the
 default 64 substeps per cell hold 1e-8 absolute error on stiff-ish
 benchmark horizons.  Dense output stores value/slope nodes at half-substep
 spacing, so cubic Hermite reconstruction does not dominate the node error.
+
+The stage times of a fixed-step cell are known before it is marched, and
+every delayed or advanced argument a cell reads is already final, so all of
+them are resolved in one vectorised lookup per curve before the march; only
+the current-cell state is sequential.
 """
 
 from __future__ import annotations
@@ -22,11 +27,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import OutOfDomainError
-from .lattice import Rational
+from .errors import NonFiniteStateError, OutOfDomainError
+from .lattice import CommensurabilityLattice, Rational
 from .numdiff import grad_scalar_slot, gradient, partial_vec_slot
 from .problems import AnyProblem, CandidateSolution, DelayedProblem, as_delayed
-from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory)
+from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
+                         cell_values)
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,6 @@ class IntegratorConfig:
     """Fixed-step configuration: RK4 substeps per lattice cell."""
 
     substeps_per_cell: int = 64
-    dense_output: bool = True
 
     def __post_init__(self):
         if self.substeps_per_cell < 1:
@@ -53,6 +58,9 @@ class AdjointTrajectory:
 
     __call__ = eval
 
+    def eval_many(self, ts) -> np.ndarray:
+        return self.trajectory.eval_many(ts)
+
     @property
     def end(self) -> Rational:
         return self.trajectory.end
@@ -60,50 +68,91 @@ class AdjointTrajectory:
 
 # -- steppers -----------------------------------------------------------------
 
-def _rk4(rhs, t: float, y: np.ndarray, dt: float):
-    k1 = rhs(t, y)
-    k2 = rhs(t + dt / 2.0, y + (dt / 2.0) * k1)
-    k3 = rhs(t + dt / 2.0, y + (dt / 2.0) * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+# rhs evaluations per substep: RK4 over the substep, then over its two halves
+_STAGES = 12
 
 
-def _substep(rhs, t: float, y: np.ndarray, dt: float):
-    """One extrapolated substep; returns (y_next, k_start, midpoint node)."""
-    full, k1 = _rk4(rhs, t, y, dt)
-    half1, _ = _rk4(rhs, t, y, dt / 2.0)
-    half2, k_mid = _rk4(rhs, t + dt / 2.0, half1, dt / 2.0)
-    y_next = half2 + (half2 - full) / 15.0
-    return y_next, k1, (t + dt / 2.0, half1, k_mid)
+def _cell_schedule(t_start: float, t_end: float, substeps: int):
+    """Substep widths and the times at which a cell march evaluates the
+    right-hand side, in call order: ``_STAGES`` per substep, then the
+    endpoint.  ``t_end < t_start`` marches backward.
 
-
-def _integrate_cell(rhs, t_start: float, t_end: float, y0: np.ndarray,
-                    substeps: int, dense: bool):
-    """March one cell; ``t_end < t_start`` integrates backward.
-
-    Returns node arrays (ascending in time) and the endpoint value.
+    The march steps with exactly these floats, so inputs resolved at them
+    ahead of the march are the ones each stage reads.
     """
     span = t_end - t_start
-    ts, ys, ds = [], [], []
-    y = np.asarray(y0, dtype=float).copy()
+    widths, times = [], []
     for j in range(substeps):
         t0 = t_start + span * (j / substeps)
         t1 = t_end if j == substeps - 1 else t_start + span * ((j + 1) / substeps)
-        y_next, k1, mid = _substep(rhs, t0, y, t1 - t0)
-        ts.append(t0); ys.append(y); ds.append(k1)
-        if dense:
-            tm, ym, km = mid
-            ts.append(tm); ys.append(ym); ds.append(km)
-        y = y_next
-    ts.append(t_end); ys.append(y); ds.append(rhs(t_end, y))
+        dt = t1 - t0
+        h = dt / 2.0
+        tm = t0 + h
+        widths.append(dt)
+        times += [t0, tm, tm, t0 + dt,
+                  t0, t0 + h / 2.0, t0 + h / 2.0, tm,
+                  tm, tm + h / 2.0, tm + h / 2.0, tm + h]
+    times.append(t_end)
+    return widths, times
+
+
+def _rk4(rhs, k: int, times: list, y: np.ndarray, dt: float):
+    """Classical RK4 step from stage ``k`` of the schedule."""
+    k1 = rhs(k, times[k], y)
+    k2 = rhs(k + 1, times[k + 1], y + (dt / 2.0) * k1)
+    k3 = rhs(k + 2, times[k + 2], y + (dt / 2.0) * k2)
+    k4 = rhs(k + 3, times[k + 3], y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+
+
+def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
+    """March one cell along its :func:`_cell_schedule`.
+
+    ``rhs(k, t, y)`` is called with the schedule index ``k`` and time
+    ``t = times[k]``.  Each substep is a step-doubled RK4 pair combined by
+    one Richardson level.  Returns node arrays (ascending in time, a node at
+    every substep start and midpoint) and the endpoint value.
+    """
+    ts, ys, ds = [], [], []
+    y = np.asarray(y0, dtype=float).copy()
+    for j, dt in enumerate(widths):
+        k = _STAGES * j
+        full, k1 = _rk4(rhs, k, times, y, dt)
+        half1, _ = _rk4(rhs, k + 4, times, y, dt / 2.0)
+        half2, k_mid = _rk4(rhs, k + 8, times, half1, dt / 2.0)
+        ts += [times[k], times[k + 8]]
+        ys += [y, half1]
+        ds += [k1, k_mid]
+        y = half2 + (half2 - full) / 15.0
+    ts.append(times[-1]); ys.append(y); ds.append(rhs(len(times) - 1, times[-1], y))
     ts = np.asarray(ts); ys = np.asarray(ys); ds = np.asarray(ds)
-    if span < 0:
+    if times[-1] < times[0]:
         ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
     return ts, ys, ds, y
 
 
-def _cell_curves(traj: Trajectory, lattice) -> list:
-    return [traj.cell_curve(lo, hi) for _, lo, hi in lattice.cells()]
+def _march(name: str, lattice: CommensurabilityLattice, substeps: int,
+           y: np.ndarray, cell_rhs, backward: bool = False) -> list[HermiteCurve]:
+    """Method of steps over the lattice cells, left to right or right to left.
+
+    ``cell_rhs(i, times, curves)`` resolves every input cell ``i`` reads at
+    the float array of its stage ``times`` (``curves`` holds the cells
+    finalized so far) and returns the cell's ``rhs(k, t, y)``.  The value at
+    each cell seam must be finite.
+    """
+    curves: list = [None] * lattice.n_cells
+    order = range(lattice.n_cells)
+    for i in (reversed(order) if backward else order):
+        lo, hi = lattice.cell(i)
+        start, end = (hi, lo) if backward else (lo, hi)
+        widths, times = _cell_schedule(float(start), float(end), substeps)
+        rhs = cell_rhs(i, np.array(times), curves)
+        ts, ys, ds, y = _integrate_cell(rhs, widths, times, y)
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteStateError(
+                f"{name}: non-finite value at the end of cell {i} [{lo}, {hi}]")
+        curves[i] = HermiteCurve(ts, ys, ds)
+    return curves
 
 
 def _assemble(problem, lattice, cell_curves, history: Optional[Callable],
@@ -136,41 +185,24 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     lattice = problem.lattice()
     if not control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control must cover [a - s, b]")
+    n, m = problem.n, problem.m
     k_r, k_s = lattice.state_shift, lattice.control_shift
     rf, sf = float(lattice.r), float(lattice.s)
-    u_cells = _cell_curves(control, lattice)
+    u_cells = control.cell_curves(lattice)
 
-    phi = problem.phi
-    state_cells: list[HermiteCurve] = []
-    y = np.asarray(phi(float(lattice.a)), dtype=float).reshape(problem.n)
+    def cell_rhs(i, ts, x_cells):
+        u = u_cells[i].eval_many(ts)
+        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, problem.psi, m)
+        xd = None if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi, n)
 
-    for i, lo, hi in lattice.cells():
-        jr, js = i - k_r, i - k_s
-        x_past = state_cells[jr] if (k_r > 0 and jr >= 0) else None
-        u_cur = u_cells[i]
-        u_past = u_cells[js] if (k_s > 0 and js >= 0) else None
+        def rhs(k, t, x):
+            return problem.dynamics(t, x, x if xd is None else xd[k], u[k], ud[k])
+        return rhs
 
-        def rhs(t, x, x_past=x_past, u_cur=u_cur, u_past=u_past):
-            if k_r == 0:
-                xd = x
-            elif x_past is not None:
-                xd = x_past(t - rf)
-            else:
-                xd = np.asarray(phi(t - rf), dtype=float).reshape(problem.n)
-            u = u_cur(t)
-            if k_s == 0:
-                ud = u
-            elif u_past is not None:
-                ud = u_past(t - sf)
-            else:
-                ud = np.asarray(problem.psi(t - sf), dtype=float).reshape(problem.m)
-            return problem.dynamics(t, x, xd, u, ud)
-
-        ts, ys, ds, y = _integrate_cell(rhs, float(lo), float(hi), y,
-                                        cfg.substeps_per_cell, cfg.dense_output)
-        state_cells.append(HermiteCurve(ts, ys, ds))
-
-    return _assemble(problem, lattice, state_cells, phi,
+    y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
+    state_cells = _march("integrate_forward", lattice, cfg.substeps_per_cell,
+                         y0, cell_rhs)
+    return _assemble(problem, lattice, state_cells, problem.phi,
                      problem.state_history_start)
 
 
@@ -195,7 +227,7 @@ def integrate_adjoint_linear(problem, cand: CandidateSolution,
         raise OutOfDomainError("candidate state must cover [a - r, b]")
     k_r = lattice.state_shift
     rf = float(lattice.r)
-    x_cells = _cell_curves(cand.state, lattice)
+    x_cells = cand.state.cell_curves(lattice)
 
     if problem.f0x_dx is not None:
         f0x_dx = lambda t, x, y: np.asarray(problem.f0x_dx(t, x, y), float).reshape(n)
@@ -208,45 +240,32 @@ def integrate_adjoint_linear(problem, cand: CandidateSolution,
         f0x_dy = lambda t, x, y: grad_scalar_slot(
             lambda tt, xx, yy: problem.f0x(tt, xx, yy), 2, (t, x, y))
 
-    eta_cells: dict[int, HermiteCurve] = {}
-    eta = np.zeros(n)  # transversality: exact zero terminal row covector
-    terminal = eta.copy()
-
-    for i in range(lattice.n_cells - 1, -1, -1):
-        lo, hi = lattice.cell(i)
+    def cell_rhs(i, ts, eta_cells):
         chi = i + k_r <= lattice.n_cells - 1
-        x_cur = x_cells[i]
-        jr = i - k_r
-        x_past = x_cells[jr] if (k_r > 0 and jr >= 0) else None
-        x_adv = x_cells[i + k_r] if (chi and k_r > 0) else None
-        eta_adv = eta_cells.get(i + k_r) if (chi and k_r > 0) else None
+        x = x_cells[i].eval_many(ts)
+        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi, n)
+        if chi:
+            ts_adv = ts + rf
+            xa = x if k_r == 0 else x_cells[i + k_r].eval_many(ts_adv)
+            ea = None if k_r == 0 else eta_cells[i + k_r].eval_many(ts_adv)
+            ts_adv = ts_adv.tolist()
 
-        def rhs(t, eta_t, x_cur=x_cur, x_past=x_past, x_adv=x_adv,
-                eta_adv=eta_adv, chi=chi):
-            x = x_cur(t)
-            if k_r == 0:
-                xd = x
-            elif x_past is not None:
-                xd = x_past(t - rf)
-            else:
-                xd = np.asarray(problem.phi(t - rf), float).reshape(n)
-            val = f0x_dx(t, x, xd) - eta_t @ np.asarray(
+        def rhs(k, t, eta_t):
+            val = f0x_dx(t, x[k], xd[k]) - eta_t @ np.asarray(
                 problem.A(t), float).reshape(n, n)
             if chi:
-                tr = t + rf
-                xa = x if k_r == 0 else x_adv(tr)
-                ea = eta_t if k_r == 0 else eta_adv(tr)
-                val = val + f0x_dy(tr, xa, x) - ea @ np.asarray(
+                tr = ts_adv[k]
+                e = eta_t if ea is None else ea[k]
+                val = val + f0x_dy(tr, xa[k], x[k]) - e @ np.asarray(
                     problem.A_D(tr), float).reshape(n, n)
             return val
+        return rhs
 
-        ts, ys, ds, eta = _integrate_cell(rhs, float(hi), float(lo), eta,
-                                          cfg.substeps_per_cell, cfg.dense_output)
-        eta_cells[i] = HermiteCurve(ts, ys, ds)
-
-    traj = _assemble(problem, lattice, [eta_cells[i] for i in range(lattice.n_cells)],
-                     None, lattice.a)
-    return AdjointTrajectory(trajectory=traj, terminal_value=terminal)
+    # transversality: exact zero terminal row covector
+    eta_cells = _march("integrate_adjoint_linear", lattice, cfg.substeps_per_cell,
+                       np.zeros(n), cell_rhs, backward=True)
+    traj = _assemble(problem, lattice, eta_cells, None, lattice.a)
+    return AdjointTrajectory(trajectory=traj, terminal_value=np.zeros(n))
 
 
 # -- adjoint of the general nonlinear problem ------------------------------------
@@ -298,53 +317,42 @@ def integrate_adjoint_nonlinear(problem, cand: CandidateSolution,
         raise OutOfDomainError("candidate control must cover [a - s, b]")
     k_r, k_s = lattice.state_shift, lattice.control_shift
     rf, sf = float(lattice.r), float(lattice.s)
-    x_cells = _cell_curves(cand.state, lattice)
-    u_cells = _cell_curves(cand.control, lattice)
-    n_cells = lattice.n_cells
+    x_cells = cand.state.cell_curves(lattice)
+    u_cells = cand.control.cell_curves(lattice)
 
-    def control_at(idx: int, t: float) -> np.ndarray:
-        if idx >= n_cells:
-            raise OutOfDomainError("control requested beyond the horizon")
-        if idx >= 0:
-            return u_cells[idx](t)
-        return np.asarray(p.psi(t), float).reshape(p.m)
+    def states(idx, ts):
+        return cell_values(x_cells, idx, ts, p.phi, n)
 
-    def state_at(idx: int, t: float) -> np.ndarray:
-        if idx >= 0:
-            return x_cells[idx](t)
-        return np.asarray(p.phi(t), float).reshape(n)
+    def controls(idx, ts):
+        return cell_values(u_cells, idx, ts, p.psi, p.m)
 
-    eta_cells: dict[int, HermiteCurve] = {}
-    xb = cand.state.eval(p.b)
-    terminal = -_g0_gradient(p, xb)
-    eta = terminal.copy()
+    def cell_rhs(i, ts, eta_cells):
+        chi = i + k_r <= lattice.n_cells - 1
+        x = states(i, ts)
+        xd = x if k_r == 0 else states(i - k_r, ts - rf)
+        u = controls(i, ts)
+        ud = u if k_s == 0 else controls(i - k_s, ts - sf)
+        if chi:
+            ts_adv = ts + rf
+            xa = x if k_r == 0 else states(i + k_r, ts_adv)
+            ua = u if k_r == 0 else controls(i + k_r, ts_adv)
+            uad = ua if k_s == 0 else controls(i + k_r - k_s, ts_adv - sf)
+            ea = None if k_r == 0 else eta_cells[i + k_r].eval_many(ts_adv)
+            ts_adv = ts_adv.tolist()
 
-    for i in range(n_cells - 1, -1, -1):
-        lo, hi = lattice.cell(i)
-        chi = i + k_r <= n_cells - 1
-        eta_adv = eta_cells.get(i + k_r) if (chi and k_r > 0) else None
-
-        def rhs(t, eta_t, i=i, eta_adv=eta_adv, chi=chi):
-            x = state_at(i, t)
-            xd = x if k_r == 0 else state_at(i - k_r, t - rf)
-            u = control_at(i, t)
-            ud = u if k_s == 0 else control_at(i - k_s, t - sf)
-            args = (t, x, xd, u, ud)
+        def rhs(k, t, eta_t):
+            args = (t, x[k], xd[k], u[k], ud[k])
             val = -_f0_partial(p, 1, args) - eta_t @ _f_jacobian(p, 1, args)
             if chi:
-                tr = t + rf
-                xa = x if k_r == 0 else state_at(i + k_r, tr)
-                ua = u if k_r == 0 else control_at(i + k_r, tr)
-                uad = ua if k_s == 0 else control_at(i + k_r - k_s, tr - sf)
-                args_adv = (tr, xa, x, ua, uad)
-                ea = eta_t if k_r == 0 else eta_adv(tr)
-                val = val - _f0_partial(p, 2, args_adv) - ea @ _f_jacobian(p, 2, args_adv)
+                args_adv = (ts_adv[k], xa[k], x[k], ua[k], uad[k])
+                e = eta_t if ea is None else ea[k]
+                val = val - _f0_partial(p, 2, args_adv) - e @ _f_jacobian(p, 2, args_adv)
             return val
+        return rhs
 
-        ts, ys, ds, eta = _integrate_cell(rhs, float(hi), float(lo), eta,
-                                          cfg.substeps_per_cell, cfg.dense_output)
-        eta_cells[i] = HermiteCurve(ts, ys, ds)
-
-    traj = _assemble(p, lattice, [eta_cells[i] for i in range(n_cells)],
-                     None, lattice.a)
+    xb = cand.state.eval(p.b)
+    terminal = -_g0_gradient(p, xb)
+    eta_cells = _march("integrate_adjoint_nonlinear", lattice, cfg.substeps_per_cell,
+                       terminal, cell_rhs, backward=True)
+    traj = _assemble(p, lattice, eta_cells, None, lattice.a)
     return AdjointTrajectory(trajectory=traj, terminal_value=terminal)

@@ -50,6 +50,11 @@ class NonFiniteDerivativeError(RetardOCError):
     """A finite-difference probe returned NaN or infinity."""
 
 
+class NonFiniteStateError(RetardOCError):
+    """A method-of-steps march produced NaN or infinity at a cell seam; the
+    message names the integrator, the cell index and its interval."""
+
+
 class ProblemFileError(RetardOCError):
     """A declarative problem file failed to parse.
 

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .cost import _simpson_weights
-from .dde import IntegratorConfig, _integrate_cell
+from .dde import IntegratorConfig, _cell_schedule, _integrate_cell
 from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import AnyProblem, CandidateSolution
@@ -182,15 +182,16 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     def W(sigma: float) -> np.ndarray:
         return np.concatenate([blk(sigma) for blk in control_blocks])
 
-    def rhs(sigma, X):
+    def rhs(k, sigma, X):
         return aug.dynamics(sigma, X, W(sigma))
+
+    widths, times = _cell_schedule(0.0, hf, cfg.substeps_per_cell)
 
     starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)),
                                 float).reshape(n), N)
     curve: Optional[HermiteCurve] = None
     for _ in range(N + 1):
-        ts, ys, ds, y_end = _integrate_cell(rhs, 0.0, hf, starts,
-                                            cfg.substeps_per_cell, True)
+        ts, ys, ds, y_end = _integrate_cell(rhs, widths, times, starts)
         curve = HermiteCurve(ts, ys, ds)
         new_starts = starts.copy()
         ends = y_end.reshape(N, n)
@@ -199,8 +200,7 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
             starts = new_starts
             break
         starts = new_starts
-    ts, ys, ds, _ = _integrate_cell(rhs, 0.0, hf, starts,
-                                    cfg.substeps_per_cell, True)
+    ts, ys, ds, _ = _integrate_cell(rhs, widths, times, starts)
     curve = HermiteCurve(ts, ys, ds)
 
     def block_curve(i: int):

@@ -21,7 +21,7 @@ from .dde import (IntegratorConfig, _f0_partial, _f_jacobian, _g0_gradient,
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        as_delayed)
-from .sufficiency import argmax_control_state_linear
+from .sufficiency import _criterion_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
                          hermite_from_samples)
 
@@ -99,10 +99,10 @@ def solve_fbsm(problem: StateLinearProblem,
     control = init_control if init_control is not None else _zero_control(problem)
     omega = cfg.omega
     nodes_per_cell = 2 * cfg.integrator.substeps_per_cell
-    cell_ts_exact = [
-        [lo + (hi - lo) * Fraction(j, nodes_per_cell) for j in range(nodes_per_cell + 1)]
-        for _, lo, hi in lattice.cells()]
-    cell_ts = [np.array([float(t) for t in ts]) for ts in cell_ts_exact]
+    nodes = _criterion_times(problem, [
+        lo + (hi - lo) * Fraction(j, nodes_per_cell)
+        for _, lo, hi in lattice.cells() for j in range(nodes_per_cell + 1)])
+    cell_ts = np.split(nodes.t, lattice.n_cells)
 
     history: list[dict] = []
     best: Optional[SweepSolution] = None
@@ -113,17 +113,12 @@ def solve_fbsm(problem: StateLinearProblem,
         cand = CandidateSolution(state=state, control=control)
         eta = integrate_adjoint_linear(problem, cand, cfg.integrator)
 
-        new_ts, new_us, change = [], [], 0.0
-        for i, _, _ in lattice.cells():
-            us = np.empty((len(cell_ts_exact[i]), problem.m))
-            for k, t in enumerate(cell_ts_exact[i]):
-                target = argmax_control_state_linear(problem, cand, eta, t)
-                old = control.eval(t)
-                us[k] = (1.0 - omega) * old + omega * target
-                change = max(change, float(np.max(np.abs(us[k] - old))))
-            new_ts.append(cell_ts[i])
-            new_us.append(us)
-        control = _control_from_cell_samples(problem, lattice, new_ts, new_us)
+        target = argmax_control_state_linear(problem, cand, eta, nodes)
+        old = control.eval_many(nodes.t)
+        us = (1.0 - omega) * old + omega * target
+        change = float(np.max(np.abs(us - old)))
+        control = _control_from_cell_samples(problem, lattice, cell_ts,
+                                             np.split(us, lattice.n_cells))
         state = integrate_forward(problem, control, cfg.integrator)
         cost = evaluate_cost(problem, CandidateSolution(state=state, control=control),
                              quadrature_steps_per_cell=128)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .lattice import CommensurabilityLattice, Rational, as_rational
 from .numdiff import hessian
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem)
-from .trajectory import Trajectory, eval_delayed
+from .trajectory import Trajectory, eval_delayed, shifted_time
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -156,6 +156,26 @@ class VerifyConfig:
 
 # -- Hamiltonians ----------------------------------------------------------------
 
+def _state_terms(problem: StateLinearProblem, t: float, x: np.ndarray,
+                 y: np.ndarray) -> tuple[np.ndarray, float]:
+    """The u-independent part of H^p: drift A(t) x + A_D(t) y, and f0x."""
+    n = problem.n
+    drift = (np.asarray(problem.A(t), float).reshape(n, n) @ x
+             + np.asarray(problem.A_D(t), float).reshape(n, n) @ y)
+    return drift, float(problem.f0x(t, x, y))
+
+
+def _control_terms(problem: StateLinearProblem, p: int, t: float, u: np.ndarray,
+                   v: np.ndarray, eta: np.ndarray, drift: np.ndarray,
+                   f0x: float) -> float:
+    """H^p from its u-independent part (:func:`_state_terms`)."""
+    if p == 1:
+        drift = drift + np.asarray(problem.g(t, u), float).reshape(problem.n)
+    else:
+        drift = drift + np.asarray(problem.g_D(t, v), float).reshape(problem.n)
+    return -(f0x + float(problem.f0u(t, u, v))) + float(eta @ drift)
+
+
 def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
                              eta) -> float:
     """Two-parameter Hamiltonian of the state-linear theorem:
@@ -171,14 +191,7 @@ def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
     u = np.asarray(u, float).reshape(problem.m)
     v = np.asarray(v, float).reshape(problem.m)
     eta = np.asarray(eta, float).reshape(problem.n)
-    drift = (np.asarray(problem.A(t), float).reshape(problem.n, problem.n) @ x
-             + np.asarray(problem.A_D(t), float).reshape(problem.n, problem.n) @ y)
-    if p == 1:
-        drift = drift + np.asarray(problem.g(t, u), float).reshape(problem.n)
-    else:
-        drift = drift + np.asarray(problem.g_D(t, v), float).reshape(problem.n)
-    return (-(float(problem.f0x(t, x, y)) + float(problem.f0u(t, u, v)))
-            + float(eta @ drift))
+    return _control_terms(problem, p, t, u, v, eta, *_state_terms(problem, t, x, y))
 
 
 def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
@@ -191,6 +204,76 @@ def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
 
 # -- maximality ------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _CriterionTimes:
+    """Float lookup times of the maximality criterion at fixed sample times.
+
+    Shifts are exact for rational sample times (as :func:`eval_delayed`) and
+    the chi_[a, b-s] gate is decided in rationals; a solver whose sample
+    times never change builds this once.  ``ahead`` and ``ahead_delayed``
+    (t + s and t + s - r) hold the gated times only.
+    """
+
+    t: np.ndarray
+    delayed_state: np.ndarray
+    delayed_control: np.ndarray
+    gated: np.ndarray
+    ahead: np.ndarray
+    ahead_delayed: np.ndarray
+
+
+def _criterion_times(problem: StateLinearProblem, times: Sequence) -> _CriterionTimes:
+    r, s = problem.r, problem.s
+    gated = [chi_closed(t, problem.a, problem.b - s) > 0.0 for t in times]
+    ahead = [shifted_time(t, -s) for t, g in zip(times, gated) if g]
+    floats = lambda ts: np.array([float(t) for t in ts], dtype=float)
+    return _CriterionTimes(
+        t=floats(times),
+        delayed_state=floats(shifted_time(t, r) for t in times),
+        delayed_control=floats(shifted_time(t, s) for t in times),
+        gated=np.array(gated, dtype=bool),
+        ahead=floats(ahead),
+        ahead_delayed=floats(shifted_time(t, r) for t in ahead))
+
+
+def _criteria(problem: StateLinearProblem, cand: CandidateSolution,
+              eta: AdjointTrajectory, times: _CriterionTimes):
+    """Yield the two-term criterion at each sample time in turn.  Every
+    curve value the criteria read is looked up in one call per curve up
+    front; the u-independent Hamiltonian terms are computed once per time."""
+    m = problem.m
+    x = cand.state.eval_many(times.t)
+    xr = cand.state.eval_many(times.delayed_state)
+    v = cand.control.eval_many(times.delayed_control)
+    e = eta.eval_many(times.t)
+    x_ahead = cand.state.eval_many(times.ahead)
+    xr_ahead = cand.state.eval_many(times.ahead_delayed)
+    u_ahead = cand.control.eval_many(times.ahead)
+    e_ahead = eta.eval_many(times.ahead)
+    ahead = times.ahead.tolist()
+
+    j = 0
+    for k, t in enumerate(times.t.tolist()):
+        now = (t, v[k], e[k], *_state_terms(problem, t, x[k], xr[k]))
+        later = None
+        if times.gated[k]:
+            ts = ahead[j]
+            later = (ts, u_ahead[j], e_ahead[j],
+                     *_state_terms(problem, ts, x_ahead[j], xr_ahead[j]))
+            j += 1
+
+        def criterion(u, now=now, later=later) -> float:
+            u = np.asarray(u, float).reshape(m)
+            t, v_t, eta_t, drift, f0x = now
+            val = _control_terms(problem, 1, t, u, v_t, eta_t, drift, f0x)
+            if later is not None:
+                ts, u_ts, eta_ts, drift, f0x = later
+                val += _control_terms(problem, 0, ts, u_ts, u, eta_ts, drift, f0x)
+            return val
+
+        yield criterion
+
+
 def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
                          eta: AdjointTrajectory, t) -> Callable[[np.ndarray], float]:
     """Two-term criterion maximised by the optimal control at time t:
@@ -198,27 +281,7 @@ def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
         u -> H^1(t, x(t), x(t-r), u, u(t-s), eta(t))
              + H^0(t+s, x(t+s), x(t+s-r), u(t+s), u, eta(t+s)) chi_[a, b-s](t)
     """
-    s, r = problem.s, problem.r
-    xt = cand.state.eval(t)
-    xtr = eval_delayed(cand.state, t, r)
-    uts = eval_delayed(cand.control, t, s)
-    eta_t = eta.eval(t)
-    gated = chi_closed(t, problem.a, problem.b - s) > 0.0
-    if gated:
-        ts = (t + s) if isinstance(t, Fraction) else float(t) + float(s)
-        xts = cand.state.eval(ts)
-        xtsr = eval_delayed(cand.state, ts, r)
-        uts_fwd = cand.control.eval(ts)
-        eta_ts = eta.eval(ts)
-
-    def criterion(u) -> float:
-        val = hamiltonian_state_linear(problem, 1, t, xt, xtr, u, uts, eta_t)
-        if gated:
-            val += hamiltonian_state_linear(problem, 0, ts, xts, xtsr,
-                                            uts_fwd, u, eta_ts)
-        return val
-
-    return criterion
+    return next(_criteria(problem, cand, eta, _criterion_times(problem, [t])))
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
@@ -320,16 +383,32 @@ def _argmax_vector(fn, control_set: ControlSet, m: int,
     return best_u
 
 
+def _argmax(problem: StateLinearProblem, crit,
+            rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    if problem.m == 1:
+        return _argmax_scalar(lambda z: crit(np.array([z])), problem.control_set)
+    return _argmax_vector(crit, problem.control_set, problem.m, rng)
+
+
 def argmax_control_state_linear(problem: StateLinearProblem,
                                 cand: CandidateSolution,
                                 eta: AdjointTrajectory, t,
                                 rng: Optional[np.random.Generator] = None
                                 ) -> np.ndarray:
-    """Maximiser of the two-term criterion over the admissible control set."""
-    crit = maximality_criterion(problem, cand, eta, t)
-    if problem.m == 1:
-        return _argmax_scalar(lambda z: crit(np.array([z])), problem.control_set)
-    return _argmax_vector(crit, problem.control_set, problem.m, rng)
+    """Maximiser of the two-term criterion over the admissible control set.
+
+    ``t`` is one time (result shape (m,)) or a sequence of times (result
+    shape (len(t), m), bit for bit the stacked one-time results); the curve
+    values at all times are looked up together.  A solver whose sample times
+    never change passes them prepared once by ``_criterion_times``.
+    """
+    single = not isinstance(t, (Sequence, np.ndarray, _CriterionTimes))
+    if not isinstance(t, _CriterionTimes):
+        t = _criterion_times(problem, [t] if single else t)
+    out = np.empty((len(t.t), problem.m))
+    for k, crit in enumerate(_criteria(problem, cand, eta, t)):
+        out[k] = _argmax(problem, crit, rng)
+    return out[0] if single else out
 
 
 def _rational_grid(lattice: CommensurabilityLattice, per_cell: int,
@@ -356,14 +435,14 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
     and its location are recorded.
     """
     rng = np.random.default_rng(seed)
-    lattice = problem.lattice()
+    grid = _rational_grid(problem.lattice(), grid_points_per_cell)
+    times = _criterion_times(problem, grid)
+    u_cands = cand.control.eval_many(times.t)
     worst, worst_t = 0.0, None
-    for t in _rational_grid(lattice, grid_points_per_cell):
-        crit = maximality_criterion(problem, cand, eta, t)
-        u_c = cand.control.eval(t)
+    for t, crit, u_c in zip(grid, _criteria(problem, cand, eta, times), u_cands):
         base = crit(u_c)
         try:
-            best = crit(argmax_control_state_linear(problem, cand, eta, t))
+            best = crit(_argmax(problem, crit))
         except UnboundedCriterionError:
             return CheckResult("maximality", False, np.inf, float(t),
                                "criterion unbounded over U")

@@ -37,6 +37,21 @@ class CallableCurve:
         out = np.asarray(self.fn(float(t)), dtype=float)
         return out.reshape(self.dim)
 
+    def eval_many(self, ts: np.ndarray) -> np.ndarray:
+        """Values at each of ``ts``, shape (len(ts), dim); one call per time,
+        since an arbitrary callable cannot be vectorised."""
+        out = np.empty((len(ts), self.dim))
+        for k, t in enumerate(np.asarray(ts, dtype=float).tolist()):
+            out[k] = self(t)
+        return out
+
+
+def _hermite_basis(theta):
+    """Cubic Hermite basis (h00, h10, h01, h11) at theta, scalar or array."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + theta, -2 * t3 + 3 * t2, t3 - t2
+
 
 class HermiteCurve:
     """Cubic Hermite interpolant through (ts, ys) with nodal slopes ds.
@@ -59,30 +74,51 @@ class HermiteCurve:
         self.ys = ys
         self.ds = ds
         self.dim = ys.shape[1]
+        self._slack = _SNAP * max(1.0, abs(ts[0]), abs(ts[-1]))
+
+    def _check_domain(self, t_min: float, t_max: float) -> None:
+        ts, slack = self.ts, self._slack
+        if t_min < ts[0] - slack or t_max > ts[-1] + slack:
+            bad = t_min if t_min < ts[0] - slack else t_max
+            raise OutOfDomainError(f"t={bad} outside nodes [{ts[0]}, {ts[-1]}]")
+
+    def _blend(self, i, dt, theta):
+        """Hermite value on node interval ``i``; ``dt`` and ``theta`` are
+        scalars for one time, or (k, 1) columns for k times."""
+        h00, h10, h01, h11 = _hermite_basis(theta)
+        return (h00 * self.ys[i] + h10 * dt * self.ds[i]
+                + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
 
     def __call__(self, t: float) -> np.ndarray:
         ts = self.ts
         t = float(t)
-        slack = _SNAP * max(1.0, abs(ts[0]), abs(ts[-1]))
-        if t < ts[0] - slack or t > ts[-1] + slack:
-            raise OutOfDomainError(f"t={t} outside nodes [{ts[0]}, {ts[-1]}]")
+        self._check_domain(t, t)
         i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
         dt = ts[i + 1] - ts[i]
         theta = min(max((t - ts[i]) / dt, 0.0), 1.0)
-        t2 = theta * theta
-        t3 = t2 * theta
-        h00 = 2 * t3 - 3 * t2 + 1
-        h10 = t3 - 2 * t2 + theta
-        h01 = -2 * t3 + 3 * t2
-        h11 = t3 - t2
-        return (h00 * self.ys[i] + h10 * dt * self.ds[i]
-                + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
+        return self._blend(i, dt, theta)
+
+    def eval_many(self, t: np.ndarray) -> np.ndarray:
+        """Values at each of the times ``t``, shape (len(t), dim); bit for bit
+        the rows the scalar call gives."""
+        ts = self.ts
+        t = np.asarray(t, dtype=float)
+        if t.size:
+            self._check_domain(t.min(), t.max())
+        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        t0 = ts[i][:, None]
+        dt = ts[i + 1][:, None] - t0
+        theta = np.clip((t[:, None] - t0) / dt, 0.0, 1.0)
+        return self._blend(i, dt, theta)
+
+
+Curve = Union[CallableCurve, HermiteCurve]
 
 
 class Segment(NamedTuple):
     lo: Rational
     hi: Rational
-    curve: Callable[[float], np.ndarray]
+    curve: Curve
 
 
 @dataclass(frozen=True)
@@ -112,32 +148,59 @@ class Trajectory:
             prev = seg.hi
         if prev != self.end:
             raise ValueError(f"segments end at {prev}, expected {self.end}")
-        object.__setattr__(self, "_bounds", np.array(
-            [float(s.lo) for s in self.segments] + [float(self.end)]))
+        edges = [float(s.lo) for s in self.segments] + [float(self.end)]
+        # the scalar path bisects plain floats, the array path searches numpy
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_bounds", np.array(edges))
+        object.__setattr__(self, "_slack", _SNAP * max(
+            1.0, edges[-1] - edges[0], abs(edges[0]), abs(edges[-1])))
 
     # -- evaluation ---------------------------------------------------------
 
-    def _locate(self, t: TimeLike) -> int:
-        bounds = self._bounds
-        tf = float(t)
-        span = max(1.0, bounds[-1] - bounds[0], abs(bounds[0]), abs(bounds[-1]))
-        slack = _SNAP * span
-        if tf < bounds[0] - slack or tf > bounds[-1] + slack:
+    def _check_domain(self, t_min: float, t_max: float) -> None:
+        lo, hi = self._edges[0] - self._slack, self._edges[-1] + self._slack
+        if t_min < lo or t_max > hi:
+            bad = t_min if t_min < lo else t_max
             raise OutOfDomainError(
-                f"t={t} outside [{self.history_start}, {self.end}]")
-        i = bisect.bisect_right(bounds, tf) - 1
-        i = min(max(i, 0), len(self.segments) - 1)
-        # Snap to the right-owning segment when t sits within float fuzz of a
-        # boundary; the last segment keeps ownership of `end`.
-        if i + 1 < len(self.segments) and abs(tf - bounds[i + 1]) <= slack:
-            i += 1
-        return i
+                f"t={bad} outside [{self.history_start}, {self.end}]")
+
+    def _snap(self, i, tf, right):
+        """Segment index ``i`` moved to the right-owning segment where ``tf``
+        sits within float fuzz of the segment's ``right`` boundary; the last
+        segment keeps ownership of ``end``.  Elementwise on arrays."""
+        return i + ((i < len(self.segments) - 1) & (abs(tf - right) <= self._slack))
+
+    def _locate(self, t: TimeLike) -> int:
+        tf = float(t)
+        self._check_domain(tf, tf)
+        edges = self._edges
+        i = min(max(bisect.bisect_right(edges, tf) - 1, 0), len(self.segments) - 1)
+        return self._snap(i, tf, edges[i + 1])
 
     def eval(self, t: TimeLike) -> np.ndarray:
         """Value at time t; the right segment owns each interior breakpoint."""
         return self.segments[self._locate(t)].curve(float(t))
 
     __call__ = eval
+
+    def eval_many(self, ts) -> np.ndarray:
+        """Values at each of the times ``ts``, shape (len(ts), dimension).
+
+        Bit for bit the rows :meth:`eval` gives, with the same domain check
+        and breakpoint ownership; one lookup per segment touched.
+        """
+        tf = np.asarray(ts, dtype=float)
+        if tf.size:
+            self._check_domain(tf.min(), tf.max())
+        i = np.clip(np.searchsorted(self._bounds, tf, side="right") - 1,
+                    0, len(self.segments) - 1)
+        i = self._snap(i, tf, self._bounds[i + 1])
+        out = np.empty((tf.size, self.dimension))
+        for j, seg in enumerate(self.segments):
+            sel = i == j
+            if sel.any():
+                out[sel] = seg.curve.eval_many(tf[sel])
+        return out
 
     def covers(self, lo: RationalLike, hi: RationalLike) -> bool:
         return self.history_start <= as_rational(lo) and as_rational(hi) <= self.end
@@ -152,13 +215,24 @@ class Trajectory:
                 f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
         return seg
 
-    def cell_curve(self, lo: Rational, hi: Rational) -> Callable[[float], np.ndarray]:
+    def cell_curve(self, lo: Rational, hi: Rational) -> Curve:
         """Curve valid on the closed cell [lo, hi].
 
         Evaluating it at ``hi`` yields the left limit when a jump sits there,
         which is the a.e.-correct restriction integrators and quadrature need.
         """
         return self.segment_for_cell(lo, hi).curve
+
+    def cell_curves(self, lattice) -> list[Curve]:
+        """:meth:`cell_curve` of every lattice cell, in cell order."""
+        return [self.cell_curve(lo, hi) for _, lo, hi in lattice.cells()]
+
+
+def shifted_time(t: TimeLike, tau: RationalLike) -> TimeLike:
+    """t - tau: exact for a rational t, float arithmetic otherwise."""
+    if isinstance(t, Fraction):
+        return t - as_rational(tau)
+    return float(t) - float(as_rational(tau))
 
 
 def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray:
@@ -167,12 +241,25 @@ def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray
     Crosses transparently from the governed part into prepended history.
     Raises :class:`OutOfDomainError` when t - tau precedes the history start.
     """
-    tau = as_rational(tau)
-    if isinstance(t, Fraction):
-        shifted: TimeLike = t - tau
-    else:
-        shifted = float(t) - float(tau)
-    return traj.eval(shifted)
+    return traj.eval(shifted_time(t, tau))
+
+
+def cell_values(curves: Sequence[Curve], idx: int, ts: np.ndarray,
+                history: Callable[[float], object], dim: int) -> np.ndarray:
+    """Values at the float times ``ts`` of the finalized curve of lattice
+    cell ``idx``, or of the ``history`` callable when ``idx`` precedes the
+    horizon (one call per time); shape (len(ts), dim).
+
+    This is the method of steps' one delayed-argument resolver: integrators
+    and quadrature resolve every input of a cell through it before the cell
+    is marched or summed.
+    """
+    if idx >= 0:
+        return curves[idx].eval_many(ts)
+    out = np.empty((len(ts), dim))
+    for k, t in enumerate(np.asarray(ts, dtype=float).tolist()):
+        out[k] = np.asarray(history(t), dtype=float).reshape(dim)
+    return out
 
 
 # -- builders ----------------------------------------------------------------

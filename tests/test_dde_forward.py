@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from retard_oc.dde import IntegratorConfig, integrate_forward
-from retard_oc.errors import OutOfDomainError
+from retard_oc.errors import NonFiniteStateError, OutOfDomainError
+from retard_oc.problems import DelayedProblem
 from retard_oc.registry import (d_state_value, ld_state_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
@@ -65,15 +68,18 @@ def test_order_ratio_on_halving(ld_problem, ld_candidate):
     assert errs[1] / errs[2] >= 12.0
 
 
-def test_sparse_dense_output_still_accurate(ld_problem, ld_candidate):
-    dense = integrate_forward(ld_problem, ld_candidate.control,
-                              IntegratorConfig(substeps_per_cell=32,
-                                               dense_output=True))
-    sparse = integrate_forward(ld_problem, ld_candidate.control,
-                               IntegratorConfig(substeps_per_cell=32,
-                                                dense_output=False))
-    for t in np.linspace(0, 4, 401):
-        assert sparse.eval(t)[0] == pytest.approx(dense.eval(t)[0], abs=1e-6)
+def test_blow_up_raises_naming_integrator_and_cell():
+    # xdot = 50 x^2 from x = 1 blows up at t = 1/50, inside the first cell
+    problem = DelayedProblem(
+        a=0, b=1, r=Fraction(1, 2), s=Fraction(1, 2), n=1, m=1,
+        f0=lambda t, x, y, u, v: 0.0,
+        f=lambda t, x, y, u, v: 50.0 * x ** 2,
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]))
+    control = from_pieces(1, [(Fraction(-1, 2), 1, lambda t: [0.0])], main_start=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError,
+                           match=r"integrate_forward.* cell 0 \[0, 1/2\]"):
+            integrate_forward(problem, control, IntegratorConfig(16))
 
 
 def test_substep_count_validated():

@@ -86,6 +86,21 @@ def test_argmax_zero_outside_window(ld_problem, ld_candidate, ld_adjoint):
         assert u[0] == pytest.approx(0.0, abs=1e-14)
 
 
+def test_argmax_array_form_equals_stacked_scalar_calls(ld_problem, ld_candidate):
+    # integrated adjoint: Hermite cells, so the batched lookups are exercised
+    eta = integrate_adjoint_linear(ld_problem, ld_candidate)
+    b_minus_s = ld_problem.b - ld_problem.s   # closed end of the chi window
+    # unsorted, with times outside the window between those inside it
+    times = [ld_problem.b, Fraction(0), Fraction(7, 2), Fraction(1, 3),
+             b_minus_s + Fraction(1, 96), Fraction(1), b_minus_s, Fraction(7, 3),
+             b_minus_s - Fraction(1, 96)]
+    batched = argmax_control_state_linear(ld_problem, ld_candidate, eta, times)
+    stacked = np.array([argmax_control_state_linear(ld_problem, ld_candidate,
+                                                    eta, t) for t in times])
+    assert batched.shape == (len(times), 1)
+    assert np.array_equal(batched, stacked)
+
+
 def _quadratic_cost_problem(center: float, sign: float = 1.0):
     return StateLinearProblem(
         a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1), n=1, m=1,

@@ -94,3 +94,92 @@ def test_out_of_domain_eval(ld_candidate):
         ld_candidate.state.eval(4.5)
     with pytest.raises(OutOfDomainError):
         ld_candidate.state.eval(-2.5)
+
+
+# -- batched evaluation ---------------------------------------------------------
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from retard_oc.dde import IntegratorConfig, integrate_forward  # noqa: E402
+from retard_oc.registry import make_ld_candidate, make_ld_problem  # noqa: E402
+from retard_oc.trajectory import _SNAP  # noqa: E402
+
+# Forward ld state with 4 substeps per cell: a closed-form history segment on
+# [-2, 0] followed by four Hermite cells.
+_LD_STATE = integrate_forward(make_ld_problem(), make_ld_candidate().control,
+                              IntegratorConfig(substeps_per_cell=4))
+_LD_LO, _LD_HI = -2.0, 4.0
+_LD_SLACK = _SNAP * (_LD_HI - _LD_LO)
+_BREAKPOINTS = [-2.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+
+_HERMITE = HermiteCurve(
+    np.array([0.0, 0.1, 0.35, 0.4, 0.8, 1.3]),
+    np.array([[0.0, 1.0], [0.3, -1.0], [0.2, 0.5], [-0.4, 2.0], [1.0, 0.0],
+              [0.7, 0.7]]),
+    np.array([[1.0, 0.0], [-2.0, 1.0], [0.5, 0.5], [3.0, -1.0], [0.0, 2.0],
+              [1.0, 1.0]]))
+_H_SLACK = _SNAP * 1.3
+
+
+def _times_near(points, lo, hi, slack):
+    """Uniform times, the points themselves, and points moved by up to two
+    slacks (on both sides of the snapping threshold), clipped into [lo, hi]."""
+    uniform = st.floats(lo, hi, allow_nan=False)
+    exact = st.sampled_from(points)
+    nudged = st.builds(lambda p, d: min(max(p + d, lo), hi),
+                       exact, st.floats(-2 * slack, 2 * slack))
+    return st.lists(st.one_of(uniform, exact, nudged), min_size=1, max_size=40)
+
+
+def _assert_same_as_stacked(batched, scalar, ts):
+    """``batched`` equals the stacked ``scalar`` calls bit for bit on the
+    times the scalar call accepts, and raises OutOfDomainError on a batch
+    holding a time it refuses."""
+    accepted, stacked = [], []
+    for t in ts:
+        try:
+            stacked.append(scalar(t))
+        except OutOfDomainError:
+            continue
+        accepted.append(t)
+    if accepted:
+        assert np.array_equal(batched(accepted), np.array(stacked))
+    if len(accepted) < len(ts):
+        with pytest.raises(OutOfDomainError):
+            batched(ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_times_near(list(_HERMITE.ts), 0.0, 1.3, _H_SLACK))
+def test_hermite_eval_many_is_bit_identical_to_scalar_calls(ts):
+    _assert_same_as_stacked(lambda ts: _HERMITE.eval_many(np.array(ts)),
+                            _HERMITE, ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_times_near(_BREAKPOINTS, _LD_LO, _LD_HI, _LD_SLACK))
+def test_trajectory_eval_many_is_bit_identical_to_scalar_calls(ts):
+    _assert_same_as_stacked(_LD_STATE.eval_many, _LD_STATE.eval, ts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(_LD_LO, _LD_HI), max_size=10),
+       st.floats(1e-6, 10.0), st.booleans())
+def test_eval_many_rejects_out_of_range_times(ts, gap, below):
+    bad = _LD_LO - gap if below else _LD_HI + gap
+    with pytest.raises(OutOfDomainError):
+        _LD_STATE.eval(bad)
+    with pytest.raises(OutOfDomainError):
+        _LD_STATE.eval_many(ts + [bad])
+    bad = -gap if below else 1.3 + gap
+    with pytest.raises(OutOfDomainError):
+        _HERMITE(bad)
+    with pytest.raises(OutOfDomainError):
+        _HERMITE.eval_many(np.array(ts[:0] + [0.5, bad]))
+
+
+def test_eval_many_covers_history_end_and_breakpoints():
+    ts = [-2.0, -1.25, -1e-12, 0.0, 1.0, 2.0, 3.0 - 1e-12, 3.0, 4.0]
+    stacked = np.array([_LD_STATE.eval(t) for t in ts])
+    assert np.array_equal(_LD_STATE.eval_many(ts), stacked)
+    assert _LD_STATE.eval_many([]).shape == (0, 1)
