@@ -23,16 +23,13 @@ the current-cell state is sequential.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
-from .numdiff import grad_scalar_slot, gradient, partial_vec_slot
-from .problems import AnyProblem, CandidateSolution, DelayedProblem, as_delayed
-from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
-                         cell_values)
+from .problems import AnyProblem, CandidateSolution, model_partials
+from .trajectory import HermiteCurve, Trajectory, cell_trajectory, cell_values
 
 
 @dataclass(frozen=True)
@@ -68,8 +65,9 @@ class AdjointTrajectory:
 
 # -- steppers -----------------------------------------------------------------
 
-# rhs evaluations per substep: RK4 over the substep, then over its two halves
-_STAGES = 12
+# rhs evaluations per substep: RK4 over the substep, then over its two
+# halves; the first half step reuses the full step's initial slope
+_STAGES = 11
 
 
 def _cell_schedule(t_start: float, t_end: float, substeps: int):
@@ -90,19 +88,19 @@ def _cell_schedule(t_start: float, t_end: float, substeps: int):
         tm = t0 + h
         widths.append(dt)
         times += [t0, tm, tm, t0 + dt,
-                  t0, t0 + h / 2.0, t0 + h / 2.0, tm,
+                  t0 + h / 2.0, t0 + h / 2.0, tm,
                   tm, tm + h / 2.0, tm + h / 2.0, tm + h]
     times.append(t_end)
     return widths, times
 
 
-def _rk4(rhs, k: int, times: list, y: np.ndarray, dt: float):
-    """Classical RK4 step from stage ``k`` of the schedule."""
-    k1 = rhs(k, times[k], y)
-    k2 = rhs(k + 1, times[k + 1], y + (dt / 2.0) * k1)
-    k3 = rhs(k + 2, times[k + 2], y + (dt / 2.0) * k2)
-    k4 = rhs(k + 3, times[k + 3], y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), k1
+def _rk4(rhs, k: int, times: list, y: np.ndarray, dt: float, k1: np.ndarray):
+    """Classical RK4 step with initial slope ``k1``; the other three stages
+    are schedule entries ``k``, ``k + 1`` and ``k + 2``."""
+    k2 = rhs(k, times[k], y + (dt / 2.0) * k1)
+    k3 = rhs(k + 1, times[k + 1], y + (dt / 2.0) * k2)
+    k4 = rhs(k + 2, times[k + 2], y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
@@ -117,10 +115,12 @@ def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
     y = np.asarray(y0, dtype=float).copy()
     for j, dt in enumerate(widths):
         k = _STAGES * j
-        full, k1 = _rk4(rhs, k, times, y, dt)
-        half1, _ = _rk4(rhs, k + 4, times, y, dt / 2.0)
-        half2, k_mid = _rk4(rhs, k + 8, times, half1, dt / 2.0)
-        ts += [times[k], times[k + 8]]
+        k1 = rhs(k, times[k], y)
+        full = _rk4(rhs, k + 1, times, y, dt, k1)
+        half1 = _rk4(rhs, k + 4, times, y, dt / 2.0, k1)
+        k_mid = rhs(k + 7, times[k + 7], half1)
+        half2 = _rk4(rhs, k + 8, times, half1, dt / 2.0, k_mid)
+        ts += [times[k], times[k + 7]]
         ys += [y, half1]
         ds += [k1, k_mid]
         y = half2 + (half2 - full) / 15.0
@@ -155,23 +155,6 @@ def _march(name: str, lattice: CommensurabilityLattice, substeps: int,
     return curves
 
 
-def _assemble(problem, lattice, cell_curves, history: Optional[Callable],
-              history_start: Rational) -> Trajectory:
-    segments = []
-    if history is not None and history_start < lattice.a:
-        segments.append(Segment(history_start, lattice.a,
-                                CallableCurve(history, problem.n)))
-    for i, lo, hi in lattice.cells():
-        segments.append(Segment(lo, hi, cell_curves[i]))
-    return Trajectory(
-        dimension=problem.n,
-        history_start=segments[0].lo,
-        main_start=lattice.a,
-        end=lattice.b,
-        segments=tuple(segments),
-    )
-
-
 # -- forward state integration -------------------------------------------------
 
 def integrate_forward(problem: AnyProblem, control: Trajectory,
@@ -202,113 +185,16 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
     state_cells = _march("integrate_forward", lattice, cfg.substeps_per_cell,
                          y0, cell_rhs)
-    return _assemble(problem, lattice, state_cells, problem.phi,
-                     problem.state_history_start)
+    return cell_trajectory(lattice, n, state_cells,
+                           problem.state_history_start, problem.phi)
 
 
-# -- adjoint of the state-linear problem ----------------------------------------
+# -- adjoint equations -----------------------------------------------------------
 
-def integrate_adjoint_linear(problem, cand: CandidateSolution,
-                             cfg: IntegratorConfig = IntegratorConfig()
-                             ) -> AdjointTrajectory:
-    """Backward method of steps for the state-linear adjoint equation
-
-        etadot(t) = d2 f0x(t, x(t), x(t-r)) + d3 f0x(t+r, x(t+r), x(t)) chi(t)
-                    - eta(t) A(t) - eta(t+r) A_D(t+r) chi(t)
-
-    with eta(b) = 0 (free terminal state).  Cells are processed right to
-    left so the advanced values eta(t+r) always hit finalized segments; the
-    window chi = chi_[a, b-r] is resolved per cell in exact integer
-    arithmetic.
-    """
-    lattice = problem.lattice()
-    n = problem.n
-    if not cand.state.covers(problem.a - problem.r, problem.b):
-        raise OutOfDomainError("candidate state must cover [a - r, b]")
-    k_r = lattice.state_shift
-    rf = float(lattice.r)
-    x_cells = cand.state.cell_curves(lattice)
-
-    if problem.f0x_dx is not None:
-        f0x_dx = lambda t, x, y: np.asarray(problem.f0x_dx(t, x, y), float).reshape(n)
-    else:
-        f0x_dx = lambda t, x, y: grad_scalar_slot(
-            lambda tt, xx, yy: problem.f0x(tt, xx, yy), 1, (t, x, y))
-    if problem.f0x_dy is not None:
-        f0x_dy = lambda t, x, y: np.asarray(problem.f0x_dy(t, x, y), float).reshape(n)
-    else:
-        f0x_dy = lambda t, x, y: grad_scalar_slot(
-            lambda tt, xx, yy: problem.f0x(tt, xx, yy), 2, (t, x, y))
-
-    def cell_rhs(i, ts, eta_cells):
-        chi = i + k_r <= lattice.n_cells - 1
-        x = x_cells[i].eval_many(ts)
-        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi, n)
-        if chi:
-            ts_adv = ts + rf
-            xa = x if k_r == 0 else x_cells[i + k_r].eval_many(ts_adv)
-            ea = None if k_r == 0 else eta_cells[i + k_r].eval_many(ts_adv)
-            ts_adv = ts_adv.tolist()
-
-        def rhs(k, t, eta_t):
-            val = f0x_dx(t, x[k], xd[k]) - eta_t @ np.asarray(
-                problem.A(t), float).reshape(n, n)
-            if chi:
-                tr = ts_adv[k]
-                e = eta_t if ea is None else ea[k]
-                val = val + f0x_dy(tr, xa[k], x[k]) - e @ np.asarray(
-                    problem.A_D(tr), float).reshape(n, n)
-            return val
-        return rhs
-
-    # transversality: exact zero terminal row covector
-    eta_cells = _march("integrate_adjoint_linear", lattice, cfg.substeps_per_cell,
-                       np.zeros(n), cell_rhs, backward=True)
-    traj = _assemble(problem, lattice, eta_cells, None, lattice.a)
-    return AdjointTrajectory(trajectory=traj, terminal_value=np.zeros(n))
-
-
-# -- adjoint of the general nonlinear problem ------------------------------------
-
-def _f0_partial(p: DelayedProblem, slot: int, args) -> np.ndarray:
-    fn = (None, p.f0_dx, p.f0_dy, p.f0_du, p.f0_dv)[slot]
-    dim = p.n if slot in (1, 2) else p.m
-    if fn is not None:
-        return np.asarray(fn(*args), float).reshape(dim)
-    return grad_scalar_slot(p.f0, slot, args)
-
-
-def _f_jacobian(p: DelayedProblem, slot: int, args) -> np.ndarray:
-    fn = (None, p.f_dx, p.f_dy, p.f_du, p.f_dv)[slot]
-    cols = p.n if slot in (1, 2) else p.m
-    if fn is not None:
-        return np.asarray(fn(*args), float).reshape(p.n, cols)
-    return partial_vec_slot(p.f, slot, args, p.n)
-
-
-def _g0_gradient(p: DelayedProblem, x) -> np.ndarray:
-    if p.g0_grad is not None:
-        return np.asarray(p.g0_grad(x), float).reshape(p.n)
-    return gradient(lambda z: float(p.g0(z)), np.asarray(x, float))
-
-
-def integrate_adjoint_nonlinear(problem, cand: CandidateSolution,
-                                cfg: IntegratorConfig = IntegratorConfig()
-                                ) -> AdjointTrajectory:
-    """Costate of the general delayed problem along a candidate pair.
-
-    Backward method of steps for
-
-        etadot(t) = - d2 f0[t] - d3 f0[t+r] chi(t)
-                    - eta(t) d2 f[t] - eta(t+r) d3 f[t+r] chi(t)
-
-    with eta(b) = -grad g0(x(b)), where [t] abbreviates the tuple
-    (t, x(t), x(t-r), u(t), u(t-s)).  This orientation reproduces the
-    multiplier d2 S(t, x(t)) of the verification function, i.e. the costate
-    the feedback law consumes.  Partials come from declared derivatives when
-    present, otherwise central finite differences.
-    """
-    p = as_delayed(problem)
+def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
+             name: str):
+    """Lattice, cell curves and terminal value of the general costate (see
+    :func:`integrate_adjoint_nonlinear`); ``name`` labels march errors."""
     lattice = p.lattice()
     n = p.n
     if not cand.state.covers(p.a - p.r, p.b):
@@ -319,6 +205,8 @@ def integrate_adjoint_nonlinear(problem, cand: CandidateSolution,
     rf, sf = float(lattice.r), float(lattice.s)
     x_cells = cand.state.cell_curves(lattice)
     u_cells = cand.control.cell_curves(lattice)
+    f0_d, f_d, g0_grad = model_partials(p)
+    f0_dx, f0_dy, f_dx, f_dy = f0_d[1], f0_d[2], f_d[1], f_d[2]
 
     def states(idx, ts):
         return cell_values(x_cells, idx, ts, p.phi, n)
@@ -342,17 +230,57 @@ def integrate_adjoint_nonlinear(problem, cand: CandidateSolution,
 
         def rhs(k, t, eta_t):
             args = (t, x[k], xd[k], u[k], ud[k])
-            val = -_f0_partial(p, 1, args) - eta_t @ _f_jacobian(p, 1, args)
+            val = -f0_dx(*args) - eta_t @ f_dx(*args)
             if chi:
                 args_adv = (ts_adv[k], xa[k], x[k], ua[k], uad[k])
                 e = eta_t if ea is None else ea[k]
-                val = val - _f0_partial(p, 2, args_adv) - e @ _f_jacobian(p, 2, args_adv)
+                val = val - f0_dy(*args_adv) - e @ f_dy(*args_adv)
             return val
         return rhs
 
-    xb = cand.state.eval(p.b)
-    terminal = -_g0_gradient(p, xb)
-    eta_cells = _march("integrate_adjoint_nonlinear", lattice, cfg.substeps_per_cell,
-                       terminal, cell_rhs, backward=True)
-    traj = _assemble(p, lattice, eta_cells, None, lattice.a)
-    return AdjointTrajectory(trajectory=traj, terminal_value=terminal)
+    terminal = np.zeros(n) if g0_grad is None else -g0_grad(cand.state.eval(p.b))
+    cells = _march(name, lattice, cfg.substeps_per_cell, terminal, cell_rhs,
+                   backward=True)
+    return lattice, cells, terminal
+
+
+def integrate_adjoint_nonlinear(problem: AnyProblem, cand: CandidateSolution,
+                                cfg: IntegratorConfig = IntegratorConfig()
+                                ) -> AdjointTrajectory:
+    """Costate of the general delayed problem along a candidate pair.
+
+    Backward method of steps for
+
+        etadot(t) = - d2 f0[t] - d3 f0[t+r] chi(t)
+                    - eta(t) d2 f[t] - eta(t+r) d3 f[t+r] chi(t)
+
+    with eta(b) = -grad g0(x(b)), where [t] abbreviates the tuple
+    (t, x(t), x(t-r), u(t), u(t-s)) and chi = chi_[a, b-r] is resolved per
+    cell in exact integer arithmetic.  Cells are processed right to left so
+    the advanced values eta(t+r) always hit finalized segments.  This
+    orientation reproduces the multiplier d2 S(t, x(t)) of the verification
+    function, i.e. the costate the feedback law consumes.  Partials come
+    from :func:`~retard_oc.problems.model_partials`.
+    """
+    lattice, cells, terminal = _costate(problem, cand, cfg,
+                                        "integrate_adjoint_nonlinear")
+    return AdjointTrajectory(trajectory=cell_trajectory(lattice, problem.n, cells),
+                             terminal_value=terminal)
+
+
+def integrate_adjoint_linear(problem, cand: CandidateSolution,
+                             cfg: IntegratorConfig = IntegratorConfig()
+                             ) -> AdjointTrajectory:
+    """Adjoint of the state-linear theorem,
+
+        etadot(t) = d2 f0x(t, x(t), x(t-r)) + d3 f0x(t+r, x(t+r), x(t)) chi(t)
+                    - eta(t) A(t) - eta(t+r) A_D(t+r) chi(t)
+
+    with eta(b) = 0 (free terminal state, stored exactly).  This is the
+    general costate of :func:`integrate_adjoint_nonlinear` with its sign
+    flipped; rounding is symmetric, so the flip loses nothing.
+    """
+    lattice, cells, _ = _costate(problem, cand, cfg, "integrate_adjoint_linear")
+    flipped = [HermiteCurve(c.ts, -c.ys, -c.ds) for c in cells]
+    return AdjointTrajectory(trajectory=cell_trajectory(lattice, problem.n, flipped),
+                             terminal_value=np.zeros(problem.n))

@@ -82,8 +82,9 @@ def hessian(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
 
 # -- slot partials of five-argument problem functions -------------------------
 
-def partial_vec_slot(fn: Callable, slot: int, args: tuple, out_dim: int) -> np.ndarray:
-    """Jacobian of fn(t, x, y, u, v) w.r.t. the vector argument in ``slot``."""
+def _slot_probe(fn: Callable, slot: int, args: tuple):
+    """fn(t, x, y, u, v) as a function of the vector in ``slot`` alone, and
+    that vector."""
     base = [np.asarray(a, dtype=float) if i > 0 else float(a)
             for i, a in enumerate(args)]
 
@@ -92,17 +93,16 @@ def partial_vec_slot(fn: Callable, slot: int, args: tuple, out_dim: int) -> np.n
         call[slot] = vec
         return fn(*call)
 
-    return jacobian(probe, base[slot], out_dim)
+    return probe, base[slot]
+
+
+def partial_vec_slot(fn: Callable, slot: int, args: tuple, out_dim: int) -> np.ndarray:
+    """Jacobian of fn(t, x, y, u, v) w.r.t. the vector argument in ``slot``."""
+    probe, at = _slot_probe(fn, slot, args)
+    return jacobian(probe, at, out_dim)
 
 
 def grad_scalar_slot(fn: Callable, slot: int, args: tuple) -> np.ndarray:
     """Gradient of scalar fn(t, x, y, u, v) w.r.t. the vector in ``slot``."""
-    base = [np.asarray(a, dtype=float) if i > 0 else float(a)
-            for i, a in enumerate(args)]
-
-    def probe(vec):
-        call = list(base)
-        call[slot] = vec
-        return float(fn(*call))
-
-    return gradient(probe, base[slot])
+    probe, at = _slot_probe(fn, slot, args)
+    return gradient(lambda vec: float(probe(vec)), at)

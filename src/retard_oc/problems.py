@@ -22,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .lattice import CommensurabilityLattice, Rational, as_rational, make_lattice
+from .numdiff import grad_scalar_slot, gradient, partial_vec_slot
 from .trajectory import Trajectory
 
 Vec = np.ndarray
@@ -235,44 +236,69 @@ AnyProblem = DelayedProblem | StateLinearProblem
 def as_delayed(problem: AnyProblem) -> DelayedProblem:
     """View a state-linear problem through the general nonlinear interface.
 
-    The composed dynamics carry exact state Jacobians (A and A_D); control
-    partials fall back to finite differences.  Already-general problems pass
-    through unchanged.
+    The composed problem declares the partials :func:`model_partials`
+    resolves for ``problem``: exact state Jacobians (A and A_D), the f0x
+    partials where given, finite differences otherwise.  Already-general
+    problems pass through unchanged.
     """
     if isinstance(problem, DelayedProblem):
         return problem
     p = problem
-
-    def f(t, x, y, u, v):
-        return p.dynamics(t, x, y, u, v)
-
-    def f0(t, x, y, u, v):
-        return p.running_cost(t, x, y, u, v)
-
-    def f_dx(t, x, y, u, v):
-        return np.asarray(p.A(float(t)), dtype=float).reshape(p.n, p.n)
-
-    def f_dy(t, x, y, u, v):
-        return np.asarray(p.A_D(float(t)), dtype=float).reshape(p.n, p.n)
-
-    f0_dx = None
-    if p.f0x_dx is not None:
-        def f0_dx(t, x, y, u, v):  # noqa: F811
-            return np.asarray(p.f0x_dx(float(t), x, y), dtype=float).reshape(p.n)
-
-    f0_dy = None
-    if p.f0x_dy is not None:
-        def f0_dy(t, x, y, u, v):  # noqa: F811
-            return np.asarray(p.f0x_dy(float(t), x, y), dtype=float).reshape(p.n)
-
+    f0_d, f_d, _ = model_partials(p)
     return DelayedProblem(
         a=p.a, b=p.b, r=p.r, s=p.s, n=p.n, m=p.m,
-        f0=f0, f=f, phi=p.phi, psi=p.psi,
+        f0=p.running_cost, f=p.dynamics, phi=p.phi, psi=p.psi,
         control_set=p.control_set,
         terminal_set=TerminalSet.free(p.n),
-        f_dx=f_dx, f_dy=f_dy, f0_dx=f0_dx, f0_dy=f0_dy,
+        f_dx=f_d[1], f_dy=f_d[2], f_du=f_d[3], f_dv=f_d[4],
+        f0_dx=f0_d[1], f0_dy=f0_d[2], f0_du=f0_d[3], f0_dv=f0_d[4],
         name=p.name,
     )
+
+
+def _shaped(fn: Optional[Callable], shape) -> Optional[Callable]:
+    if fn is None:
+        return None
+    return lambda *args: np.asarray(fn(*args), dtype=float).reshape(shape)
+
+
+def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable]]:
+    """Slot partials of the model of ``problem``, resolved once per
+    integration or gradient: ``(f0, f, g0)``.
+
+    ``f0[k]`` and ``f[k]`` take the five arguments (t, x, y, u, v) and return
+    d f0 / d(slot k), shape (dim,), and d f / d(slot k), shape (n, dim), for
+    the slots k = 1..4 (x, y, u, v; index 0 is unused).  ``g0`` maps x to the
+    terminal-cost gradient, or is None when the class has no terminal cost.
+    Declared partials are used where given, central finite differences of
+    the model functions otherwise; a state-linear problem supplies A, A_D
+    and its f0x partials directly.
+    """
+    p, n = problem, problem.n
+    dims = (None, n, n, p.m, p.m)
+    if isinstance(p, StateLinearProblem):
+        f0_fn, f_fn, g0 = p.running_cost, p.dynamics, None
+        f0 = [None] * 5
+        if p.f0x_dx is not None:
+            f0[1] = lambda t, x, y, u, v: np.asarray(p.f0x_dx(t, x, y), float).reshape(n)
+        if p.f0x_dy is not None:
+            f0[2] = lambda t, x, y, u, v: np.asarray(p.f0x_dy(t, x, y), float).reshape(n)
+        f = [None,
+             lambda t, x, y, u, v: np.asarray(p.A(t), float).reshape(n, n),
+             lambda t, x, y, u, v: np.asarray(p.A_D(t), float).reshape(n, n),
+             None, None]
+    else:
+        f0_fn, f_fn = p.f0, p.f
+        f0 = [None] + [_shaped(fn, dims[k]) for k, fn in
+                       enumerate((p.f0_dx, p.f0_dy, p.f0_du, p.f0_dv), 1)]
+        f = [None] + [_shaped(fn, (n, dims[k])) for k, fn in
+                      enumerate((p.f_dx, p.f_dy, p.f_du, p.f_dv), 1)]
+        g0 = _shaped(p.g0_grad, n) or (
+            lambda x: gradient(lambda z: float(p.g0(z)), np.asarray(x, float)))
+    for k in range(1, 5):
+        f0[k] = f0[k] or (lambda *args, k=k: grad_scalar_slot(f0_fn, k, args))
+        f[k] = f[k] or (lambda *args, k=k: partial_vec_slot(f_fn, k, args, n))
+    return tuple(f0), tuple(f), g0
 
 
 # -- candidate pairs ----------------------------------------------------------

@@ -11,7 +11,7 @@ boundaries are linked by hard equality X_{i+1}(0) = X_i(h).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .dde import IntegratorConfig, _cell_schedule, _integrate_cell
 from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import AnyProblem, CandidateSolution
-from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory)
+from .trajectory import CallableCurve, HermiteCurve, Trajectory, cell_trajectory
 
 
 @dataclass(frozen=True)
@@ -62,49 +62,37 @@ class AugmentedProblem:
     def block_time(self, i: int, sigma: float) -> float:
         return float(self.lattice.a) + i * float(self.lattice.h) + float(sigma)
 
-    def _delayed_state(self, i: int, sigma: float, blocks: np.ndarray) -> np.ndarray:
-        j = i - self.state_offset
-        if self.state_offset == 0:
-            return blocks[i]
-        if j >= 0:
-            return blocks[j]
-        t = self.block_time(i, sigma) - float(self.lattice.r)
-        return np.asarray(self.problem.phi(t), float).reshape(self.problem.n)
+    def _delayed(self, blocks: np.ndarray, i: int, offset: int, t: float,
+                 history) -> np.ndarray:
+        """Block ``i - offset``, or the baked-in ``history`` at original time
+        ``t`` when that block precedes the horizon start."""
+        if i - offset >= 0:
+            return blocks[i - offset]
+        return np.asarray(history(t), float).reshape(blocks.shape[1])
 
-    def _delayed_control(self, i: int, sigma: float, wblocks) -> np.ndarray:
-        j = i - self.control_offset
-        if self.control_offset == 0:
-            return wblocks[i]
-        if j >= 0:
-            return wblocks[j]
-        t = self.block_time(i, sigma) - float(self.lattice.s)
-        return np.asarray(self.problem.psi(t), float).reshape(self.problem.m)
+    def _block_args(self, sigma: float, X: np.ndarray, W: np.ndarray):
+        """The original model's arguments (t, x, x(t-r), u, u(t-s)) for each
+        block at local time sigma."""
+        p, N = self.problem, self.n_blocks
+        rf, sf = float(self.lattice.r), float(self.lattice.s)
+        xb = np.asarray(X, float).reshape(N, p.n)
+        wb = np.asarray(W, float).reshape(N, p.m)
+        for i in range(N):
+            t = self.block_time(i, sigma)
+            yield (t, xb[i], self._delayed(xb, i, self.state_offset, t - rf, p.phi),
+                   wb[i], self._delayed(wb, i, self.control_offset, t - sf, p.psi))
 
     def dynamics(self, sigma: float, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Stacked right-hand side; an ordinary ODE in R^{n N}."""
-        n, m, N = self.problem.n, self.problem.m, self.n_blocks
-        xb = np.asarray(X, float).reshape(N, n)
-        wb = np.asarray(W, float).reshape(N, m)
-        out = np.empty_like(xb)
-        for i in range(N):
-            t = self.block_time(i, sigma)
-            out[i] = self.problem.dynamics(
-                t, xb[i], self._delayed_state(i, sigma, xb),
-                wb[i], self._delayed_control(i, sigma, wb))
-        return out.reshape(-1)
+        return np.concatenate([self.problem.dynamics(*args)
+                               for args in self._block_args(sigma, X, W)])
 
     def running_cost(self, sigma: float, X: np.ndarray, W: np.ndarray) -> float:
         """Stacked running cost; its sigma-integral over [0, h] equals the
         original cost integral over [a, b] exactly."""
-        n, m, N = self.problem.n, self.problem.m, self.n_blocks
-        xb = np.asarray(X, float).reshape(N, n)
-        wb = np.asarray(W, float).reshape(N, m)
         total = 0.0
-        for i in range(N):
-            t = self.block_time(i, sigma)
-            total += self.problem.running_cost(
-                t, xb[i], self._delayed_state(i, sigma, xb),
-                wb[i], self._delayed_control(i, sigma, wb))
+        for args in self._block_args(sigma, X, W):
+            total += self.problem.running_cost(*args)
         return total
 
 
@@ -145,21 +133,19 @@ class AugmentedSolution:
         return np.concatenate([blk(float(sigma)) for blk in self.control_blocks])
 
 
-def _shifted_cell_curve(traj: Trajectory, lo, hi) -> Callable[[float], np.ndarray]:
-    curve = traj.cell_curve(lo, hi)
-    offset = float(lo)
-    return lambda sigma: curve(offset + float(sigma))
+def _cell_blocks(traj: Trajectory, lattice) -> list[Callable[[float], np.ndarray]]:
+    """The curve of ``traj`` on each lattice cell [lo, hi] as a function of
+    local time sigma in [0, h]."""
+    def block(curve, offset):
+        return lambda sigma: curve(offset + float(sigma))
+    return [block(traj.cell_curve(lo, hi), float(lo)) for _, lo, hi in lattice.cells()]
 
 
 def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> AugmentedSolution:
     """Slice a candidate pair into stacked block curves (the forward half of
     the round trip; ``reassemble`` is its inverse)."""
-    state_blocks = [_shifted_cell_curve(cand.state, lo, hi)
-                    for _, lo, hi in aug.lattice.cells()]
-    control_blocks = [_shifted_cell_curve(cand.control, lo, hi)
-                      for _, lo, hi in aug.lattice.cells()]
-    return AugmentedSolution(aug=aug, state_blocks=state_blocks,
-                             control_blocks=control_blocks)
+    return AugmentedSolution(aug=aug, state_blocks=_cell_blocks(cand.state, aug.lattice),
+                             control_blocks=_cell_blocks(cand.control, aug.lattice))
 
 
 def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
@@ -174,32 +160,26 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     most N + 1 sweeps are needed; convergence is checked and usually earlier.
     """
     lattice = aug.lattice
-    N, n, m = aug.n_blocks, aug.problem.n, aug.problem.m
+    N, n = aug.n_blocks, aug.problem.n
     hf = float(lattice.h)
-    control_blocks = [_shifted_cell_curve(control, lo, hi)
-                      for _, lo, hi in lattice.cells()]
-
-    def W(sigma: float) -> np.ndarray:
-        return np.concatenate([blk(sigma) for blk in control_blocks])
+    control_blocks = _cell_blocks(control, lattice)
 
     def rhs(k, sigma, X):
-        return aug.dynamics(sigma, X, W(sigma))
+        return aug.dynamics(sigma, X, np.concatenate([blk(sigma) for blk in control_blocks]))
 
     widths, times = _cell_schedule(0.0, hf, cfg.substeps_per_cell)
 
     starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)),
                                 float).reshape(n), N)
-    curve: Optional[HermiteCurve] = None
     for _ in range(N + 1):
-        ts, ys, ds, y_end = _integrate_cell(rhs, widths, times, starts)
-        curve = HermiteCurve(ts, ys, ds)
+        y_end = _integrate_cell(rhs, widths, times, starts)[3]
         new_starts = starts.copy()
-        ends = y_end.reshape(N, n)
-        new_starts[n:] = ends[:-1].reshape(-1)
-        if np.max(np.abs(new_starts - starts)) <= 1e-14 * (1 + np.max(np.abs(starts))):
-            starts = new_starts
-            break
+        new_starts[n:] = y_end[:-n]
+        settled = (np.max(np.abs(new_starts - starts))
+                   <= 1e-14 * (1 + np.max(np.abs(starts))))
         starts = new_starts
+        if settled:
+            break
     ts, ys, ds, _ = _integrate_cell(rhs, widths, times, starts)
     curve = HermiteCurve(ts, ys, ds)
 
@@ -224,31 +204,17 @@ def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice
         raise SeamMismatchError(
             f"block linkage residual {residual:.3e} exceeds {tol:g}")
 
-    def unshift(block, lo):
-        offset = float(lo)
-        return lambda t: block(float(t) - offset)
+    def unshifted(blocks, dim):
+        return [CallableCurve(lambda t, block=block, offset=float(lo):
+                              block(float(t) - offset), dim)
+                for block, (_, lo, _) in zip(blocks, lattice.cells())]
 
-    state_segments = []
-    if problem.state_history_start < lattice.a:
-        state_segments.append(Segment(problem.state_history_start, lattice.a,
-                                      CallableCurve(problem.phi, problem.n)))
-    control_segments = []
-    if problem.control_history_start < lattice.a:
-        control_segments.append(Segment(problem.control_history_start, lattice.a,
-                                        CallableCurve(problem.psi, problem.m)))
-    for i, lo, hi in lattice.cells():
-        state_segments.append(Segment(lo, hi, CallableCurve(
-            unshift(aug_solution.state_blocks[i], lo), problem.n)))
-        control_segments.append(Segment(lo, hi, CallableCurve(
-            unshift(aug_solution.control_blocks[i], lo), problem.m)))
-    state = Trajectory(dimension=problem.n,
-                       history_start=state_segments[0].lo,
-                       main_start=lattice.a, end=lattice.b,
-                       segments=tuple(state_segments))
-    control = Trajectory(dimension=problem.m,
-                         history_start=control_segments[0].lo,
-                         main_start=lattice.a, end=lattice.b,
-                         segments=tuple(control_segments))
+    state = cell_trajectory(lattice, problem.n,
+                            unshifted(aug_solution.state_blocks, problem.n),
+                            problem.state_history_start, problem.phi)
+    control = cell_trajectory(lattice, problem.m,
+                              unshifted(aug_solution.control_blocks, problem.m),
+                              problem.control_history_start, problem.psi)
     return CandidateSolution(state=state, control=control)
 
 

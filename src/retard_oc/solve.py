@@ -16,14 +16,13 @@ from typing import Optional
 import numpy as np
 
 from .cost import evaluate_cost
-from .dde import (IntegratorConfig, _f0_partial, _f_jacobian, _g0_gradient,
-                  integrate_adjoint_linear, integrate_forward)
+from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       as_delayed)
+                       as_delayed, model_partials)
 from .sufficiency import _criterion_times, argmax_control_state_linear
-from .trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
-                         hermite_from_samples)
+from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
+                         constant_history, hermite_from_samples)
 
 log = logging.getLogger(__name__)
 
@@ -55,31 +54,6 @@ class SweepSolution(CandidateSolution):
     history: list = field(default_factory=list)
 
 
-def _zero_control(problem) -> Trajectory:
-    segs = []
-    if problem.control_history_start < problem.a:
-        segs.append(Segment(problem.control_history_start, problem.a,
-                            CallableCurve(problem.psi, problem.m)))
-    zero = np.zeros(problem.m)
-    segs.append(Segment(problem.a, problem.b,
-                        CallableCurve(lambda t: zero, problem.m)))
-    return Trajectory(dimension=problem.m, history_start=segs[0].lo,
-                      main_start=problem.a, end=problem.b, segments=tuple(segs))
-
-
-def _control_from_cell_samples(problem, lattice, node_ts: list[np.ndarray],
-                               node_us: list[np.ndarray]) -> Trajectory:
-    """Per-cell Hermite control; jumps stay confined to cell boundaries."""
-    segs = []
-    if problem.control_history_start < problem.a:
-        segs.append(Segment(problem.control_history_start, problem.a,
-                            CallableCurve(problem.psi, problem.m)))
-    for i, lo, hi in lattice.cells():
-        segs.append(Segment(lo, hi, hermite_from_samples(node_ts[i], node_us[i])))
-    return Trajectory(dimension=problem.m, history_start=segs[0].lo,
-                      main_start=problem.a, end=problem.b, segments=tuple(segs))
-
-
 def solve_fbsm(problem: StateLinearProblem,
                init_control: Optional[Trajectory] = None,
                cfg: SweepConfig = SweepConfig()) -> SweepSolution:
@@ -96,7 +70,11 @@ def solve_fbsm(problem: StateLinearProblem,
     iterations running (oscillation guard); each halving is logged.
     """
     lattice = problem.lattice()
-    control = init_control if init_control is not None else _zero_control(problem)
+    control = init_control
+    if control is None:
+        zero = CallableCurve(constant_history(problem.m, 0.0), problem.m)
+        control = cell_trajectory(lattice, problem.m, [zero] * lattice.n_cells,
+                                  problem.control_history_start, problem.psi)
     omega = cfg.omega
     nodes_per_cell = 2 * cfg.integrator.substeps_per_cell
     nodes = _criterion_times(problem, [
@@ -117,8 +95,12 @@ def solve_fbsm(problem: StateLinearProblem,
         old = control.eval_many(nodes.t)
         us = (1.0 - omega) * old + omega * target
         change = float(np.max(np.abs(us - old)))
-        control = _control_from_cell_samples(problem, lattice, cell_ts,
-                                             np.split(us, lattice.n_cells))
+        # per-cell Hermite control: jumps stay confined to cell boundaries
+        control = cell_trajectory(
+            lattice, problem.m,
+            [hermite_from_samples(t, u)
+             for t, u in zip(cell_ts, np.split(us, lattice.n_cells))],
+            problem.control_history_start, problem.psi)
         state = integrate_forward(problem, control, cfg.integrator)
         cost = evaluate_cost(problem, CandidateSolution(state=state, control=control),
                              quadrature_steps_per_cell=128)
@@ -188,7 +170,8 @@ def _euler_grid(problem, cfg: TranscriptionConfig):
 
 
 def _euler_forward(p, cfg: TranscriptionConfig, u: np.ndarray):
-    """Euler recursion with delayed index lookups; returns states and cost."""
+    """Euler recursion with delayed index lookups; returns states, cost and
+    the argument tuple (t, x, x(t-r), u, u(t-s)) of every step."""
     lattice, delta, k_r, k_s = _euler_grid(p, cfg)
     M = cfg.n_steps
     df = float(delta)
@@ -196,20 +179,19 @@ def _euler_forward(p, cfg: TranscriptionConfig, u: np.ndarray):
     xs = np.empty((M + 1, p.n))
     xs[0] = np.asarray(p.phi(af), float).reshape(p.n)
     cost = 0.0
+    stages = []
     for i in range(M):
         t = af + df * i
         xd = xs[i - k_r] if i - k_r >= 0 else np.asarray(
             p.phi(t - float(lattice.r)), float).reshape(p.n)
         ud = u[i - k_s] if i - k_s >= 0 else np.asarray(
             p.psi(t - float(lattice.s)), float).reshape(p.m)
-        if k_r == 0:
-            xd = xs[i]
-        if k_s == 0:
-            ud = u[i]
-        cost += df * p.running_cost(t, xs[i], xd, u[i], ud)
-        xs[i + 1] = xs[i] + df * p.dynamics(t, xs[i], xd, u[i], ud)
+        args = (t, xs[i], xd, u[i], ud)
+        stages.append(args)
+        cost += df * p.running_cost(*args)
+        xs[i + 1] = xs[i] + df * p.dynamics(*args)
     cost += p.terminal_cost(xs[M])
-    return xs, cost
+    return xs, cost, stages
 
 
 def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
@@ -219,50 +201,35 @@ def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
     Reverse accumulation through the recursion, including the delayed-index
     couplings: state node i feeds stage i, stage i + r/delta (as the delayed
     argument), and the two matching transitions; control node j feeds stage
-    j and stage j + s/delta.
+    j and stage j + s/delta.  A zero shift couples a node to its own stage.
     """
-    p = as_delayed(problem)
-    lattice, delta, k_r, k_s = _euler_grid(p, cfg)
+    p = problem
+    _, delta, k_r, k_s = _euler_grid(p, cfg)
     M = cfg.n_steps
     df = float(delta)
-    af = float(lattice.a)
     u = np.asarray(control_samples, float).reshape(M, p.m)
-    xs, _ = _euler_forward(p, cfg, u)
+    xs, _, stages = _euler_forward(p, cfg, u)
+    f0_d, f_d, g0_grad = model_partials(p)
+    f0_dx, f0_dy, f0_du, f0_dv = f0_d[1:]
+    f_dx, f_dy, f_du, f_dv = f_d[1:]
 
-    def stage_args(i: int):
-        t = af + df * i
-        xd = xs[i - k_r] if i - k_r >= 0 else np.asarray(
-            p.phi(t - float(lattice.r)), float).reshape(p.n)
-        ud = u[i - k_s] if i - k_s >= 0 else np.asarray(
-            p.psi(t - float(lattice.s)), float).reshape(p.m)
-        if k_r == 0:
-            xd = xs[i]
-        if k_s == 0:
-            ud = u[i]
-        return (t, xs[i], xd, u[i], ud)
-
-    args_cache = [stage_args(i) for i in range(M)]
     lam = np.zeros((M + 1, p.n))
-    lam[M] = _g0_gradient(p, xs[M])
+    if g0_grad is not None:
+        lam[M] = g0_grad(xs[M])
     for i in range(M - 1, -1, -1):
-        args = args_cache[i]
-        lam[i] = (lam[i + 1]
-                  + df * (_f0_partial(p, 1, args) + lam[i + 1] @ _f_jacobian(p, 1, args)))
-        if k_r > 0 and i + k_r <= M - 1:
-            adv = args_cache[i + k_r]
-            lam[i] += df * (_f0_partial(p, 2, adv) + lam[i + k_r + 1] @ _f_jacobian(p, 2, adv))
-        elif k_r == 0:
-            lam[i] += df * (_f0_partial(p, 2, args) + lam[i + 1] @ _f_jacobian(p, 2, args))
+        args = stages[i]
+        lam[i] = lam[i + 1] + df * (f0_dx(*args) + lam[i + 1] @ f_dx(*args))
+        if i + k_r <= M - 1:
+            adv = stages[i + k_r]
+            lam[i] += df * (f0_dy(*adv) + lam[i + k_r + 1] @ f_dy(*adv))
 
     grad = np.zeros((M, p.m))
     for j in range(M):
-        args = args_cache[j]
-        grad[j] = df * (_f0_partial(p, 3, args) + lam[j + 1] @ _f_jacobian(p, 3, args))
-        if k_s > 0 and j + k_s <= M - 1:
-            adv = args_cache[j + k_s]
-            grad[j] += df * (_f0_partial(p, 4, adv) + lam[j + k_s + 1] @ _f_jacobian(p, 4, adv))
-        elif k_s == 0:
-            grad[j] += df * (_f0_partial(p, 4, args) + lam[j + 1] @ _f_jacobian(p, 4, args))
+        args = stages[j]
+        grad[j] = df * (f0_du(*args) + lam[j + 1] @ f_du(*args))
+        if j + k_s <= M - 1:
+            adv = stages[j + k_s]
+            grad[j] += df * (f0_dv(*adv) + lam[j + k_s + 1] @ f_dv(*adv))
     return grad
 
 
@@ -280,10 +247,7 @@ def _interpolated_candidate(p, cfg: TranscriptionConfig, u: np.ndarray,
     M = cfg.n_steps
     per_cell = M // lattice.n_cells
     df = float(delta)
-    segs = []
-    if p.control_history_start < p.a:
-        segs.append(Segment(p.control_history_start, p.a,
-                            CallableCurve(p.psi, p.m)))
+    curves = []
     for i, lo, hi in lattice.cells():
         base = i * per_cell
         mids = np.array([float(lo) + df * (k + 0.5) for k in range(per_cell)])
@@ -294,11 +258,9 @@ def _interpolated_candidate(p, cfg: TranscriptionConfig, u: np.ndarray,
         else:
             left = right = vals[0]
         ts = np.concatenate(([float(lo)], mids, [float(hi)]))
-        ys = np.vstack([left[None, :], vals, right[None, :]])
-        ds = np.gradient(ys, ts, axis=0)
-        segs.append(Segment(lo, hi, HermiteCurve(ts, ys, ds)))
-    control = Trajectory(dimension=p.m, history_start=segs[0].lo,
-                         main_start=p.a, end=p.b, segments=tuple(segs))
+        curves.append(hermite_from_samples(
+            ts, np.vstack([left[None, :], vals, right[None, :]])))
+    control = cell_trajectory(lattice, p.m, curves, p.control_history_start, p.psi)
     state = integrate_forward(p, control, integrator)
     return CandidateSolution(state=state, control=control)
 
@@ -331,7 +293,7 @@ def solve_direct_euler(problem: AnyProblem,
         return np.stack([project(w[i]) for i in range(M)]) if not p.control_set.is_free else w
 
     u = proj_all(u)
-    _, J = _euler_forward(p, cfg, u)
+    J = _euler_forward(p, cfg, u)[1]
     history = [{"iteration": 0, "cost": J, "step": 0.0, "grad_norm": np.nan}]
     step = 1.0
     converged = False
@@ -358,7 +320,7 @@ def solve_direct_euler(problem: AnyProblem,
         accepted = False
         while step >= 1e-18:
             trial = proj_all(u - step * g)
-            _, J_trial = _euler_forward(p, cfg, trial)
+            J_trial = _euler_forward(p, cfg, trial)[1]
             decrease = float(np.sum(g * (u - trial)))
             if np.isfinite(J_trial) and J_trial <= J - cfg.armijo_c * decrease:
                 assert J_trial <= J + 1e-12 * (1.0 + abs(J)), \

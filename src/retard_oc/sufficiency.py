@@ -23,7 +23,7 @@ from .cost import evaluate_cost
 from .dde import (AdjointTrajectory, IntegratorConfig, integrate_adjoint_linear)
 from .errors import UnboundedCriterionError
 from .lattice import CommensurabilityLattice, Rational, as_rational
-from .numdiff import hessian
+from .numdiff import central_scalar, gradient, hessian
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem)
 from .trajectory import Trajectory, eval_delayed, shifted_time
@@ -344,12 +344,10 @@ def _argmax_scalar(fn, control_set: ControlSet) -> np.ndarray:
 def _argmax_vector(fn, control_set: ControlSet, m: int,
                    rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Projected gradient ascent with multistart for box-constrained m > 1."""
-    from .numdiff import gradient as fd_grad
-
     if control_set.is_free:
         # quadratic model via finite differences; require negative definiteness
         H = hessian(lambda u: fn(u), np.zeros(m))
-        g0 = fd_grad(lambda u: fn(u), np.zeros(m))
+        g0 = gradient(lambda u: fn(u), np.zeros(m))
         eig = np.linalg.eigvalsh(H)
         if np.max(eig) < -1e-10:
             u = np.linalg.solve(-H, g0)
@@ -368,7 +366,7 @@ def _argmax_vector(fn, control_set: ControlSet, m: int,
         u = control_set.project(u)
         step = 1.0
         for _ in range(200):
-            g = fd_grad(lambda z: fn(z), u)
+            g = gradient(lambda z: fn(z), u)
             nxt = control_set.project(u + step * g)
             if fn(nxt) > fn(u):
                 u = nxt
@@ -584,14 +582,12 @@ class ValueFunctionCandidate:
     def dt(self, t, x) -> float:
         if self.S_t is not None:
             return float(self.S_t(float(t), np.asarray(x, float)))
-        from .numdiff import central_scalar
         return central_scalar(lambda tt: self.value(tt, x), float(t))
 
     def dx(self, t, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, float))
         if self.S_x is not None:
             return np.asarray(self.S_x(float(t), x), float).reshape(x.shape)
-        from .numdiff import gradient
         return gradient(lambda z: self.value(t, z), x)
 
 
@@ -610,9 +606,22 @@ def active_cells(lattice: CommensurabilityLattice, t) -> int:
     return count
 
 
+def _feedback(problem: DelayedProblem, S: ValueFunctionCandidate,
+              feedback: Callable, state_traj: Trajectory, t, dx=None):
+    """Feedback control u*(t, x, x(t-r), S_x(t, x)) at x = x(t) + dx, with
+    the arguments it was given: (u, x, x(t-r), S_x)."""
+    x_t = state_traj.eval(t)
+    if dx is not None:
+        x_t = x_t + dx
+    x_tr = eval_delayed(state_traj, t, problem.r)
+    eta_t = S.dx(t, x_t)
+    u_t = np.asarray(feedback(float(t), x_t, x_tr, eta_t), float).reshape(problem.m)
+    return u_t, x_t, x_tr, eta_t
+
+
 def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
                 feedback: Callable, lattice: CommensurabilityLattice, t,
-                state_traj: Trajectory) -> float:
+                state_traj: Trajectory, dx: Optional[np.ndarray] = None) -> float:
     """Left-hand side of the verification equation at time t:
 
         S_t(t, x(t)) + k(t) [ -f0(t, x(t), x(t-r), u*(t), u*(t-s))
@@ -621,56 +630,24 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     where k(t) counts the active closed cells and controls come from the
     feedback law u*(t, x(t), x(t-r), S_x(t, x(t))), with the history psi
     standing in when t - s precedes the horizon start.
+
+    ``dx`` displaces the current state x(t) off the trajectory.  The delayed
+    argument x(t-r) and the control u*(t-s) stay on the centerline: the
+    equation is stated along trajectories, so this only probes robustness
+    of S in x.
     """
-    x_t = state_traj.eval(t)
-    x_tr = eval_delayed(state_traj, t, problem.r)
-    eta_t = S.dx(t, x_t)
-    u_t = np.asarray(feedback(float(t), x_t, x_tr, eta_t), float).reshape(problem.m)
-    ts = (t - problem.s) if isinstance(t, Fraction) else float(t) - float(problem.s)
+    u_t, x_t, x_tr, eta_t = _feedback(problem, S, feedback, state_traj, t, dx)
+    ts = shifted_time(t, problem.s)
     if isinstance(ts, Fraction):
         before_start = ts < problem.a
     else:
-        before_start = float(ts) < float(problem.a) - 1e-12
+        before_start = ts < float(problem.a) - 1e-12
     if before_start:
         u_ts = np.asarray(problem.psi(float(ts)), float).reshape(problem.m)
     else:
-        x_ts = state_traj.eval(ts)
-        x_tsr = eval_delayed(state_traj, ts, problem.r)
-        u_ts = np.asarray(feedback(float(ts), x_ts, x_tsr, S.dx(ts, x_ts)),
-                          float).reshape(problem.m)
-    k = active_cells(lattice, t)
-    tf = float(t)
-    braced = (-float(problem.f0(tf, x_t, x_tr, u_t, u_ts))
-              + float(eta_t @ np.asarray(problem.f(tf, x_t, x_tr, u_t, u_ts),
-                                         float).reshape(problem.n)))
-    return S.dt(t, x_t) + k * braced
-
-
-def _hj_residual_perturbed(problem, S, feedback, lattice, t, state_traj,
-                           dx: np.ndarray) -> float:
-    """Residual with the current state displaced off the trajectory.
-
-    The delayed argument x(t-r) stays on the centerline: the equation is
-    stated along trajectories, so this only probes robustness of S in x.
-    """
-    x_t = state_traj.eval(t) + dx
-    x_tr = eval_delayed(state_traj, t, problem.r)
-    eta_t = S.dx(t, x_t)
-    u_t = np.asarray(feedback(float(t), x_t, x_tr, eta_t), float).reshape(problem.m)
-    tsf = float(t) - float(problem.s)
-    if tsf < float(problem.a) - 1e-12:
-        u_ts = np.asarray(problem.psi(tsf), float).reshape(problem.m)
-    else:
-        x_ts = state_traj.eval(tsf)
-        x_tsr = eval_delayed(state_traj, tsf, problem.r)
-        u_ts = np.asarray(feedback(tsf, x_ts, x_tsr, S.dx(tsf, x_ts)),
-                          float).reshape(problem.m)
-    k = active_cells(lattice, t)
-    tf = float(t)
-    braced = (-float(problem.f0(tf, x_t, x_tr, u_t, u_ts))
-              + float(eta_t @ np.asarray(problem.f(tf, x_t, x_tr, u_t, u_ts),
-                                         float).reshape(problem.n)))
-    return S.dt(t, x_t) + k * braced
+        u_ts = _feedback(problem, S, feedback, state_traj, ts)[0]
+    braced = hamiltonian_nonlinear(problem, t, x_t, x_tr, u_t, u_ts, eta_t)
+    return S.dt(t, x_t) + active_cells(lattice, t) * braced
 
 
 def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
@@ -714,8 +691,8 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
         for _ in range(4):
             direction = rng.normal(size=problem.n)
             direction /= max(np.linalg.norm(direction), 1e-30)
-            res = abs(_hj_residual_perturbed(problem, S, feedback, lattice, t,
-                                             cand.state, cfg.tube_radius * direction))
+            res = abs(hj_residual(problem, S, feedback, lattice, t, cand.state,
+                                  dx=cfg.tube_radius * direction))
             tube_worst = max(tube_worst, res)
     passed = worst <= cfg.tol_residual and tube_worst <= cfg.tube_tol
     cert.checks.append(CheckResult(
@@ -725,10 +702,7 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
 
     worst, worst_t = 0.0, None
     for t in _rational_grid(lattice, cfg.grid_points_per_cell):
-        x_t = cand.state.eval(t)
-        x_tr = eval_delayed(cand.state, t, problem.r)
-        fb = np.asarray(feedback(float(t), x_t, x_tr, S.dx(t, x_t)),
-                        float).reshape(problem.m)
+        fb = _feedback(problem, S, feedback, cand.state, t)[0]
         gap = float(np.max(np.abs(fb - cand.control.eval(t))))
         if gap > worst:
             worst, worst_t = gap, float(t)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -178,16 +178,20 @@ class Trajectory:
         return self._snap(i, tf, edges[i + 1])
 
     def eval(self, t: TimeLike) -> np.ndarray:
-        """Value at time t; the right segment owns each interior breakpoint."""
-        return self.segments[self._locate(t)].curve(float(t))
+        """Value at time t; the right segment owns each interior breakpoint.
+        A time within float fuzz outside its owning segment (snapped onto it,
+        or past either end) is clamped onto that segment's interval first."""
+        i = self._locate(t)
+        edges = self._edges
+        return self.segments[i].curve(min(max(float(t), edges[i]), edges[i + 1]))
 
     __call__ = eval
 
     def eval_many(self, ts) -> np.ndarray:
         """Values at each of the times ``ts``, shape (len(ts), dimension).
 
-        Bit for bit the rows :meth:`eval` gives, with the same domain check
-        and breakpoint ownership; one lookup per segment touched.
+        Bit for bit the rows :meth:`eval` gives, with the same domain check,
+        breakpoint ownership and clamping; one lookup per segment touched.
         """
         tf = np.asarray(ts, dtype=float)
         if tf.size:
@@ -195,6 +199,7 @@ class Trajectory:
         i = np.clip(np.searchsorted(self._bounds, tf, side="right") - 1,
                     0, len(self.segments) - 1)
         i = self._snap(i, tf, self._bounds[i + 1])
+        tf = np.clip(tf, self._bounds[i], self._bounds[i + 1])
         out = np.empty((tf.size, self.dimension))
         for j, seg in enumerate(self.segments):
             sel = i == j
@@ -263,6 +268,24 @@ def cell_values(curves: Sequence[Curve], idx: int, ts: np.ndarray,
 
 
 # -- builders ----------------------------------------------------------------
+
+def cell_trajectory(lattice, dimension: int, cell_curves: Sequence[Curve],
+                    history_start: Optional[Rational] = None,
+                    history: Optional[Callable[[float], object]] = None
+                    ) -> Trajectory:
+    """Trajectory on [history_start, b]: the ``history`` callable on
+    [history_start, a] when given and nonempty, then ``cell_curves[i]`` on
+    lattice cell i."""
+    segments = []
+    if history is not None and history_start < lattice.a:
+        segments.append(Segment(history_start, lattice.a,
+                                CallableCurve(history, dimension)))
+    segments += [Segment(lo, hi, curve)
+                 for (_, lo, hi), curve in zip(lattice.cells(), cell_curves)]
+    return Trajectory(dimension=dimension, history_start=segments[0].lo,
+                      main_start=lattice.a, end=lattice.b,
+                      segments=tuple(segments))
+
 
 def from_pieces(dimension: int,
                 pieces: Sequence[tuple[RationalLike, RationalLike, Callable]],

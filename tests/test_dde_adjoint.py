@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from retard_oc.dde import (integrate_adjoint_linear,
-                           integrate_adjoint_nonlinear, integrate_forward,
-                           _f_jacobian)
+                           integrate_adjoint_nonlinear, integrate_forward)
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
-                                StateLinearProblem, as_delayed)
+                                StateLinearProblem, model_partials)
 from retard_oc.registry import (d_adjoint_value, ld_adjoint_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
@@ -123,27 +122,36 @@ def test_state_linear_through_general_path(ld_problem, ld_candidate,
                                            default_integrator):
     # The general costate reproduces the multiplier of the verification
     # function, which for the linear theorem's conventions is the negated
-    # linear adjoint; the two integrators agree exactly up to that sign.
-    eta_lin = integrate_adjoint_linear(ld_problem, ld_candidate,
-                                       default_integrator)
+    # linear adjoint
     eta_gen = integrate_adjoint_nonlinear(ld_problem, ld_candidate,
                                           default_integrator)
-    for t in np.linspace(0.0, 4.0, 801):
-        assert eta_gen.eval(t)[0] == pytest.approx(-eta_lin.eval(t)[0], abs=1e-7)
+    ts = np.linspace(0.0, 4.0, 2001)
+    assert max_abs_error(eta_gen.trajectory, lambda t: -ld_adjoint_value(t),
+                         ts) <= 1e-8
 
 
-def test_fd_jacobians_match_declared(d_problem, rng):
-    p = as_delayed(d_problem)
-    stripped = DelayedProblem(
-        a=p.a, b=p.b, r=p.r, s=p.s, n=p.n, m=p.m, f0=p.f0, f=p.f,
-        phi=p.phi, psi=p.psi, g0=p.g0)
-    for _ in range(25):
-        args = (float(rng.uniform(0, 3)), rng.normal(size=1), rng.normal(size=1),
-                rng.normal(size=1), rng.normal(size=1))
-        for slot in (1, 2, 3, 4):
-            declared = _f_jacobian(p, slot, args)
-            fd = _f_jacobian(stripped, slot, args)
-            np.testing.assert_allclose(fd, declared, atol=1e-6)
+def test_fd_jacobians_match_declared(d_problem, ld_problem, rng):
+    # every slot partial of f0 and f, declared against finite differences,
+    # for a general and a state-linear problem
+    d_fd = DelayedProblem(
+        a=d_problem.a, b=d_problem.b, r=d_problem.r, s=d_problem.s, n=1, m=1,
+        f0=d_problem.f0, f=d_problem.f, phi=d_problem.phi, psi=d_problem.psi,
+        g0=d_problem.g0)
+    ld_fd = DelayedProblem(
+        a=ld_problem.a, b=ld_problem.b, r=ld_problem.r, s=ld_problem.s, n=1, m=1,
+        f0=ld_problem.running_cost, f=ld_problem.dynamics, phi=ld_problem.phi,
+        psi=ld_problem.psi)
+    for p, stripped in ((d_problem, d_fd), (ld_problem, ld_fd)):
+        f0_declared, f_declared, _ = model_partials(p)
+        f0_fd, f_fd, _ = model_partials(stripped)
+        for _ in range(25):
+            args = (float(rng.uniform(0, 3)), rng.normal(size=1),
+                    rng.normal(size=1), rng.normal(size=1), rng.normal(size=1))
+            for slot in (1, 2, 3, 4):
+                np.testing.assert_allclose(f_fd[slot](*args),
+                                           f_declared[slot](*args), atol=1e-6)
+                np.testing.assert_allclose(f0_fd[slot](*args),
+                                           f0_declared[slot](*args), atol=1e-6)
 
 
 def test_nonlinear_terminal_uses_terminal_cost_gradient(fast_integrator):

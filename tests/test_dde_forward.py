@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from retard_oc.dde import IntegratorConfig, integrate_forward
+from retard_oc.dde import (IntegratorConfig, integrate_adjoint_nonlinear,
+                           integrate_forward)
 from retard_oc.errors import NonFiniteStateError, OutOfDomainError
-from retard_oc.problems import DelayedProblem
+from retard_oc.problems import CandidateSolution, DelayedProblem
 from retard_oc.registry import (d_state_value, ld_state_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
@@ -80,6 +81,36 @@ def test_blow_up_raises_naming_integrator_and_cell():
         with pytest.raises(NonFiniteStateError,
                            match=r"integrate_forward.* cell 0 \[0, 1/2\]"):
             integrate_forward(problem, control, IntegratorConfig(16))
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_rhs_evaluations_per_cell(substeps):
+    # per substep: RK4 over it, then over its two halves, the first half
+    # step reusing the full step's initial slope; plus one endpoint slope
+    calls = {"f": 0, "f0_dx": 0}
+
+    def f(t, x, y, u, v):
+        calls["f"] += 1
+        return -x + y + u
+
+    def f0_dx(t, x, y, u, v):
+        calls["f0_dx"] += 1
+        return 2.0 * x
+
+    problem = DelayedProblem(
+        a=0, b=1, r=Fraction(1, 2), s=Fraction(1, 2), n=1, m=1,
+        f0=lambda t, x, y, u, v: float(x[0] ** 2), f=f,
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]),
+        f_dx=lambda t, x, y, u, v: np.array([[-1.0]]),
+        f_dy=lambda t, x, y, u, v: np.array([[1.0]]),
+        f0_dx=f0_dx, f0_dy=lambda t, x, y, u, v: np.array([0.0]),
+        g0_grad=lambda x: np.array([0.0]))
+    control = from_pieces(1, [(Fraction(-1, 2), 1, lambda t: [0.3])], main_start=0)
+    cfg = IntegratorConfig(substeps)
+    state = integrate_forward(problem, control, cfg)
+    assert calls["f"] == 2 * (11 * substeps + 1)
+    integrate_adjoint_nonlinear(problem, CandidateSolution(state, control), cfg)
+    assert calls["f0_dx"] == 2 * (11 * substeps + 1)
 
 
 def test_substep_count_validated():
