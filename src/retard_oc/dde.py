@@ -18,6 +18,12 @@ The stage times of a fixed-step cell are known before it is marched, and
 every delayed or advanced argument a cell reads is already final, so all of
 them are resolved in one vectorised lookup per curve before the march; only
 the current-cell state is sequential.
+
+Where the slope is affine in the marched value (the costate of every
+problem class, the state of a state-linear problem), each substep is an
+affine map of its start value; a cell's maps are built in one batched pass
+and only their chaining is sequential.  This agrees with the stage-by-stage
+march to rounding (about 1e-13), not bit for bit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,8 @@ import numpy as np
 
 from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
-from .problems import AnyProblem, CandidateSolution, model_partials
+from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
+                       model_partials)
 from .trajectory import HermiteCurve, Trajectory, cell_trajectory, cell_values
 
 
@@ -103,41 +110,85 @@ def _rk4(rhs, k: int, times: list, y: np.ndarray, dt: float, k1: np.ndarray):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
-    """March one cell along its :func:`_cell_schedule`.
+def _substep(rhs, k: int, times: list, y: np.ndarray, dt):
+    """Step-doubled RK4 pair over schedule entries k .. k + 10 from ``y``,
+    Richardson-combined: initial slope, midpoint value and slope, end value.
+    Elementwise in ``y`` and ``dt``, so it also steps a batch."""
+    k1 = rhs(k, times[k], y)
+    full = _rk4(rhs, k + 1, times, y, dt, k1)
+    half1 = _rk4(rhs, k + 4, times, y, dt / 2.0, k1)
+    k_mid = rhs(k + 7, times[k + 7], half1)
+    half2 = _rk4(rhs, k + 8, times, half1, dt / 2.0, k_mid)
+    return k1, half1, k_mid, half2 + (half2 - full) / 15.0
 
-    ``rhs(k, t, y)`` is called with the schedule index ``k`` and time
-    ``t = times[k]``.  Each substep is a step-doubled RK4 pair combined by
-    one Richardson level.  Returns node arrays (ascending in time, a node at
-    every substep start and midpoint) and the endpoint value.
-    """
-    ts, ys, ds = [], [], []
+
+def _node_index(substeps: int) -> np.ndarray:
+    """Schedule entries of the nodes: substep starts and midpoints, endpoint."""
+    return np.append(_STAGES * np.arange(substeps)[:, None] + [0, 7], _STAGES * substeps)
+
+
+def _nodes(times: list, ys, ds):
+    """Node arrays of a marched cell, ascending in time, from the values and
+    slopes at the :func:`_node_index` entries in march order."""
+    ts = np.asarray(times)[_node_index(len(times) // _STAGES)]
+    ys, ds = np.asarray(ys), np.asarray(ds)
+    if ts[-1] < ts[0]:
+        ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
+    return ts, ys, ds
+
+
+def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
+    """March one cell along its :func:`_cell_schedule`, one :func:`_substep`
+    at a time; ``rhs(k, t, y)`` gets the schedule index k and t = times[k].
+    Returns the :func:`_nodes` arrays and the endpoint value."""
+    ys, ds = [], []
     y = np.asarray(y0, dtype=float).copy()
     for j, dt in enumerate(widths):
-        k = _STAGES * j
-        k1 = rhs(k, times[k], y)
-        full = _rk4(rhs, k + 1, times, y, dt, k1)
-        half1 = _rk4(rhs, k + 4, times, y, dt / 2.0, k1)
-        k_mid = rhs(k + 7, times[k + 7], half1)
-        half2 = _rk4(rhs, k + 8, times, half1, dt / 2.0, k_mid)
-        ts += [times[k], times[k + 7]]
+        k1, half1, k_mid, y_next = _substep(rhs, _STAGES * j, times, y, dt)
         ys += [y, half1]
         ds += [k1, k_mid]
-        y = half2 + (half2 - full) / 15.0
-    ts.append(times[-1]); ys.append(y); ds.append(rhs(len(times) - 1, times[-1], y))
-    ts = np.asarray(ts); ys = np.asarray(ys); ds = np.asarray(ds)
-    if times[-1] < times[0]:
-        ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
-    return ts, ys, ds, y
+        y = y_next
+    ys.append(y); ds.append(rhs(len(times) - 1, times[-1], y))
+    return (*_nodes(times, ys, ds), y)
+
+
+def _affine_cell(slope_terms, widths: list, times: list, y0: np.ndarray):
+    """:func:`_integrate_cell` for a slope ``y @ M[k] + c[k]`` at schedule
+    index k.  ``slope_terms(ts)`` gives M, shape (len(ts), n, n), and c,
+    shape (len(ts), n), at the schedule's distinct times ``ts`` (equal
+    floats read equal inputs).  Each :func:`_substep` is an affine map
+    [y, 1] @ Z of its start value: the pair applied to the rows of
+    Z = [I; 0], c acting on the last row, all substeps in one batch."""
+    ts, inv = np.unique(times, return_inverse=True)
+    M, c = (terms[inv] for terms in slope_terms(ts))
+    S, n = len(widths), M.shape[-1]
+    Ms = M[:-1].reshape(S, _STAGES, n, n)
+    cs = np.zeros((S, _STAGES, n + 1, n))
+    cs[:, :, n] = c[:-1].reshape(S, _STAGES, n)
+    # the slope terms are indexed by stage; the stage times are not read
+    _, mid_maps, _, maps = _substep(lambda k, t, Z: Z @ Ms[:, k] + cs[:, k], 0,
+                                    times, np.eye(n + 1, n),
+                                    np.asarray(widths)[:, None, None])
+    ys = np.ones((S + 1, n + 1))
+    ys[0, :n] = y0
+    for j in range(S):
+        ys[j + 1, :n] = ys[j] @ maps[j]
+    mids = np.einsum("ji,jik->jk", ys[:-1], mid_maps)
+    node_ys = np.vstack((np.stack((ys[:-1, :n], mids), axis=1).reshape(-1, n),
+                         ys[-1, :n]))
+    k = _node_index(S)
+    node_ds = np.einsum("ji,jik->jk", node_ys, M[k]) + c[k]
+    return (*_nodes(times, node_ys, node_ds), ys[-1, :n])
 
 
 def _march(name: str, lattice: CommensurabilityLattice, substeps: int,
-           y: np.ndarray, cell_rhs, backward: bool = False) -> list[HermiteCurve]:
+           y: np.ndarray, march_cell, backward: bool = False) -> list[HermiteCurve]:
     """Method of steps over the lattice cells, left to right or right to left.
 
-    ``cell_rhs(i, times, curves)`` resolves every input cell ``i`` reads at
-    the float array of its stage ``times`` (``curves`` holds the cells
-    finalized so far) and returns the cell's ``rhs(k, t, y)``.  The value at
+    ``march_cell(i, widths, times, y, curves)`` resolves every input cell
+    ``i`` reads at its :func:`_cell_schedule` (``curves`` holds the cells
+    finalized so far), marches it from ``y`` with :func:`_integrate_cell`
+    or :func:`_affine_cell` and returns what they return.  The value at
     each cell seam must be finite.
     """
     curves: list = [None] * lattice.n_cells
@@ -146,8 +197,7 @@ def _march(name: str, lattice: CommensurabilityLattice, substeps: int,
         lo, hi = lattice.cell(i)
         start, end = (hi, lo) if backward else (lo, hi)
         widths, times = _cell_schedule(float(start), float(end), substeps)
-        rhs = cell_rhs(i, np.array(times), curves)
-        ts, ys, ds, y = _integrate_cell(rhs, widths, times, y)
+        ts, ys, ds, y = march_cell(i, widths, times, y, curves)
         if not np.all(np.isfinite(y)):
             raise NonFiniteStateError(
                 f"{name}: non-finite value at the end of cell {i} [{lo}, {hi}]")
@@ -163,7 +213,9 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
 
     Within a cell the delayed arguments x(t-r) and u(t-s) are read from
     finalized earlier cells (or the histories), so each cell is a plain IVP.
-    The output is continuous at breakpoints by construction.
+    The output is continuous at breakpoints by construction.  A
+    :class:`~retard_oc.problems.StateLinearProblem` has the affine slope
+    x A^T + A_D x(t-r) + g + g_D (A_D joins the matrix when r = 0).
     """
     lattice = problem.lattice()
     if not control.covers(problem.control_history_start, problem.b):
@@ -173,18 +225,32 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     rf, sf = float(lattice.r), float(lattice.s)
     u_cells = control.cell_curves(lattice)
 
-    def cell_rhs(i, ts, x_cells):
+    def inputs(i, ts, x_cells):
         u = u_cells[i].eval_many(ts)
         ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, problem.psi, m)
         xd = None if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi, n)
+        return u, ud, xd
+
+    def slope_terms(i, ts, x_cells):
+        u, ud, xd = inputs(i, ts, x_cells)
+        A, A_D, g, g_D = (np.array(col) for col in zip(*(
+            problem.linear_terms(t, u[k], ud[k]) for k, t in enumerate(ts.tolist()))))
+        if k_r == 0:
+            return np.swapaxes(A + A_D, 1, 2), g + g_D
+        return np.swapaxes(A, 1, 2), (A_D @ xd[:, :, None])[:, :, 0] + g + g_D
+
+    def march_cell(i, widths, times, y, x_cells):
+        if isinstance(problem, StateLinearProblem):
+            return _affine_cell(lambda ts: slope_terms(i, ts, x_cells), widths, times, y)
+        u, ud, xd = inputs(i, np.array(times), x_cells)
 
         def rhs(k, t, x):
             return problem.dynamics(t, x, x if xd is None else xd[k], u[k], ud[k])
-        return rhs
+        return _integrate_cell(rhs, widths, times, y)
 
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
     state_cells = _march("integrate_forward", lattice, cfg.substeps_per_cell,
-                         y0, cell_rhs)
+                         y0, march_cell)
     return cell_trajectory(lattice, n, state_cells,
                            problem.state_history_start, problem.phi)
 
@@ -207,39 +273,48 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
     u_cells = cand.control.cell_curves(lattice)
     f0_d, f_d, g0_grad = model_partials(p)
     f0_dx, f0_dy, f_dx, f_dy = f0_d[1], f0_d[2], f_d[1], f_d[2]
+    # declared state-linear partials never read the control; finite
+    # differences of the running cost do, since f0u enters their rounding
+    reads_control = not (isinstance(p, StateLinearProblem)
+                         and p.f0x_dx is not None and p.f0x_dy is not None)
 
     def states(idx, ts):
         return cell_values(x_cells, idx, ts, p.phi, n)
 
     def controls(idx, ts):
+        if not reads_control:
+            return [None] * len(ts)
         return cell_values(u_cells, idx, ts, p.psi, p.m)
 
-    def cell_rhs(i, ts, eta_cells):
-        chi = i + k_r <= lattice.n_cells - 1
+    def slope_terms(i, ts, eta_cells):
+        """eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0)."""
         x = states(i, ts)
         xd = x if k_r == 0 else states(i - k_r, ts - rf)
         u = controls(i, ts)
         ud = u if k_s == 0 else controls(i - k_s, ts - sf)
-        if chi:
+        args = list(zip(ts.tolist(), x, xd, u, ud))
+        M = -np.array([f_dx(*a) for a in args])
+        c = -np.array([f0_dx(*a) for a in args])
+        if i + k_r <= lattice.n_cells - 1:      # chi_[a, b-r], exact per cell
             ts_adv = ts + rf
             xa = x if k_r == 0 else states(i + k_r, ts_adv)
             ua = u if k_r == 0 else controls(i + k_r, ts_adv)
             uad = ua if k_s == 0 else controls(i + k_r - k_s, ts_adv - sf)
-            ea = None if k_r == 0 else eta_cells[i + k_r].eval_many(ts_adv)
-            ts_adv = ts_adv.tolist()
+            args_adv = list(zip(ts_adv.tolist(), xa, x, ua, uad))
+            f_dy_adv = np.array([f_dy(*a) for a in args_adv])
+            c = c - np.array([f0_dy(*a) for a in args_adv])
+            if k_r == 0:
+                M = M - f_dy_adv
+            else:
+                c = c - np.einsum("ji,jik->jk", eta_cells[i + k_r].eval_many(ts_adv),
+                                  f_dy_adv)
+        return M, c
 
-        def rhs(k, t, eta_t):
-            args = (t, x[k], xd[k], u[k], ud[k])
-            val = -f0_dx(*args) - eta_t @ f_dx(*args)
-            if chi:
-                args_adv = (ts_adv[k], xa[k], x[k], ua[k], uad[k])
-                e = eta_t if ea is None else ea[k]
-                val = val - f0_dy(*args_adv) - e @ f_dy(*args_adv)
-            return val
-        return rhs
+    def march_cell(i, widths, times, y, eta_cells):
+        return _affine_cell(lambda ts: slope_terms(i, ts, eta_cells), widths, times, y)
 
     terminal = np.zeros(n) if g0_grad is None else -g0_grad(cand.state.eval(p.b))
-    cells = _march(name, lattice, cfg.substeps_per_cell, terminal, cell_rhs,
+    cells = _march(name, lattice, cfg.substeps_per_cell, terminal, march_cell,
                    backward=True)
     return lattice, cells, terminal
 

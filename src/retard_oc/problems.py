@@ -215,12 +215,16 @@ class StateLinearProblem:
     def lattice(self) -> CommensurabilityLattice:
         return make_lattice(self.a, self.b, self.r, self.s)
 
+    def linear_terms(self, t, u, v) -> tuple[Mat, Mat, Vec, Vec]:
+        """A(t), A_D(t), g(t, u) and g_D(t, v) as float arrays."""
+        t, n = float(t), self.n
+        return (np.asarray(self.A(t), dtype=float).reshape(n, n),
+                np.asarray(self.A_D(t), dtype=float).reshape(n, n),
+                np.asarray(self.g(t, np.asarray(u, dtype=float)), dtype=float).reshape(n),
+                np.asarray(self.g_D(t, np.asarray(v, dtype=float)), dtype=float).reshape(n))
+
     def dynamics(self, t, x, y, u, v) -> Vec:
-        t = float(t)
-        Amat = np.asarray(self.A(t), dtype=float).reshape(self.n, self.n)
-        Dmat = np.asarray(self.A_D(t), dtype=float).reshape(self.n, self.n)
-        gu = np.asarray(self.g(t, np.asarray(u, dtype=float)), dtype=float).reshape(self.n)
-        gv = np.asarray(self.g_D(t, np.asarray(v, dtype=float)), dtype=float).reshape(self.n)
+        Amat, Dmat, gu, gv = self.linear_terms(t, u, v)
         return Amat @ np.asarray(x, float) + Dmat @ np.asarray(y, float) + gu + gv
 
     def running_cost(self, t, x, y, u, v) -> float:

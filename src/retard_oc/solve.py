@@ -66,8 +66,9 @@ def solve_fbsm(problem: StateLinearProblem,
     the iteration cap is reached the best iterate is returned with
     ``converged=False`` and the history carries the diagnostics.
 
-    The relaxation weight halves automatically when the cost rises two
-    iterations running (oscillation guard); each halving is logged.
+    The relaxation weight halves (logged) when the sweep stops contracting,
+    i.e. the control moves at least as far as the iteration before.  The
+    cost is no guide: it nears its limit from below in rounding-sized rises.
     """
     lattice = problem.lattice()
     control = init_control
@@ -84,7 +85,7 @@ def solve_fbsm(problem: StateLinearProblem,
 
     history: list[dict] = []
     best: Optional[SweepSolution] = None
-    costs: list[float] = []
+    prev_change = np.inf
 
     state = integrate_forward(problem, control, cfg.integrator)
     for it in range(1, cfg.max_iterations + 1):
@@ -104,7 +105,6 @@ def solve_fbsm(problem: StateLinearProblem,
         state = integrate_forward(problem, control, cfg.integrator)
         cost = evaluate_cost(problem, CandidateSolution(state=state, control=control),
                              quadrature_steps_per_cell=128)
-        costs.append(cost)
         record = {"iteration": it, "cost": cost, "step": omega, "change": change}
         history.append(record)
         log.info("fbsm iteration=%d cost=%.9f step=%.3g change=%.3e",
@@ -117,9 +117,10 @@ def solve_fbsm(problem: StateLinearProblem,
         if change <= cfg.tol:
             sol.cost = evaluate_cost(problem, sol, 512)
             return sol
-        if len(costs) >= 3 and costs[-1] > costs[-2] > costs[-3]:
+        if change >= prev_change:
             omega = max(omega / 2.0, 1e-3)
             log.info("fbsm oscillation guard: relaxation halved to %.4g", omega)
+        prev_change = change
 
     best.converged = False
     best.cost = evaluate_cost(problem, best, 512)
@@ -235,8 +236,8 @@ def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
 
 def _interpolated_candidate(p, cfg: TranscriptionConfig, u: np.ndarray,
                             integrator: IntegratorConfig) -> CandidateSolution:
-    """Continuous control reconstructed from the Euler samples, state
-    re-integrated through the main integrator.
+    """Continuous control reconstructed from the Euler samples, state of
+    ``p`` itself (not its general view) re-integrated by the main integrator.
 
     Sample u_j acts on the whole Euler cell [t_j, t_j + delta), so its value
     is placed at the cell midpoint (the cell-average location, second-order
@@ -334,8 +335,8 @@ def solve_direct_euler(problem: AnyProblem,
                 "line search found no finite decrease along the projected "
                 "gradient direction")
 
-    cand = _interpolated_candidate(p, cfg, u, integrator)
-    cost = evaluate_cost(p, cand, 512)
+    cand = _interpolated_candidate(problem, cfg, u, integrator)
+    cost = evaluate_cost(problem, cand, 512)
     sol = DirectSolution(state=cand.state, control=cand.control, cost=cost,
                          converged=converged, iterations=it,
                          discrete_objective=J, control_samples=u,

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from retard_oc.dde import (integrate_adjoint_linear,
+from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
                            integrate_adjoint_nonlinear, integrate_forward)
+from retard_oc.errors import NonFiniteStateError
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
                                 StateLinearProblem, model_partials)
 from retard_oc.registry import (d_adjoint_value, ld_adjoint_value,
@@ -35,6 +37,16 @@ def test_ld_terminal_value_exact(ld_problem, ld_candidate, fast_integrator):
     eta = integrate_adjoint_linear(ld_problem, ld_candidate, fast_integrator)
     assert eta.eval(4.0)[0] == 0.0
     assert np.all(eta.terminal_value == 0.0)
+
+
+def test_non_finite_partial_raises_naming_integrator_and_cell(ld_problem,
+                                                             ld_candidate):
+    # the first cell marched backward reads a NaN running-cost partial
+    problem = dataclasses.replace(
+        ld_problem, f0x_dx=lambda t, x, y: np.array([np.nan if t > 3.5 else 1.0]))
+    with pytest.raises(NonFiniteStateError,
+                       match=r"integrate_adjoint_linear.* cell 3 \[3, 4\]"):
+        integrate_adjoint_linear(problem, ld_candidate, IntegratorConfig(8))
 
 
 def _inert_linear_problem():

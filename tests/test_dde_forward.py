@@ -3,10 +3,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from retard_oc.dde import (IntegratorConfig, integrate_adjoint_nonlinear,
+from retard_oc.dde import (IntegratorConfig, _affine_cell, _cell_schedule,
+                           _integrate_cell, integrate_adjoint_nonlinear,
                            integrate_forward)
 from retard_oc.errors import NonFiniteStateError, OutOfDomainError
-from retard_oc.problems import CandidateSolution, DelayedProblem
+from retard_oc.problems import (CandidateSolution, DelayedProblem,
+                                StateLinearProblem, as_delayed)
 from retard_oc.registry import (d_state_value, ld_state_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
@@ -109,8 +111,66 @@ def test_rhs_evaluations_per_cell(substeps):
     cfg = IntegratorConfig(substeps)
     state = integrate_forward(problem, control, cfg)
     assert calls["f"] == 2 * (11 * substeps + 1)
+    # the costate is affine in eta: its partials are resolved once per
+    # distinct stage time of each (backward) cell
     integrate_adjoint_nonlinear(problem, CandidateSolution(state, control), cfg)
-    assert calls["f0_dx"] == 2 * (11 * substeps + 1)
+    distinct = sum(len(set(_cell_schedule(float(hi), float(lo), substeps)[1]))
+                   for _, lo, hi in problem.lattice().cells())
+    assert calls["f0_dx"] == distinct < 2 * (11 * substeps + 1)
+
+
+@pytest.mark.parametrize("start, end", [(0.0, 0.7), (2.5, 1.0 / 3.0)])
+def test_affine_cell_matches_stage_by_stage_march(start, end):
+    # a non-symmetric, time-varying slope matrix: the batched affine maps
+    # must reproduce the step-doubled RK4 march in both directions
+    rng = np.random.default_rng(7)
+    M0, M1 = rng.normal(size=(2, 3, 3))
+    c0, c1 = rng.normal(size=(2, 3))
+
+    def slope_terms(ts):
+        return (M0 + np.sin(ts)[:, None, None] * M1,
+                c0 + np.cos(3.0 * ts)[:, None] * c1)
+
+    def rhs(k, t, y):
+        M, c = slope_terms(np.array([t]))
+        return y @ M[0] + c[0]
+
+    widths, times = _cell_schedule(start, end, 8)
+    y0 = rng.normal(size=3)
+    affine = _affine_cell(slope_terms, widths, times, y0)
+    staged = _integrate_cell(rhs, widths, times, y0)
+    assert np.array_equal(affine[0], staged[0])
+    for got, want in zip(affine[1:], staged[1:]):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [Fraction(1), Fraction(0)], ids=["r=1", "r=0"])
+def test_state_linear_forward_matches_general_path(r):
+    # 2-d problem with a non-symmetric, time-varying A: the affine march of
+    # the state-linear class against the stage-by-stage march of its
+    # general view; r = 0 folds A_D into the slope matrix
+    problem = StateLinearProblem(
+        a=0, b=2, r=r, s=Fraction(1, 2), n=2, m=1,
+        A=lambda t: np.array([[-0.5, 1.0 + t], [-0.3 * t, 0.2]]),
+        A_D=lambda t: np.array([[0.1, -0.4], [0.25, np.cos(t)]]),
+        g=lambda t, u: np.array([u[0], -t * u[0]]),
+        g_D=lambda t, v: np.array([0.5 * v[0], v[0] ** 2]),
+        f0x=lambda t, x, y: float(x @ x), f0u=lambda t, u, v: float(u @ u),
+        phi=lambda t: np.array([1.0 + t, np.sin(t)]),
+        psi=lambda t: np.array([0.2 * t]))
+    control = from_pieces(1, [(Fraction(-1, 2), 2, lambda t: [np.cos(2.0 * t)])],
+                          main_start=0)
+    cfg = IntegratorConfig(16)
+    affine = integrate_forward(problem, control, cfg)
+    staged = integrate_forward(as_delayed(problem), control, cfg)
+    assert affine.history_start == -r
+    cells = [seg for seg in affine.segments if seg.lo >= 0]
+    assert len(cells) == 4
+    for mine, ref in zip(cells, staged.segments[-4:]):
+        assert (mine.lo, mine.hi) == (ref.lo, ref.hi)
+        assert np.array_equal(mine.curve.ts, ref.curve.ts)
+        np.testing.assert_allclose(mine.curve.ys, ref.curve.ys, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(mine.curve.ds, ref.curve.ds, rtol=0.0, atol=1e-12)
 
 
 def test_substep_count_validated():

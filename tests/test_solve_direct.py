@@ -28,6 +28,12 @@ def test_direct_benchmark_control(ld_direct):
     assert sup <= 5e-3
 
 
+def test_state_linear_state_keeps_its_history_start(ld_problem, ld_direct):
+    # the state is integrated for the caller's problem, not its general
+    # view, whose state history would start at a - r - s
+    assert ld_direct.state.history_start == ld_problem.state_history_start == -2
+
+
 def test_accepted_costs_monotone(ld_direct):
     costs = [rec["cost"] for rec in ld_direct.history]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))

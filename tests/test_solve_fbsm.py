@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from retard_oc.trajectory import from_pieces
+
 from retard_oc.dde import IntegratorConfig, integrate_adjoint_linear
 from retard_oc.registry import (LD_COST, ld_control_value, make_drift_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
@@ -56,6 +58,22 @@ def test_fixed_point_independent_of_relaxation(ld_problem, ld_sweep):
     for t in np.linspace(0.0, 4.0, 400):
         assert abs(full_step.control.eval(t)[0]
                    - ld_sweep.control.eval(t)[0]) <= 1e-6
+
+
+def test_converges_from_piecewise_constant_start(ld_problem):
+    # a +-0.05 start approaches the fixed point with the cost rising by
+    # rounding-sized steps; the oscillation guard must not mistake that for
+    # oscillation and shrink the relaxation until the iteration cap
+    p = ld_problem
+    levels = np.random.default_rng(1).uniform(-0.05, 0.05, p.lattice().n_cells)
+    start = from_pieces(p.m, [(p.control_history_start, p.a, p.psi)] + [
+        (lo, hi, lambda t, c=float(levels[i]): [c])
+        for i, lo, hi in p.lattice().cells()], main_start=p.a)
+    sol = solve_fbsm(p, start, SweepConfig(max_iterations=60,
+                                           integrator=IntegratorConfig(16)))
+    assert sol.converged
+    assert all(rec["step"] == 0.5 for rec in sol.history)
+    assert sol.cost == pytest.approx(LD_COST, abs=1e-4)
 
 
 def test_iteration_cap_returns_best_iterate(ld_problem):
