@@ -83,7 +83,8 @@ def _cell_schedule(t_start: float, t_end: float, substeps: int):
     endpoint.  ``t_end < t_start`` marches backward.
 
     The march steps with exactly these floats, so inputs resolved at them
-    ahead of the march are the ones each stage reads.
+    ahead of the march are the ones each stage reads; a substep ends at the
+    one float its successor starts at.
     """
     span = t_end - t_start
     widths, times = [], []
@@ -94,9 +95,9 @@ def _cell_schedule(t_start: float, t_end: float, substeps: int):
         h = dt / 2.0
         tm = t0 + h
         widths.append(dt)
-        times += [t0, tm, tm, t0 + dt,
+        times += [t0, tm, tm, t1,
                   t0 + h / 2.0, t0 + h / 2.0, tm,
-                  tm, tm + h / 2.0, tm + h / 2.0, tm + h]
+                  tm, tm + h / 2.0, tm + h / 2.0, t1]
     times.append(t_end)
     return widths, times
 

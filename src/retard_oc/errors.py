@@ -22,7 +22,12 @@ class MismatchedLatticeError(RetardOCError):
 
 
 class UnboundedCriterionError(RetardOCError):
-    """The maximality criterion has no finite maximiser over an unbounded set."""
+    """The maximality criterion has no finite maximiser over an unbounded set;
+    ``time`` is the criterion's sample time when known."""
+
+    def __init__(self, message, time=None):
+        super().__init__(message if time is None else f"{message} at t={time!r}")
+        self.time = time
 
 
 class NoConvergenceError(RetardOCError):

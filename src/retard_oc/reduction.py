@@ -73,14 +73,15 @@ class AugmentedProblem:
     def _block_args(self, sigma: float, X: np.ndarray, W: np.ndarray):
         """The original model's arguments (t, x, x(t-r), u, u(t-s)) for each
         block at local time sigma."""
-        p, N = self.problem, self.n_blocks
-        rf, sf = float(self.lattice.r), float(self.lattice.s)
+        p, N, lat = self.problem, self.n_blocks, self.lattice
+        af, hf, sig, rf, sf = (float(c) for c in (lat.a, lat.h, sigma, lat.r, lat.s))
+        kr, ks = lat.state_shift, lat.control_shift   # once per call, not per block
         xb = np.asarray(X, float).reshape(N, p.n)
         wb = np.asarray(W, float).reshape(N, p.m)
         for i in range(N):
-            t = self.block_time(i, sigma)
-            yield (t, xb[i], self._delayed(xb, i, self.state_offset, t - rf, p.phi),
-                   wb[i], self._delayed(wb, i, self.control_offset, t - sf, p.psi))
+            t = af + i * hf + sig
+            yield (t, xb[i], self._delayed(xb, i, kr, t - rf, p.phi),
+                   wb[i], self._delayed(wb, i, ks, t - sf, p.psi))
 
     def dynamics(self, sigma: float, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Stacked right-hand side; an ordinary ODE in R^{n N}."""

@@ -156,26 +156,6 @@ class VerifyConfig:
 
 # -- Hamiltonians ----------------------------------------------------------------
 
-def _state_terms(problem: StateLinearProblem, t: float, x: np.ndarray,
-                 y: np.ndarray) -> tuple[np.ndarray, float]:
-    """The u-independent part of H^p: drift A(t) x + A_D(t) y, and f0x."""
-    n = problem.n
-    drift = (np.asarray(problem.A(t), float).reshape(n, n) @ x
-             + np.asarray(problem.A_D(t), float).reshape(n, n) @ y)
-    return drift, float(problem.f0x(t, x, y))
-
-
-def _control_terms(problem: StateLinearProblem, p: int, t: float, u: np.ndarray,
-                   v: np.ndarray, eta: np.ndarray, drift: np.ndarray,
-                   f0x: float) -> float:
-    """H^p from its u-independent part (:func:`_state_terms`)."""
-    if p == 1:
-        drift = drift + np.asarray(problem.g(t, u), float).reshape(problem.n)
-    else:
-        drift = drift + np.asarray(problem.g_D(t, v), float).reshape(problem.n)
-    return -(f0x + float(problem.f0u(t, u, v))) + float(eta @ drift)
-
-
 def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
                              eta) -> float:
     """Two-parameter Hamiltonian of the state-linear theorem:
@@ -185,13 +165,15 @@ def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
     """
     if p not in (0, 1):
         raise ValueError("p must be 0 or 1")
-    t = float(t)
-    x = np.asarray(x, float).reshape(problem.n)
-    y = np.asarray(y, float).reshape(problem.n)
-    u = np.asarray(u, float).reshape(problem.m)
-    v = np.asarray(v, float).reshape(problem.m)
-    eta = np.asarray(eta, float).reshape(problem.n)
-    return _control_terms(problem, p, t, u, v, eta, *_state_terms(problem, t, x, y))
+    t, n, m = float(t), problem.n, problem.m
+    x, y, eta = (np.asarray(w, float).reshape(n) for w in (x, y, eta))
+    u, v = (np.asarray(w, float).reshape(m) for w in (u, v))
+    drift = (np.asarray(problem.A(t), float).reshape(n, n) @ x
+             + np.asarray(problem.A_D(t), float).reshape(n, n) @ y
+             + np.asarray(problem.g(t, u) if p == 1 else problem.g_D(t, v),
+                          float).reshape(n))
+    return (-(float(problem.f0x(t, x, y)) + float(problem.f0u(t, u, v)))
+            + float(eta @ drift))
 
 
 def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
@@ -236,42 +218,59 @@ def _criterion_times(problem: StateLinearProblem, times: Sequence) -> _Criterion
         ahead_delayed=floats(shifted_time(t, r) for t in ahead))
 
 
-def _criteria(problem: StateLinearProblem, cand: CandidateSolution,
-              eta: AdjointTrajectory, times: _CriterionTimes):
-    """Yield the two-term criterion at each sample time in turn.  Every
-    curve value the criteria read is looked up in one call per curve up
-    front; the u-independent Hamiltonian terms are computed once per time."""
-    m = problem.m
-    x = cand.state.eval_many(times.t)
-    xr = cand.state.eval_many(times.delayed_state)
-    v = cand.control.eval_many(times.delayed_control)
-    e = eta.eval_many(times.t)
-    x_ahead = cand.state.eval_many(times.ahead)
-    xr_ahead = cand.state.eval_many(times.ahead_delayed)
-    u_ahead = cand.control.eval_many(times.ahead)
-    e_ahead = eta.eval_many(times.ahead)
-    ahead = times.ahead.tolist()
+class _Criterion:
+    """The two-term criterion at every sample time of a :class:`_CriterionTimes`.
 
-    j = 0
-    for k, t in enumerate(times.t.tolist()):
-        now = (t, v[k], e[k], *_state_terms(problem, t, x[k], xr[k]))
-        later = None
-        if times.gated[k]:
-            ts = ahead[j]
-            later = (ts, u_ahead[j], e_ahead[j],
-                     *_state_terms(problem, ts, x_ahead[j], xr_ahead[j]))
-            j += 1
+    The u-independent parts (drift, f0x, eta, v = u(t - s) and the gated
+    H^0 parts at t + s) are computed once per time, from one curve lookup
+    per curve and argument.  :meth:`values` then scores any number of
+    (time, control) pairs in array passes, in the operation order of
+    :func:`hamiltonian_state_linear`; the model callables stay scalar and
+    are called once per pair and term.
+    """
 
-        def criterion(u, now=now, later=later) -> float:
-            u = np.asarray(u, float).reshape(m)
-            t, v_t, eta_t, drift, f0x = now
-            val = _control_terms(problem, 1, t, u, v_t, eta_t, drift, f0x)
-            if later is not None:
-                ts, u_ts, eta_ts, drift, f0x = later
-                val += _control_terms(problem, 0, ts, u_ts, u, eta_ts, drift, f0x)
-            return val
+    def __init__(self, problem: StateLinearProblem, cand: CandidateSolution,
+                 eta: AdjointTrajectory, times: _CriterionTimes):
+        self.problem, self.t = problem, times.t.tolist()
+        self.ahead = np.where(times.gated, np.cumsum(times.gated) - 1, -1)
+        self.now = self._parts(cand, eta, times.t, times.delayed_state,
+                               times.delayed_control)
+        self.later = self._parts(cand, eta, times.ahead, times.ahead_delayed,
+                                 times.ahead)
 
-        yield criterion
+    def _parts(self, cand, eta, t, t_delayed, t_control):
+        """(t, w = u(t_control), eta, drift A(t) x + A_D(t) x(t - r), f0x)."""
+        p, N, n = self.problem, len(t), self.problem.n
+        x, y, ts = cand.state.eval_many(t), cand.state.eval_many(t_delayed), t.tolist()
+        A = np.asarray(list(map(p.A, ts)), float).reshape(N, n, n)
+        A_D = np.asarray(list(map(p.A_D, ts)), float).reshape(N, n, n)
+        drift = (A @ x[:, :, None] + A_D @ y[:, :, None])[:, :, 0]
+        f0x = np.asarray(list(map(p.f0x, ts, x, y)), float).reshape(N)
+        return ts, cand.control.eval_many(t_control), eta.eval_many(t), drift, f0x
+
+    def _terms(self, p: int, parts, rows: np.ndarray, U: np.ndarray) -> np.ndarray:
+        """H^p at ``rows`` of ``parts`` with U in the slot of u (p = 1) or
+        of the delayed control v (p = 0)."""
+        prob, K = self.problem, len(rows)
+        ts, w, eta, drift, f0x = parts
+        t = [ts[i] for i in rows.tolist()]
+        u, v = (U, w[rows]) if p == 1 else (w[rows], U)
+        gain = list(map(prob.g, t, u) if p == 1 else map(prob.g_D, t, v))
+        drift = drift[rows] + np.asarray(gain, float).reshape(K, prob.n)
+        cost = np.asarray(list(map(prob.f0u, t, u, v)), float).reshape(K)
+        return -(f0x[rows] + cost) + np.sum(eta[rows] * drift, axis=1)
+
+    def values(self, k, U) -> np.ndarray:
+        """Criterion at the times ``k`` (an index array) of the controls U, (K, m)."""
+        U = np.asarray(U, float).reshape(len(k), self.problem.m)
+        val = self._terms(1, self.now, k, U)
+        hit = self.ahead[k] >= 0
+        val[hit] = val[hit] + self._terms(0, self.later, self.ahead[k][hit], U[hit])
+        return val
+
+    def at(self, k: int) -> Callable[[np.ndarray], float]:
+        """The criterion at time ``k`` alone, as a function of u."""
+        return lambda u: float(self.values(np.array([k]), u)[0])
 
 
 def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
@@ -281,7 +280,7 @@ def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
         u -> H^1(t, x(t), x(t-r), u, u(t-s), eta(t))
              + H^0(t+s, x(t+s), x(t+s-r), u(t+s), u, eta(t+s)) chi_[a, b-s](t)
     """
-    return next(_criteria(problem, cand, eta, _criterion_times(problem, [t])))
+    return _Criterion(problem, cand, eta, _criterion_times(problem, [t])).at(0)
 
 
 def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
@@ -381,11 +380,39 @@ def _argmax_vector(fn, control_set: ControlSet, m: int,
     return best_u
 
 
-def _argmax(problem: StateLinearProblem, crit,
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
+def _argmax_all(problem: StateLinearProblem, crit: _Criterion,
+                rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """Maximiser at every time of ``crit``, shape (len(crit.t), m).
+
+    For a scalar control the quadratic test of :func:`_argmax_scalar` runs
+    on arrays over all times, and a concave quadratic takes its (projected)
+    vertex.  Every other time runs the scalar code through its one-time
+    view, in the order given, so the first unbounded time is the one named.
+    """
+    N, cs = len(crit.t), problem.control_set
+    out = np.empty((N, problem.m))
+    rest = range(N)
     if problem.m == 1:
-        return _argmax_scalar(lambda z: crit(np.array([z])), problem.control_set)
-    return _argmax_vector(crit, problem.control_set, problem.m, rng)
+        z = np.array([0.0, 1.0, -1.0, 2.0, 0.5, -1.5])   # as in _argmax_scalar
+        f = crit.values(np.repeat(np.arange(N), 6), np.tile(z, N)).reshape(N, 6)
+        c0, cp, cm = f[:, 0], f[:, 1], f[:, 2]
+        scale = np.maximum(1.0, np.abs(f[:, :3]).max(axis=1))[:, None]
+        a2 = (0.5 * (cp + cm) - c0)[:, None]
+        a1 = (0.5 * (cp - cm))[:, None]
+        z = z[3:]
+        fits = np.abs(f[:, 3:] - (c0[:, None] + a1 * z + a2 * z * z)) <= 1e-8 * scale
+        vertex = np.all(fits, axis=1) & (a2[:, 0] < -(1e-12 * scale[:, 0]))
+        u = -a1[vertex] / (2.0 * a2[vertex])
+        out[vertex] = u if cs.is_free else np.clip(u, cs.lo, cs.hi)
+        rest = np.flatnonzero(~vertex).tolist()
+    for k in rest:
+        fn = crit.at(k)
+        try:
+            out[k] = (_argmax_scalar(lambda z: fn(np.array([z])), cs) if problem.m == 1
+                      else _argmax_vector(fn, cs, problem.m, rng))
+        except UnboundedCriterionError as exc:
+            raise UnboundedCriterionError(str(exc), time=crit.t[k]) from None
+    return out
 
 
 def argmax_control_state_linear(problem: StateLinearProblem,
@@ -403,9 +430,7 @@ def argmax_control_state_linear(problem: StateLinearProblem,
     single = not isinstance(t, (Sequence, np.ndarray, _CriterionTimes))
     if not isinstance(t, _CriterionTimes):
         t = _criterion_times(problem, [t] if single else t)
-    out = np.empty((len(t.t), problem.m))
-    for k, crit in enumerate(_criteria(problem, cand, eta, t)):
-        out[k] = _argmax(problem, crit, rng)
+    out = _argmax_all(problem, _Criterion(problem, cand, eta, t), rng)
     return out[0] if single else out
 
 
@@ -434,22 +459,30 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
     """
     rng = np.random.default_rng(seed)
     grid = _rational_grid(problem.lattice(), grid_points_per_cell)
-    times = _criterion_times(problem, grid)
-    u_cands = cand.control.eval_many(times.t)
-    worst, worst_t = 0.0, None
-    for t, crit, u_c in zip(grid, _criteria(problem, cand, eta, times), u_cands):
-        base = crit(u_c)
-        try:
-            best = crit(_argmax(problem, crit))
-        except UnboundedCriterionError:
-            return CheckResult("maximality", False, np.inf, float(t),
-                               "criterion unbounded over U")
-        gap = best - base
-        for _ in range(probes):
-            gap = max(gap, crit(problem.control_set.sample(rng, u_c)) - base)
-        if gap > worst:
-            worst, worst_t = gap, float(t)
-    return CheckResult("maximality", worst <= tol, worst, worst_t)
+    crit = _Criterion(problem, cand, eta, _criterion_times(problem, grid))
+    try:
+        best = _argmax_all(problem, crit)
+    except UnboundedCriterionError as exc:
+        return CheckResult("maximality", False, np.inf, exc.time,
+                           "criterion unbounded over U")
+    cs, u_c = problem.control_set, cand.control.eval_many(crit.t)
+    N, m = u_c.shape
+    # one draw for all times, in the stream order of per-time sampling
+    if cs.is_free:
+        tries = (u_c[:, None] + rng.normal(size=(N, probes, m))
+                 * (1.0 + np.abs(u_c))[:, None])
+    else:
+        tries = rng.uniform(cs.lo, cs.hi, size=(N, probes, m))
+    U = np.concatenate([u_c[:, None], best[:, None], tries], axis=1)
+    f = crit.values(np.repeat(np.arange(N), probes + 2), U).reshape(N, probes + 2)
+    # as a running max(gap, probe): NaN probes skipped, a NaN argmax gap never wins
+    gaps = f[:, 1:] - f[:, :1]
+    gap = np.where(np.isnan(gaps[:, 0]), 0.0, np.fmax.reduce(gaps, axis=1))
+    gap = np.where(gap > 0.0, gap, 0.0)
+    k = int(np.argmax(gap))   # the first time with the worst gap
+    worst = float(gap[k])
+    return CheckResult("maximality", worst <= tol, worst,
+                       crit.t[k] if worst > 0.0 else None)
 
 
 # -- convexity, transversality, continuity ---------------------------------------

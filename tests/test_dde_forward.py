@@ -112,11 +112,14 @@ def test_rhs_evaluations_per_cell(substeps):
     state = integrate_forward(problem, control, cfg)
     assert calls["f"] == 2 * (11 * substeps + 1)
     # the costate is affine in eta: its partials are resolved once per
-    # distinct stage time of each (backward) cell
+    # distinct stage time of each (backward) cell, and a cell has exactly
+    # 4 S + 1 of them: substep start, quarter, midpoint, three quarters and
+    # end, the end being the next substep's start to the last bit
     integrate_adjoint_nonlinear(problem, CandidateSolution(state, control), cfg)
-    distinct = sum(len(set(_cell_schedule(float(hi), float(lo), substeps)[1]))
-                   for _, lo, hi in problem.lattice().cells())
-    assert calls["f0_dx"] == distinct < 2 * (11 * substeps + 1)
+    for _, lo, hi in problem.lattice().cells():
+        for start, end in ((float(lo), float(hi)), (float(hi), float(lo))):
+            assert len(set(_cell_schedule(start, end, substeps)[1])) == 4 * substeps + 1
+    assert calls["f0_dx"] == 2 * (4 * substeps + 1)
 
 
 @pytest.mark.parametrize("start, end", [(0.0, 0.7), (2.5, 1.0 / 3.0)])
