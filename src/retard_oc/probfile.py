@@ -39,21 +39,20 @@ Scalars accept integers, decimals, and rationals like ``1/2``.
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ProblemFileError
+from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
 from .problems import ControlSet, StateLinearProblem
 
 # -- expression language -------------------------------------------------------
-
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|(\*\*|[()+\-*/^,]))")
-
 
 class Expr:
     def eval(self, env: dict) -> float:
@@ -204,104 +203,55 @@ def mul(a: Expr, b: Expr) -> Expr:
     return Mul(a, b)
 
 
-class _Parser:
-    """Recursive descent over +, -, *, /, unary -, ^ (integer powers),
-    parentheses and exp()."""
+_NUMBER = re.compile(r"\d+\.\d+|\d+")
+_SYMBOLS = re.compile(r"[\w\s.()+\-*/]*", re.ASCII)
+_BINARY = {ast.Add: add, ast.Sub: lambda a, b: add(a, mul(Const(-1.0), b)),
+           ast.Mult: mul, ast.Div: Div}
 
-    def __init__(self, text: str, line: Optional[int] = None):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ProblemFileError(
-                        f"cannot tokenize {text[pos:].strip()!r}", line)
-                break
-            self.tokens.append(m.group(0).strip())
-            pos = m.end()
-        self.pos = 0
-        self.line = line
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ProblemFileError("unexpected end of expression", self.line)
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str):
-        got = self.take()
-        if got != tok:
-            raise ProblemFileError(f"expected {tok!r}, got {got!r}", self.line)
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ProblemFileError(f"trailing input {self.peek()!r}", self.line)
-        return e
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            node = add(node, rhs if op == "+" else mul(Const(-1.0), rhs))
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else Div(node, rhs)
-        return node
-
-    def factor(self) -> Expr:
-        if self.peek() == "-":
-            self.take()
-            return mul(Const(-1.0), self.factor())
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek() in ("^", "**"):
-            self.take()
-            tok = self.take()
-            if not tok.isdigit():
-                raise ProblemFileError(
-                    f"exponent must be a nonnegative integer, got {tok!r}",
-                    self.line)
-            return Pow(base, int(tok))
-        return base
-
-    def atom(self) -> Expr:
-        tok = self.take()
-        if tok == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        if re.fullmatch(r"\d+\.\d+|\d+", tok):
-            return Const(float(tok))
-        if tok == "exp":
-            self.expect("(")
-            node = self.expr()
-            self.expect(")")
-            return ExpFn(node)
-        if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
-            return Var(tok)
-        raise ProblemFileError(f"unexpected token {tok!r}", self.line)
+def _build(node: ast.AST, src: str) -> Expr:
+    """The :class:`Expr` of a node of ``ast.parse(src, mode="eval")``, built
+    operands first, left to right; any other construct raises SyntaxError."""
+    seg = src[node.col_offset:node.end_col_offset]   # src is one ASCII line
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(seg):
+        return Const(float(seg))
+    if isinstance(node, ast.Name) and node.id != "exp":
+        return Var(node.id)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        x = _build(node.operand, src)
+        return x if isinstance(node.op, ast.UAdd) else mul(Const(-1.0), x)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        # a bare integer literal: ast drops the parentheses of t^(2)
+        exponent = src[node.right.col_offset:node.end_col_offset]
+        if re.fullmatch(r"\d+", exponent):
+            return Pow(_build(node.left, src), int(exponent))
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left, src), _build(node.right, src))
+    if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "exp"
+            and seg.startswith("exp") and len(node.args) == 1 and not node.keywords):
+        return ExpFn(_build(node.args[0], src))
+    raise SyntaxError(f"unsupported {seg!r}")
 
 
 def parse_expression(text: str, allowed: set, line: Optional[int] = None) -> Expr:
-    expr = _Parser(text, line).parse()
-    extra = expr.variables() - allowed
+    r"""Read ``text`` with Python's parser (``^`` as ``**``) and keep only
+    the expression language: numbers ``\d+`` and ``\d+\.\d+``, names in
+    ``allowed``, ``+ - * /``, unary ``-`` and ``+``, ``^`` with an integer
+    literal, parentheses and ``exp(...)``.  Anything else raises
+    :class:`ProblemFileError` with ``line``."""
+    src = " ".join(text.split()).replace("^", "**")
+    src = re.sub(r"(?<![\w.])0+(?=\d)", "", src)   # Python rejects 007
+    try:
+        if not _SYMBOLS.fullmatch(src):
+            raise SyntaxError("unsupported character")
+        with warnings.catch_warnings():   # e.g. "invalid decimal literal" in 4if
+            warnings.simplefilter("ignore")
+            tree = ast.parse(src, mode="eval")
+        expr = _build(tree.body, src)
+        extra = expr.variables() - allowed
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        detail = getattr(exc, "msg", None) or type(exc).__name__
+        raise ProblemFileError(f"cannot parse {text.strip()!r}: {detail}", line) from None
     if extra:
         raise ProblemFileError(
             f"variables {sorted(extra)} not allowed here (allowed: "
@@ -317,13 +267,17 @@ _ASSIGN = re.compile(
 _SCALARS = re.compile(r"([a-z]+)\s*=\s*(-?\d+(?:/\d+)?|-?\d+\.\d+)")
 
 
+def _rational(val: str, line: int) -> Fraction:
+    try:
+        out = as_rational(val)
+        float(out)   # bounds are used as floats
+    except (IncommensurableDelayError, OverflowError) as exc:
+        raise ProblemFileError(f"bad rational {val!r}", line) from exc
+    return out
+
+
 def _scalar_pairs(rest: str, line: int) -> dict:
-    out = {}
-    for key, val in _SCALARS.findall(rest):
-        try:
-            out[key] = as_rational(val)
-        except Exception as exc:
-            raise ProblemFileError(f"bad rational {val!r}", line) from exc
+    out = {key: _rational(val, line) for key, val in _SCALARS.findall(rest)}
     if not out:
         raise ProblemFileError(f"expected key = value pairs in {rest!r}", line)
     return out
@@ -388,9 +342,12 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
                 if not m:
                     raise ProblemFileError(
                         "expected: control-set box lo = ... hi = ...", lineno)
-                lo = [float(Fraction(v)) for v in m.group("lo").replace(",", " ").split()]
-                hi = [float(Fraction(v)) for v in m.group("hi").replace(",", " ").split()]
-                control = ControlSet.box(lo, hi)
+                lo, hi = ([float(_rational(v, lineno)) for v in
+                           m.group(k).replace(",", " ").split()] for k in ("lo", "hi"))
+                try:
+                    control = ControlSet.box(lo, hi)
+                except ValueError as exc:
+                    raise ProblemFileError(str(exc), lineno) from None
             else:
                 raise ProblemFileError(
                     f"unknown control set {spec!r} (use 'all' or 'box ...')", lineno)
@@ -414,12 +371,10 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
         else:
             raise ProblemFileError(f"unknown field {target!r}", lineno)
 
-    for key, what in (("a", "horizon"), ("b", "horizon")):
-        if key not in horizon:
+    for key, given, what in (("a", horizon, "horizon"), ("b", horizon, "horizon"),
+                             ("r", delays, "delays"), ("s", delays, "delays")):
+        if key not in given:
             raise ProblemFileError(f"missing '{key}' in {what} line")
-    for key in ("r", "s"):
-        if key not in delays:
-            raise ProblemFileError(f"missing '{key}' in delays line")
     if "n" not in dims or "m" not in dims:
         raise ProblemFileError("missing dims line (need n and m)")
     n, m_dim = dims["n"], dims["m"]
@@ -534,8 +489,8 @@ def parse_value_function(text: str):
             bounds = rest.split()
             if len(bounds) != 2:
                 raise ProblemFileError("expected: piece LO HI", lineno)
-            current = {"lo": float(Fraction(bounds[0])),
-                       "hi": float(Fraction(bounds[1])),
+            current = {"lo": float(_rational(bounds[0], lineno)),
+                       "hi": float(_rational(bounds[1], lineno)),
                        "eta": {}, "c": Const(0.0)}
             pieces.append(current)
             continue
@@ -545,7 +500,7 @@ def parse_value_function(text: str):
         target, idx, rhs = m.group("name"), m.group("idx"), m.group("rhs")
         expr = parse_expression(rhs, {"t"}, lineno)
         if target == "eta":
-            if idx is None:
+            if idx is None or not idx.isdigit():
                 raise ProblemFileError("eta needs an index like eta[0]", lineno)
             current["eta"][int(idx)] = expr
         elif target == "c":

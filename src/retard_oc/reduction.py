@@ -17,7 +17,7 @@ import numpy as np
 
 from .cost import _simpson_weights
 from .dde import IntegratorConfig, _cell_schedule, _integrate_cell
-from .errors import MismatchedLatticeError, SeamMismatchError
+from .errors import MismatchedLatticeError, NonFiniteStateError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import AnyProblem, CandidateSolution
 from .trajectory import CallableCurve, HermiteCurve, Trajectory, cell_trajectory
@@ -122,10 +122,9 @@ class AugmentedSolution:
     def linkage_residual(self) -> float:
         """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf."""
         h = float(self.aug.block_length)
-        worst = 0.0
-        for left, right in zip(self.state_blocks, self.state_blocks[1:]):
-            worst = max(worst, float(np.max(np.abs(left(h) - right(0.0)))))
-        return worst
+        gaps = [np.max(np.abs(left(h) - right(0.0)))
+                for left, right in zip(self.state_blocks, self.state_blocks[1:])]
+        return float(np.max(gaps, initial=0.0))   # NaN propagates
 
     def stacked_state(self, sigma: float) -> np.ndarray:
         return np.concatenate([blk(float(sigma)) for blk in self.state_blocks])
@@ -157,8 +156,10 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     The block linkage makes the initial condition part of the unknown, so
     the stacked IVP is swept to a fixed point: each sweep integrates all
     blocks simultaneously over sigma in [0, h], then feeds X_i(h) into
-    X_{i+1}(0) for the next sweep.  The dependency chain has length N, so at
-    most N + 1 sweeps are needed; convergence is checked and usually earlier.
+    X_{i+1}(0) for the next sweep.  Block i reads only blocks before it, so
+    the starts are exact after at most N sweeps; the sweep that reproduces
+    its own starts bit for bit is the solution.  A non-finite end value
+    raises :class:`NonFiniteStateError` naming its first block.
     """
     lattice = aug.lattice
     N, n = aug.n_blocks, aug.problem.n
@@ -173,15 +174,16 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)),
                                 float).reshape(n), N)
     for _ in range(N + 1):
-        y_end = _integrate_cell(rhs, widths, times, starts)[3]
-        new_starts = starts.copy()
-        new_starts[n:] = y_end[:-n]
-        settled = (np.max(np.abs(new_starts - starts))
-                   <= 1e-14 * (1 + np.max(np.abs(starts))))
-        starts = new_starts
-        if settled:
+        ts, ys, ds, y_end = _integrate_cell(rhs, widths, times, starts)
+        if not np.all(np.isfinite(y_end)):
+            i = int(np.flatnonzero(~np.isfinite(y_end))[0]) // n
+            lo, hi = lattice.cell(i)
+            raise NonFiniteStateError(
+                f"integrate_augmented: non-finite value at the end of block {i} [{lo}, {hi}]")
+        new_starts = np.concatenate((starts[:n], y_end[:-n]))
+        if np.array_equal(new_starts, starts):
             break
-    ts, ys, ds, _ = _integrate_cell(rhs, widths, times, starts)
+        starts = new_starts
     curve = HermiteCurve(ts, ys, ds)
 
     def block_curve(i: int):
@@ -195,13 +197,13 @@ def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice
                tol: float = 1e-9) -> CandidateSolution:
     """Concatenate stacked blocks back into trajectories on [a, b].
 
-    Linkage is enforced as hard equality: a seam residual above ``tol``
-    raises :class:`SeamMismatchError` instead of smoothing it over.
+    Linkage is enforced as hard equality: a seam residual above ``tol``,
+    or NaN, raises :class:`SeamMismatchError` instead of smoothing it over.
     """
     aug = aug_solution.aug
     problem = aug.problem
     residual = aug_solution.linkage_residual()
-    if residual > tol:
+    if not residual <= tol:
         raise SeamMismatchError(
             f"block linkage residual {residual:.3e} exceeds {tol:g}")
 

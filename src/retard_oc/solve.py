@@ -19,7 +19,7 @@ from .cost import evaluate_cost
 from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       as_delayed, model_partials)
+                       model_partials)
 from .sufficiency import _criterion_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          constant_history, hermite_from_samples)
@@ -281,27 +281,26 @@ def solve_direct_euler(problem: AnyProblem,
     iteration cap and :class:`UnboundedDescentError` when no finite decrease
     exists along the projected direction.
     """
-    p = as_delayed(problem)
-    _euler_grid(p, cfg)
+    _euler_grid(problem, cfg)
     M = cfg.n_steps
     if cfg.initial_control is not None:
-        u = np.asarray(cfg.initial_control, float).reshape(M, p.m).copy()
+        u = np.asarray(cfg.initial_control, float).reshape(M, problem.m).copy()
     else:
-        u = np.zeros((M, p.m))
-    project = p.control_set.project
+        u = np.zeros((M, problem.m))
+    cs = problem.control_set
 
     def proj_all(w):
-        return np.stack([project(w[i]) for i in range(M)]) if not p.control_set.is_free else w
+        return np.stack([cs.project(w[i]) for i in range(M)]) if not cs.is_free else w
 
     u = proj_all(u)
-    J = _euler_forward(p, cfg, u)[1]
+    J = _euler_forward(problem, cfg, u)[1]
     history = [{"iteration": 0, "cost": J, "step": 0.0, "grad_norm": np.nan}]
     step = 1.0
     converged = False
     it = 0
     prev_u = prev_g = None
     for it in range(1, cfg.max_iterations + 1):
-        g = discrete_adjoint_gradient(p, u, cfg)
+        g = discrete_adjoint_gradient(problem, u, cfg)
         stationarity = float(np.max(np.abs(u - proj_all(u - g))))
         log.info("direct iteration=%d cost=%.9f step=%.3g grad_norm=%.3e",
                  it, J, step, stationarity)
@@ -321,7 +320,7 @@ def solve_direct_euler(problem: AnyProblem,
         accepted = False
         while step >= 1e-18:
             trial = proj_all(u - step * g)
-            J_trial = _euler_forward(p, cfg, trial)[1]
+            J_trial = _euler_forward(problem, cfg, trial)[1]
             decrease = float(np.sum(g * (u - trial)))
             if np.isfinite(J_trial) and J_trial <= J - cfg.armijo_c * decrease:
                 assert J_trial <= J + 1e-12 * (1.0 + abs(J)), \

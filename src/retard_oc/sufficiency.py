@@ -455,16 +455,12 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
 
     At each rational sample time the candidate value is compared against the
     computed argmax and against random probes in U; the worst positive gap
-    and its location are recorded.
+    and its location are recorded.  A non-finite criterion value at any of
+    these controls fails the check at the first time it occurs.
     """
     rng = np.random.default_rng(seed)
     grid = _rational_grid(problem.lattice(), grid_points_per_cell)
     crit = _Criterion(problem, cand, eta, _criterion_times(problem, grid))
-    try:
-        best = _argmax_all(problem, crit)
-    except UnboundedCriterionError as exc:
-        return CheckResult("maximality", False, np.inf, exc.time,
-                           "criterion unbounded over U")
     cs, u_c = problem.control_set, cand.control.eval_many(crit.t)
     N, m = u_c.shape
     # one draw for all times, in the stream order of per-time sampling
@@ -473,11 +469,20 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
                  * (1.0 + np.abs(u_c))[:, None])
     else:
         tries = rng.uniform(cs.lo, cs.hi, size=(N, probes, m))
-    U = np.concatenate([u_c[:, None], best[:, None], tries], axis=1)
-    f = crit.values(np.repeat(np.arange(N), probes + 2), U).reshape(N, probes + 2)
-    # as a running max(gap, probe): NaN probes skipped, a NaN argmax gap never wins
-    gaps = f[:, 1:] - f[:, :1]
-    gap = np.where(np.isnan(gaps[:, 0]), 0.0, np.fmax.reduce(gaps, axis=1))
+    U = np.concatenate([u_c[:, None], tries], axis=1)
+    f = crit.values(np.repeat(np.arange(N), probes + 1), U).reshape(N, probes + 1)
+    if np.all(np.isfinite(f)):
+        try:
+            best = _argmax_all(problem, crit)
+        except UnboundedCriterionError as exc:
+            return CheckResult("maximality", False, np.inf, exc.time,
+                               "criterion unbounded over U")
+        f = np.column_stack((f, crit.values(np.arange(N), best)))
+    bad = ~np.all(np.isfinite(f), axis=1)
+    if np.any(bad):
+        return CheckResult("maximality", False, np.nan, crit.t[int(np.argmax(bad))],
+                           "non-finite criterion value")
+    gap = np.max(f[:, 1:] - f[:, :1], axis=1)
     gap = np.where(gap > 0.0, gap, 0.0)
     k = int(np.argmax(gap))   # the first time with the worst gap
     worst = float(gap[k])

@@ -1,8 +1,11 @@
+import json
 import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from retard_oc.cost import evaluate_cost
 from retard_oc.errors import ProblemFileError
@@ -130,3 +133,102 @@ def test_value_function_file_matches_registry():
             assert S.value(t, [x]) == pytest.approx(S0.value(t, [x]), abs=1e-12)
             assert S.dt(t, [x]) == pytest.approx(S0.dt(t, [x]), abs=1e-12)
             assert S.dx(t, [x])[0] == pytest.approx(S0.dx(t, [x])[0], abs=1e-12)
+
+
+# -- the expression language: trees, rejections, fuzzing ------------------------
+
+ALL_NAMES = {"t", "x0", "y0", "u0", "v0"}
+TREES = json.loads((Path(__file__).parent / "data" / "expression_trees.json")
+                   .read_text(encoding="utf-8"))
+F0U_LINE = 13
+
+
+@pytest.mark.parametrize("text", sorted(TREES))
+def test_expression_trees_are_unchanged(text):
+    # every expression in the tests, the README and the benchmark's ld file,
+    # mapped to the tree the hand-written recursive-descent parser built
+    assert repr(parse_expression(text, ALL_NAMES)) == TREES[text]
+
+
+@pytest.mark.parametrize("text", [
+    "100*u0^^2", "t^-1", "t^2^2", "2**3**2", "t^(2)", "t^2.0", "1e3*t", "0x10",
+    "1_0", "1j", ".5", "3.", "2t", "t.x", "t[0]", "f(t)", "abs(t)", "exp()",
+    "exp(t, t)", "exp(t,)", "(exp)(t)", "exp", "t < 1", "t if t else 1",
+    "lambda: 1", "'a'", "", "u0 + !"])
+def test_rejected_expressions_carry_their_line(text):
+    with pytest.raises(ProblemFileError):
+        parse_expression(text, ALL_NAMES | {"f", "abs", "exp"})
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(LD_FILE.replace("f0u = 100*u0^2", f"f0u = {text}"))
+    assert err.value.line == F0U_LINE
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("--t", "Mul(a=Const(value=-1.0), b=Mul(a=Const(value=-1.0), b=Var(name='t')))"),
+    ("((((t))))", "Var(name='t')"),
+    ("+-+t", "Mul(a=Const(value=-1.0), b=Var(name='t'))"),
+    ("t ^ 007", "Pow(base=Var(name='t'), exponent=7)"),
+    ("-t**2", "Mul(a=Const(value=-1.0), b=Pow(base=Var(name='t'), exponent=2))"),
+    ("t\t-\n2", "Add(a=Var(name='t'), b=Const(value=-2.0))"),
+])
+def test_accepted_edge_expressions(text, tree):
+    assert repr(parse_expression(text, {"t"})) == tree
+
+
+def test_deep_nesting_is_a_file_error():
+    deep = "(" * 300 + "x0" + ")" * 300
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(LD_FILE.replace("f0x = x0", f"f0x = {deep}"))
+    assert err.value.line == 12
+
+
+_FIELD_LINES = [i for i, line in enumerate(LD_FILE.splitlines())
+                if "=" in line and line.split()[0] not in
+                ("horizon", "delays", "dims")]
+# str.splitlines() breaks at these, so they cannot sit inside one line
+_ONE_LINE = st.text(st.characters(blacklist_categories=("Cs",),
+                                  blacklist_characters="\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+
+
+def _parses_or_raises(parse, text):
+    try:
+        parse(text)
+    except ProblemFileError as err:
+        return err
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.sampled_from(_FIELD_LINES), rhs=_ONE_LINE)
+@example(index=11, rhs="(" * 300 + "x0" + ")" * 300)    # f0x
+@example(index=12, rhs="-" * 3000 + "u0")               # f0u
+@example(index=12, rhs="+".join(["u0"] * 5000))
+def test_any_field_text_parses_or_names_its_line(index, rhs):
+    lines = LD_FILE.splitlines()
+    lines[index] = lines[index].split("=")[0] + "= " + rhs
+    err = _parses_or_raises(parse_problem, "\n".join(lines))
+    assert err is None or err.line == index + 1
+
+
+_LINES = st.one_of(
+    st.sampled_from(LD_FILE.splitlines()
+                    + ["value-function", "piece 0 1", "piece 1/0 2", "eta[0] = t",
+                       "eta[0,1] = t", "c = 2*t", "control-set box lo = - hi = 1",
+                       "control-set box lo = 1 2 hi = 0"]),
+    st.builds("{} {}".format,
+              st.sampled_from(["problem", "kind", "horizon", "delays", "dims",
+                               "control-set", "piece", "eta[0] =", "c =", "f0x ="]),
+              _ONE_LINE),
+    _ONE_LINE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(st.text(), st.lists(_LINES, max_size=20).map("\n".join)))
+@example(text="value-function\npiece 0 1e400\nc = t")
+@example(text="value-function\npiece 0 1\neta[0,1] = t")
+@example(text=LD_FILE.replace("b = 4", "b = " + "9" * 400))
+@example(text=LD_FILE.replace("control-set all", "control-set box lo = 1 2 hi = 0"))
+def test_any_text_parses_or_raises_a_file_error(text):
+    for parse in (parse_problem, parse_value_function):
+        err = _parses_or_raises(parse, text)
+        assert err is None or err.line is None or 1 <= err.line <= len(text.splitlines())

@@ -1,11 +1,16 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import retard_oc.reduction as reduction
+
 from retard_oc.cost import evaluate_cost
 from retard_oc.dde import IntegratorConfig, integrate_forward
-from retard_oc.errors import MismatchedLatticeError, SeamMismatchError
+from retard_oc.errors import (MismatchedLatticeError, NonFiniteStateError,
+                              SeamMismatchError)
 from retard_oc.lattice import make_lattice
-from retard_oc.problems import CandidateSolution
+from retard_oc.problems import CandidateSolution, DelayedProblem
 from retard_oc.reduction import (augment, augmented_cost, integrate_augmented,
                                  reassemble, stack_candidate)
 from retard_oc.trajectory import from_pieces
@@ -109,10 +114,6 @@ def test_broken_seam_raises(ld_problem, ld_candidate):
 
 def test_single_block_reduction_uses_history_only():
     # r = s = h = b - a: every delayed reference resolves to the histories
-    from fractions import Fraction
-
-    from retard_oc.problems import DelayedProblem
-
     problem = DelayedProblem(
         a=Fraction(0), b=Fraction(1), r=Fraction(1), s=Fraction(1), n=1, m=1,
         f0=lambda t, x, y, u, v: 0.0,
@@ -125,3 +126,54 @@ def test_single_block_reduction_uses_history_only():
     W = np.array([0.0])
     # rhs = phi(t - 1) + psi(t - 1) = 5 regardless of the block values
     np.testing.assert_allclose(aug.dynamics(0.5, X, W), [5.0])
+
+
+@pytest.mark.parametrize("name,marches", [("ld", 4), ("d", 1)])
+def test_augmented_march_stops_at_the_settled_sweep(name, marches, monkeypatch,
+                                                    ld_problem, ld_candidate,
+                                                    d_problem, d_candidate):
+    # block i reads only blocks before it: on ld (4 blocks) the starts are
+    # exact after 3 sweeps and the 4th reproduces them; on d every block
+    # starts at the history value 1, which the first sweep already carries
+    problem, cand = (ld_problem, ld_candidate) if name == "ld" else (d_problem, d_candidate)
+    ends = []
+
+    def counting(*args):
+        out = march(*args)
+        ends.append(out[3])
+        return out
+
+    march = reduction._integrate_cell
+    monkeypatch.setattr(reduction, "_integrate_cell", counting)
+    lattice = problem.lattice()
+    aug = augment(problem, lattice)
+    sol = integrate_augmented(aug, cand.control, IntegratorConfig(16))
+    assert len(ends) == marches
+    h = float(lattice.h)
+    np.testing.assert_array_equal(sol.stacked_state(h), ends[-1])
+    assert sol.linkage_residual() == 0.0
+
+
+def test_augmented_blow_up_raises_naming_the_block():
+    # the blow-up fixture of the forward integrator: xdot = 50 x^2 from 1
+    problem = DelayedProblem(
+        a=0, b=1, r=Fraction(1, 2), s=Fraction(1, 2), n=1, m=1,
+        f0=lambda t, x, y, u, v: 0.0,
+        f=lambda t, x, y, u, v: 50.0 * x ** 2,
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]))
+    control = from_pieces(1, [(Fraction(-1, 2), 1, lambda t: [0.0])], main_start=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteStateError,
+                           match=r"integrate_augmented.* block 0 \[0, 1/2\]"):
+            integrate_augmented(augment(problem, problem.lattice()), control,
+                                IntegratorConfig(16))
+
+
+def test_nan_seam_is_a_mismatch(ld_problem, ld_candidate):
+    lattice = ld_problem.lattice()
+    sol = stack_candidate(augment(ld_problem, lattice), ld_candidate)
+    sol.state_blocks = list(sol.state_blocks)
+    sol.state_blocks[1] = lambda sigma: np.array([np.nan])
+    assert np.isnan(sol.linkage_residual())
+    with pytest.raises(SeamMismatchError):
+        reassemble(sol, lattice)

@@ -487,6 +487,25 @@ def test_check_maximality_keeps_recorded_figures(fixture, residual, location):
     assert (result.worst_residual, result.worst_location) == (residual, location)
 
 
+@pytest.mark.parametrize("control_set", [ControlSet.box([-5.0], [5.0]),
+                                         ControlSet.free(1)])
+def test_check_maximality_fails_on_a_non_finite_criterion(control_set):
+    # f0u is NaN for t > 3/2, so the H^0 term at t + s is NaN from t > 1/2:
+    # the first grid time after 1/2 (24 per cell) is 13/24; before this
+    # check, the box passed with the ld figure and the free set was
+    # reported unbounded there
+    from dataclasses import replace
+
+    ld = make_ld_problem()
+    problem = replace(ld, control_set=control_set,
+                      f0u=lambda t, u, v: np.nan if t > 1.5 else ld.f0u(t, u, v))
+    cand = make_ld_candidate()
+    result = check_maximality(problem, cand, integrate_adjoint_linear(ld, cand))
+    assert not result.passed
+    assert result.worst_location == 13 / 24
+    assert "non-finite" in result.detail
+
+
 # -- an adversarial criterion for the quadratic test ---------------------------------
 
 def _probe_blind_problem():
