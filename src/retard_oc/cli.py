@@ -11,6 +11,7 @@ land in ``--out DIR``: ``trajectories.csv`` with header
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import os
 import sys
@@ -89,32 +90,28 @@ def write_trajectories_csv(path: Path, problem, cand: CandidateSolution,
     grid.update(float(bp) for bp in lattice.breakpoints)
     grid.update((float(problem.state_history_start),
                  float(problem.control_history_start)))
-    times = sorted(grid)
 
     n, m = problem.n, problem.m
     header = (["t"] + [f"x_{i+1}" for i in range(n)]
               + [f"u_{j+1}" for j in range(m)]
               + [f"eta_{i+1}" for i in range(n)])
-    xs_lo = float(problem.state_history_start)
-    us_lo = float(problem.control_history_start)
-    af = float(problem.a)
+    times = np.array(sorted(grid))
+    columns = [_csv_cells(times, cand.state, float(problem.state_history_start), n),
+               _csv_cells(times, cand.control, float(problem.control_history_start), m),
+               _csv_cells(times, eta, float(problem.a), n)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t in times:
-            row = [_format(t)]
-            if t >= xs_lo - 1e-12:
-                row.extend(_format(v) for v in cand.state.eval(t))
-            else:
-                row.extend([""] * n)
-            if t >= us_lo - 1e-12:
-                row.extend(_format(v) for v in cand.control.eval(t))
-            else:
-                row.extend([""] * m)
-            if eta is not None and t >= af - 1e-12:
-                row.extend(_format(v) for v in eta.eval(t))
-            else:
-                row.extend([""] * n)
-            fh.write(",".join(row) + "\n")
+        for t, *cells in zip(times, *columns):
+            fh.write(",".join([_format(t)] + [c for part in cells for c in part]) + "\n")
+
+
+def _csv_cells(times: np.ndarray, curve, start: float, dim: int):
+    """Formatted cells of ``curve`` row by row: empty before ``start`` or
+    without a curve, then those of one ``eval_many`` call on the rest."""
+    first = int(np.searchsorted(times, start - 1e-12)) if curve is not None else len(times)
+    yield from itertools.repeat([""] * dim, first)
+    if first < len(times):
+        yield from ([_format(v) for v in row] for row in curve.eval_many(times[first:]))
 
 
 def _write_summary(out: Path, lines: list[str]) -> None:
@@ -303,14 +300,15 @@ def _cmd_verify_hj(spec: RunSpec) -> int:
 
 
 class _MultiplierView:
-    """eta(t) = S_x(t, x(t)) presented through the trajectory eval protocol."""
+    """eta(t) = S_x(t, x(t)) presented through the ``eval_many`` protocol."""
 
     def __init__(self, S, cand):
         self.S = S
         self.cand = cand
 
-    def eval(self, t):
-        return self.S.dx(float(t), self.cand.state.eval(t))
+    def eval_many(self, ts):
+        xs = self.cand.state.eval_many(ts)
+        return np.array([self.S.dx(float(t), x) for t, x in zip(ts, xs)])
 
 
 def _cmd_transform(spec: RunSpec) -> int:

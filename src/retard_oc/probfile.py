@@ -34,7 +34,12 @@ Value-function file grammar (pieces are affine in the state)::
     piece 1 2
     ...
 
-Scalars accept integers, decimals, and rationals like ``1/2``.
+Scalars (horizon, delays, dims, box and piece bounds) are integers,
+decimals or rationals like ``1/2``, with an optional sign; any other
+spelling is refused with its line, as are indices outside ``dims``.
+
+A parsed problem carries the exact partials of every field, differentiated
+once with :meth:`Expr.diff`, so nothing falls back to finite differences.
 """
 
 from __future__ import annotations
@@ -264,10 +269,15 @@ def parse_expression(text: str, allowed: set, line: Optional[int] = None) -> Exp
 _ASSIGN = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*"
     r"(?:\[(?P<idx>\d+(?:\s*,\s*\d+)?)\])?\s*=\s*(?P<rhs>.+)$")
-_SCALARS = re.compile(r"([a-z]+)\s*=\s*(-?\d+(?:/\d+)?|-?\d+\.\d+)")
+_PAIR = re.compile(r"([a-z]+)\s*=\s*(\S+)")
+_SCALAR = re.compile(r"[+-]?\d+(?:\.\d+|/\d+)?")   # integer, decimal or p/q
 
 
 def _rational(val: str, line: int) -> Fraction:
+    """``val`` as an exact rational; no exponent spelling is ever expanded."""
+    if not _SCALAR.fullmatch(val):
+        raise ProblemFileError(
+            f"bad scalar {val!r} (use an integer, a decimal or p/q)", line)
     try:
         out = as_rational(val)
         float(out)   # bounds are used as floats
@@ -277,18 +287,26 @@ def _rational(val: str, line: int) -> Fraction:
 
 
 def _scalar_pairs(rest: str, line: int) -> dict:
-    out = {key: _rational(val, line) for key, val in _SCALARS.findall(rest)}
-    if not out:
+    pairs = _PAIR.findall(rest)
+    if not pairs or _PAIR.sub("", rest).strip():
         raise ProblemFileError(f"expected key = value pairs in {rest!r}", line)
-    return out
+    return {key: _rational(val, line) for key, val in pairs}
+
+
+def _dims(rest: str, line: int) -> dict:
+    out = _scalar_pairs(rest, line)
+    if any(v.denominator != 1 or v < 1 for v in out.values()):
+        raise ProblemFileError(f"dims must be positive integers in {rest!r}", line)
+    return {key: int(v) for key, v in out.items()}
 
 
 def _entry_evaluator(exprs: dict, shape: tuple, env_builder) -> Callable:
     def evaluate(*args):
-        env = env_builder(*args)
         out = np.zeros(shape)
-        for idx, expr in exprs.items():
-            out[idx] = expr.eval(env)
+        if exprs:   # entries left out are zero
+            env = env_builder(*args)
+            for idx, expr in exprs.items():
+                out[idx] = expr.eval(env)
         return out if shape else float(out)
     return evaluate
 
@@ -304,6 +322,7 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     dims: dict = {}
     control: Optional[ControlSet] = None
     entries: dict[str, dict] = {k: {} for k in ("A", "AD", "g", "gD", "phi", "psi")}
+    control_line = None   # where the control set was given
     scalars: dict[str, Expr] = {}
 
     lines = text.splitlines()
@@ -330,15 +349,17 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
             delays = _scalar_pairs(rest, lineno)
             continue
         if keyword == "dims":
-            dims = {k: int(v) for k, v in _scalar_pairs(rest, lineno).items()}
+            if dims:
+                raise ProblemFileError("dims given twice", lineno)
+            dims = _dims(rest, lineno)
             continue
         if keyword == "control-set":
             spec = rest.strip()
             if spec == "all":
                 control = "all"
             elif spec.startswith("box"):
-                m = re.match(r"box\s+lo\s*=\s*(?P<lo>[-\d.,/\s]+?)\s+hi\s*=\s*"
-                             r"(?P<hi>[-\d.,/\s]+?)\s*$", spec)
+                m = re.match(r"box\s+lo\s*=\s*(?P<lo>[-+\d.,/\s]+?)\s+hi\s*=\s*"
+                             r"(?P<hi>[-+\d.,/\s]+?)\s*$", spec)
                 if not m:
                     raise ProblemFileError(
                         "expected: control-set box lo = ... hi = ...", lineno)
@@ -351,6 +372,7 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
             else:
                 raise ProblemFileError(
                     f"unknown control set {spec!r} (use 'all' or 'box ...')", lineno)
+            control_line = lineno
             continue
         m = _ASSIGN.match(stripped)
         if not m:
@@ -368,6 +390,11 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
             allowed = {"A": {"t"}, "AD": {"t"}, "g": {"t", "u"},
                        "gD": {"t", "v"}, "phi": {"t"}, "psi": {"t"}}[target]
             entries[target][index] = _parse_field(rhs, allowed, dims, lineno)
+            n, m_dim = dims["n"], dims["m"]
+            bound = {"A": (n, n), "AD": (n, n), "psi": (m_dim,)}.get(target, (n,))
+            if len(index) != len(bound) or any(i >= b for i, b in zip(index, bound)):
+                raise ProblemFileError(f"index {index} out of range for {target} "
+                                       f"with dims {bound}", lineno)
         else:
             raise ProblemFileError(f"unknown field {target!r}", lineno)
 
@@ -378,66 +405,54 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     if "n" not in dims or "m" not in dims:
         raise ProblemFileError("missing dims line (need n and m)")
     n, m_dim = dims["n"], dims["m"]
-    for target, exprs in entries.items():
-        rank = 2 if target in ("A", "AD") else 1
-        bound = {"A": (n, n), "AD": (n, n), "g": (n,), "gD": (n,),
-                 "phi": (n,), "psi": (m_dim,)}[target]
-        for index in exprs:
-            if len(index) != rank or any(i >= b for i, b in zip(index, bound)):
-                raise ProblemFileError(
-                    f"index {index} out of range for {target} with dims {bound}")
+    if isinstance(control, ControlSet) and control.m != m_dim:
+        raise ProblemFileError(f"control-set box has {control.m} bounds per "
+                               f"side, dims has m = {m_dim}", control_line)
     if "f0x" not in scalars or "f0u" not in scalars:
         raise ProblemFileError("both f0x and f0u must be given")
 
-    def t_env(t):
-        return {"t": float(t)}
-
-    def tu_env(prefix):
-        def build(t, vec):
-            env = {"t": float(t)}
-            for i in range(m_dim):
-                env[f"{prefix}{i}"] = float(np.asarray(vec).reshape(m_dim)[i])
-            return env
+    def env(*vectors):
+        """Builder of the variables of (t, *values) for (prefix, dim) pairs."""
+        names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
+        def build(t, *values):
+            out = {"t": float(t)}
+            for keys, vec in zip(names, values):
+                vec = np.asarray(vec).reshape(len(keys))
+                for k, key in enumerate(keys):
+                    out[key] = float(vec[k])
+            return out
         return build
 
-    A_fn = _entry_evaluator(entries["A"], (n, n), t_env)
-    AD_fn = _entry_evaluator(entries["AD"], (n, n), t_env)
-    g_fn = _entry_evaluator(entries["g"], (n,), tu_env("u"))
-    gD_fn = _entry_evaluator(entries["gD"], (n,), tu_env("v"))
-    phi_fn = _entry_evaluator(entries["phi"], (n,), t_env)
-    psi_fn = _entry_evaluator(entries["psi"], (m_dim,), t_env)
-
+    t_env, u_env, v_env = env(), env(("u", m_dim)), env(("v", m_dim))
+    xy_env, uv_env = env(("x", n), ("y", n)), env(("u", m_dim), ("v", m_dim))
     f0x_expr, f0u_expr = scalars["f0x"], scalars["f0u"]
 
-    def xy_env(t, x, y):
-        env = {"t": float(t)}
-        for i in range(n):
-            env[f"x{i}"] = float(np.asarray(x).reshape(n)[i])
-            env[f"y{i}"] = float(np.asarray(y).reshape(n)[i])
-        return env
-
-    def uv_env(t, u, v):
-        env = {"t": float(t)}
-        for i in range(m_dim):
-            env[f"u{i}"] = float(np.asarray(u).reshape(m_dim)[i])
-            env[f"v{i}"] = float(np.asarray(v).reshape(m_dim)[i])
-        return env
-
-    f0x_dx = [f0x_expr.diff(f"x{i}") for i in range(n)]
-    f0x_dy = [f0x_expr.diff(f"y{i}") for i in range(n)]
+    def partials(exprs: dict, var: str, count: int, shape: tuple, variables) -> Callable:
+        """Evaluator of d exprs / d(var0 .. var{count-1}), differentiated once
+        here; the new last index runs over the variables."""
+        derivs = {idx + (j,): e.diff(f"{var}{j}")
+                  for idx, e in exprs.items() for j in range(count)}
+        return _entry_evaluator({k: d for k, d in derivs.items()
+                                 if not _is_const(d, 0.0)}, shape, variables)
 
     return StateLinearProblem(
         a=horizon["a"], b=horizon["b"], r=delays["r"], s=delays["s"],
         n=n, m=m_dim,
-        A=A_fn, A_D=AD_fn, g=g_fn, g_D=gD_fn,
+        A=_entry_evaluator(entries["A"], (n, n), t_env),
+        A_D=_entry_evaluator(entries["AD"], (n, n), t_env),
+        g=_entry_evaluator(entries["g"], (n,), u_env),
+        g_D=_entry_evaluator(entries["gD"], (n,), v_env),
         f0x=lambda t, x, y: f0x_expr.eval(xy_env(t, x, y)),
         f0u=lambda t, u, v: f0u_expr.eval(uv_env(t, u, v)),
-        phi=phi_fn, psi=psi_fn,
+        phi=_entry_evaluator(entries["phi"], (n,), t_env),
+        psi=_entry_evaluator(entries["psi"], (m_dim,), t_env),
         control_set=(ControlSet.free(m_dim) if control in (None, "all") else control),
-        f0x_dx=lambda t, x, y: np.array(
-            [e.eval(xy_env(t, x, y)) for e in f0x_dx]),
-        f0x_dy=lambda t, x, y: np.array(
-            [e.eval(xy_env(t, x, y)) for e in f0x_dy]),
+        f0x_dx=partials({(): f0x_expr}, "x", n, (n,), xy_env),
+        f0x_dy=partials({(): f0x_expr}, "y", n, (n,), xy_env),
+        g_du=partials(entries["g"], "u", m_dim, (n, m_dim), u_env),
+        gD_dv=partials(entries["gD"], "v", m_dim, (n, m_dim), v_env),
+        f0u_du=partials({(): f0u_expr}, "u", m_dim, (m_dim,), uv_env),
+        f0u_dv=partials({(): f0u_expr}, "v", m_dim, (m_dim,), uv_env),
         name=name or source,
     )
 
@@ -473,6 +488,7 @@ def parse_value_function(text: str):
     n = 1
     pieces: list[dict] = []
     current: Optional[dict] = None
+    eta_lines: dict = {}   # first line giving eta[i], by index
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -483,7 +499,7 @@ def parse_value_function(text: str):
         if keyword == "value-function":
             continue
         if keyword == "dims":
-            n = int(_scalar_pairs(rest, lineno).get("n", 1))
+            n = _dims(rest, lineno).get("n", 1)
             continue
         if keyword == "piece":
             bounds = rest.split()
@@ -503,12 +519,19 @@ def parse_value_function(text: str):
             if idx is None or not idx.isdigit():
                 raise ProblemFileError("eta needs an index like eta[0]", lineno)
             current["eta"][int(idx)] = expr
+            eta_lines.setdefault(int(idx), lineno)
         elif target == "c":
             current["c"] = expr
         else:
             raise ProblemFileError(f"unknown field {target!r}", lineno)
     if not pieces:
         raise ProblemFileError("no pieces defined")
+    for i, line in eta_lines.items():
+        if i >= n:
+            raise ProblemFileError(f"eta[{i}] out of range for dims n = {n}", line)
+    for piece in pieces:   # S_t is differentiated once, here
+        piece["c_t"] = piece["c"].diff("t")
+        piece["eta_t"] = {i: expr.diff("t") for i, expr in piece["eta"].items()}
     pieces.sort(key=lambda p: p["lo"])
 
     def pick(t: float) -> dict:
@@ -530,9 +553,9 @@ def parse_value_function(text: str):
         piece = pick(float(t))
         env = {"t": float(t)}
         x = np.asarray(x, float).reshape(n)
-        val = piece["c"].diff("t").eval(env)
-        for i, expr in piece["eta"].items():
-            val += expr.diff("t").eval(env) * x[i]
+        val = piece["c_t"].eval(env)
+        for i, expr in piece["eta_t"].items():
+            val += expr.eval(env) * x[i]
         return val
 
     def S_x(t, x):

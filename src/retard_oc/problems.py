@@ -175,7 +175,8 @@ class DelayedProblem:
 
 @dataclass(frozen=True)
 class StateLinearProblem:
-    """Problem with dynamics linear in the current and delayed state."""
+    """Problem with dynamics linear in the current and delayed state.  Any
+    optional partial left out is taken by central finite differences."""
 
     a: Rational
     b: Rational
@@ -194,6 +195,10 @@ class StateLinearProblem:
     control_set: ControlSet = None  # type: ignore[assignment]
     f0x_dx: Optional[Callable] = None   # d f0x / d x, shape (n,)
     f0x_dy: Optional[Callable] = None   # d f0x / d x(t-r), shape (n,)
+    g_du: Optional[Callable] = None     # d g / d u at (t, u), shape (n, m)
+    gD_dv: Optional[Callable] = None    # d g_D / d u(t-s) at (t, v), shape (n, m)
+    f0u_du: Optional[Callable] = None   # d f0u / d u at (t, u, v), shape (m,)
+    f0u_dv: Optional[Callable] = None   # d f0u / d u(t-s) at (t, u, v), shape (m,)
     name: str = ""
 
     def __post_init__(self):
@@ -224,8 +229,15 @@ class StateLinearProblem:
                 np.asarray(self.g_D(t, np.asarray(v, dtype=float)), dtype=float).reshape(n))
 
     def dynamics(self, t, x, y, u, v) -> Vec:
-        Amat, Dmat, gu, gv = self.linear_terms(t, u, v)
-        return Amat @ np.asarray(x, float) + Dmat @ np.asarray(y, float) + gu + gv
+        t, n = float(t), self.n
+        return self._dynamics(t, np.asarray(self.A(t), dtype=float).reshape(n, n),
+                              np.asarray(self.A_D(t), dtype=float).reshape(n, n), x, y, u, v)
+
+    def _dynamics(self, t: float, Amat, Dmat, x, y, u, v) -> Vec:
+        """The dynamics with A(t) and A_D(t) given, as the Euler grid keeps them."""
+        return (Amat @ np.asarray(x, float) + Dmat @ np.asarray(y, float)
+                + np.asarray(self.g(t, np.asarray(u, float)), float).reshape(self.n)
+                + np.asarray(self.g_D(t, np.asarray(v, float)), float).reshape(self.n))
 
     def running_cost(self, t, x, y, u, v) -> float:
         return float(self.f0x(float(t), x, y)) + float(self.f0u(float(t), u, v))
@@ -260,10 +272,12 @@ def as_delayed(problem: AnyProblem) -> DelayedProblem:
     )
 
 
-def _shaped(fn: Optional[Callable], shape) -> Optional[Callable]:
+def _shaped(fn: Optional[Callable], shape,
+            pick: Callable = lambda *args: args) -> Optional[Callable]:
+    """``fn`` on ``pick(*args)`` as a float array of ``shape``, or None."""
     if fn is None:
         return None
-    return lambda *args: np.asarray(fn(*args), dtype=float).reshape(shape)
+    return lambda *args: np.asarray(fn(*pick(*args)), dtype=float).reshape(shape)
 
 
 def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable]]:
@@ -275,22 +289,21 @@ def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable
     the slots k = 1..4 (x, y, u, v; index 0 is unused).  ``g0`` maps x to the
     terminal-cost gradient, or is None when the class has no terminal cost.
     Declared partials are used where given, central finite differences of
-    the model functions otherwise; a state-linear problem supplies A, A_D
-    and its f0x partials directly.
+    the model functions otherwise; a state-linear problem supplies A and A_D
+    directly, and its declared f0x, g, g_D and f0u partials.
     """
     p, n = problem, problem.n
     dims = (None, n, n, p.m, p.m)
     if isinstance(p, StateLinearProblem):
         f0_fn, f_fn, g0 = p.running_cost, p.dynamics, None
-        f0 = [None] * 5
-        if p.f0x_dx is not None:
-            f0[1] = lambda t, x, y, u, v: np.asarray(p.f0x_dx(t, x, y), float).reshape(n)
-        if p.f0x_dy is not None:
-            f0[2] = lambda t, x, y, u, v: np.asarray(p.f0x_dy(t, x, y), float).reshape(n)
+        txy, tuv = (lambda t, x, y, u, v: (t, x, y)), (lambda t, x, y, u, v: (t, u, v))
+        f0 = [None, _shaped(p.f0x_dx, n, txy), _shaped(p.f0x_dy, n, txy),
+              _shaped(p.f0u_du, p.m, tuv), _shaped(p.f0u_dv, p.m, tuv)]
         f = [None,
              lambda t, x, y, u, v: np.asarray(p.A(t), float).reshape(n, n),
              lambda t, x, y, u, v: np.asarray(p.A_D(t), float).reshape(n, n),
-             None, None]
+             _shaped(p.g_du, (n, p.m), lambda t, x, y, u, v: (t, u)),
+             _shaped(p.gD_dv, (n, p.m), lambda t, x, y, u, v: (t, v))]
     else:
         f0_fn, f_fn = p.f0, p.f
         f0 = [None] + [_shaped(fn, dims[k]) for k, fn in

@@ -58,6 +58,9 @@ def make_ld_problem() -> StateLinearProblem:
         control_set=ControlSet.free(1),
         f0x_dx=lambda t, x, y: np.array([1.0]),
         f0x_dy=lambda t, x, y: np.array([0.0]),
+        g_du=lambda t, u: np.array([[0.0]]), gD_dv=lambda t, v: np.array([[-10.0]]),
+        f0u_du=lambda t, u, v: np.array([200.0 * float(u[0])]),
+        f0u_dv=lambda t, u, v: np.array([0.0]),
         name="ocp-ld-paper",
     )
 
@@ -327,7 +330,8 @@ def make_zero_candidate() -> CandidateSolution:
     return CandidateSolution(state=state, control=control, cost=0.0)
 
 
-def _inert_dynamics_problem(f0x, f0u, f0x_dx, f0x_dy, name) -> StateLinearProblem:
+def _inert_dynamics_problem(f0x, f0u, f0x_dx, f0x_dy, f0u_du,
+                            name) -> StateLinearProblem:
     # A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
     # whatever the control does.
     return StateLinearProblem(
@@ -341,6 +345,8 @@ def _inert_dynamics_problem(f0x, f0u, f0x_dx, f0x_dy, name) -> StateLinearProble
         phi=lambda t: np.array([1.0]),
         psi=lambda t: np.array([0.0]),
         f0x_dx=f0x_dx, f0x_dy=f0x_dy,
+        g_du=lambda t, u: np.array([[0.0]]), gD_dv=lambda t, v: np.array([[0.0]]),
+        f0u_du=f0u_du, f0u_dv=lambda t, u, v: np.array([0.0]),
         name=name,
     )
 
@@ -352,6 +358,7 @@ def make_drift_problem() -> StateLinearProblem:
         f0u=lambda t, u, v: float(u[0]) ** 2,
         f0x_dx=lambda t, x, y: np.array([1.0]),
         f0x_dy=lambda t, x, y: np.array([0.0]),
+        f0u_du=lambda t, u, v: np.array([2.0 * float(u[0])]),
         name="drift-linear",
     )
 
@@ -363,6 +370,7 @@ def make_inert_problem() -> StateLinearProblem:
         f0u=lambda t, u, v: 0.0,
         f0x_dx=lambda t, x, y: np.array([1.0]),
         f0x_dy=lambda t, x, y: np.array([0.0]),
+        f0u_du=lambda t, u, v: np.array([0.0]),
         name="inert-linear",
     )
 
@@ -375,6 +383,7 @@ def make_concave_problem() -> StateLinearProblem:
         f0u=lambda t, u, v: 0.0,
         f0x_dx=lambda t, x, y: np.array([-2.0 * float(x[0])]),
         f0x_dy=lambda t, x, y: np.array([0.0]),
+        f0u_du=lambda t, u, v: np.array([0.0]),
         name="concave-cost",
     )
 

@@ -158,41 +158,88 @@ class DirectSolution(CandidateSolution):
     history: list = field(default_factory=list)
 
 
-def _euler_grid(problem, cfg: TranscriptionConfig):
-    lattice = problem.lattice()
-    if cfg.n_steps <= 0 or cfg.n_steps % lattice.n_cells != 0:
-        raise ValueError(
-            f"n_steps must be a positive multiple of {lattice.n_cells}")
-    delta = (lattice.b - lattice.a) / cfg.n_steps
-    k_r = lattice.r / delta
-    k_s = lattice.s / delta
-    assert k_r.denominator == 1 and k_s.denominator == 1
-    return lattice, delta, int(k_r), int(k_s)
+class _EulerGrid:
+    """The forward-Euler grid of one direct solve and every model term on it
+    that no control changes: the stage times t_i, the history rows
+    phi(t_i - r) and psi(t_i - s), the resolved slot partials and, for a
+    state-linear problem, A(t_i) and A_D(t_i).  Built once per solve, so a
+    line-search trial evaluates only the terms that read the control.
+    ``rhs(i, x, y, u, v)`` is the dynamics at stage i; ``jacobians(stages)``
+    gives d f / d x at each stage and d f / d y from stage k_r on."""
+
+    def __init__(self, p: AnyProblem, cfg: TranscriptionConfig):
+        lattice = p.lattice()
+        if cfg.n_steps <= 0 or cfg.n_steps % lattice.n_cells != 0:
+            raise ValueError(
+                f"n_steps must be a positive multiple of {lattice.n_cells}")
+        delta = (lattice.b - lattice.a) / cfg.n_steps
+        k_r, k_s = lattice.r / delta, lattice.s / delta
+        assert k_r.denominator == 1 and k_s.denominator == 1
+        self.p, self.lattice, self.M = p, lattice, cfg.n_steps
+        self.k_r, self.k_s, self.df = int(k_r), int(k_s), float(delta)
+        af, r, s = float(lattice.a), float(lattice.r), float(lattice.s)
+        ts = self.ts = [af + self.df * i for i in range(self.M)]
+        self.x0 = np.asarray(p.phi(af), float).reshape(p.n)
+        self.x_hist = np.array([np.asarray(p.phi(t - r), float).reshape(p.n)
+                                for t in ts[:self.k_r]]).reshape(-1, p.n)
+        self.u_hist = np.array([np.asarray(p.psi(t - s), float).reshape(p.m)
+                                for t in ts[:self.k_s]]).reshape(-1, p.m)
+        self.partials = model_partials(p)
+        if isinstance(p, StateLinearProblem):
+            A, A_D = (np.array([np.asarray(fn(t), float).reshape(p.n, p.n) for t in ts])
+                      for fn in (p.A, p.A_D))
+            self.rhs = lambda i, x, y, u, v: p._dynamics(ts[i], A[i], A_D[i], x, y, u, v)
+            self.jacobians = lambda stages: (A, A_D[self.k_r:])
+        else:
+            _, f_dx, f_dy, _, _ = self.partials[1]
+            self.rhs = lambda i, x, y, u, v: p.dynamics(ts[i], x, y, u, v)
+            self.jacobians = lambda stages: (stages(f_dx), stages(f_dy, self.k_r))
 
 
-def _euler_forward(p, cfg: TranscriptionConfig, u: np.ndarray):
-    """Euler recursion with delayed index lookups; returns states, cost and
-    the argument tuple (t, x, x(t-r), u, u(t-s)) of every step."""
-    lattice, delta, k_r, k_s = _euler_grid(p, cfg)
-    M = cfg.n_steps
-    df = float(delta)
-    af = float(lattice.a)
+def _euler_forward(grid: _EulerGrid, u: np.ndarray):
+    """Euler recursion with delayed index lookups; returns the states x_0..x_M
+    and the discrete cost."""
+    p, M, k_r, k_s, df, ts = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.ts
     xs = np.empty((M + 1, p.n))
-    xs[0] = np.asarray(p.phi(af), float).reshape(p.n)
+    xs[0] = grid.x0
     cost = 0.0
-    stages = []
     for i in range(M):
-        t = af + df * i
-        xd = xs[i - k_r] if i - k_r >= 0 else np.asarray(
-            p.phi(t - float(lattice.r)), float).reshape(p.n)
-        ud = u[i - k_s] if i - k_s >= 0 else np.asarray(
-            p.psi(t - float(lattice.s)), float).reshape(p.m)
-        args = (t, xs[i], xd, u[i], ud)
-        stages.append(args)
-        cost += df * p.running_cost(*args)
-        xs[i + 1] = xs[i] + df * p.dynamics(*args)
+        xd = xs[i - k_r] if i >= k_r else grid.x_hist[i]
+        ud = u[i - k_s] if i >= k_s else grid.u_hist[i]
+        cost += df * p.running_cost(ts[i], xs[i], xd, u[i], ud)
+        xs[i + 1] = xs[i] + df * grid.rhs(i, xs[i], xd, u[i], ud)
     cost += p.terminal_cost(xs[M])
-    return xs, cost, stages
+    return xs, cost
+
+
+def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`discrete_adjoint_gradient` at the control samples ``u``, whose
+    Euler states ``xs`` are given.  Each slot partial is evaluated once per
+    stage into an array; only the costate recursion is sequential."""
+    p, M, k_r, k_s, df, ts = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.ts
+    (_, f0_dx, f0_dy, f0_du, f0_dv), (_, _, _, f_du, f_dv), g0_grad = grid.partials
+    # stage i reads (t_i, x_i, x(t_i - r), u_i, u(t_i - s))
+    ys = np.concatenate([grid.x_hist, xs[:max(M - k_r, 0)]])
+    vs = np.concatenate([grid.u_hist, u[:max(M - k_s, 0)]])
+
+    def stages(fn, first=0):
+        return np.array([fn(ts[i], xs[i], ys[i], u[i], vs[i]) for i in range(first, M)])
+
+    c_x, c_y = stages(f0_dx), stages(f0_dy, k_r)
+    j_x, j_y = grid.jacobians(stages)
+    lam = np.zeros((M + 1, p.n))
+    if g0_grad is not None:
+        lam[M] = g0_grad(xs[M])
+    for i in range(M - 1, -1, -1):
+        lam[i] = lam[i + 1] + df * (c_x[i] + lam[i + 1] @ j_x[i])
+        if i + k_r < M:   # x_i is the delayed argument of stage i + k_r
+            lam[i] += df * (c_y[i] + lam[i + k_r + 1] @ j_y[i])
+
+    grad = df * (stages(f0_du) + np.einsum("ki,kij->kj", lam[1:], stages(f_du)))
+    if k_s < M:   # u_j is the delayed argument of stage j + k_s
+        grad[:M - k_s] += df * (stages(f0_dv, k_s) + np.einsum(
+            "ki,kij->kj", lam[k_s + 1:], stages(f_dv, k_s)))
+    return grad
 
 
 def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
@@ -204,37 +251,12 @@ def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
     argument), and the two matching transitions; control node j feeds stage
     j and stage j + s/delta.  A zero shift couples a node to its own stage.
     """
-    p = problem
-    _, delta, k_r, k_s = _euler_grid(p, cfg)
-    M = cfg.n_steps
-    df = float(delta)
-    u = np.asarray(control_samples, float).reshape(M, p.m)
-    xs, _, stages = _euler_forward(p, cfg, u)
-    f0_d, f_d, g0_grad = model_partials(p)
-    f0_dx, f0_dy, f0_du, f0_dv = f0_d[1:]
-    f_dx, f_dy, f_du, f_dv = f_d[1:]
-
-    lam = np.zeros((M + 1, p.n))
-    if g0_grad is not None:
-        lam[M] = g0_grad(xs[M])
-    for i in range(M - 1, -1, -1):
-        args = stages[i]
-        lam[i] = lam[i + 1] + df * (f0_dx(*args) + lam[i + 1] @ f_dx(*args))
-        if i + k_r <= M - 1:
-            adv = stages[i + k_r]
-            lam[i] += df * (f0_dy(*adv) + lam[i + k_r + 1] @ f_dy(*adv))
-
-    grad = np.zeros((M, p.m))
-    for j in range(M):
-        args = stages[j]
-        grad[j] = df * (f0_du(*args) + lam[j + 1] @ f_du(*args))
-        if j + k_s <= M - 1:
-            adv = stages[j + k_s]
-            grad[j] += df * (f0_dv(*adv) + lam[j + k_s + 1] @ f_dv(*adv))
-    return grad
+    grid = _EulerGrid(problem, cfg)
+    u = np.asarray(control_samples, float).reshape(grid.M, problem.m)
+    return _adjoint_gradient(grid, _euler_forward(grid, u)[0], u)
 
 
-def _interpolated_candidate(p, cfg: TranscriptionConfig, u: np.ndarray,
+def _interpolated_candidate(grid: _EulerGrid, u: np.ndarray,
                             integrator: IntegratorConfig) -> CandidateSolution:
     """Continuous control reconstructed from the Euler samples, state of
     ``p`` itself (not its general view) re-integrated by the main integrator.
@@ -244,10 +266,8 @@ def _interpolated_candidate(p, cfg: TranscriptionConfig, u: np.ndarray,
     accurate); lattice-cell edges take the linear extension of the two
     nearest midpoints, and interpolation never bridges a lattice breakpoint.
     """
-    lattice, delta, _, _ = _euler_grid(p, cfg)
-    M = cfg.n_steps
-    per_cell = M // lattice.n_cells
-    df = float(delta)
+    p, lattice, df = grid.p, grid.lattice, grid.df
+    per_cell = grid.M // lattice.n_cells
     curves = []
     for i, lo, hi in lattice.cells():
         base = i * per_cell
@@ -281,26 +301,23 @@ def solve_direct_euler(problem: AnyProblem,
     iteration cap and :class:`UnboundedDescentError` when no finite decrease
     exists along the projected direction.
     """
-    _euler_grid(problem, cfg)
-    M = cfg.n_steps
+    grid = _EulerGrid(problem, cfg)
     if cfg.initial_control is not None:
-        u = np.asarray(cfg.initial_control, float).reshape(M, problem.m).copy()
+        u = np.asarray(cfg.initial_control, float).reshape(grid.M, problem.m).copy()
     else:
-        u = np.zeros((M, problem.m))
+        u = np.zeros((grid.M, problem.m))
     cs = problem.control_set
-
-    def proj_all(w):
-        return np.stack([cs.project(w[i]) for i in range(M)]) if not cs.is_free else w
+    proj_all = (lambda w: w) if cs.is_free else (lambda w: np.clip(w, cs.lo, cs.hi))
 
     u = proj_all(u)
-    J = _euler_forward(problem, cfg, u)[1]
+    xs, J = _euler_forward(grid, u)
     history = [{"iteration": 0, "cost": J, "step": 0.0, "grad_norm": np.nan}]
     step = 1.0
     converged = False
     it = 0
     prev_u = prev_g = None
     for it in range(1, cfg.max_iterations + 1):
-        g = discrete_adjoint_gradient(problem, u, cfg)
+        g = _adjoint_gradient(grid, xs, u)
         stationarity = float(np.max(np.abs(u - proj_all(u - g))))
         log.info("direct iteration=%d cost=%.9f step=%.3g grad_norm=%.3e",
                  it, J, step, stationarity)
@@ -320,12 +337,12 @@ def solve_direct_euler(problem: AnyProblem,
         accepted = False
         while step >= 1e-18:
             trial = proj_all(u - step * g)
-            J_trial = _euler_forward(problem, cfg, trial)[1]
+            xs_trial, J_trial = _euler_forward(grid, trial)
             decrease = float(np.sum(g * (u - trial)))
             if np.isfinite(J_trial) and J_trial <= J - cfg.armijo_c * decrease:
                 assert J_trial <= J + 1e-12 * (1.0 + abs(J)), \
                     "accepted step must not increase the cost"
-                u, J = trial, J_trial
+                u, J, xs = trial, J_trial, xs_trial
                 accepted = True
                 break
             step *= 0.5
@@ -334,7 +351,7 @@ def solve_direct_euler(problem: AnyProblem,
                 "line search found no finite decrease along the projected "
                 "gradient direction")
 
-    cand = _interpolated_candidate(problem, cfg, u, integrator)
+    cand = _interpolated_candidate(grid, u, integrator)
     cost = evaluate_cost(problem, cand, 512)
     sol = DirectSolution(state=cand.state, control=cand.control, cost=cost,
                          converged=converged, iterations=it,

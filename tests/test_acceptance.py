@@ -21,7 +21,7 @@ from retard_oc.registry import (d_feedback, ld_adjoint_value, ld_control_value,
                                 ld_state_value, make_concave_problem,
                                 make_d_value_function, make_ld_bumped_candidate,
                                 make_ld_shifted_adjoint, make_rest_candidate)
-from retard_oc.solve import (TranscriptionConfig, _euler_forward,
+from retard_oc.solve import (TranscriptionConfig, _EulerGrid, _euler_forward,
                              discrete_adjoint_gradient, solve_direct_euler)
 from retard_oc.sufficiency import (check_transversality, hj_residual,
                                    verify_nonlinear_hj, verify_state_linear)
@@ -193,12 +193,13 @@ def test_criterion_8_gradient_oracle(ld_problem, d_problem):
         cfg = TranscriptionConfig(n_steps=steps)
         u = rng.uniform(-0.5, 0.5, size=(steps, 1))
         grad = discrete_adjoint_gradient(p, u, cfg)
+        grid = _EulerGrid(p, cfg)
         for j in rng.choice(steps, size=20, replace=False):
             eps = 1e-3 * (1.0 + abs(u[j, 0]))
             up = u.copy(); up[j, 0] += eps
             um = u.copy(); um[j, 0] -= eps
-            fd = (_euler_forward(p, cfg, up)[1]
-                  - _euler_forward(p, cfg, um)[1]) / (2.0 * eps)
+            fd = (_euler_forward(grid, up)[1]
+                  - _euler_forward(grid, um)[1]) / (2.0 * eps)
             rel = abs(fd - grad[j, 0]) / max(abs(fd), 1e-12)
             worst = max(worst, rel)
             assert rel <= 1e-6

@@ -1,9 +1,11 @@
 import csv
 import math
 
+import numpy as np
 import pytest
 
-from retard_oc.cli import RunSpec, main, run, write_trajectories_csv
+from retard_oc.cli import (SAMPLES_PER_UNIT_TIME, RunSpec, main, run,
+                           write_trajectories_csv)
 from retard_oc.registry import (ld_adjoint_value, ld_control_value,
                                 ld_state_value)
 
@@ -63,6 +65,43 @@ def test_csv_round_trip(tmp_path, ld_problem, ld_candidate):
             assert abs(float(row["u_1"]) - ld_candidate.control.eval(t)[0]) <= 1e-12
         if row["eta_1"]:
             assert abs(float(row["eta_1"]) - eta.eval(t)[0]) <= 1e-12
+
+
+def _per_row_csv(problem, cand, eta) -> bytes:
+    """Reference writer: one scalar ``eval`` per row and curve."""
+    t_lo = float(min(problem.state_history_start, problem.control_history_start))
+    count = int(round((float(problem.b) - t_lo) * SAMPLES_PER_UNIT_TIME)) + 1
+    grid = set(np.linspace(t_lo, float(problem.b), count).tolist())
+    grid.update(float(bp) for bp in problem.lattice().breakpoints)
+    grid.update((float(problem.state_history_start),
+                 float(problem.control_history_start)))
+    lines = ["t,x_1,u_1,eta_1"]
+    for t in sorted(grid):
+        row = [repr(t)]
+        for curve, start in ((cand.state, problem.state_history_start),
+                             (cand.control, problem.control_history_start),
+                             (eta, problem.a)):
+            row += ([repr(float(v)) for v in curve.eval(t)]
+                    if t >= float(start) - 1e-12 else [""])
+        lines.append(",".join(row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_csv_matches_per_row_evaluation(tmp_path, ld_problem, ld_candidate,
+                                        fast_integrator):
+    # history rows (empty eta, and empty u before a - s), breakpoint rows,
+    # closed-form and Hermite curves: the batched writer gives the same bytes
+    from retard_oc.dde import integrate_adjoint_linear, integrate_forward
+    from retard_oc.problems import CandidateSolution
+    cand = CandidateSolution(
+        state=integrate_forward(ld_problem, ld_candidate.control, fast_integrator),
+        control=ld_candidate.control)
+    eta = integrate_adjoint_linear(ld_problem, cand, fast_integrator)
+    path = tmp_path / "trajectories.csv"
+    write_trajectories_csv(path, ld_problem, cand, eta)
+    reference = _per_row_csv(ld_problem, cand, eta)
+    assert b"\n-2.0,1.0,,\n" in reference and b"\n2.0," in reference
+    assert path.read_bytes() == reference
 
 
 def test_deterministic_output(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
                            integrate_adjoint_nonlinear, integrate_forward)
 from retard_oc.errors import NonFiniteStateError
+from retard_oc.probfile import parse_problem
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
                                 StateLinearProblem, model_partials)
 from retard_oc.registry import (d_adjoint_value, ld_adjoint_value,
@@ -142,23 +143,43 @@ def test_state_linear_through_general_path(ld_problem, ld_candidate,
                          ts) <= 1e-8
 
 
+# n = 3 and m = 2 keep the (n, m) control Jacobians apart from their transposes
+_PARTIALS_FILE = """\
+problem partials
+kind state-linear
+horizon a = 0  b = 2
+delays r = 1  s = 1/2
+dims n = 3  m = 2
+control-set box lo = -1 -2 hi = 1 2
+A[0,0] = t
+A[1,2] = 1
+AD[2,1] = 0.5
+g[0] = t*u0*u1 + u1^2
+g[2] = exp(u0) - 3*u1
+gD[1] = v0*v1 + t*v1^2
+f0x = x0^2 + x1*y2 + t*y0
+f0u = u0^2 + u0*v1 + exp(v0)/2 + u1^2*v1
+phi[0] = 1
+psi[1] = t
+"""
+
+
+def _stripped(p):
+    """``p`` without declared partials: every slot by central differences."""
+    return DelayedProblem(a=p.a, b=p.b, r=p.r, s=p.s, n=p.n, m=p.m,
+                          f0=p.running_cost, f=p.dynamics, phi=p.phi, psi=p.psi,
+                          g0=p.terminal_cost)
+
+
 def test_fd_jacobians_match_declared(d_problem, ld_problem, rng):
     # every slot partial of f0 and f, declared against finite differences,
-    # for a general and a state-linear problem
-    d_fd = DelayedProblem(
-        a=d_problem.a, b=d_problem.b, r=d_problem.r, s=d_problem.s, n=1, m=1,
-        f0=d_problem.f0, f=d_problem.f, phi=d_problem.phi, psi=d_problem.psi,
-        g0=d_problem.g0)
-    ld_fd = DelayedProblem(
-        a=ld_problem.a, b=ld_problem.b, r=ld_problem.r, s=ld_problem.s, n=1, m=1,
-        f0=ld_problem.running_cost, f=ld_problem.dynamics, phi=ld_problem.phi,
-        psi=ld_problem.psi)
-    for p, stripped in ((d_problem, d_fd), (ld_problem, ld_fd)):
+    # for a general problem, a registry state-linear one and a file one
+    for p in (d_problem, ld_problem, parse_problem(_PARTIALS_FILE)):
         f0_declared, f_declared, _ = model_partials(p)
-        f0_fd, f_fd, _ = model_partials(stripped)
+        f0_fd, f_fd, _ = model_partials(_stripped(p))
         for _ in range(25):
-            args = (float(rng.uniform(0, 3)), rng.normal(size=1),
-                    rng.normal(size=1), rng.normal(size=1), rng.normal(size=1))
+            args = (float(rng.uniform(0, 3)), rng.normal(size=p.n),
+                    rng.normal(size=p.n), rng.normal(size=p.m), rng.normal(size=p.m))
             for slot in (1, 2, 3, 4):
                 np.testing.assert_allclose(f_fd[slot](*args),
                                            f_declared[slot](*args), atol=1e-6)

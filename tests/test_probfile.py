@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from retard_oc import numdiff, probfile
 from retard_oc.cost import evaluate_cost
 from retard_oc.errors import ProblemFileError
 from retard_oc.probfile import (parse_expression, parse_problem,
@@ -57,6 +58,23 @@ def test_file_problem_is_solvable():
     assert abs(sol.cost - LD_COST) <= 0.1
 
 
+def test_file_problem_solves_on_exact_partials(monkeypatch):
+    # every partial the direct solver needs is declared by the parser, so no
+    # finite difference is taken, and the Euler objective is the one the
+    # finite-difference control partials gave to 1e-12
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite differences taken")
+
+    monkeypatch.setattr(numdiff, "jacobian", refuse)
+    monkeypatch.setattr(numdiff, "gradient", refuse)
+    sol = solve_direct_euler(parse_problem(LD_FILE),
+                             TranscriptionConfig(n_steps=2000, max_iterations=200,
+                                                 grad_tol=1e-9),
+                             IntegratorConfig(substeps_per_cell=16))
+    assert sol.converged and sol.iterations == 3
+    assert sol.discrete_objective == pytest.approx(67.34803688247537, rel=1e-12)
+
+
 def test_polynomial_coefficients_and_box():
     text = textwrap.dedent("""\
         problem time-varying
@@ -87,7 +105,7 @@ def test_polynomial_coefficients_and_box():
 @pytest.mark.parametrize("mangle,expect_line", [
     (("f0u = 100*u0^2", "f0u = 100*u0^^2"), 13),
     (("f0x = x0", "f0x = x0 + u0"), 12),
-    (("A[0,0] = 1", "A[7,0] = 1"), None),      # range error, file-level
+    (("A[0,0] = 1", "A[7,0] = 1"), None),      # line 8: see test_shapes_are_checked_at_parse_time
     (("dims n = 1  m = 1", "dims n = 1"), None),
 ])
 def test_malformed_lines_report_position(mangle, expect_line):
@@ -96,6 +114,82 @@ def test_malformed_lines_report_position(mangle, expect_line):
         parse_problem(bad)
     if expect_line is not None:
         assert err.value.line == expect_line
+
+
+@pytest.mark.parametrize("scalar", ["1e3", "1e10000000", "0x10"])
+@pytest.mark.parametrize("where", ["piece", "box"])
+def test_scalars_outside_the_grammar_are_refused(scalar, where):
+    # refused by spelling, before any arithmetic: 1e10000000 never becomes a
+    # ten-million-digit power
+    if where == "piece":
+        text, line = f"value-function\npiece 0 {scalar}\nc = t\n", 2
+        parse = parse_value_function
+    else:
+        text = LD_FILE.replace("control-set all", f"control-set box lo = -1 hi = {scalar}")
+        line, parse = 7, parse_problem
+    with pytest.raises(ProblemFileError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert where == "box" or "bad scalar" in str(err.value)
+
+
+@pytest.mark.parametrize("line", ["horizon a = 0  b = 4e0", "delays r = 2  s = 0x1",
+                                  "dims n = 1  m = 1e3", "dims n = 1/2  m = 1",
+                                  "dims n = 0  m = 1", "horizon a = 0  b = +4 c"])
+def test_scalar_lines_are_read_whole(line):
+    keyword = line.split()[0]
+    old = next(raw for raw in LD_FILE.splitlines() if raw.startswith(keyword))
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(LD_FILE.replace(old, line))
+    assert err.value.line == LD_FILE.splitlines().index(old) + 1
+
+
+def test_signed_scalars_are_read():
+    problem = parse_problem(LD_FILE.replace("b = 4", "b = +4").replace(
+        "control-set all", "control-set box lo = -1/2 hi = +0.5"))
+    assert problem.b == 4
+    np.testing.assert_array_equal(problem.control_set.lo, [-0.5])
+
+
+def test_shapes_are_checked_at_parse_time():
+    with pytest.raises(ProblemFileError) as err:
+        parse_value_function("value-function\ndims n = 1\npiece 0 1\neta[3] = t\n")
+    assert err.value.line == 4
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem(LD_FILE.replace("control-set all",
+                                      "control-set box lo = -1 -1 hi = 1 1"))
+    assert err.value.line == 7
+    for old, new, line in (("A[0,0] = 1", "A[7,0] = 1", 8), ("A[0,0] = 1", "A[0] = 1", 8),
+                           ("psi[0] = 0", "psi[0,0] = 0", 15)):
+        with pytest.raises(ProblemFileError, match="out of range") as err:
+            parse_problem(LD_FILE.replace(old, new))
+        assert err.value.line == line
+    # a later dims line cannot shrink the shapes the entries were checked against
+    with pytest.raises(ProblemFileError, match="twice") as err:
+        parse_problem(LD_FILE.replace("psi[0] = 0", "psi[0] = 0\ndims n = 1  m = 1"))
+    assert err.value.line == LD_FILE.splitlines().index("psi[0] = 0") + 2
+
+
+def test_value_function_time_derivative_is_differentiated_once(monkeypatch):
+    text = ("value-function\ndims n = 2\npiece 0 1\neta[0] = t^2 - 1/t\n"
+            "eta[1] = exp(2*t)\nc = 3*t - t^3\n")
+    c_t, eta0_t, eta1_t = (parse_expression(src, {"t"}).diff("t")
+                           for src in ("3*t - t^3", "t^2 - 1/t", "exp(2*t)"))
+    S = parse_value_function(text)
+
+    def refuse(self, var):
+        raise AssertionError("differentiated on evaluation")
+
+    for cls in (probfile.Const, probfile.Var, probfile.Add, probfile.Mul,
+                probfile.Div, probfile.Pow, probfile.ExpFn):
+        monkeypatch.setattr(cls, "diff", refuse)
+    x = np.array([1.5, -0.7])
+    for t in (0.25, 0.5, 0.9):
+        env = {"t": t}
+        expected = c_t.eval(env)
+        expected += eta0_t.eval(env) * x[0]
+        expected += eta1_t.eval(env) * x[1]
+        assert S.dt(t, x) == expected
 
 
 def test_unknown_field_rejected():

@@ -1,11 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from retard_oc import solve
 from retard_oc.dde import IntegratorConfig
 from retard_oc.problems import as_delayed
 from retard_oc.registry import (D_COST, d_control_value, ld_control_value,
                                 make_zero_problem)
-from retard_oc.solve import (TranscriptionConfig, _euler_forward,
+from retard_oc.solve import (TranscriptionConfig, _EulerGrid, _euler_forward,
                              discrete_adjoint_gradient, solve_direct_euler)
 
 FAST = IntegratorConfig(substeps_per_cell=16)
@@ -72,13 +75,61 @@ def test_gradient_matches_finite_differences(which, ld_problem, d_problem, rng):
     cfg = TranscriptionConfig(n_steps=steps)
     u = rng.uniform(-0.5, 0.5, size=(steps, 1))
     grad = discrete_adjoint_gradient(problem, u, cfg)
+    grid = _EulerGrid(problem, cfg)
     for j in rng.choice(steps, size=20, replace=False):
         eps = 1e-3 * (1.0 + abs(u[j, 0]))
         up = u.copy(); up[j, 0] += eps
         um = u.copy(); um[j, 0] -= eps
-        fd = (_euler_forward(problem, cfg, up)[1]
-              - _euler_forward(problem, cfg, um)[1]) / (2.0 * eps)
+        fd = (_euler_forward(grid, up)[1]
+              - _euler_forward(grid, um)[1]) / (2.0 * eps)
         assert abs(fd - grad[j, 0]) <= 1e-6 * max(abs(fd), 1e-9)
+
+
+@pytest.mark.parametrize("general", [False, True])
+def test_ld_gradient_equals_rational_arithmetic(general, ld_problem, rng):
+    # ld's Euler objective is quadratic in the control samples, so a central
+    # difference of step 1 taken in rational arithmetic is its exact gradient
+    M = 40
+    df, k_r, k_s = Fraction(4, M), M // 2, M // 4   # a, b, r, s = 0, 4, 2, 1
+
+    def objective(w):
+        x, cost = [Fraction(1)], Fraction(0)
+        for i in range(M):
+            y = x[i - k_r] if i >= k_r else Fraction(1)
+            v = w[i - k_s] if i >= k_s else Fraction(0)
+            cost += df * (x[i] + 100 * w[i] ** 2)
+            x.append(x[i] + df * (x[i] + y - 10 * v))
+        return cost
+
+    u = rng.uniform(-0.5, 0.5, size=(M, 1))
+    w = [Fraction(float(v)) for v in u[:, 0]]
+    exact = [float((objective(w[:j] + [w[j] + 1] + w[j + 1:])
+                    - objective(w[:j] + [w[j] - 1] + w[j + 1:])) / 2) for j in range(M)]
+    problem = as_delayed(ld_problem) if general else ld_problem
+    grad = discrete_adjoint_gradient(problem, u, TranscriptionConfig(n_steps=M))
+    np.testing.assert_allclose(grad[:, 0], exact, rtol=1e-12)
+
+
+@pytest.mark.parametrize("which", ["ld", "d"])
+def test_solver_gradient_reuses_the_accepted_forward(which, ld_problem, d_problem,
+                                                     monkeypatch):
+    # the solver takes each gradient from the states of the accepted trial;
+    # they must be the states a fresh forward pass gives, bit for bit
+    problem, steps = (ld_problem, 400) if which == "ld" else (d_problem, 300)
+    cfg = TranscriptionConfig(n_steps=steps, grad_tol=1e-9)
+    seen = []
+    adjoint_gradient = solve._adjoint_gradient
+
+    def spy(grid, xs, u):
+        seen.append((u.copy(), adjoint_gradient(grid, xs, u)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(solve, "_adjoint_gradient", spy)
+    sol = solve_direct_euler(problem, cfg, FAST)
+    monkeypatch.undo()
+    assert len(seen) == sol.iterations >= 2
+    for u, grad in seen:
+        np.testing.assert_array_equal(grad, discrete_adjoint_gradient(problem, u, cfg))
 
 
 def test_gradient_zero_for_zero_cost():
