@@ -1,5 +1,9 @@
 """Command-line front end: run solvers and verifiers, export plot-ready CSV.
 
+Each subcommand accepts only the options it reads (see ``build_parser``);
+``--seed`` (else ``$RETARD_OC_SEED``) pins the certificates' random probes,
+and both solvers are deterministic.
+
 Exit status: 0 on success (and on an overall-pass certificate), 1 when a
 verification certificate fails, 2 on usage or input errors.  Output files
 land in ``--out DIR``: ``trajectories.csv`` with header
@@ -15,8 +19,8 @@ import itertools
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -27,50 +31,26 @@ from .errors import ProblemFileError, RetardOCError
 from .problems import CandidateSolution, StateLinearProblem
 from .probfile import load_problem, load_value_function
 from .reduction import augment, augmented_cost, integrate_augmented, reassemble, stack_candidate
-from .registry import get_example, list_examples
+from .registry import (get_example, list_examples, make_d_zeroed_candidate,
+                       make_ld_bumped_candidate, make_ld_shifted_adjoint)
 from .solve import SweepConfig, TranscriptionConfig, solve_direct_euler, solve_fbsm
 from .sufficiency import VerifyConfig, verify_nonlinear_hj, verify_state_linear
-
-log = logging.getLogger(__name__)
 
 SEED_ENV = "RETARD_OC_SEED"
 SAMPLES_PER_UNIT_TIME = 500
 
 
-@dataclass
-class RunSpec:
-    """One CLI invocation, fully resolved."""
-
-    command: str
-    problem_name: Optional[str] = None
-    problem_file: Optional[str] = None
-    out_dir: Optional[str] = None
-    n_steps: Optional[int] = None
-    substeps: int = 64
-    tol: Optional[float] = None
-    seed: int = 0
-    analytic: bool = False
-    with_s: str = "proposition"
-    perturb: Optional[str] = None
-    omega: float = 0.5
-    max_iterations: int = 200
-    quadrature_steps: int = 512
-
-
-def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env else 0
-
-
-def _load(spec: RunSpec):
-    if spec.problem_file:
-        return load_problem(spec.problem_file), None
-    if not spec.problem_name:
+def _load(args: argparse.Namespace):
+    if args.file:
+        return load_problem(args.file), None
+    if not args.name:
         raise RetardOCError("no problem given (name or --file)")
-    example = get_example(spec.problem_name)
+    example = get_example(args.name)
     return example.make_problem(), example
+
+
+def _integrator(args: argparse.Namespace) -> IntegratorConfig:
+    return IntegratorConfig(substeps_per_cell=args.substeps)
 
 
 def _format(v: float) -> str:
@@ -114,205 +94,156 @@ def _csv_cells(times: np.ndarray, curve, start: float, dim: int):
         yield from ([_format(v) for v in row] for row in curve.eval_many(times[first:]))
 
 
-def _write_summary(out: Path, lines: list[str]) -> None:
-    with open(out / "summary.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _emit_certificate(out: Optional[Path], cert) -> None:
-    print(cert.to_text(), end="")
-    if out is not None:
+def _write_artifacts(args: argparse.Namespace, problem, lines: list[str],
+                     cand: Optional[CandidateSolution] = None, eta=None,
+                     cert=None) -> None:
+    """Print ``cert``; under ``--out`` write its ``certificate.txt`` and
+    ``certificate.json``, ``trajectories.csv`` when a candidate is given, and
+    ``summary.txt`` with ``lines``."""
+    if cert is not None:
+        print(cert.to_text(), end="")
+    if args.out is None:
+        return
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if cert is not None:
         (out / "certificate.txt").write_text(cert.to_text(), encoding="utf-8")
         (out / "certificate.json").write_text(cert.to_json(), encoding="utf-8")
-
-
-def _out_dir(spec: RunSpec) -> Optional[Path]:
-    if spec.out_dir is None:
-        return None
-    out = Path(spec.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    if cand is not None:
+        write_trajectories_csv(out / "trajectories.csv", problem, cand, eta)
+    (out / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # -- command implementations ---------------------------------------------------
 
-def _cmd_example(spec: RunSpec) -> int:
-    if spec.problem_name is None:  # list
+def _cmd_example(args: argparse.Namespace) -> int:
+    if args.action == "list":
         for name, note in list_examples():
             print(f"{name}: {note}")
         return 0
-    example = get_example(spec.problem_name)
+    if args.name is None:
+        raise RetardOCError("example run needs a problem name")
+    example = get_example(args.name)
     problem = example.make_problem()
-    integ = IntegratorConfig(substeps_per_cell=spec.substeps)
+    integ = _integrator(args)
     if example.make_candidate is None:
         raise RetardOCError(f"{example.name} has no registered candidate")
     cand = example.make_candidate()
-    if not spec.analytic:
+    if not args.analytic:
         state = integrate_forward(problem, cand.control, integ)
         cand = CandidateSolution(state=state, control=cand.control)
     eta = None
     if isinstance(problem, StateLinearProblem):
         eta = integrate_adjoint_linear(problem, cand, integ)
     elif example.make_adjoint is not None:
-        adj = example.make_adjoint()
-        eta = adj  # Trajectory with eval()
-    cost = evaluate_cost(problem, cand, spec.quadrature_steps)
-    out = _out_dir(spec)
+        eta = example.make_adjoint()
+    cost = evaluate_cost(problem, cand, args.quadrature_steps)
     print(f"example: {example.name}")
     print(f"cost: {cost!r}")
-    if out is not None:
-        write_trajectories_csv(out / "trajectories.csv", problem, cand, eta)
-        _write_summary(out, [f"example = {example.name}",
-                             f"analytic = {spec.analytic}",
-                             f"cost = {cost!r}"])
+    _write_artifacts(args, problem, [f"example = {example.name}",
+                                     f"analytic = {args.analytic}",
+                                     f"cost = {cost!r}"], cand, eta)
     return 0
 
 
-def _cmd_cost(spec: RunSpec) -> int:
-    problem, example = _load(spec)
+def _cmd_cost(args: argparse.Namespace) -> int:
+    problem, example = _load(args)
     if example is None or example.make_candidate is None:
         raise RetardOCError("cost needs a registered candidate; file-defined "
                             "problems have none (solve them instead)")
     cand = example.make_candidate()
-    cost = evaluate_cost(problem, cand, spec.quadrature_steps)
+    cost = evaluate_cost(problem, cand, args.quadrature_steps)
     print(f"cost: {cost!r}")
-    out = _out_dir(spec)
-    if out is not None:
-        _write_summary(out, [f"problem = {problem.name}", f"cost = {cost!r}"])
+    _write_artifacts(args, problem, [f"problem = {problem.name}", f"cost = {cost!r}"])
     return 0
 
 
-def _cmd_solve_fbsm(spec: RunSpec) -> int:
-    problem, _ = _load(spec)
+def _cmd_solve_fbsm(args: argparse.Namespace) -> int:
+    problem, _ = _load(args)
     if not isinstance(problem, StateLinearProblem):
         raise RetardOCError("solve-fbsm applies to state-linear problems")
-    cfg = SweepConfig(max_iterations=spec.max_iterations, omega=spec.omega,
-                      tol=spec.tol if spec.tol is not None else 1e-9,
-                      integrator=IntegratorConfig(substeps_per_cell=spec.substeps))
+    cfg = SweepConfig(max_iterations=args.max_iter, omega=args.omega,
+                      tol=args.tol, integrator=_integrator(args))
     sol = solve_fbsm(problem, None, cfg)
     eta = integrate_adjoint_linear(problem, sol, cfg.integrator)
     print(f"converged: {sol.converged} after {sol.iterations} iterations")
     print(f"cost: {sol.cost!r}")
-    out = _out_dir(spec)
-    if out is not None:
-        write_trajectories_csv(out / "trajectories.csv", problem, sol, eta)
-        _write_summary(out, [f"problem = {problem.name}",
-                             f"converged = {sol.converged}",
-                             f"iterations = {sol.iterations}",
-                             f"cost = {sol.cost!r}"])
+    _write_artifacts(args, problem, [f"problem = {problem.name}",
+                                     f"converged = {sol.converged}",
+                                     f"iterations = {sol.iterations}",
+                                     f"cost = {sol.cost!r}"], sol, eta)
     return 0 if sol.converged else 2
 
 
-def _cmd_solve_direct(spec: RunSpec) -> int:
-    problem, _ = _load(spec)
-    lattice = problem.lattice()
-    n_steps = spec.n_steps if spec.n_steps else 250 * lattice.n_cells
-    cfg = TranscriptionConfig(n_steps=n_steps,
-                              max_iterations=spec.max_iterations,
-                              grad_tol=spec.tol if spec.tol is not None else 1e-8,
-                              seed=spec.seed)
-    sol = solve_direct_euler(problem, cfg,
-                             IntegratorConfig(substeps_per_cell=spec.substeps))
-    eta = None
-    if isinstance(problem, StateLinearProblem):
-        eta = integrate_adjoint_linear(problem, sol,
-                                       IntegratorConfig(substeps_per_cell=spec.substeps))
+def _cmd_solve_direct(args: argparse.Namespace) -> int:
+    problem, _ = _load(args)
+    n_steps = args.n_steps if args.n_steps else 250 * problem.lattice().n_cells
+    cfg = TranscriptionConfig(n_steps=n_steps, max_iterations=args.max_iter,
+                              grad_tol=args.tol)
+    sol = solve_direct_euler(problem, cfg, _integrator(args))
+    eta = (integrate_adjoint_linear(problem, sol, _integrator(args))
+           if isinstance(problem, StateLinearProblem) else None)
     print(f"converged: {sol.converged} after {sol.iterations} iterations")
     print(f"discrete objective: {sol.discrete_objective!r}")
     print(f"cost: {sol.cost!r}")
-    out = _out_dir(spec)
-    if out is not None:
-        write_trajectories_csv(out / "trajectories.csv", problem, sol, eta)
-        _write_summary(out, [f"problem = {problem.name}",
-                             f"n_steps = {n_steps}",
-                             f"iterations = {sol.iterations}",
-                             f"discrete_objective = {sol.discrete_objective!r}",
-                             f"cost = {sol.cost!r}"])
+    _write_artifacts(args, problem, [f"problem = {problem.name}",
+                                     f"n_steps = {n_steps}",
+                                     f"iterations = {sol.iterations}",
+                                     f"discrete_objective = {sol.discrete_objective!r}",
+                                     f"cost = {sol.cost!r}"], sol, eta)
     return 0
 
 
-def _cmd_verify_linear(spec: RunSpec) -> int:
-    problem, example = _load(spec)
+def _cmd_verify_linear(args: argparse.Namespace) -> int:
+    problem, example = _load(args)
     if not isinstance(problem, StateLinearProblem):
         raise RetardOCError("verify-linear applies to state-linear problems")
     if example is None or example.make_candidate is None:
         raise RetardOCError("verify-linear needs a registered candidate")
     cand = example.make_candidate()
-    adjoint_override = None
-    if spec.perturb == "control-bump":
-        from .registry import make_ld_bumped_candidate
+    if args.perturb == "control-bump":
         cand = make_ld_bumped_candidate()
-    elif spec.perturb == "transversality-shift":
-        from .registry import make_ld_shifted_adjoint
-        adjoint_override = make_ld_shifted_adjoint()
-    elif spec.perturb is not None:
-        raise RetardOCError(f"unknown perturbation {spec.perturb!r} for "
-                            f"verify-linear")
-    cfg = VerifyConfig(seed=spec.seed,
-                       integrator=IntegratorConfig(substeps_per_cell=spec.substeps),
-                       **({"tol_maximality": spec.tol} if spec.tol else {}))
-    cert = verify_state_linear(problem, cand, cfg, adjoint_override=adjoint_override)
-    out = _out_dir(spec)
-    _emit_certificate(out, cert)
-    if out is not None:
-        eta = adjoint_override or integrate_adjoint_linear(problem, cand,
-                                                           cfg.integrator)
-        write_trajectories_csv(out / "trajectories.csv", problem, cand, eta)
-        _write_summary(out, [f"problem = {problem.name}",
-                             f"overall = {cert.overall}",
-                             f"cost = {cert.metrics['cost']!r}"])
+    cfg = VerifyConfig(seed=args.seed, integrator=_integrator(args),
+                       quadrature_steps_per_cell=args.quadrature_steps,
+                       **({"tol_maximality": args.tol} if args.tol else {}))
+    eta = (make_ld_shifted_adjoint() if args.perturb == "transversality-shift"
+           else integrate_adjoint_linear(problem, cand, cfg.integrator))
+    cert = verify_state_linear(problem, cand, cfg, adjoint_override=eta)
+    _write_artifacts(args, problem, _verdict_lines(problem, cert), cand, eta, cert)
     return 0 if cert.overall else 1
 
 
-def _cmd_verify_hj(spec: RunSpec) -> int:
-    problem, example = _load(spec)
+def _cmd_verify_hj(args: argparse.Namespace) -> int:
+    problem, example = _load(args)
     if example is None or example.make_value_function is None:
         raise RetardOCError("verify-hj needs a registered problem with a "
                             "verification function")
     cand = example.make_candidate()
-    feedback = example.feedback
-    if spec.with_s == "proposition":
-        S = example.make_value_function()
-    else:
-        S = load_value_function(spec.with_s)
-    if spec.perturb == "zero-control":
-        from .registry import make_d_zeroed_candidate
+    S = (example.make_value_function() if args.with_s == "proposition"
+         else load_value_function(args.with_s))
+    if args.perturb == "zero-control":
         cand = make_d_zeroed_candidate()
-    elif spec.perturb == "scale-eta3":
+    elif args.perturb == "scale-eta3":
         S = example.make_value_function(eta3_scale=1.1)
-    elif spec.perturb == "shift-c3":
+    elif args.perturb == "shift-c3":
         S = example.make_value_function(c3_shift=1.0)
-    elif spec.perturb is not None:
-        raise RetardOCError(f"unknown perturbation {spec.perturb!r} for verify-hj")
-    cfg = VerifyConfig(seed=spec.seed,
-                       integrator=IntegratorConfig(substeps_per_cell=spec.substeps))
-    cert = verify_nonlinear_hj(problem, cand, S, feedback, cfg)
-    out = _out_dir(spec)
-    _emit_certificate(out, cert)
-    if out is not None:
-        # the multiplier column carries S_x along the candidate trajectory
-        eta = _MultiplierView(S, cand)
-        write_trajectories_csv(out / "trajectories.csv", problem, cand, eta)
-        _write_summary(out, [f"problem = {problem.name}",
-                             f"overall = {cert.overall}",
-                             f"cost = {cert.metrics['cost']!r}"])
+    cfg = VerifyConfig(seed=args.seed,
+                       quadrature_steps_per_cell=args.quadrature_steps)
+    cert = verify_nonlinear_hj(problem, cand, S, example.feedback, cfg)
+    # the multiplier column carries S_x along the candidate trajectory
+    eta = SimpleNamespace(eval_many=lambda ts: np.array(
+        [S.dx(float(t), x) for t, x in zip(ts, cand.state.eval_many(ts))]))
+    _write_artifacts(args, problem, _verdict_lines(problem, cert), cand, eta, cert)
     return 0 if cert.overall else 1
 
 
-class _MultiplierView:
-    """eta(t) = S_x(t, x(t)) presented through the ``eval_many`` protocol."""
-
-    def __init__(self, S, cand):
-        self.S = S
-        self.cand = cand
-
-    def eval_many(self, ts):
-        xs = self.cand.state.eval_many(ts)
-        return np.array([self.S.dx(float(t), x) for t, x in zip(ts, xs)])
+def _verdict_lines(problem, cert) -> list[str]:
+    return [f"problem = {problem.name}", f"overall = {cert.overall}",
+            f"cost = {cert.metrics['cost']!r}"]
 
 
-def _cmd_transform(spec: RunSpec) -> int:
-    problem, example = _load(spec)
+def _cmd_transform(args: argparse.Namespace) -> int:
+    problem, example = _load(args)
     lattice = problem.lattice()
     aug = augment(problem, lattice)
     print(f"blocks: {aug.n_blocks}")
@@ -333,13 +264,11 @@ def _cmd_transform(spec: RunSpec) -> int:
         ts = np.linspace(float(problem.a), float(problem.b), 801)
         round_trip = max(float(np.max(np.abs(back.state.eval(t) - cand.state.eval(t))))
                          for t in ts)
-        cost_gap = abs(augmented_cost(aug, sol, spec.quadrature_steps)
-                       - evaluate_cost(problem, cand, spec.quadrature_steps))
-        asol = integrate_augmented(aug, cand.control,
-                                   IntegratorConfig(substeps_per_cell=spec.substeps))
-        re = reassemble(asol, lattice)
-        fwd = integrate_forward(problem, cand.control,
-                                IntegratorConfig(substeps_per_cell=spec.substeps))
+        cost_gap = abs(augmented_cost(aug, sol, args.quadrature_steps)
+                       - evaluate_cost(problem, cand, args.quadrature_steps))
+        re = reassemble(integrate_augmented(aug, cand.control, _integrator(args)),
+                        lattice)
+        fwd = integrate_forward(problem, cand.control, _integrator(args))
         dyn_gap = max(float(np.max(np.abs(re.state.eval(t) - fwd.eval(t))))
                       for t in ts)
         print(f"round-trip sup error: {round_trip:.3e}")
@@ -348,9 +277,7 @@ def _cmd_transform(spec: RunSpec) -> int:
         lines += [f"round_trip_sup_error = {round_trip!r}",
                   f"cost_gap = {cost_gap!r}",
                   f"dynamics_gap = {dyn_gap!r}"]
-    out = _out_dir(spec)
-    if out is not None:
-        _write_summary(out, lines)
+    _write_artifacts(args, problem, lines)
     return 0
 
 
@@ -365,10 +292,11 @@ _COMMANDS = {
 }
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one resolved invocation; returns the process exit status."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed invocation (``main`` resolves ``args.seed``);
+    returns the process exit status."""
     try:
-        return _COMMANDS[spec.command](spec)
+        return _COMMANDS[args.command](args)
     except ProblemFileError as exc:
         print(f"error: problem file: {exc}", file=sys.stderr)
         return 2
@@ -377,17 +305,30 @@ def run(spec: RunSpec) -> int:
         return 2
 
 
-def _add_common(parser: argparse.ArgumentParser, with_file=True):
-    if with_file:
-        parser.add_argument("name", nargs="?", help="registered problem name")
-        parser.add_argument("--file", help="declarative problem file")
-    parser.add_argument("--out", help="output directory for artifacts")
-    parser.add_argument("--substeps", type=int, default=64,
-                        help="integrator substeps per lattice cell")
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None,
-                        help=f"random seed (falls back to ${SEED_ENV})")
-    parser.add_argument("--quadrature-steps", type=int, default=512)
+_OPTIONS = {
+    "--substeps": dict(type=int, default=64,
+                       help="integrator substeps per lattice cell"),
+    "--quadrature-steps": dict(type=int, default=512,
+                               help="cost quadrature steps per lattice cell"),
+    "--max-iter": dict(type=int, default=200, help="iteration cap"),
+}
+
+
+def _subcommand(sub, name: str, help: str, *options: str,
+                problem: bool = True) -> argparse.ArgumentParser:
+    """A subparser with a problem name or ``--file`` (when ``problem``), the
+    shared ``options`` it reads, and ``--out`` and ``--seed``."""
+    p = sub.add_parser(name, help=help)
+    if problem:
+        p.add_argument("name", nargs="?", help="registered problem name")
+        p.add_argument("--file", help="declarative problem file")
+    for option in options:
+        p.add_argument(option, **_OPTIONS[option])
+    p.add_argument("--out", help="output directory for artifacts")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of the certificates' random probes (falls back "
+                        f"to ${SEED_ENV}, then 0)")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,68 +340,46 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream solver iteration logs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("example", help="list registered problems or run one")
+    p = _subcommand(sub, "example", "list registered problems or run one",
+                    "--substeps", "--quadrature-steps", problem=False)
     p.add_argument("action", choices=["list", "run"])
     p.add_argument("name", nargs="?")
     p.add_argument("--analytic", action="store_true",
                    help="emit the registered closed-form candidate instead of "
                         "re-integrating the state")
-    _add_common(p, with_file=False)
 
-    p = sub.add_parser("cost", help="quadrature cost of a registered candidate")
-    _add_common(p)
+    _subcommand(sub, "cost", "quadrature cost of a registered candidate",
+                "--quadrature-steps")
 
-    p = sub.add_parser("solve-fbsm", help="forward-backward sweep solver")
+    p = _subcommand(sub, "solve-fbsm", "forward-backward sweep solver",
+                    "--substeps", "--max-iter")
     p.add_argument("--omega", type=float, default=0.5, help="relaxation weight")
-    p.add_argument("--max-iter", type=int, default=200)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="convergence tolerance on the control change")
 
-    p = sub.add_parser("solve-direct", help="direct Euler transcription solver")
+    p = _subcommand(sub, "solve-direct", "direct Euler transcription solver",
+                    "--substeps", "--max-iter")
     p.add_argument("--N", type=int, default=None, dest="n_steps",
                    help="Euler subintervals (multiple of the lattice size)")
-    p.add_argument("--max-iter", type=int, default=200)
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="projected-gradient stationarity tolerance")
 
-    p = sub.add_parser("verify-linear", help="state-linear sufficiency certificate")
+    p = _subcommand(sub, "verify-linear", "state-linear sufficiency certificate",
+                    "--substeps", "--quadrature-steps")
     p.add_argument("--perturb", choices=["control-bump", "transversality-shift"])
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="maximality-check tolerance")
 
-    p = sub.add_parser("verify-hj", help="nonlinear verification certificate")
+    p = _subcommand(sub, "verify-hj", "nonlinear verification certificate",
+                    "--quadrature-steps")
     p.add_argument("--with-S", dest="with_s", default="proposition",
                    help="'proposition' for the registered verification "
                         "function, or a value-function file path")
     p.add_argument("--perturb", choices=["zero-control", "scale-eta3", "shift-c3"])
-    _add_common(p)
 
-    p = sub.add_parser("transform", help="delay-free reduction report")
-    _add_common(p)
+    _subcommand(sub, "transform", "delay-free reduction report",
+                "--substeps", "--quadrature-steps")
     return parser
-
-
-def spec_from_args(args: argparse.Namespace) -> RunSpec:
-    command = args.command
-    name = getattr(args, "name", None)
-    if command == "example":
-        if args.action == "list":
-            name = None
-        elif name is None:
-            raise RetardOCError("example run needs a problem name")
-    return RunSpec(
-        command=command,
-        problem_name=name,
-        problem_file=getattr(args, "file", None),
-        out_dir=args.out,
-        n_steps=getattr(args, "n_steps", None),
-        substeps=args.substeps,
-        tol=args.tol,
-        seed=_resolve_seed(args.seed),
-        analytic=getattr(args, "analytic", False),
-        with_s=getattr(args, "with_s", "proposition"),
-        perturb=getattr(args, "perturb", None),
-        omega=getattr(args, "omega", 0.5),
-        max_iterations=getattr(args, "max_iter", 200),
-        quadrature_steps=args.quadrature_steps,
-    )
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -468,12 +387,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(message)s", stream=sys.stderr)
-    try:
-        spec = spec_from_args(args)
-    except RetardOCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(spec)
+    if args.seed is None:
+        args.seed = int(os.environ.get(SEED_ENV) or 0)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,9 @@ from .errors import NonFiniteDerivativeError
 # Cube root of machine epsilon balances truncation against round-off for
 # central differences; scaled per coordinate by (1 + |value|).
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+# The fourth root balances them for second differences, whose round-off
+# grows as 1/h^2.
+FD2_STEP = float(np.finfo(float).eps) ** (1.0 / 4.0)
 
 
 def _step(value: float) -> float:
@@ -62,7 +65,7 @@ def hessian(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     k = x.size
     out = np.empty((k, k))
-    hs = np.array([max(_step(x.flat[i]), 1e-5) for i in range(k)])
+    hs = FD2_STEP * (1.0 + np.abs(x.ravel()))
     f0 = fn(x)
     for i in range(k):
         xp = x.copy(); xp.flat[i] += hs[i]

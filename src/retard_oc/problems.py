@@ -328,9 +328,6 @@ class CandidateSolution:
     control: Trajectory
     cost: Optional[float] = None
 
-    def with_cost(self, cost: float) -> "CandidateSolution":
-        return CandidateSolution(state=self.state, control=self.control, cost=cost)
-
 
 def validate_candidate(problem: AnyProblem, cand: CandidateSolution,
                        samples: int = 64) -> None:

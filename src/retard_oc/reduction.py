@@ -59,9 +59,6 @@ class AugmentedProblem:
     def control_offset(self) -> int:
         return self.lattice.control_shift
 
-    def block_time(self, i: int, sigma: float) -> float:
-        return float(self.lattice.a) + i * float(self.lattice.h) + float(sigma)
-
     def _delayed(self, blocks: np.ndarray, i: int, offset: int, t: float,
                  history) -> np.ndarray:
         """Block ``i - offset``, or the baked-in ``history`` at original time

@@ -26,6 +26,9 @@ from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
 
 log = logging.getLogger(__name__)
 
+# sufficient-decrease constant of the direct solver's Armijo line search
+ARMIJO_C = 1e-4
+
 
 # ---------------------------------------------------------------------------
 # forward-backward sweep (state-linear problems)
@@ -144,9 +147,6 @@ class TranscriptionConfig:
     n_steps: int = 1000
     max_iterations: int = 500
     grad_tol: float = 1e-8
-    seed: int = 0
-    armijo_c: float = 1e-4
-    initial_control: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -292,9 +292,10 @@ def solve_direct_euler(problem: AnyProblem,
                        ) -> DirectSolution:
     """Single-shooting direct transcription on the forward-Euler grid.
 
-    Decision variables are the control samples; states are eliminated by the
-    Euler recursion, the gradient comes from the discrete adjoint, and the
-    iteration is projected gradient with a backtracking Armijo line search.
+    Decision variables are the control samples, started at zero projected
+    onto U; states are eliminated by the Euler recursion, the gradient comes
+    from the discrete adjoint, and the iteration is projected gradient with a
+    backtracking Armijo line search.
     The accepted cost sequence is monotone non-increasing by construction.
 
     Raises :class:`NoConvergenceError` (best iterate attached) at the
@@ -302,14 +303,10 @@ def solve_direct_euler(problem: AnyProblem,
     exists along the projected direction.
     """
     grid = _EulerGrid(problem, cfg)
-    if cfg.initial_control is not None:
-        u = np.asarray(cfg.initial_control, float).reshape(grid.M, problem.m).copy()
-    else:
-        u = np.zeros((grid.M, problem.m))
     cs = problem.control_set
     proj_all = (lambda w: w) if cs.is_free else (lambda w: np.clip(w, cs.lo, cs.hi))
 
-    u = proj_all(u)
+    u = proj_all(np.zeros((grid.M, problem.m)))
     xs, J = _euler_forward(grid, u)
     history = [{"iteration": 0, "cost": J, "step": 0.0, "grad_norm": np.nan}]
     step = 1.0
@@ -339,7 +336,7 @@ def solve_direct_euler(problem: AnyProblem,
             trial = proj_all(u - step * g)
             xs_trial, J_trial = _euler_forward(grid, trial)
             decrease = float(np.sum(g * (u - trial)))
-            if np.isfinite(J_trial) and J_trial <= J - cfg.armijo_c * decrease:
+            if np.isfinite(J_trial) and J_trial <= J - ARMIJO_C * decrease:
                 assert J_trial <= J + 1e-12 * (1.0 + abs(J)), \
                     "accepted step must not increase the cost"
                 u, J, xs = trial, J_trial, xs_trial

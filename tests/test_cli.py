@@ -1,11 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from retard_oc.cli import (SAMPLES_PER_UNIT_TIME, RunSpec, main, run,
-                           write_trajectories_csv)
+from retard_oc.cli import SAMPLES_PER_UNIT_TIME, main, write_trajectories_csv
 from retard_oc.registry import (ld_adjoint_value, ld_control_value,
                                 ld_state_value)
 
@@ -105,15 +108,64 @@ def test_csv_matches_per_row_evaluation(tmp_path, ld_problem, ld_candidate,
 
 
 def test_deterministic_output(tmp_path):
-    spec = RunSpec(command="example", problem_name="ocp-ld-paper",
-                   analytic=True, out_dir=str(tmp_path / "a"), seed=7)
-    assert run(spec) == 0
-    spec2 = RunSpec(command="example", problem_name="ocp-ld-paper",
-                    analytic=True, out_dir=str(tmp_path / "b"), seed=7)
-    assert run(spec2) == 0
+    for out in ("a", "b"):
+        assert main(["example", "run", "ocp-ld-paper", "--analytic",
+                     "--out", str(tmp_path / out), "--seed", "7"]) == 0
     a = (tmp_path / "a" / "trajectories.csv").read_bytes()
     b = (tmp_path / "b" / "trajectories.csv").read_bytes()
     assert a == b
+
+
+def test_example_run_needs_a_name(capsys):
+    assert main(["example", "run"]) == 2
+    assert "example run needs a problem name" in capsys.readouterr().err
+
+
+def test_cost_needs_a_problem(capsys):
+    assert main(["cost"]) == 2
+    assert "no problem given" in capsys.readouterr().err
+
+
+def test_flag_on_a_command_that_ignores_it_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", "ocp-d-goellmann", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def test_module_entry_point_reads_argv():
+    import retard_oc
+    src = str(Path(retard_oc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "retard_oc.cli", "example", "list"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "ocp-ld-paper" in proc.stdout
+
+
+def test_verify_linear_out_integrates_the_costate_once(tmp_path, monkeypatch):
+    from retard_oc import cli, dde, sufficiency
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return dde.integrate_adjoint_linear(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_adjoint_linear", counted)
+    monkeypatch.setattr(sufficiency, "integrate_adjoint_linear", counted)
+    assert main(["verify-linear", "ocp-ld-paper", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_verify_linear_passes_quadrature_steps_on(tmp_path):
+    costs = []
+    for flags in ([], ["--quadrature-steps", "8"]):
+        out = tmp_path / str(len(flags))
+        assert main(["verify-linear", "ocp-ld-paper", "--out", str(out)] + flags) == 0
+        costs.append([line for line in (out / "summary.txt").read_text().splitlines()
+                      if line.startswith("cost = ")])
+    assert costs[0] != costs[1]
 
 
 def test_verify_linear_pass_and_artifacts(tmp_path):

@@ -8,7 +8,8 @@ from retard_oc.dde import integrate_adjoint_linear
 from retard_oc.errors import UnboundedCriterionError
 from retard_oc.problems import (CandidateSolution, ControlSet,
                                 StateLinearProblem)
-from retard_oc.registry import (make_concave_problem, make_inert_problem,
+from retard_oc.registry import (make_concave_problem, make_drift_problem,
+                                make_inert_problem,
                                 make_ld_adjoint_trajectory,
                                 make_ld_bumped_candidate, make_ld_candidate,
                                 make_ld_problem, make_ld_shifted_adjoint,
@@ -218,6 +219,29 @@ def test_convexity_concave_fails_with_witness():
     result = check_convexity_f0x(problem, cand)
     assert not result.passed
     assert result.worst_location is not None
+
+
+def _drift_with_cost(f0x):
+    from dataclasses import replace
+    problem = replace(make_drift_problem(), f0x=f0x)
+    return problem, make_rest_candidate(problem)
+
+
+def test_convexity_nearly_affine_convex_cost_passes():
+    # Hessian round-off must not pass for a negative eigenvalue near |x| = 1
+    problem, cand = _drift_with_cost(lambda t, x, y: float(x[0]) + 1e-9 * float(x[0]) ** 2)
+    result = check_convexity_f0x(problem, cand)
+    assert result.passed
+    assert result.worst_residual == 0.0
+
+
+def test_convexity_gate_is_tol_itself():
+    # true midpoint violation of -c x^2 is c (p - q)^2 / 4 <= c on the box
+    problem, cand = _drift_with_cost(lambda t, x, y: float(x[0]) - 1e-7 * float(x[0]) ** 2)
+    result = check_convexity_f0x(problem, cand, tol=1e-8)
+    assert not result.passed
+    assert 0.0 < result.worst_residual < 2e-7
+    assert "Hessian eigenvalues above -1e-06 taken as noise" in result.detail
 
 
 def test_transversality_checks():
