@@ -165,7 +165,8 @@ def _cmd_solve_fbsm(args: argparse.Namespace) -> int:
     cfg = SweepConfig(max_iterations=args.max_iter, omega=args.omega,
                       tol=args.tol, integrator=_integrator(args))
     sol = solve_fbsm(problem, None, cfg)
-    eta = integrate_adjoint_linear(problem, sol, cfg.integrator)
+    # the costate is the CSV's eta column, so only written artifacts need it
+    eta = integrate_adjoint_linear(problem, sol, cfg.integrator) if args.out else None
     print(f"converged: {sol.converged} after {sol.iterations} iterations")
     print(f"cost: {sol.cost!r}")
     _write_artifacts(args, problem, [f"problem = {problem.name}",
@@ -182,7 +183,7 @@ def _cmd_solve_direct(args: argparse.Namespace) -> int:
                               grad_tol=args.tol)
     sol = solve_direct_euler(problem, cfg, _integrator(args))
     eta = (integrate_adjoint_linear(problem, sol, _integrator(args))
-           if isinstance(problem, StateLinearProblem) else None)
+           if args.out and isinstance(problem, StateLinearProblem) else None)
     print(f"converged: {sol.converged} after {sol.iterations} iterations")
     print(f"discrete objective: {sol.discrete_objective!r}")
     print(f"cost: {sol.cost!r}")
@@ -194,12 +195,20 @@ def _cmd_solve_direct(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_perturb(args: argparse.Namespace, example, own: str) -> None:
+    """Refuse a ``--perturb`` fixture on any problem but its own, ``own``."""
+    if args.perturb and example.name != own:
+        raise RetardOCError(f"--perturb {args.perturb} is a fixture of {own}, "
+                            f"not of {example.name}")
+
+
 def _cmd_verify_linear(args: argparse.Namespace) -> int:
     problem, example = _load(args)
     if not isinstance(problem, StateLinearProblem):
         raise RetardOCError("verify-linear applies to state-linear problems")
     if example is None or example.make_candidate is None:
         raise RetardOCError("verify-linear needs a registered candidate")
+    _check_perturb(args, example, "ocp-ld-paper")
     cand = example.make_candidate()
     if args.perturb == "control-bump":
         cand = make_ld_bumped_candidate()
@@ -218,6 +227,7 @@ def _cmd_verify_hj(args: argparse.Namespace) -> int:
     if example is None or example.make_value_function is None:
         raise RetardOCError("verify-hj needs a registered problem with a "
                             "verification function")
+    _check_perturb(args, example, "ocp-d-goellmann")
     cand = example.make_candidate()
     S = (example.make_value_function() if args.with_s == "proposition"
          else load_value_function(args.with_s))

@@ -10,7 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .problems import AnyProblem, CandidateSolution
+from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
+                       array_form, model_arrays)
 from .trajectory import cell_values
 
 
@@ -30,13 +31,14 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
 
     The running integrand is sampled on ``quadrature_steps_per_cell`` equal
     subintervals of each lattice cell and integrated with composite Simpson;
-    every curve a cell reads is looked up at all of its nodes at once.
+    every curve a cell reads is looked up at all of its nodes at once, and
+    the integrand is one call of its array forms per cell, summed in order.
     Raises :class:`OutOfDomainError` when the candidate does not cover the
     delayed lookups.
     """
     lattice = problem.lattice()
     steps = quadrature_steps_per_cell
-    weights = _simpson_weights(steps).tolist()
+    weights = _simpson_weights(steps)
     fractions = np.arange(steps + 1) / steps
 
     if not cand.state.covers(problem.state_history_start, problem.b):
@@ -48,21 +50,21 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     rf, sf = float(lattice.r), float(lattice.s)
     x_cells = cand.state.cell_curves(lattice)
     u_cells = cand.control.cell_curves(lattice)
+    phi, psi = model_arrays(problem, "phi", "psi")
+    if isinstance(problem, StateLinearProblem):
+        f0x, f0u = model_arrays(problem, "f0x", "f0u")
+        integrand = lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v)
+    else:
+        integrand = array_form(problem.running_cost, ())
     total = 0.0
     for i, lo, hi in lattice.cells():
         lof, span = float(lo), float(hi) - float(lo)
         ts = lof + span * fractions
         ts[-1] = float(hi)
-        x = x_cells[i].eval_many(ts)
-        u = u_cells[i].eval_many(ts)
-        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi,
-                                            problem.n)
-        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, problem.psi,
-                                            problem.m)
-        dt = span / steps
-        acc = 0.0
-        for k, t in enumerate(ts.tolist()):
-            acc += weights[k] * problem.running_cost(t, x[k], xd[k], u[k], ud[k])
-        total += acc * dt / 3.0
+        x, u = x_cells[i].eval_many(ts), u_cells[i].eval_many(ts)
+        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, phi)
+        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, psi)
+        acc = np.cumsum(weights * integrand(ts, x, xd, u, ud))[-1]   # in node order
+        total += float(acc) * (span / steps) / 3.0
 
     return float(total + problem.terminal_cost(cand.state.eval(problem.b)))

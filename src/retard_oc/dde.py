@@ -35,7 +35,7 @@ import numpy as np
 from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       model_partials)
+                       array_form, model_arrays, model_partials)
 from .trajectory import HermiteCurve, Trajectory, cell_trajectory, cell_values
 
 
@@ -221,24 +221,27 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     lattice = problem.lattice()
     if not control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control must cover [a - s, b]")
-    n, m = problem.n, problem.m
+    n = problem.n
     k_r, k_s = lattice.state_shift, lattice.control_shift
     rf, sf = float(lattice.r), float(lattice.s)
     u_cells = control.cell_curves(lattice)
+    phi, psi = model_arrays(problem, "phi", "psi")
 
     def inputs(i, ts, x_cells):
         u = u_cells[i].eval_many(ts)
-        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, problem.psi, m)
-        xd = None if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, problem.phi, n)
+        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, psi)
+        xd = None if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, phi)
         return u, ud, xd
+
+    if isinstance(problem, StateLinearProblem):
+        A, A_D, g, g_D = model_arrays(problem, "A", "A_D", "g", "g_D")
 
     def slope_terms(i, ts, x_cells):
         u, ud, xd = inputs(i, ts, x_cells)
-        A, A_D, g, g_D = (np.array(col) for col in zip(*(
-            problem.linear_terms(t, u[k], ud[k]) for k, t in enumerate(ts.tolist()))))
         if k_r == 0:
-            return np.swapaxes(A + A_D, 1, 2), g + g_D
-        return np.swapaxes(A, 1, 2), (A_D @ xd[:, :, None])[:, :, 0] + g + g_D
+            return np.swapaxes(A(ts) + A_D(ts), 1, 2), g(ts, u) + g_D(ts, ud)
+        return (np.swapaxes(A(ts), 1, 2),
+                (A_D(ts) @ xd[:, :, None])[:, :, 0] + g(ts, u) + g_D(ts, ud))
 
     def march_cell(i, widths, times, y, x_cells):
         if isinstance(problem, StateLinearProblem):
@@ -273,19 +276,22 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
     x_cells = cand.state.cell_curves(lattice)
     u_cells = cand.control.cell_curves(lattice)
     f0_d, f_d, g0_grad = model_partials(p)
-    f0_dx, f0_dy, f_dx, f_dy = f0_d[1], f0_d[2], f_d[1], f_d[2]
+    f0_dx, f0_dy = (array_form(fn, (n,)) for fn in f0_d[1:3])
+    f_dx, f_dy = (array_form(fn, (n, n)) for fn in f_d[1:3])
     # declared state-linear partials never read the control; finite
     # differences of the running cost do, since f0u enters their rounding
     reads_control = not (isinstance(p, StateLinearProblem)
                          and p.f0x_dx is not None and p.f0x_dy is not None)
 
+    phi, psi = model_arrays(p, "phi", "psi")
+
     def states(idx, ts):
-        return cell_values(x_cells, idx, ts, p.phi, n)
+        return cell_values(x_cells, idx, ts, phi)
 
     def controls(idx, ts):
         if not reads_control:
             return [None] * len(ts)
-        return cell_values(u_cells, idx, ts, p.psi, p.m)
+        return cell_values(u_cells, idx, ts, psi)
 
     def slope_terms(i, ts, eta_cells):
         """eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0)."""
@@ -293,17 +299,14 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
         xd = x if k_r == 0 else states(i - k_r, ts - rf)
         u = controls(i, ts)
         ud = u if k_s == 0 else controls(i - k_s, ts - sf)
-        args = list(zip(ts.tolist(), x, xd, u, ud))
-        M = -np.array([f_dx(*a) for a in args])
-        c = -np.array([f0_dx(*a) for a in args])
+        M, c = -f_dx(ts, x, xd, u, ud), -f0_dx(ts, x, xd, u, ud)
         if i + k_r <= lattice.n_cells - 1:      # chi_[a, b-r], exact per cell
             ts_adv = ts + rf
             xa = x if k_r == 0 else states(i + k_r, ts_adv)
             ua = u if k_r == 0 else controls(i + k_r, ts_adv)
             uad = ua if k_s == 0 else controls(i + k_r - k_s, ts_adv - sf)
-            args_adv = list(zip(ts_adv.tolist(), xa, x, ua, uad))
-            f_dy_adv = np.array([f_dy(*a) for a in args_adv])
-            c = c - np.array([f0_dy(*a) for a in args_adv])
+            f_dy_adv = f_dy(ts_adv, xa, x, ua, uad)
+            c = c - f0_dy(ts_adv, xa, x, ua, uad)
             if k_r == 0:
                 M = M - f_dy_adv
             else:

@@ -40,6 +40,8 @@ spelling is refused with its line, as are indices outside ``dims``.
 
 A parsed problem carries the exact partials of every field, differentiated
 once with :meth:`Expr.diff`, so nothing falls back to finite differences.
+Every field also carries its array form: :meth:`Expr.eval` reads float
+arrays as it reads floats, so one walk of a tree evaluates it at all times.
 """
 
 from __future__ import annotations
@@ -55,19 +57,23 @@ import numpy as np
 
 from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
-from .problems import ControlSet, StateLinearProblem
+from .problems import ControlSet, StateLinearProblem, batched
 
 # -- expression language -------------------------------------------------------
 
 class Expr:
-    def eval(self, env: dict) -> float:
+    def eval(self, env: dict):
+        """The value at the variables of ``env``: floats, or float arrays of
+        one length (then an array, or a float where no variable is read)."""
         raise NotImplementedError
 
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
     def variables(self) -> set:
-        raise NotImplementedError
+        """Names of the variables the expression reads."""
+        return set().union(*(v.variables() for v in vars(self).values()
+                             if isinstance(v, Expr)))
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,6 @@ class Const(Expr):
 
     def diff(self, var):
         return Const(0.0)
-
-    def variables(self):
-        return set()
 
 
 @dataclass(frozen=True)
@@ -116,9 +119,6 @@ class Add(Expr):
     def diff(self, var):
         return add(self.a.diff(var), self.b.diff(var))
 
-    def variables(self):
-        return self.a.variables() | self.b.variables()
-
 
 @dataclass(frozen=True)
 class Mul(Expr):
@@ -130,9 +130,6 @@ class Mul(Expr):
 
     def diff(self, var):
         return add(mul(self.a.diff(var), self.b), mul(self.a, self.b.diff(var)))
-
-    def variables(self):
-        return self.a.variables() | self.b.variables()
 
 
 @dataclass(frozen=True)
@@ -148,9 +145,6 @@ class Div(Expr):
                        mul(Const(-1.0), mul(self.a, self.b.diff(var)))),
                    Mul(self.b, self.b))
 
-    def variables(self):
-        return self.a.variables() | self.b.variables()
-
 
 @dataclass(frozen=True)
 class Pow(Expr):
@@ -158,7 +152,11 @@ class Pow(Expr):
     exponent: int
 
     def eval(self, env):
-        return self.base.eval(env) ** self.exponent
+        base = self.base.eval(env)
+        if type(base) is np.ndarray:
+            # Python's float power, as on floats: numpy's can differ in the last bit
+            return np.array([b ** self.exponent for b in base.tolist()])
+        return base ** self.exponent
 
     def diff(self, var):
         if self.exponent == 0:
@@ -168,22 +166,17 @@ class Pow(Expr):
                        else Const(1.0)),
                    self.base.diff(var))
 
-    def variables(self):
-        return self.base.variables()
-
 
 @dataclass(frozen=True)
 class ExpFn(Expr):
     arg: Expr
 
     def eval(self, env):
-        return float(np.exp(self.arg.eval(env)))
+        value = np.exp(self.arg.eval(env))
+        return value if isinstance(value, np.ndarray) else float(value)
 
     def diff(self, var):
         return mul(self, self.arg.diff(var))
-
-    def variables(self):
-        return self.arg.variables()
 
 
 def add(a: Expr, b: Expr) -> Expr:
@@ -300,15 +293,35 @@ def _dims(rest: str, line: int) -> dict:
     return {key: int(v) for key, v in out.items()}
 
 
-def _entry_evaluator(exprs: dict, shape: tuple, env_builder) -> Callable:
-    def evaluate(*args):
+def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
+    """The field with entries ``exprs`` (by index; entries left out are
+    zero) as a function of (t, *values), the values named by the
+    ``(prefix, dim)`` pairs of ``vectors``, with its array form."""
+    names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
+
+    def evaluate(t, *values):
+        if not exprs:
+            return np.zeros(shape)
+        env = {"t": float(t)}
+        for keys, vec in zip(names, values):
+            vec = np.asarray(vec).reshape(len(keys))
+            for k, key in enumerate(keys):
+                env[key] = float(vec[k])
+        if not shape:   # a scalar field, f0x or f0u
+            return exprs[()].eval(env)
         out = np.zeros(shape)
-        if exprs:   # entries left out are zero
-            env = env_builder(*args)
-            for idx, expr in exprs.items():
-                out[idx] = expr.eval(env)
-        return out if shape else float(out)
-    return evaluate
+        for idx, expr in exprs.items():
+            out[idx] = expr.eval(env)
+        return out
+
+    def many(ts, *values):
+        env, out = {"t": ts}, np.zeros((len(ts),) + shape)
+        for keys, vec in zip(names, values):
+            env.update(zip(keys, np.asarray(vec, dtype=float).reshape(len(ts), len(keys)).T))
+        for idx, expr in exprs.items():
+            out[(slice(None),) + idx] = expr.eval(env)
+        return out
+    return batched(evaluate, many)
 
 
 def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
@@ -411,48 +424,35 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     if "f0x" not in scalars or "f0u" not in scalars:
         raise ProblemFileError("both f0x and f0u must be given")
 
-    def env(*vectors):
-        """Builder of the variables of (t, *values) for (prefix, dim) pairs."""
-        names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
-        def build(t, *values):
-            out = {"t": float(t)}
-            for keys, vec in zip(names, values):
-                vec = np.asarray(vec).reshape(len(keys))
-                for k, key in enumerate(keys):
-                    out[key] = float(vec[k])
-            return out
-        return build
-
-    t_env, u_env, v_env = env(), env(("u", m_dim)), env(("v", m_dim))
-    xy_env, uv_env = env(("x", n), ("y", n)), env(("u", m_dim), ("v", m_dim))
+    xy, uv = (("x", n), ("y", n)), (("u", m_dim), ("v", m_dim))
     f0x_expr, f0u_expr = scalars["f0x"], scalars["f0u"]
 
-    def partials(exprs: dict, var: str, count: int, shape: tuple, variables) -> Callable:
+    def partials(exprs: dict, var: str, count: int, shape: tuple, *vectors) -> Callable:
         """Evaluator of d exprs / d(var0 .. var{count-1}), differentiated once
         here; the new last index runs over the variables."""
         derivs = {idx + (j,): e.diff(f"{var}{j}")
                   for idx, e in exprs.items() for j in range(count)}
         return _entry_evaluator({k: d for k, d in derivs.items()
-                                 if not _is_const(d, 0.0)}, shape, variables)
+                                 if not _is_const(d, 0.0)}, shape, *vectors)
 
     return StateLinearProblem(
         a=horizon["a"], b=horizon["b"], r=delays["r"], s=delays["s"],
         n=n, m=m_dim,
-        A=_entry_evaluator(entries["A"], (n, n), t_env),
-        A_D=_entry_evaluator(entries["AD"], (n, n), t_env),
-        g=_entry_evaluator(entries["g"], (n,), u_env),
-        g_D=_entry_evaluator(entries["gD"], (n,), v_env),
-        f0x=lambda t, x, y: f0x_expr.eval(xy_env(t, x, y)),
-        f0u=lambda t, u, v: f0u_expr.eval(uv_env(t, u, v)),
-        phi=_entry_evaluator(entries["phi"], (n,), t_env),
-        psi=_entry_evaluator(entries["psi"], (m_dim,), t_env),
+        A=_entry_evaluator(entries["A"], (n, n)),
+        A_D=_entry_evaluator(entries["AD"], (n, n)),
+        g=_entry_evaluator(entries["g"], (n,), ("u", m_dim)),
+        g_D=_entry_evaluator(entries["gD"], (n,), ("v", m_dim)),
+        f0x=_entry_evaluator({(): f0x_expr}, (), *xy),
+        f0u=_entry_evaluator({(): f0u_expr}, (), *uv),
+        phi=_entry_evaluator(entries["phi"], (n,)),
+        psi=_entry_evaluator(entries["psi"], (m_dim,)),
         control_set=(ControlSet.free(m_dim) if control in (None, "all") else control),
-        f0x_dx=partials({(): f0x_expr}, "x", n, (n,), xy_env),
-        f0x_dy=partials({(): f0x_expr}, "y", n, (n,), xy_env),
-        g_du=partials(entries["g"], "u", m_dim, (n, m_dim), u_env),
-        gD_dv=partials(entries["gD"], "v", m_dim, (n, m_dim), v_env),
-        f0u_du=partials({(): f0u_expr}, "u", m_dim, (m_dim,), uv_env),
-        f0u_dv=partials({(): f0u_expr}, "v", m_dim, (m_dim,), uv_env),
+        f0x_dx=partials({(): f0x_expr}, "x", n, (n,), *xy),
+        f0x_dy=partials({(): f0x_expr}, "y", n, (n,), *xy),
+        g_du=partials(entries["g"], "u", m_dim, (n, m_dim), ("u", m_dim)),
+        gD_dv=partials(entries["gD"], "v", m_dim, (n, m_dim), ("v", m_dim)),
+        f0u_du=partials({(): f0u_expr}, "u", m_dim, (m_dim,), *uv),
+        f0u_dv=partials({(): f0u_expr}, "v", m_dim, (m_dim,), *uv),
         name=name or source,
     )
 
@@ -532,6 +532,7 @@ def parse_value_function(text: str):
     for piece in pieces:   # S_t is differentiated once, here
         piece["c_t"] = piece["c"].diff("t")
         piece["eta_t"] = {i: expr.diff("t") for i, expr in piece["eta"].items()}
+        piece["S_x"] = _entry_evaluator({(i,): e for i, e in piece["eta"].items()}, (n,))
     pieces.sort(key=lambda p: p["lo"])
 
     def pick(t: float) -> dict:
@@ -540,32 +541,19 @@ def parse_value_function(text: str):
                 return piece
         return pieces[-1]
 
-    def S(t, x):
-        piece = pick(float(t))
-        env = {"t": float(t)}
-        x = np.asarray(x, float).reshape(n)
-        val = piece["c"].eval(env)
-        for i, expr in piece["eta"].items():
-            val += expr.eval(env) * x[i]
-        return val
+    def affine(c_key: str, eta_key: str) -> Callable:
+        """(t, x) -> c(t) + sum_i eta_i(t) x_i on the piece owning t."""
+        def value(t, x):
+            piece, env = pick(float(t)), {"t": float(t)}
+            x = np.asarray(x, float).reshape(n)
+            val = piece[c_key].eval(env)
+            for i, expr in piece[eta_key].items():
+                val += expr.eval(env) * x[i]
+            return val
+        return value
 
-    def S_t(t, x):
-        piece = pick(float(t))
-        env = {"t": float(t)}
-        x = np.asarray(x, float).reshape(n)
-        val = piece["c_t"].eval(env)
-        for i, expr in piece["eta_t"].items():
-            val += expr.eval(env) * x[i]
-        return val
-
-    def S_x(t, x):
-        piece = pick(float(t))
-        env = {"t": float(t)}
-        out = np.zeros(n)
-        for i, expr in piece["eta"].items():
-            out[i] = expr.eval(env)
-        return out
-
+    S, S_t = affine("c", "eta"), affine("c_t", "eta_t")
+    S_x = lambda t, x: pick(float(t))["S_x"](t)
     return ValueFunctionCandidate(S=S, S_t=S_t, S_x=S_x)
 
 

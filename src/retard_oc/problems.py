@@ -11,7 +11,8 @@ state-linear class pins the structure
     xdot = A(t) x + A_D(t) x(t-r) + g(t, u(t)) + g_D(t, u(t-s))
     running cost = f0x(t, x, x(t-r)) + f0u(t, u, u(t-s))
 
-that the linear sufficiency theorem requires.
+that the linear sufficiency theorem requires.  A model callable takes one
+time; it may carry an array form over K times at once (:func:`batched`).
 """
 
 from __future__ import annotations
@@ -105,10 +106,57 @@ def _zero_terminal_cost(x: Vec) -> float:
     return 0.0
 
 
+# -- array forms of model callables ---------------------------------------------
+
+def batched(scalar: Callable, many: Callable) -> Callable:
+    """``scalar`` (a function of its own, such as a lambda) with its array
+    form attached as ``.many``, so scalar calls cost nothing extra.  ``many``
+    takes K times and (K, dim) arrays for the vectors and returns the K
+    values stacked; a field replaced on a problem drops it with the callable.
+    """
+    scalar.many = many
+    return scalar
+
+
+def array_form(fn: Callable, shape: tuple) -> Callable:
+    """``fn`` over an array of times, values of ``shape`` stacked: its
+    declared ``.many``, or a loop calling ``fn`` once per time whose values
+    are the scalar calls' bit for bit."""
+    many = getattr(fn, "many", None)
+
+    def loop(ts, *args):
+        return np.array([np.asarray(fn(t, *row), dtype=float).reshape(shape)
+                         for t, *row in zip(ts.tolist(), *args)])
+
+    def resolved(ts, *args):
+        ts = np.asarray(ts, dtype=float)
+        return np.asarray((many or loop)(ts, *args), dtype=float).reshape(
+            ts.shape + shape)
+    return resolved
+
+
 # -- problem classes ----------------------------------------------------------
 
+class _Problem:
+    """What both problem classes share: exact rational horizon and delays, a
+    free control set by default, the control history and the lattice."""
+
+    def __post_init__(self):
+        for key in ("a", "b", "r", "s"):
+            object.__setattr__(self, key, as_rational(getattr(self, key)))
+        if self.control_set is None:
+            object.__setattr__(self, "control_set", ControlSet.free(self.m))
+
+    @property
+    def control_history_start(self) -> Rational:
+        return self.a - self.s
+
+    def lattice(self) -> CommensurabilityLattice:
+        return make_lattice(self.a, self.b, self.r, self.s)
+
+
 @dataclass(frozen=True)
-class DelayedProblem:
+class DelayedProblem(_Problem):
     """General nonlinear problem with one state delay r and one control delay s.
 
     ``phi`` supplies the state history on [a - r - s, a] and ``psi`` the
@@ -142,26 +190,14 @@ class DelayedProblem:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "s", as_rational(self.s))
-        if self.control_set is None:
-            object.__setattr__(self, "control_set", ControlSet.free(self.m))
+        super().__post_init__()
         if self.terminal_set is None:
             object.__setattr__(self, "terminal_set", TerminalSet.free(self.n))
 
-    # history conventions differ between the two classes
+    # the state history conventions differ between the two classes
     @property
     def state_history_start(self) -> Rational:
         return self.a - self.r - self.s
-
-    @property
-    def control_history_start(self) -> Rational:
-        return self.a - self.s
-
-    def lattice(self) -> CommensurabilityLattice:
-        return make_lattice(self.a, self.b, self.r, self.s)
 
     def dynamics(self, t, x, y, u, v) -> Vec:
         return np.asarray(self.f(t, x, y, u, v), dtype=float).reshape(self.n)
@@ -174,7 +210,7 @@ class DelayedProblem:
 
 
 @dataclass(frozen=True)
-class StateLinearProblem:
+class StateLinearProblem(_Problem):
     """Problem with dynamics linear in the current and delayed state.  Any
     optional partial left out is taken by central finite differences."""
 
@@ -201,32 +237,9 @@ class StateLinearProblem:
     f0u_dv: Optional[Callable] = None   # d f0u / d u(t-s) at (t, u, v), shape (m,)
     name: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", as_rational(self.a))
-        object.__setattr__(self, "b", as_rational(self.b))
-        object.__setattr__(self, "r", as_rational(self.r))
-        object.__setattr__(self, "s", as_rational(self.s))
-        if self.control_set is None:
-            object.__setattr__(self, "control_set", ControlSet.free(self.m))
-
     @property
     def state_history_start(self) -> Rational:
         return self.a - self.r
-
-    @property
-    def control_history_start(self) -> Rational:
-        return self.a - self.s
-
-    def lattice(self) -> CommensurabilityLattice:
-        return make_lattice(self.a, self.b, self.r, self.s)
-
-    def linear_terms(self, t, u, v) -> tuple[Mat, Mat, Vec, Vec]:
-        """A(t), A_D(t), g(t, u) and g_D(t, v) as float arrays."""
-        t, n = float(t), self.n
-        return (np.asarray(self.A(t), dtype=float).reshape(n, n),
-                np.asarray(self.A_D(t), dtype=float).reshape(n, n),
-                np.asarray(self.g(t, np.asarray(u, dtype=float)), dtype=float).reshape(n),
-                np.asarray(self.g_D(t, np.asarray(v, dtype=float)), dtype=float).reshape(n))
 
     def dynamics(self, t, x, y, u, v) -> Vec:
         t, n = float(t), self.n
@@ -272,12 +285,25 @@ def as_delayed(problem: AnyProblem) -> DelayedProblem:
     )
 
 
-def _shaped(fn: Optional[Callable], shape,
+def model_arrays(problem: AnyProblem, *names: str) -> tuple:
+    """The :func:`array_form` of each named field: ``A`` and ``A_D`` of shape
+    (K, n, n); ``g``, ``g_D``, the f0x partials and ``phi`` (K, n); ``psi``
+    (K, m); ``f0x`` and ``f0u`` (K,)."""
+    n = problem.n
+    shapes = {"A": (n, n), "A_D": (n, n), "g": (n,), "g_D": (n,), "f0x": (),
+              "f0u": (), "f0x_dx": (n,), "f0x_dy": (n,), "phi": (n,), "psi": (problem.m,)}
+    return tuple(array_form(getattr(problem, name), shapes[name]) for name in names)
+
+
+def _shaped(fn: Optional[Callable], shape: tuple,
             pick: Callable = lambda *args: args) -> Optional[Callable]:
-    """``fn`` on ``pick(*args)`` as a float array of ``shape``, or None."""
+    """``fn`` on ``pick(*args)`` as a float array of ``shape``, with the
+    array form of ``fn`` on the same picks; or None."""
     if fn is None:
         return None
-    return lambda *args: np.asarray(fn(*pick(*args)), dtype=float).reshape(shape)
+    many = array_form(fn, shape)
+    return batched(lambda *args: np.asarray(fn(*pick(*args)), dtype=float).reshape(shape),
+                   lambda *args: many(*pick(*args)))
 
 
 def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable]]:
@@ -297,20 +323,20 @@ def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable
     if isinstance(p, StateLinearProblem):
         f0_fn, f_fn, g0 = p.running_cost, p.dynamics, None
         txy, tuv = (lambda t, x, y, u, v: (t, x, y)), (lambda t, x, y, u, v: (t, u, v))
-        f0 = [None, _shaped(p.f0x_dx, n, txy), _shaped(p.f0x_dy, n, txy),
-              _shaped(p.f0u_du, p.m, tuv), _shaped(p.f0u_dv, p.m, tuv)]
+        f0 = [None, _shaped(p.f0x_dx, (n,), txy), _shaped(p.f0x_dy, (n,), txy),
+              _shaped(p.f0u_du, (p.m,), tuv), _shaped(p.f0u_dv, (p.m,), tuv)]
         f = [None,
-             lambda t, x, y, u, v: np.asarray(p.A(t), float).reshape(n, n),
-             lambda t, x, y, u, v: np.asarray(p.A_D(t), float).reshape(n, n),
+             _shaped(p.A, (n, n), lambda t, x, y, u, v: (t,)),
+             _shaped(p.A_D, (n, n), lambda t, x, y, u, v: (t,)),
              _shaped(p.g_du, (n, p.m), lambda t, x, y, u, v: (t, u)),
              _shaped(p.gD_dv, (n, p.m), lambda t, x, y, u, v: (t, v))]
     else:
         f0_fn, f_fn = p.f0, p.f
-        f0 = [None] + [_shaped(fn, dims[k]) for k, fn in
+        f0 = [None] + [_shaped(fn, (dims[k],)) for k, fn in
                        enumerate((p.f0_dx, p.f0_dy, p.f0_du, p.f0_dv), 1)]
         f = [None] + [_shaped(fn, (n, dims[k])) for k, fn in
                       enumerate((p.f_dx, p.f_dy, p.f_du, p.f_dv), 1)]
-        g0 = _shaped(p.g0_grad, n) or (
+        g0 = _shaped(p.g0_grad, (n,)) or (
             lambda x: gradient(lambda z: float(p.g0(z)), np.asarray(x, float)))
     for k in range(1, 5):
         f0[k] = f0[k] or (lambda *args, k=k: grad_scalar_slot(f0_fn, k, args))

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, TerminalSet)
+                       StateLinearProblem, TerminalSet, batched)
 from .trajectory import Trajectory, from_pieces
 
 E1 = math.e
@@ -29,6 +29,20 @@ E6 = math.exp(6.0)
 
 def _vec(fn: Callable[[float], float]) -> Callable[[float], np.ndarray]:
     return lambda t: np.array([fn(t)])
+
+
+def _constant(value) -> Callable:
+    """A model field equal to ``value`` whatever its arguments, with its
+    array form (:func:`~retard_oc.problems.batched`)."""
+    value = np.array(value, dtype=float)
+    scalar = (lambda *args: float(value)) if value.ndim == 0 else (lambda *args: value.copy())
+    return batched(scalar, lambda ts, *args: np.full((len(ts),) + value.shape, value))
+
+
+def _squares(col: np.ndarray) -> np.ndarray:
+    """``c ** 2`` for each value, as the scalar forms compute it: Python's
+    float power, which can differ from numpy's square in the last bit."""
+    return np.array([c ** 2 for c in col.tolist()])
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +61,19 @@ def make_ld_problem() -> StateLinearProblem:
     return StateLinearProblem(
         a=Fraction(0), b=Fraction(4), r=Fraction(2), s=Fraction(1),
         n=1, m=1,
-        A=lambda t: np.array([[1.0]]),
-        A_D=lambda t: np.array([[1.0]]),
-        g=lambda t, u: np.array([0.0]),
-        g_D=lambda t, v: np.array([-10.0 * v[0]]),
-        f0x=lambda t, x, y: float(x[0]),
-        f0u=lambda t, u, v: 100.0 * float(u[0]) ** 2,
-        phi=lambda t: np.array([1.0]),
-        psi=lambda t: np.array([0.0]),
+        A=_constant([[1.0]]),
+        A_D=_constant([[1.0]]),
+        g=_constant([0.0]),
+        g_D=batched(lambda t, v: np.array([-10.0 * v[0]]),
+                    lambda ts, V: -10.0 * V[:, :1]),
+        f0x=batched(lambda t, x, y: float(x[0]), lambda ts, X, Y: X[:, 0]),
+        f0u=batched(lambda t, u, v: 100.0 * float(u[0]) ** 2,
+                    lambda ts, U, V: 100.0 * _squares(U[:, 0])),
+        phi=_constant([1.0]),
+        psi=_constant([0.0]),
         control_set=ControlSet.free(1),
-        f0x_dx=lambda t, x, y: np.array([1.0]),
-        f0x_dy=lambda t, x, y: np.array([0.0]),
+        f0x_dx=_constant([1.0]),
+        f0x_dy=_constant([0.0]),
         g_du=lambda t, u: np.array([[0.0]]), gD_dv=lambda t, v: np.array([[-10.0]]),
         f0u_du=lambda t, u, v: np.array([200.0 * float(u[0])]),
         f0u_dv=lambda t, u, v: np.array([0.0]),
@@ -104,12 +120,9 @@ def ld_state_value(t: float) -> float:
 
 def make_ld_candidate() -> CandidateSolution:
     state = from_pieces(1, [
-        (Fraction(-2), Fraction(0), _vec(lambda t: 1.0)),
-        (Fraction(0), Fraction(1), _vec(ld_state_value)),
-        (Fraction(1), Fraction(2), _vec(ld_state_value)),
-        (Fraction(2), Fraction(3), _vec(ld_state_value)),
-        (Fraction(3), Fraction(4), _vec(ld_state_value)),
-    ], main_start=0, require_continuity=True)
+        (Fraction(-2), Fraction(0), _vec(lambda t: 1.0))] + [
+        (Fraction(k), Fraction(k + 1), _vec(ld_state_value)) for k in range(4)],
+        main_start=0, require_continuity=True)
     control = from_pieces(1, [
         (Fraction(-1), Fraction(0), _vec(lambda t: 0.0)),
         (Fraction(0), Fraction(1), _vec(lambda t: (math.exp(3 - t) - t * math.exp(1 - t)) / 20.0)),
@@ -330,62 +343,42 @@ def make_zero_candidate() -> CandidateSolution:
     return CandidateSolution(state=state, control=control, cost=0.0)
 
 
-def _inert_dynamics_problem(f0x, f0u, f0x_dx, f0x_dy, f0u_du,
-                            name) -> StateLinearProblem:
-    # A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
-    # whatever the control does.
+def _inert_dynamics_problem(name: str, **costs) -> StateLinearProblem:
+    """A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
+    whatever the control does.  ``costs`` replace fields of the running
+    cost f0x = x, f0u = 0."""
+    fields = dict(f0x=batched(lambda t, x, y: float(x[0]), lambda ts, X, Y: X[:, 0]),
+                  f0x_dx=_constant([1.0]), f0u=_constant(0.0), f0u_du=_constant([0.0]))
     return StateLinearProblem(
-        a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1),
-        n=1, m=1,
-        A=lambda t: np.array([[0.0]]),
-        A_D=lambda t: np.array([[0.0]]),
-        g=lambda t, u: np.array([0.0]),
-        g_D=lambda t, v: np.array([0.0]),
-        f0x=f0x, f0u=f0u,
-        phi=lambda t: np.array([1.0]),
-        psi=lambda t: np.array([0.0]),
-        f0x_dx=f0x_dx, f0x_dy=f0x_dy,
-        g_du=lambda t, u: np.array([[0.0]]), gD_dv=lambda t, v: np.array([[0.0]]),
-        f0u_du=f0u_du, f0u_dv=lambda t, u, v: np.array([0.0]),
-        name=name,
-    )
+        a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1), n=1, m=1,
+        A=_constant([[0.0]]), A_D=_constant([[0.0]]),
+        g=_constant([0.0]), g_D=_constant([0.0]),
+        phi=_constant([1.0]), psi=_constant([0.0]), f0x_dy=_constant([0.0]),
+        g_du=_constant([[0.0]]), gD_dv=_constant([[0.0]]), f0u_dv=_constant([0.0]),
+        name=name, **{**fields, **costs})
 
 
 def make_drift_problem() -> StateLinearProblem:
     """Uncontrollable state with a pure control-energy cost."""
     return _inert_dynamics_problem(
-        f0x=lambda t, x, y: float(x[0]),
-        f0u=lambda t, u, v: float(u[0]) ** 2,
-        f0x_dx=lambda t, x, y: np.array([1.0]),
-        f0x_dy=lambda t, x, y: np.array([0.0]),
-        f0u_du=lambda t, u, v: np.array([2.0 * float(u[0])]),
-        name="drift-linear",
-    )
+        "drift-linear",
+        f0u=batched(lambda t, u, v: float(u[0]) ** 2, lambda ts, U, V: _squares(U[:, 0])),
+        f0u_du=lambda t, u, v: np.array([2.0 * float(u[0])]))
 
 
 def make_inert_problem() -> StateLinearProblem:
     """Neither the dynamics nor the cost see the control."""
-    return _inert_dynamics_problem(
-        f0x=lambda t, x, y: float(x[0]),
-        f0u=lambda t, u, v: 0.0,
-        f0x_dx=lambda t, x, y: np.array([1.0]),
-        f0x_dy=lambda t, x, y: np.array([0.0]),
-        f0u_du=lambda t, u, v: np.array([0.0]),
-        name="inert-linear",
-    )
+    return _inert_dynamics_problem("inert-linear")
 
 
 def make_concave_problem() -> StateLinearProblem:
     """Concave running state cost: the convexity hypothesis fails and
     nothing else does."""
     return _inert_dynamics_problem(
-        f0x=lambda t, x, y: -float(x[0]) ** 2,
-        f0u=lambda t, u, v: 0.0,
-        f0x_dx=lambda t, x, y: np.array([-2.0 * float(x[0])]),
-        f0x_dy=lambda t, x, y: np.array([0.0]),
-        f0u_du=lambda t, u, v: np.array([0.0]),
-        name="concave-cost",
-    )
+        "concave-cost",
+        f0x=batched(lambda t, x, y: -float(x[0]) ** 2, lambda ts, X, Y: -_squares(X[:, 0])),
+        f0x_dx=batched(lambda t, x, y: np.array([-2.0 * float(x[0])]),
+                       lambda ts, X, Y: -2.0 * X[:, :1]))
 
 
 def make_rest_candidate(problem) -> CandidateSolution:

@@ -19,10 +19,10 @@ from .cost import evaluate_cost
 from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       model_partials)
+                       model_arrays, model_partials)
 from .sufficiency import _criterion_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
-                         constant_history, hermite_from_samples)
+                         hermite_from_samples)
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +76,7 @@ def solve_fbsm(problem: StateLinearProblem,
     lattice = problem.lattice()
     control = init_control
     if control is None:
-        zero = CallableCurve(constant_history(problem.m, 0.0), problem.m)
+        zero = CallableCurve(lambda t: np.zeros(problem.m), problem.m)
         control = cell_trajectory(lattice, problem.m, [zero] * lattice.n_cells,
                                   problem.control_history_start, problem.psi)
     omega = cfg.omega
@@ -180,14 +180,12 @@ class _EulerGrid:
         af, r, s = float(lattice.a), float(lattice.r), float(lattice.s)
         ts = self.ts = [af + self.df * i for i in range(self.M)]
         self.x0 = np.asarray(p.phi(af), float).reshape(p.n)
-        self.x_hist = np.array([np.asarray(p.phi(t - r), float).reshape(p.n)
-                                for t in ts[:self.k_r]]).reshape(-1, p.n)
-        self.u_hist = np.array([np.asarray(p.psi(t - s), float).reshape(p.m)
-                                for t in ts[:self.k_s]]).reshape(-1, p.m)
+        phi, psi = model_arrays(p, "phi", "psi")
+        self.x_hist = phi(np.array(ts[:self.k_r]) - r)
+        self.u_hist = psi(np.array(ts[:self.k_s]) - s)
         self.partials = model_partials(p)
         if isinstance(p, StateLinearProblem):
-            A, A_D = (np.array([np.asarray(fn(t), float).reshape(p.n, p.n) for t in ts])
-                      for fn in (p.A, p.A_D))
+            A, A_D = (many(np.array(ts)) for many in model_arrays(p, "A", "A_D"))
             self.rhs = lambda i, x, y, u, v: p._dynamics(ts[i], A[i], A_D[i], x, y, u, v)
             self.jacobians = lambda stages: (A, A_D[self.k_r:])
         else:

@@ -25,7 +25,7 @@ from .errors import UnboundedCriterionError
 from .lattice import CommensurabilityLattice, Rational, as_rational
 from .numdiff import central_scalar, gradient, hessian
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem)
+                       StateLinearProblem, model_arrays)
 from .trajectory import Trajectory, eval_delayed, shifted_time
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -143,11 +143,9 @@ class VerifyConfig:
         base.update(overrides)
         return VerifyConfig(**base)
 
-    def tolerance_record(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "tol_maximality", "tol_transversality", "tol_convexity",
-            "tol_continuity", "tol_terminal", "tol_residual", "tol_feedback",
-            "tol_smoothness", "tol_cost", "tube_radius", "tube_tol")}
+    def tolerance_record(self, *names: str) -> dict:
+        """The named tolerances: those the certificate gates on."""
+        return {k: getattr(self, k) for k in names}
 
 
 # -- Hamiltonians ----------------------------------------------------------------
@@ -221,13 +219,14 @@ class _Criterion:
     H^0 parts at t + s) are computed once per time, from one curve lookup
     per curve and argument.  :meth:`values` then scores any number of
     (time, control) pairs in array passes, in the operation order of
-    :func:`hamiltonian_state_linear`; the model callables stay scalar and
-    are called once per pair and term.
+    :func:`hamiltonian_state_linear`, with one call of each model field's
+    array form per term.
     """
 
     def __init__(self, problem: StateLinearProblem, cand: CandidateSolution,
                  eta: AdjointTrajectory, times: _CriterionTimes):
         self.problem, self.t = problem, times.t.tolist()
+        self.model = model_arrays(problem, "A", "A_D", "f0x", "g", "g_D", "f0u")
         self.ahead = np.where(times.gated, np.cumsum(times.gated) - 1, -1)
         self.now = self._parts(cand, eta, times.t, times.delayed_state,
                                times.delayed_control)
@@ -236,25 +235,20 @@ class _Criterion:
 
     def _parts(self, cand, eta, t, t_delayed, t_control):
         """(t, w = u(t_control), eta, drift A(t) x + A_D(t) x(t - r), f0x)."""
-        p, N, n = self.problem, len(t), self.problem.n
-        x, y, ts = cand.state.eval_many(t), cand.state.eval_many(t_delayed), t.tolist()
-        A = np.asarray(list(map(p.A, ts)), float).reshape(N, n, n)
-        A_D = np.asarray(list(map(p.A_D, ts)), float).reshape(N, n, n)
-        drift = (A @ x[:, :, None] + A_D @ y[:, :, None])[:, :, 0]
-        f0x = np.asarray(list(map(p.f0x, ts, x, y)), float).reshape(N)
-        return ts, cand.control.eval_many(t_control), eta.eval_many(t), drift, f0x
+        A, A_D, f0x = self.model[:3]
+        x, y = cand.state.eval_many(t), cand.state.eval_many(t_delayed)
+        drift = (A(t) @ x[:, :, None] + A_D(t) @ y[:, :, None])[:, :, 0]
+        return t, cand.control.eval_many(t_control), eta.eval_many(t), drift, f0x(t, x, y)
 
     def _terms(self, p: int, parts, rows: np.ndarray, U: np.ndarray) -> np.ndarray:
         """H^p at ``rows`` of ``parts`` with U in the slot of u (p = 1) or
         of the delayed control v (p = 0)."""
-        prob, K = self.problem, len(rows)
+        g, g_D, f0u = self.model[3:]
         ts, w, eta, drift, f0x = parts
-        t = [ts[i] for i in rows.tolist()]
+        t = ts[rows]
         u, v = (U, w[rows]) if p == 1 else (w[rows], U)
-        gain = list(map(prob.g, t, u) if p == 1 else map(prob.g_D, t, v))
-        drift = drift[rows] + np.asarray(gain, float).reshape(K, prob.n)
-        cost = np.asarray(list(map(prob.f0u, t, u, v)), float).reshape(K)
-        return -(f0x[rows] + cost) + np.sum(eta[rows] * drift, axis=1)
+        drift = drift[rows] + (g(t, u) if p == 1 else g_D(t, v))
+        return -(f0x[rows] + f0u(t, u, v)) + np.sum(eta[rows] * drift, axis=1)
 
     def values(self, k, U) -> np.ndarray:
         """Criterion at the times ``k`` (an index array) of the controls U, (K, m)."""
@@ -489,8 +483,8 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
 
 def _candidate_state_box(problem, cand: CandidateSolution,
                          halfwidth: float) -> tuple[np.ndarray, np.ndarray]:
-    ts = np.linspace(float(problem.a - problem.r), float(problem.b), 201)
-    vals = np.array([cand.state.eval(t) for t in ts])
+    vals = cand.state.eval_many(np.linspace(float(problem.a - problem.r),
+                                            float(problem.b), 201))
     return vals.min(axis=0) - halfwidth, vals.max(axis=0) + halfwidth
 
 
@@ -504,21 +498,24 @@ def check_convexity_f0x(problem: StateLinearProblem, cand: CandidateSolution,
     lo, hi = _candidate_state_box(problem, cand, halfwidth)
     n = problem.n
     a, b = float(problem.a), float(problem.b)
-    worst, worst_loc = 0.0, None
     noise = 1e-6    # Hessian eigenvalues above -noise count as zero
-    for _ in range(pairs):
-        t = rng.uniform(a, b)
-        p = rng.uniform(np.concatenate([lo, lo]), np.concatenate([hi, hi]))
-        q = rng.uniform(np.concatenate([lo, lo]), np.concatenate([hi, hi]))
-        mid = 0.5 * (p + q)
-        viol = (float(problem.f0x(t, mid[:n], mid[n:]))
-                - 0.5 * (float(problem.f0x(t, p[:n], p[n:]))
-                         + float(problem.f0x(t, q[:n], q[n:]))))
-        if viol > worst:
-            worst, worst_loc = viol, (t, tuple(np.round(mid, 6)))
+    # one draw for all pairs, in the stream order of drawing (t, p, q) pair
+    # by pair with rng.uniform
+    draw = rng.random((pairs, 1 + 4 * n))
+    box_lo, box_hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
+    t = a + (b - a) * draw[:, 0]
+    p, q = (box_lo + (box_hi - box_lo) * draw[:, k:k + 2 * n] for k in (1, 1 + 2 * n))
+    mid = 0.5 * (p + q)
+    f0x, = model_arrays(problem, "f0x")
+    at = lambda z: f0x(t, z[:, :n], z[:, n:])
+    viol = at(mid) - 0.5 * (at(p) + at(q))
+    viol = np.where(viol > 0.0, viol, 0.0)
+    k = int(np.argmax(viol))   # the first pair with the worst violation
+    worst, worst_loc = ((float(viol[k]), (float(t[k]), tuple(np.round(mid[k], 6))))
+                        if viol[k] > 0.0 else (0.0, None))
     for _ in range(32):
         t = rng.uniform(a, b)
-        z = rng.uniform(np.concatenate([lo, lo]), np.concatenate([hi, hi]))
+        z = rng.uniform(box_lo, box_hi)
         H = hessian(lambda w: float(problem.f0x(t, w[:n], w[n:])), z)
         neg = -float(np.min(np.linalg.eigvalsh(H)))
         if neg > max(worst, noise):
@@ -545,26 +542,20 @@ def check_continuity_spot(problem: StateLinearProblem, tol: float = 1e-5,
     a, b = float(problem.a), float(problem.b)
     delta = 1e-7 * max(1.0, b - a)
     ts = np.linspace(a, b - delta, samples)
-    x = np.asarray(problem.phi(a), float).reshape(problem.n)
-    u = np.zeros(problem.m)
-    worst, worst_t = 0.0, None
-
-    def probes(t):
-        yield np.asarray(problem.A(t), float).ravel()
-        yield np.asarray(problem.A_D(t), float).ravel()
-        yield np.asarray(problem.g(t, u), float).ravel()
-        yield np.asarray(problem.g_D(t, u), float).ravel()
-        yield np.array([float(problem.f0x(t, x, x))])
-        yield np.array([float(problem.f0u(t, u, u))])
-
-    for t in ts:
-        for v0, v1 in zip(probes(t), probes(t + delta)):
-            if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-                return CheckResult("continuity", False, np.inf, float(t),
-                                   "non-finite coefficient value")
-            jump = float(np.max(np.abs(v1 - v0)))
-            if jump > worst:
-                worst, worst_t = jump, float(t)
+    x = np.tile(np.asarray(problem.phi(a), float).reshape(problem.n), (samples, 1))
+    u = np.zeros((samples, problem.m))
+    A, A_D, g, g_D, f0x, f0u = model_arrays(problem, "A", "A_D", "g", "g_D", "f0x", "f0u")
+    # every coefficient value at each time, one row per time
+    v0, v1 = (np.column_stack([A(t).reshape(samples, -1), A_D(t).reshape(samples, -1),
+                               g(t, u), g_D(t, u), f0x(t, x, x), f0u(t, u, u)])
+              for t in (ts, ts + delta))
+    finite = np.all(np.isfinite(v0) & np.isfinite(v1), axis=1)
+    if not np.all(finite):
+        return CheckResult("continuity", False, np.inf, float(ts[np.argmin(finite)]),
+                           "non-finite coefficient value")
+    jump = np.max(np.abs(v1 - v0), axis=1)
+    k = int(np.argmax(jump))   # the first time with the largest jump
+    worst, worst_t = (float(jump[k]), float(ts[k])) if jump[k] > 0.0 else (0.0, None)
     return CheckResult("continuity", worst <= tol, worst, worst_t,
                        detail=f"value change over delta={delta:g}")
 
@@ -583,7 +574,9 @@ def verify_state_linear(problem: StateLinearProblem, cand: CandidateSolution,
     negative fixture.
     """
     cert = Certificate(title=f"verify-state-linear {problem.name or '(unnamed)'}",
-                       tolerances=cfg.tolerance_record(), seed=cfg.seed)
+                       seed=cfg.seed, tolerances=cfg.tolerance_record(
+                           "tol_continuity", "tol_convexity", "tol_transversality",
+                           "tol_maximality"))
     cert.checks.append(check_continuity_spot(problem, tol=cfg.tol_continuity))
     cert.checks.append(check_convexity_f0x(
         problem, cand, tol=cfg.tol_convexity, pairs=cfg.convexity_pairs,
@@ -705,7 +698,9 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     lattice = problem.lattice()
     rng = np.random.default_rng(cfg.seed)
     cert = Certificate(title=f"verify-nonlinear-hj {problem.name or '(unnamed)'}",
-                       tolerances=cfg.tolerance_record(), seed=cfg.seed)
+                       seed=cfg.seed, tolerances=cfg.tolerance_record(
+                           "tol_terminal", "tol_residual", "tube_radius", "tube_tol",
+                           "tol_feedback", "tol_smoothness", "tol_cost"))
 
     xb = cand.state.eval(problem.b)
     term = abs(S.value(problem.b, xb) + problem.terminal_cost(xb))

@@ -38,12 +38,10 @@ class CallableCurve:
         return out.reshape(self.dim)
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        """Values at each of ``ts``, shape (len(ts), dim); one call per time,
-        since an arbitrary callable cannot be vectorised."""
-        out = np.empty((len(ts), self.dim))
-        for k, t in enumerate(np.asarray(ts, dtype=float).tolist()):
-            out[k] = self(t)
-        return out
+        """Values at each of ``ts``, shape (len(ts), dim), from the array form
+        of the callable: one call per time unless it declares one."""
+        from .problems import array_form   # problems builds on this module
+        return array_form(self.fn, (self.dim,))(ts)
 
 
 def _hermite_basis(theta):
@@ -210,23 +208,18 @@ class Trajectory:
     def covers(self, lo: RationalLike, hi: RationalLike) -> bool:
         return self.history_start <= as_rational(lo) and as_rational(hi) <= self.end
 
-    def segment_for_cell(self, lo: Rational, hi: Rational) -> Segment:
-        """Segment containing the open cell (lo, hi); resolved at the midpoint
-        so boundary ownership never comes into play."""
-        mid = (lo + hi) / 2
-        seg = self.segments[self._locate(mid)]
-        if not (seg.lo <= lo and hi <= seg.hi):
-            raise OutOfDomainError(
-                f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
-        return seg
-
     def cell_curve(self, lo: Rational, hi: Rational) -> Curve:
-        """Curve valid on the closed cell [lo, hi].
+        """Curve valid on the closed cell [lo, hi], from the segment holding
+        the cell's midpoint (so boundary ownership never comes into play).
 
         Evaluating it at ``hi`` yields the left limit when a jump sits there,
         which is the a.e.-correct restriction integrators and quadrature need.
         """
-        return self.segment_for_cell(lo, hi).curve
+        seg = self.segments[self._locate((lo + hi) / 2)]
+        if not (seg.lo <= lo and hi <= seg.hi):
+            raise OutOfDomainError(
+                f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
+        return seg.curve
 
     def cell_curves(self, lattice) -> list[Curve]:
         """:meth:`cell_curve` of every lattice cell, in cell order."""
@@ -250,21 +243,17 @@ def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray
 
 
 def cell_values(curves: Sequence[Curve], idx: int, ts: np.ndarray,
-                history: Callable[[float], object], dim: int) -> np.ndarray:
+                history: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Values at the float times ``ts`` of the finalized curve of lattice
-    cell ``idx``, or of the ``history`` callable when ``idx`` precedes the
-    horizon (one call per time); shape (len(ts), dim).
+    cell ``idx``, or of ``history`` when ``idx`` precedes the horizon; shape
+    (len(ts), dim).  ``history`` is the array form of the history callable
+    (:func:`~retard_oc.problems.array_form`), called once for all times.
 
     This is the method of steps' one delayed-argument resolver: integrators
     and quadrature resolve every input of a cell through it before the cell
     is marched or summed.
     """
-    if idx >= 0:
-        return curves[idx].eval_many(ts)
-    out = np.empty((len(ts), dim))
-    for k, t in enumerate(np.asarray(ts, dtype=float).tolist()):
-        out[k] = np.asarray(history(t), dtype=float).reshape(dim)
-    return out
+    return curves[idx].eval_many(ts) if idx >= 0 else history(ts)
 
 
 # -- builders ----------------------------------------------------------------
@@ -314,11 +303,6 @@ def from_pieces(dimension: int,
             if gap > 1e-9 * scale:
                 raise ValueError(f"discontinuity {gap:.3e} at t={left.hi}")
     return traj
-
-
-def constant_history(dimension: int, value) -> Callable[[float], np.ndarray]:
-    vec = np.broadcast_to(np.asarray(value, dtype=float), (dimension,)).copy()
-    return lambda t: vec
 
 
 def hermite_from_samples(ts: np.ndarray, ys: np.ndarray) -> HermiteCurve:

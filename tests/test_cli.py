@@ -296,3 +296,54 @@ psi[0] = 0
                  "--substeps", "8"]) == 0
     out = capsys.readouterr().out
     assert "converged: True" in out
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-fbsm", "ocp-ld-paper", "--substeps", "8", "--max-iter", "60"],
+    ["solve-direct", "ocp-ld-paper", "--N", "200", "--substeps", "8"],
+])
+def test_costate_only_for_written_artifacts(args, tmp_path, monkeypatch, capsys):
+    # the costate is only the CSV's eta column
+    import retard_oc.cli as cli
+    from retard_oc.dde import integrate_adjoint_linear
+    calls = []
+
+    def counted(*a, **k):
+        calls.append(1)
+        return integrate_adjoint_linear(*a, **k)
+
+    monkeypatch.setattr(cli, "integrate_adjoint_linear", counted)
+    assert main(args) == 0
+    assert calls == []
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert calls == [1]
+    rows = [r for r in _read_csv(tmp_path / "trajectories.csv") if r["eta_1"]]
+    assert float(rows[-1]["t"]) == 4.0 and float(rows[-1]["eta_1"]) == 0.0
+
+
+@pytest.mark.parametrize("args, own", [
+    (["verify-linear", "drift-linear", "--perturb", "control-bump"], "ocp-ld-paper"),
+    (["verify-linear", "concave-cost", "--perturb", "transversality-shift"],
+     "ocp-ld-paper"),
+])
+def test_perturb_fixture_refused_on_a_foreign_problem(args, own, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert f"is a fixture of {own}, not of {args[1]}" in captured.err
+    assert "certificate" not in captured.out
+
+
+def _tolerance_lines(text):
+    return [line for line in text.splitlines() if line.startswith("tol.")]
+
+
+def test_certificates_list_the_tolerances_they_gate_on(capsys):
+    assert main(["verify-linear", "ocp-ld-paper"]) == 0
+    assert _tolerance_lines(capsys.readouterr().out) == [
+        "tol.tol_continuity: 1e-05", "tol.tol_convexity: 1e-06",
+        "tol.tol_maximality: 1e-06", "tol.tol_transversality: 1e-09"]
+    assert main(["verify-hj", "ocp-d-goellmann"]) == 0
+    assert _tolerance_lines(capsys.readouterr().out) == [
+        "tol.tol_cost: 1e-06", "tol.tol_feedback: 1e-06", "tol.tol_residual: 1e-06",
+        "tol.tol_smoothness: 1e-06", "tol.tol_terminal: 1e-08",
+        "tol.tube_radius: 1e-06", "tol.tube_tol: 0.01"]
