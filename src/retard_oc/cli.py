@@ -228,6 +228,10 @@ def _cmd_verify_hj(args: argparse.Namespace) -> int:
         raise RetardOCError("verify-hj needs a registered problem with a "
                             "verification function")
     _check_perturb(args, example, "ocp-d-goellmann")
+    if args.perturb in ("scale-eta3", "shift-c3") and args.with_s != "proposition":
+        raise RetardOCError(f"--perturb {args.perturb} perturbs the registered "
+                            f"verification function; it cannot be combined "
+                            f"with --with-S {args.with_s}")
     cand = example.make_candidate()
     S = (example.make_value_function() if args.with_s == "proposition"
          else load_value_function(args.with_s))

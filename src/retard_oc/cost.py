@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_form, model_arrays)
+from .problems import (AnyProblem, CandidateSolution, model_arrays,
+                       running_cost_array)
 from .trajectory import cell_values
 
 
@@ -51,11 +51,7 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     x_cells = cand.state.cell_curves(lattice)
     u_cells = cand.control.cell_curves(lattice)
     phi, psi = model_arrays(problem, "phi", "psi")
-    if isinstance(problem, StateLinearProblem):
-        f0x, f0u = model_arrays(problem, "f0x", "f0u")
-        integrand = lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v)
-    else:
-        integrand = array_form(problem.running_cost, ())
+    integrand = running_cost_array(problem)
     total = 0.0
     for i, lo, hi in lattice.cells():
         lof, span = float(lo), float(hi) - float(lo)

@@ -243,14 +243,10 @@ class StateLinearProblem(_Problem):
 
     def dynamics(self, t, x, y, u, v) -> Vec:
         t, n = float(t), self.n
-        return self._dynamics(t, np.asarray(self.A(t), dtype=float).reshape(n, n),
-                              np.asarray(self.A_D(t), dtype=float).reshape(n, n), x, y, u, v)
-
-    def _dynamics(self, t: float, Amat, Dmat, x, y, u, v) -> Vec:
-        """The dynamics with A(t) and A_D(t) given, as the Euler grid keeps them."""
-        return (Amat @ np.asarray(x, float) + Dmat @ np.asarray(y, float)
-                + np.asarray(self.g(t, np.asarray(u, float)), float).reshape(self.n)
-                + np.asarray(self.g_D(t, np.asarray(v, float)), float).reshape(self.n))
+        return (np.asarray(self.A(t), dtype=float).reshape(n, n) @ np.asarray(x, float)
+                + np.asarray(self.A_D(t), dtype=float).reshape(n, n) @ np.asarray(y, float)
+                + np.asarray(self.g(t, np.asarray(u, float)), float).reshape(n)
+                + np.asarray(self.g_D(t, np.asarray(v, float)), float).reshape(n))
 
     def running_cost(self, t, x, y, u, v) -> float:
         return float(self.f0x(float(t), x, y)) + float(self.f0u(float(t), u, v))
@@ -293,6 +289,16 @@ def model_arrays(problem: AnyProblem, *names: str) -> tuple:
     shapes = {"A": (n, n), "A_D": (n, n), "g": (n,), "g_D": (n,), "f0x": (),
               "f0u": (), "f0x_dx": (n,), "f0x_dy": (n,), "phi": (n,), "psi": (problem.m,)}
     return tuple(array_form(getattr(problem, name), shapes[name]) for name in names)
+
+
+def running_cost_array(problem: AnyProblem) -> Callable:
+    """The running cost over K times, (ts, X, Y, U, V) -> (K,), with the
+    values of ``running_cost``: f0x + f0u for a state-linear problem, f0
+    otherwise, one call of each array form."""
+    if isinstance(problem, StateLinearProblem):
+        f0x, f0u = model_arrays(problem, "f0x", "f0u")
+        return lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v)
+    return array_form(problem.f0, ())
 
 
 def _shaped(fn: Optional[Callable], shape: tuple,

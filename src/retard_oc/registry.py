@@ -74,9 +74,10 @@ def make_ld_problem() -> StateLinearProblem:
         control_set=ControlSet.free(1),
         f0x_dx=_constant([1.0]),
         f0x_dy=_constant([0.0]),
-        g_du=lambda t, u: np.array([[0.0]]), gD_dv=lambda t, v: np.array([[-10.0]]),
-        f0u_du=lambda t, u, v: np.array([200.0 * float(u[0])]),
-        f0u_dv=lambda t, u, v: np.array([0.0]),
+        g_du=_constant([[0.0]]), gD_dv=_constant([[-10.0]]),
+        f0u_du=batched(lambda t, u, v: np.array([200.0 * float(u[0])]),
+                       lambda ts, U, V: 200.0 * U[:, :1]),
+        f0u_dv=_constant([0.0]),
         name="ocp-ld-paper",
     )
 
@@ -157,21 +158,26 @@ def make_d_problem() -> DelayedProblem:
     return DelayedProblem(
         a=Fraction(0), b=Fraction(3), r=Fraction(1), s=Fraction(2),
         n=1, m=1,
-        f0=lambda t, x, y, u, v: float(x[0]) ** 2 + float(u[0]) ** 2,
+        f0=batched(lambda t, x, y, u, v: float(x[0]) ** 2 + float(u[0]) ** 2,
+                   lambda ts, X, Y, U, V: _squares(X[:, 0]) + _squares(U[:, 0])),
         f=lambda t, x, y, u, v: np.array([float(y[0]) * float(v[0])]),
-        phi=lambda t: np.array([1.0]),
-        psi=lambda t: np.array([0.0]),
+        phi=_constant([1.0]),
+        psi=_constant([0.0]),
         g0=lambda x: 0.0,
         control_set=ControlSet.free(1),
         terminal_set=TerminalSet.free(1),
-        f_dx=lambda t, x, y, u, v: np.array([[0.0]]),
-        f_dy=lambda t, x, y, u, v: np.array([[float(v[0])]]),
-        f_du=lambda t, x, y, u, v: np.array([[0.0]]),
-        f_dv=lambda t, x, y, u, v: np.array([[float(y[0])]]),
-        f0_dx=lambda t, x, y, u, v: np.array([2.0 * float(x[0])]),
-        f0_dy=lambda t, x, y, u, v: np.array([0.0]),
-        f0_du=lambda t, x, y, u, v: np.array([2.0 * float(u[0])]),
-        f0_dv=lambda t, x, y, u, v: np.array([0.0]),
+        f_dx=_constant([[0.0]]),
+        f_dy=batched(lambda t, x, y, u, v: np.array([[float(v[0])]]),
+                     lambda ts, X, Y, U, V: V[:, :1, None]),
+        f_du=_constant([[0.0]]),
+        f_dv=batched(lambda t, x, y, u, v: np.array([[float(y[0])]]),
+                     lambda ts, X, Y, U, V: Y[:, :1, None]),
+        f0_dx=batched(lambda t, x, y, u, v: np.array([2.0 * float(x[0])]),
+                      lambda ts, X, Y, U, V: 2.0 * X[:, :1]),
+        f0_dy=_constant([0.0]),
+        f0_du=batched(lambda t, x, y, u, v: np.array([2.0 * float(u[0])]),
+                      lambda ts, X, Y, U, V: 2.0 * U[:, :1]),
+        f0_dv=_constant([0.0]),
         g0_grad=lambda x: np.array([0.0]),
         name="ocp-d-goellmann",
     )
@@ -363,7 +369,8 @@ def make_drift_problem() -> StateLinearProblem:
     return _inert_dynamics_problem(
         "drift-linear",
         f0u=batched(lambda t, u, v: float(u[0]) ** 2, lambda ts, U, V: _squares(U[:, 0])),
-        f0u_du=lambda t, u, v: np.array([2.0 * float(u[0])]))
+        f0u_du=batched(lambda t, u, v: np.array([2.0 * float(u[0])]),
+                       lambda ts, U, V: 2.0 * U[:, :1]))
 
 
 def make_inert_problem() -> StateLinearProblem:

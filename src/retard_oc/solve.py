@@ -19,7 +19,8 @@ from .cost import evaluate_cost
 from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       model_arrays, model_partials)
+                       array_form, model_arrays, model_partials,
+                       running_cost_array)
 from .sufficiency import _criterion_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          hermite_from_samples)
@@ -160,12 +161,11 @@ class DirectSolution(CandidateSolution):
 
 class _EulerGrid:
     """The forward-Euler grid of one direct solve and every model term on it
-    that no control changes: the stage times t_i, the history rows
-    phi(t_i - r) and psi(t_i - s), the resolved slot partials and, for a
-    state-linear problem, A(t_i) and A_D(t_i).  Built once per solve, so a
-    line-search trial evaluates only the terms that read the control.
-    ``rhs(i, x, y, u, v)`` is the dynamics at stage i; ``jacobians(stages)``
-    gives d f / d x at each stage and d f / d y from stage k_r on."""
+    that no control changes: the stage times ``T``, the history rows
+    phi(t_i - r) and psi(t_i - s), the array forms of the running cost and
+    of the slot partials and, for a state-linear problem, A(t_i) and
+    A_D(t_i).  Built once per solve, so a line-search trial evaluates only
+    the terms that read the control, each in one call over all stages."""
 
     def __init__(self, p: AnyProblem, cfg: TranscriptionConfig):
         lattice = p.lattice()
@@ -177,57 +177,74 @@ class _EulerGrid:
         assert k_r.denominator == 1 and k_s.denominator == 1
         self.p, self.lattice, self.M = p, lattice, cfg.n_steps
         self.k_r, self.k_s, self.df = int(k_r), int(k_s), float(delta)
-        af, r, s = float(lattice.a), float(lattice.r), float(lattice.s)
-        ts = self.ts = [af + self.df * i for i in range(self.M)]
+        af = float(lattice.a)
+        T = self.T = af + self.df * np.arange(self.M)
         self.x0 = np.asarray(p.phi(af), float).reshape(p.n)
         phi, psi = model_arrays(p, "phi", "psi")
-        self.x_hist = phi(np.array(ts[:self.k_r]) - r)
-        self.u_hist = psi(np.array(ts[:self.k_s]) - s)
-        self.partials = model_partials(p)
+        self.x_hist = phi(T[:self.k_r] - float(lattice.r))
+        self.u_hist = psi(T[:self.k_s] - float(lattice.s))
+        self.running_cost = running_cost_array(p)
+        (_, *f0_d), (_, *f_d), self.g0_grad = model_partials(p)
+        dims = (p.n, p.n, p.m, p.m)
+        self.f0_d = [array_form(fn, (d,)) for fn, d in zip(f0_d, dims)]
+        self.f_d = [array_form(fn, (p.n, d)) for fn, d in zip(f_d, dims)]
+        self.A = self.A_D = None   # stays None for a general problem
         if isinstance(p, StateLinearProblem):
-            A, A_D = (many(np.array(ts)) for many in model_arrays(p, "A", "A_D"))
-            self.rhs = lambda i, x, y, u, v: p._dynamics(ts[i], A[i], A_D[i], x, y, u, v)
-            self.jacobians = lambda stages: (A, A_D[self.k_r:])
-        else:
-            _, f_dx, f_dy, _, _ = self.partials[1]
-            self.rhs = lambda i, x, y, u, v: p.dynamics(ts[i], x, y, u, v)
-            self.jacobians = lambda stages: (stages(f_dx), stages(f_dy, self.k_r))
+            self.A, self.A_D = (many(T) for many in model_arrays(p, "A", "A_D"))
+            self.g, self.g_D = model_arrays(p, "g", "g_D")
+
+    def delayed(self, hist: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The delayed argument at every stage: the history rows ``hist``,
+        then ``rows`` shifted by ``len(hist)`` stages (x or u at t_i - r or
+        t_i - s)."""
+        return np.concatenate([hist, rows[:self.M - len(hist)]])
 
 
 def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     """Euler recursion with delayed index lookups; returns the states x_0..x_M
-    and the discrete cost."""
-    p, M, k_r, k_s, df, ts = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.ts
+    and the discrete cost.  Only the state march is sequential: a general
+    problem's f is called per stage, since it may read the current state,
+    while g, g_D and the running cost are one call over all stages each, the
+    cost summed in stage order."""
+    p, M, k_r, df, T = grid.p, grid.M, grid.k_r, grid.df, grid.T
+    A, A_D = grid.A, grid.A_D
+    vs = grid.delayed(grid.u_hist, u)
+    if A is None:
+        ts = T.tolist()
+        rhs = lambda i, x, y: p.dynamics(ts[i], x, y, u[i], vs[i])
+    else:
+        G, GD = grid.g(T, u), grid.g_D(T, vs)
+        rhs = lambda i, x, y: A[i] @ x + A_D[i] @ y + G[i] + GD[i]
     xs = np.empty((M + 1, p.n))
     xs[0] = grid.x0
-    cost = 0.0
     for i in range(M):
         xd = xs[i - k_r] if i >= k_r else grid.x_hist[i]
-        ud = u[i - k_s] if i >= k_s else grid.u_hist[i]
-        cost += df * p.running_cost(ts[i], xs[i], xd, u[i], ud)
-        xs[i + 1] = xs[i] + df * grid.rhs(i, xs[i], xd, u[i], ud)
-    cost += p.terminal_cost(xs[M])
-    return xs, cost
+        xs[i + 1] = xs[i] + df * rhs(i, xs[i], xd)
+    running = df * grid.running_cost(T, xs[:M], grid.delayed(grid.x_hist, xs), u, vs)
+    return xs, float(np.cumsum(running)[-1]) + p.terminal_cost(xs[M])
 
 
 def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`discrete_adjoint_gradient` at the control samples ``u``, whose
-    Euler states ``xs`` are given.  Each slot partial is evaluated once per
-    stage into an array; only the costate recursion is sequential."""
-    p, M, k_r, k_s, df, ts = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.ts
-    (_, f0_dx, f0_dy, f0_du, f0_dv), (_, _, _, f_du, f_dv), g0_grad = grid.partials
+    Euler states ``xs`` are given.  Each slot partial is one array-form call
+    over the stages it enters; only the costate recursion is sequential."""
+    p, M, k_r, k_s, df, T = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.T
+    f0_dx, f0_dy, f0_du, f0_dv = grid.f0_d
+    f_dx, f_dy, f_du, f_dv = grid.f_d
     # stage i reads (t_i, x_i, x(t_i - r), u_i, u(t_i - s))
-    ys = np.concatenate([grid.x_hist, xs[:max(M - k_r, 0)]])
-    vs = np.concatenate([grid.u_hist, u[:max(M - k_s, 0)]])
+    ys, vs = grid.delayed(grid.x_hist, xs), grid.delayed(grid.u_hist, u)
 
     def stages(fn, first=0):
-        return np.array([fn(ts[i], xs[i], ys[i], u[i], vs[i]) for i in range(first, M)])
+        return fn(T[first:], xs[first:M], ys[first:], u[first:], vs[first:])
 
     c_x, c_y = stages(f0_dx), stages(f0_dy, k_r)
-    j_x, j_y = grid.jacobians(stages)
+    if grid.A is None:
+        j_x, j_y = stages(f_dx), stages(f_dy, k_r)
+    else:
+        j_x, j_y = grid.A, grid.A_D[k_r:]
     lam = np.zeros((M + 1, p.n))
-    if g0_grad is not None:
-        lam[M] = g0_grad(xs[M])
+    if grid.g0_grad is not None:
+        lam[M] = grid.g0_grad(xs[M])
     for i in range(M - 1, -1, -1):
         lam[i] = lam[i + 1] + df * (c_x[i] + lam[i + 1] @ j_x[i])
         if i + k_r < M:   # x_i is the delayed argument of stage i + k_r

@@ -135,8 +135,13 @@ phi[0] = exp(t)
 phi[1] = 1
 psi[0] = 0
 """
-# every field of a parsed problem carries an array form
+# every field of a parsed problem and of a registry state-linear problem
+# carries an array form
 FILE_FIELDS = FIELDS + ("g_du", "gD_dv", "f0u_du", "f0u_dv")
+# the fields of the Goellmann problem that declare one, all but f: the
+# running cost and the slot partials of (t, x, y, u, v), then the histories
+SLOT_FIELDS = ("f0", "f_dx", "f_dy", "f_du", "f_dv", "f0_dx", "f0_dy", "f0_du", "f0_dv")
+GENERAL_FIELDS = SLOT_FIELDS + ("phi", "psi")
 
 
 def _signature(problem, field):
@@ -144,11 +149,13 @@ def _signature(problem, field):
     n, m = problem.n, problem.m
     shapes = {"A": (n, n), "A_D": (n, n), "g": (n,), "g_D": (n,), "f0x": (),
               "f0u": (), "f0x_dx": (n,), "f0x_dy": (n,), "phi": (n,), "psi": (m,),
-              "g_du": (n, m), "gD_dv": (n, m), "f0u_du": (m,), "f0u_dv": (m,)}
+              "g_du": (n, m), "gD_dv": (n, m), "f0u_du": (m,), "f0u_dv": (m,),
+              "f0": (), "f_dx": (n, n), "f_dy": (n, n), "f_du": (n, m), "f_dv": (n, m),
+              "f0_dx": (n,), "f0_dy": (n,), "f0_du": (m,), "f0_dv": (m,)}
     args = {"g": (m,), "g_D": (m,), "g_du": (m,), "gD_dv": (m,), "f0x": (n, n),
             "f0x_dx": (n, n), "f0x_dy": (n, n), "f0u": (m, m), "f0u_du": (m, m),
             "f0u_dv": (m, m)}
-    return shapes[field], args.get(field, ())
+    return shapes[field], args.get(field, (n, n, m, m) if field in SLOT_FIELDS else ())
 
 
 def _draw(problem, field, data):
@@ -196,7 +203,7 @@ def test_four_registry_problems_are_state_linear():
 @given(data=st.data())
 def test_registry_array_forms_are_the_loop_bit_for_bit(name, data):
     problem = REGISTRY[name].make_problem()
-    field = data.draw(st.sampled_from(FIELDS))
+    field = data.draw(st.sampled_from(FILE_FIELDS))
     _compare_with_loop(problem, field, *_draw(problem, field, data))
 
 
@@ -219,13 +226,14 @@ def test_probfile_array_forms_with_exp_within_two_ulp(data):
 
 
 @pytest.mark.parametrize("problem", [REGISTRY[name].make_problem() for name in
-                                     REGISTRY_LINEAR] + [parse_problem(FILE_NO_EXP)],
-                         ids=REGISTRY_LINEAR + ["every-node"])
+                                     REGISTRY_LINEAR + ["ocp-d-goellmann"]]
+                         + [parse_problem(FILE_NO_EXP)],
+                         ids=REGISTRY_LINEAR + ["ocp-d-goellmann", "every-node"])
 def test_array_forms_are_the_loop_on_a_large_sample(problem):
     # numpy's square and Python's float power differ in about one value
     # in a thousand: a few random draws would not see a form built on the
     # wrong one
-    for field in FILE_FIELDS if problem.name == "every-node" else FIELDS:
+    for field in GENERAL_FIELDS if problem.name == "ocp-d-goellmann" else FILE_FIELDS:
         _compare_with_loop(problem, field, *_sample(problem, field))
 
 

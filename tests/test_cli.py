@@ -333,6 +333,23 @@ def test_perturb_fixture_refused_on_a_foreign_problem(args, own, capsys):
     assert "certificate" not in captured.out
 
 
+@pytest.mark.parametrize("perturb", ["scale-eta3", "shift-c3"])
+def test_perturbed_verification_function_refused_with_a_file(perturb, tmp_path,
+                                                             capsys):
+    # these fixtures rebuild the registered S, which would silently drop the file
+    vf = tmp_path / "vf0.txt"
+    vf.write_text("value-function\ndims n = 1\npiece 0 3\neta[0] = 0\nc = 0\n")
+    args = ["verify-hj", "ocp-d-goellmann", "--with-S", str(vf)]
+    assert main(args + ["--perturb", perturb]) == 2
+    captured = capsys.readouterr()
+    assert f"--perturb {perturb}" in captured.err
+    assert f"--with-S {vf}" in captured.err
+    assert "certificate" not in captured.out
+    # the candidate fixture leaves S alone, so the file's S is certified
+    assert main(args + ["--perturb", "zero-control"]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
 def _tolerance_lines(text):
     return [line for line in text.splitlines() if line.startswith("tol.")]
 

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 
 from retard_oc import solve
 from retard_oc.dde import IntegratorConfig
-from retard_oc.problems import as_delayed
+from retard_oc.probfile import parse_problem
+from retard_oc.problems import as_delayed, batched, model_partials
 from retard_oc.registry import (D_COST, d_control_value, ld_control_value,
-                                make_zero_problem)
+                                make_d_problem, make_ld_problem, make_zero_problem)
 from retard_oc.solve import (TranscriptionConfig, _EulerGrid, _euler_forward,
                              discrete_adjoint_gradient, solve_direct_euler)
 
@@ -213,3 +215,198 @@ def test_line_search_reports_unbounded_descent():
     with pytest.raises(UnboundedDescentError):
         solve_direct_euler(trap, TranscriptionConfig(n_steps=40, grad_tol=1e-12),
                            FAST)
+
+
+# -- the array passes against the per-stage recursions they replace -----------------
+
+LD_FILE = """\
+problem ld-from-file
+kind state-linear
+horizon a = 0  b = 4
+delays r = 2  s = 1
+dims n = 1  m = 1
+A[0,0] = 1
+AD[0,0] = 1
+g[0] = 0
+gD[0] = -10*v0
+f0x = x0
+f0u = 100*u0^2
+phi[0] = 1
+psi[0] = 0
+"""
+# every term nonzero and time-varying, n = m = 2: a reordered sum or a
+# transposed product shows in the last bits
+TWO_BY_TWO = """\
+problem two-by-two
+kind state-linear
+horizon a = 0  b = 2
+delays r = 1/2  s = 1/2
+dims n = 2  m = 2
+A[0,0] = -1 + t/4
+A[0,1] = 1/2 - t^3
+A[1,0] = (1 + t)/(2 + t^2)
+AD[0,1] = t/5
+AD[1,1] = 1/3
+g[0] = u0 - t*u1^3
+g[1] = u1/3
+gD[0] = v1/7
+gD[1] = 2*v0 - t*v1^2
+f0x = x0^2 + t*y1^4 + x1*y0/5
+f0u = u0^2 + (1/2)*v1^2 - u1*v0
+phi[0] = 1
+phi[1] = t^2
+psi[0] = t/3
+psi[1] = t
+"""
+LINEAR_FIELDS = ("A", "A_D", "g", "g_D", "f0x", "f0u", "phi", "psi", "f0x_dx",
+                 "f0x_dy", "g_du", "gD_dv", "f0u_du", "f0u_dv")
+# the Goellmann fields with an array form: all but f
+GOELLMANN_ARRAY_FIELDS = ("f0", "f_dx", "f_dy", "f_du", "f_dv",
+                          "f0_dx", "f0_dy", "f0_du", "f0_dv")
+
+
+def _reference_forward(grid, u):
+    """The Euler recursion with one model call per stage and the cost summed
+    stage by stage: the reference the array passes equal bit for bit."""
+    p, M, k_r, k_s, df = grid.p, grid.M, grid.k_r, grid.k_s, grid.df
+    ts = [float(p.a) + df * i for i in range(M)]
+    xs = np.empty((M + 1, p.n))
+    xs[0] = np.asarray(p.phi(float(p.a)), float).reshape(p.n)
+    cost = 0.0
+    for i in range(M):
+        xd = xs[i - k_r] if i >= k_r else np.asarray(p.phi(ts[i] - float(p.r)), float)
+        ud = u[i - k_s] if i >= k_s else np.asarray(p.psi(ts[i] - float(p.s)), float)
+        cost += df * p.running_cost(ts[i], xs[i], xd, u[i], ud)
+        xs[i + 1] = xs[i] + df * p.dynamics(ts[i], xs[i], xd, u[i], ud)
+    return xs, cost + p.terminal_cost(xs[M])
+
+
+def _reference_gradient(grid, xs, u):
+    """The discrete adjoint gradient with each slot partial called once per
+    stage, stacked, around the same lambda recursion."""
+    p, M, k_r, k_s, df = grid.p, grid.M, grid.k_r, grid.k_s, grid.df
+    ts = [float(p.a) + df * i for i in range(M)]
+    (_, f0_dx, f0_dy, f0_du, f0_dv), (_, f_dx, f_dy, f_du, f_dv), g0_grad = \
+        model_partials(p)
+    ys = [xs[i - k_r] if i >= k_r else np.asarray(p.phi(ts[i] - float(p.r)), float)
+          for i in range(M)]
+    vs = [u[i - k_s] if i >= k_s else np.asarray(p.psi(ts[i] - float(p.s)), float)
+          for i in range(M)]
+
+    def stages(fn, first=0):
+        return np.array([fn(ts[i], xs[i], ys[i], u[i], vs[i]) for i in range(first, M)])
+
+    c_x, c_y = stages(f0_dx), stages(f0_dy, k_r)
+    j_x, j_y = stages(f_dx), stages(f_dy, k_r)
+    lam = np.zeros((M + 1, p.n))
+    if g0_grad is not None:
+        lam[M] = g0_grad(xs[M])
+    for i in range(M - 1, -1, -1):
+        lam[i] = lam[i + 1] + df * (c_x[i] + lam[i + 1] @ j_x[i])
+        if i + k_r < M:
+            lam[i] += df * (c_y[i] + lam[i + k_r + 1] @ j_y[i])
+    grad = df * (stages(f0_du) + np.einsum("ki,kij->kj", lam[1:], stages(f_du)))
+    if k_s < M:
+        grad[:M - k_s] += df * (stages(f0_dv, k_s) + np.einsum(
+            "ki,kij->kj", lam[k_s + 1:], stages(f_dv, k_s)))
+    return grad
+
+
+def _scalar_only(problem, names):
+    """``problem`` with each named field rewrapped as a plain function, so no
+    array form exists and every consumer loops over scalar calls."""
+    return replace(problem, **{name: (lambda fn: lambda *a: fn(*a))(getattr(problem, name))
+                               for name in names})
+
+
+def _case(name):
+    """A problem and its transcription: the ld problem file, a two-state
+    file, registry ld and Goellmann with native array forms, registry ld with
+    scalar fields only, and registry ld with its control partials left to
+    finite differences."""
+    ld_cfg = TranscriptionConfig(n_steps=400, max_iterations=200, grad_tol=1e-9)
+    return {
+        "file": lambda: (parse_problem(LD_FILE), ld_cfg),
+        "two-by-two": lambda: (parse_problem(TWO_BY_TWO), TranscriptionConfig(n_steps=200)),
+        "ld": lambda: (make_ld_problem(), ld_cfg),
+        "goellmann": lambda: (make_d_problem(), TranscriptionConfig(
+            n_steps=300, max_iterations=200, grad_tol=1e-9)),
+        "scalar-ld": lambda: (_scalar_only(make_ld_problem(), LINEAR_FIELDS), ld_cfg),
+        "fd-ld": lambda: (replace(make_ld_problem(), g_du=None, gD_dv=None,
+                                  f0u_du=None, f0u_dv=None), ld_cfg),
+    }[name]()
+
+
+CASES = ["file", "ld", "goellmann", "scalar-ld", "fd-ld"]
+
+
+@pytest.mark.parametrize("name", CASES + ["two-by-two"])
+def test_array_passes_equal_the_per_stage_reference(name):
+    problem, cfg = _case(name)
+    grid = _EulerGrid(problem, cfg)
+    u = np.random.default_rng(5).uniform(-0.5, 0.5, size=(cfg.n_steps, problem.m))
+    xs, cost = _euler_forward(grid, u)
+    ref_xs, ref_cost = _reference_forward(grid, u)
+    np.testing.assert_array_equal(xs, ref_xs)
+    assert repr(cost) == repr(ref_cost)
+    np.testing.assert_array_equal(discrete_adjoint_gradient(problem, u, cfg),
+                                  _reference_gradient(grid, ref_xs, u))
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_direct_solve_equals_the_per_stage_reference(name, monkeypatch):
+    problem, cfg = _case(name)
+    got = solve_direct_euler(problem, cfg, FAST)
+    monkeypatch.setattr(solve, "_euler_forward", _reference_forward)
+    monkeypatch.setattr(solve, "_adjoint_gradient", _reference_gradient)
+    want = solve_direct_euler(problem, cfg, FAST)
+    assert got.iterations == want.iterations >= 2
+    assert repr(got.discrete_objective) == repr(want.discrete_objective)
+    assert repr(got.cost) == repr(want.cost)
+    np.testing.assert_array_equal(got.control_samples, want.control_samples)
+    assert got.history == want.history
+
+
+def _counted(problem, names):
+    """``problem`` with each named field counting its scalar calls; a
+    field's array form is kept and not counted."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def scalar(*args):
+            calls[name] += 1
+            return fn(*args)
+        return batched(scalar, fn.many) if hasattr(fn, "many") else scalar
+    return replace(problem, **{name: wrap(name, getattr(problem, name))
+                               for name in names}), calls
+
+
+@pytest.mark.parametrize("name", ["file", "ld"])
+def test_direct_solve_makes_no_scalar_model_call(name):
+    base, cfg = _case(name)
+    fields = [f for f in LINEAR_FIELDS if f not in ("phi", "psi")]
+    assert all(hasattr(getattr(base, f), "many") for f in fields)
+    problem, calls = _counted(base, fields)
+    sol = solve_direct_euler(problem, cfg, FAST)
+    assert sol.iterations >= 2
+    assert calls == dict.fromkeys(fields, 0)
+
+
+def test_goellmann_direct_solve_calls_f_once_per_stage(monkeypatch):
+    base, cfg = _case("goellmann")
+    assert all(hasattr(getattr(base, f), "many") for f in GOELLMANN_ARRAY_FIELDS)
+    problem, calls = _counted(base, ("f",) + GOELLMANN_ARRAY_FIELDS)
+    per_pass = []
+    forward = solve._euler_forward
+
+    def spy(grid, u):
+        before = calls["f"]
+        result = forward(grid, u)
+        per_pass.append(calls["f"] - before)
+        return result
+
+    monkeypatch.setattr(solve, "_euler_forward", spy)
+    solve_direct_euler(problem, cfg, FAST)
+    assert len(per_pass) >= 2 and set(per_pass) == {cfg.n_steps}
+    assert {f: calls[f] for f in GOELLMANN_ARRAY_FIELDS} == \
+        dict.fromkeys(GOELLMANN_ARRAY_FIELDS, 0)
