@@ -276,15 +276,14 @@ def _cmd_transform(args: argparse.Namespace) -> int:
         sol = stack_candidate(aug, cand)
         back = reassemble(sol, lattice)
         ts = np.linspace(float(problem.a), float(problem.b), 801)
-        round_trip = max(float(np.max(np.abs(back.state.eval(t) - cand.state.eval(t))))
-                         for t in ts)
+        round_trip = float(np.max(np.abs(back.state.eval_many(ts)
+                                         - cand.state.eval_many(ts))))
         cost_gap = abs(augmented_cost(aug, sol, args.quadrature_steps)
                        - evaluate_cost(problem, cand, args.quadrature_steps))
         re = reassemble(integrate_augmented(aug, cand.control, _integrator(args)),
                         lattice)
         fwd = integrate_forward(problem, cand.control, _integrator(args))
-        dyn_gap = max(float(np.max(np.abs(re.state.eval(t) - fwd.eval(t))))
-                      for t in ts)
+        dyn_gap = float(np.max(np.abs(re.state.eval_many(ts) - fwd.eval_many(ts))))
         print(f"round-trip sup error: {round_trip:.3e}")
         print(f"cost gap (augmented vs original): {cost_gap:.3e}")
         print(f"dynamics gap (augmented vs delayed integration): {dyn_gap:.3e}")

@@ -301,6 +301,17 @@ def running_cost_array(problem: AnyProblem) -> Callable:
     return array_form(problem.f0, ())
 
 
+def dynamics_array(problem: AnyProblem) -> Callable:
+    """The dynamics over K times, (ts, X, Y, U, V) -> (K, n), with the values
+    of ``dynamics``: A x + A_D y + g + g_D, in that order, for a state-linear
+    problem, one call of each array form; the array form of f otherwise."""
+    if isinstance(problem, StateLinearProblem):
+        A, A_D, g, g_D = model_arrays(problem, "A", "A_D", "g", "g_D")
+        return lambda ts, x, y, u, v: ((A(ts) @ x[:, :, None] + A_D(ts) @ y[:, :, None])[:, :, 0]
+                                       + g(ts, u) + g_D(ts, v))
+    return array_form(problem.f, (problem.n,))
+
+
 def _shaped(fn: Optional[Callable], shape: tuple,
             pick: Callable = lambda *args: args) -> Optional[Callable]:
     """``fn`` on ``pick(*args)`` as a float array of ``shape``, with the

@@ -1,17 +1,18 @@
 """Reduction of a delayed problem to an equivalent non-delayed one.
 
 The trajectory on [a, b] is cut into the N lattice cells and stacked: block
-i at local time sigma in [0, h] represents original time a + i h + sigma.
-Delayed arguments become inter-block references with exact integer offsets
-r/h and s/h; references reaching before the horizon start are baked-in
-evaluations of the histories, keeping the stacked dimension at n N.  Block
-boundaries are linked by hard equality X_{i+1}(0) = X_i(h).
+i at local time sigma in [0, h] is the cell's own curve at original time
+a + i h + sigma.  Delayed arguments become inter-block references with exact
+integer offsets r/h and s/h: over the block axis, a delayed block is a row
+shift (:func:`~retard_oc.trajectory.shifted_rows`) with baked-in history
+rows in front, keeping the stacked dimension at n N.  All blocks are
+resolved in one array pass and the model is one array-form call over them.
+Block boundaries are linked by hard equality X_{i+1}(0) = X_i(h).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -19,8 +20,9 @@ from .cost import _simpson_weights
 from .dde import IntegratorConfig, _cell_schedule, _integrate_cell
 from .errors import MismatchedLatticeError, NonFiniteStateError, SeamMismatchError
 from .lattice import CommensurabilityLattice
-from .problems import AnyProblem, CandidateSolution
-from .trajectory import CallableCurve, HermiteCurve, Trajectory, cell_trajectory
+from .problems import (AnyProblem, CandidateSolution, dynamics_array,
+                       model_arrays, running_cost_array)
+from .trajectory import HermiteCurve, Trajectory, cell_trajectory, shifted_rows
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,17 @@ class AugmentedProblem:
 
     problem: AnyProblem
     lattice: CommensurabilityLattice
+
+    def __post_init__(self):
+        # lattice floats and model array forms, resolved once per problem
+        p, lat = self.problem, self.lattice
+        for name, value in dict(
+                _starts=np.array([float(lo) for _, lo, _ in lat.cells()]),
+                _delays=(float(lat.r), float(lat.s)),
+                _shifts=(min(lat.state_shift, lat.n_cells), min(lat.control_shift, lat.n_cells)),
+                _histories=model_arrays(p, "phi", "psi"),
+                _dynamics=dynamics_array(p), _running_cost=running_cost_array(p)).items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_blocks(self) -> int:
@@ -59,39 +72,37 @@ class AugmentedProblem:
     def control_offset(self) -> int:
         return self.lattice.control_shift
 
-    def _delayed(self, blocks: np.ndarray, i: int, offset: int, t: float,
-                 history) -> np.ndarray:
-        """Block ``i - offset``, or the baked-in ``history`` at original time
-        ``t`` when that block precedes the horizon start."""
-        if i - offset >= 0:
-            return blocks[i - offset]
-        return np.asarray(history(t), float).reshape(blocks.shape[1])
+    def _block_rows(self, curves, sigmas) -> np.ndarray:
+        """Values of the block ``curves`` at the local times ``sigmas``,
+        block-major: row i K + k is block i at ``sigmas[k]``."""
+        sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+        return np.concatenate([curve.eval_many(start + sigmas)
+                               for curve, start in zip(curves, self._starts)])
 
-    def _block_args(self, sigma: float, X: np.ndarray, W: np.ndarray):
-        """The original model's arguments (t, x, x(t-r), u, u(t-s)) for each
-        block at local time sigma."""
-        p, N, lat = self.problem, self.n_blocks, self.lattice
-        af, hf, sig, rf, sf = (float(c) for c in (lat.a, lat.h, sigma, lat.r, lat.s))
-        kr, ks = lat.state_shift, lat.control_shift   # once per call, not per block
-        xb = np.asarray(X, float).reshape(N, p.n)
-        wb = np.asarray(W, float).reshape(N, p.m)
-        for i in range(N):
-            t = af + i * hf + sig
-            yield (t, xb[i], self._delayed(xb, i, kr, t - rf, p.phi),
-                   wb[i], self._delayed(wb, i, ks, t - sf, p.psi))
+    def _arguments(self, sigmas, X: np.ndarray, W: np.ndarray) -> tuple:
+        """The original model's arguments (t, x, x(t-r), u, u(t-s)) of every
+        block at the K local times ``sigmas``, block-major like ``X`` and
+        ``W``: a delay of k blocks is a shift by k K rows."""
+        (rf, sf), (kr, ks), (phi, psi) = self._delays, self._shifts, self._histories
+        K, ts = np.size(sigmas), (self._starts[:, None] + sigmas).ravel()
+        x = np.asarray(X, float).reshape(-1, self.problem.n)
+        u = np.asarray(W, float).reshape(-1, self.problem.m)
+        return (ts, x, shifted_rows(phi(ts[:kr * K] - rf), x),
+                u, shifted_rows(psi(ts[:ks * K] - sf), u))
+
+    def _summed_cost(self, sigmas, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Running cost at each of ``sigmas``, one array-form call, summed block by block."""
+        costs = self._running_cost(*self._arguments(sigmas, X, W))
+        return np.add.accumulate(costs.reshape(self.n_blocks, -1))[-1]
 
     def dynamics(self, sigma: float, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Stacked right-hand side; an ordinary ODE in R^{n N}."""
-        return np.concatenate([self.problem.dynamics(*args)
-                               for args in self._block_args(sigma, X, W)])
+        return self._dynamics(*self._arguments(float(sigma), X, W)).reshape(-1)
 
     def running_cost(self, sigma: float, X: np.ndarray, W: np.ndarray) -> float:
         """Stacked running cost; its sigma-integral over [0, h] equals the
         original cost integral over [a, b] exactly."""
-        total = 0.0
-        for args in self._block_args(sigma, X, W):
-            total += self.problem.running_cost(*args)
-        return total
+        return float(self._summed_cost(float(sigma), X, W)[0])
 
 
 def augment(problem: AnyProblem, lattice: CommensurabilityLattice) -> AugmentedProblem:
@@ -106,10 +117,11 @@ def augment(problem: AnyProblem, lattice: CommensurabilityLattice) -> AugmentedP
 
 @dataclass
 class AugmentedSolution:
-    """Stacked trajectories on the local interval [0, h].
+    """Stacked trajectories, one curve per block.
 
-    ``state_blocks[i]`` and ``control_blocks[i]`` are curves of local time
-    sigma; block i carries original time a + i h + sigma.
+    ``state_blocks[i]`` and ``control_blocks[i]`` are the curves of lattice
+    cell i in original time: block i at local time sigma in [0, h] is the
+    curve's value at a + i h + sigma.
     """
 
     aug: AugmentedProblem
@@ -117,32 +129,23 @@ class AugmentedSolution:
     control_blocks: list
 
     def linkage_residual(self) -> float:
-        """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf."""
-        h = float(self.aug.block_length)
-        gaps = [np.max(np.abs(left(h) - right(0.0)))
-                for left, right in zip(self.state_blocks, self.state_blocks[1:])]
+        """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf at the cell edges."""
+        gaps = [np.max(np.abs(left(edge) - right(edge))) for left, right, edge in
+                zip(self.state_blocks, self.state_blocks[1:], self.aug._starts[1:])]
         return float(np.max(gaps, initial=0.0))   # NaN propagates
 
     def stacked_state(self, sigma: float) -> np.ndarray:
-        return np.concatenate([blk(float(sigma)) for blk in self.state_blocks])
+        return self.aug._block_rows(self.state_blocks, sigma).reshape(-1)
 
     def stacked_control(self, sigma: float) -> np.ndarray:
-        return np.concatenate([blk(float(sigma)) for blk in self.control_blocks])
-
-
-def _cell_blocks(traj: Trajectory, lattice) -> list[Callable[[float], np.ndarray]]:
-    """The curve of ``traj`` on each lattice cell [lo, hi] as a function of
-    local time sigma in [0, h]."""
-    def block(curve, offset):
-        return lambda sigma: curve(offset + float(sigma))
-    return [block(traj.cell_curve(lo, hi), float(lo)) for _, lo, hi in lattice.cells()]
+        return self.aug._block_rows(self.control_blocks, sigma).reshape(-1)
 
 
 def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> AugmentedSolution:
-    """Slice a candidate pair into stacked block curves (the forward half of
-    the round trip; ``reassemble`` is its inverse)."""
-    return AugmentedSolution(aug=aug, state_blocks=_cell_blocks(cand.state, aug.lattice),
-                             control_blocks=_cell_blocks(cand.control, aug.lattice))
+    """Slice a candidate pair into its cell curves, the stacked blocks (the
+    forward half of the round trip; ``reassemble`` is its inverse)."""
+    return AugmentedSolution(aug=aug, state_blocks=cand.state.cell_curves(aug.lattice),
+                             control_blocks=cand.control.cell_curves(aug.lattice))
 
 
 def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
@@ -155,21 +158,18 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     blocks simultaneously over sigma in [0, h], then feeds X_i(h) into
     X_{i+1}(0) for the next sweep.  Block i reads only blocks before it, so
     the starts are exact after at most N sweeps; the sweep that reproduces
-    its own starts bit for bit is the solution.  A non-finite end value
-    raises :class:`NonFiniteStateError` naming its first block.
+    its own starts bit for bit is the solution.  The controls are looked up
+    before the sweeps; a non-finite end value raises
+    :class:`NonFiniteStateError` naming its first block.
     """
     lattice = aug.lattice
     N, n = aug.n_blocks, aug.problem.n
-    hf = float(lattice.h)
-    control_blocks = _cell_blocks(control, lattice)
-
-    def rhs(k, sigma, X):
-        return aug.dynamics(sigma, X, np.concatenate([blk(sigma) for blk in control_blocks]))
-
-    widths, times = _cell_schedule(0.0, hf, cfg.substeps_per_cell)
-
-    starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)),
-                                float).reshape(n), N)
+    widths, times = _cell_schedule(0.0, float(lattice.h), cfg.substeps_per_cell)
+    control_blocks = control.cell_curves(lattice)
+    # the stacked control at every stage: row k is W at times[k]
+    W = np.hstack(np.split(aug._block_rows(control_blocks, times), N))
+    rhs = lambda k, sigma, X: aug.dynamics(sigma, X, W[k])
+    starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)), float).reshape(n), N)
     for _ in range(N + 1):
         ts, ys, ds, y_end = _integrate_cell(rhs, widths, times, starts)
         if not np.all(np.isfinite(y_end)):
@@ -181,13 +181,9 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
         if np.array_equal(new_starts, starts):
             break
         starts = new_starts
-    curve = HermiteCurve(ts, ys, ds)
-
-    def block_curve(i: int):
-        return lambda sigma: curve(float(sigma))[i * n:(i + 1) * n]
-
-    return AugmentedSolution(aug=aug, state_blocks=[block_curve(i) for i in range(N)],
-                             control_blocks=control_blocks)
+    blocks = zip(aug._starts, np.split(ys, N, axis=1), np.split(ds, N, axis=1))
+    return AugmentedSolution(aug=aug, control_blocks=control_blocks, state_blocks=[
+        HermiteCurve(start + ts, y, d) for start, y, d in blocks])
 
 
 def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice,
@@ -197,23 +193,14 @@ def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice
     Linkage is enforced as hard equality: a seam residual above ``tol``,
     or NaN, raises :class:`SeamMismatchError` instead of smoothing it over.
     """
-    aug = aug_solution.aug
-    problem = aug.problem
+    problem = aug_solution.aug.problem
     residual = aug_solution.linkage_residual()
     if not residual <= tol:
         raise SeamMismatchError(
             f"block linkage residual {residual:.3e} exceeds {tol:g}")
-
-    def unshifted(blocks, dim):
-        return [CallableCurve(lambda t, block=block, offset=float(lo):
-                              block(float(t) - offset), dim)
-                for block, (_, lo, _) in zip(blocks, lattice.cells())]
-
-    state = cell_trajectory(lattice, problem.n,
-                            unshifted(aug_solution.state_blocks, problem.n),
+    state = cell_trajectory(lattice, problem.n, aug_solution.state_blocks,
                             problem.state_history_start, problem.phi)
-    control = cell_trajectory(lattice, problem.m,
-                              unshifted(aug_solution.control_blocks, problem.m),
+    control = cell_trajectory(lattice, problem.m, aug_solution.control_blocks,
                               problem.control_history_start, problem.psi)
     return CandidateSolution(state=state, control=control)
 
@@ -221,14 +208,12 @@ def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice
 def augmented_cost(aug: AugmentedProblem, sol: AugmentedSolution,
                    quadrature_steps: int = 512) -> float:
     """Simpson quadrature of the stacked running cost over [0, h] plus the
-    terminal cost read off the last block's endpoint."""
+    terminal cost read off the last block's endpoint; all blocks at all
+    nodes are looked up at once and scored in one running-cost call."""
     hf = float(aug.block_length)
-    weights = _simpson_weights(quadrature_steps)
-    acc = 0.0
-    for k in range(quadrature_steps + 1):
-        sigma = hf if k == quadrature_steps else hf * (k / quadrature_steps)
-        acc += float(weights[k]) * aug.running_cost(sigma, sol.stacked_state(sigma),
-                                                    sol.stacked_control(sigma))
-    dt = hf / quadrature_steps
-    xb = sol.state_blocks[-1](hf)
-    return float(acc * dt / 3.0 + aug.problem.terminal_cost(xb))
+    sigmas = hf * (np.arange(quadrature_steps + 1) / quadrature_steps)
+    sigmas[-1] = hf
+    x = aug._block_rows(sol.state_blocks, sigmas)
+    totals = aug._summed_cost(sigmas, x, aug._block_rows(sol.control_blocks, sigmas))
+    acc = np.cumsum(_simpson_weights(quadrature_steps) * totals)[-1]   # in node order
+    return float(acc * (hf / quadrature_steps) / 3.0 + aug.problem.terminal_cost(x[-1]))

@@ -160,7 +160,8 @@ def make_d_problem() -> DelayedProblem:
         n=1, m=1,
         f0=batched(lambda t, x, y, u, v: float(x[0]) ** 2 + float(u[0]) ** 2,
                    lambda ts, X, Y, U, V: _squares(X[:, 0]) + _squares(U[:, 0])),
-        f=lambda t, x, y, u, v: np.array([float(y[0]) * float(v[0])]),
+        f=batched(lambda t, x, y, u, v: np.array([float(y[0]) * float(v[0])]),
+                  lambda ts, X, Y, U, V: Y[:, :1] * V[:, :1]),
         phi=_constant([1.0]),
         psi=_constant([0.0]),
         g0=lambda x: 0.0,

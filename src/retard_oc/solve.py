@@ -23,7 +23,7 @@ from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        running_cost_array)
 from .sufficiency import _criterion_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
-                         hermite_from_samples)
+                         hermite_from_samples, shifted_rows)
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +47,8 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -193,12 +195,6 @@ class _EulerGrid:
             self.A, self.A_D = (many(T) for many in model_arrays(p, "A", "A_D"))
             self.g, self.g_D = model_arrays(p, "g", "g_D")
 
-    def delayed(self, hist: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The delayed argument at every stage: the history rows ``hist``,
-        then ``rows`` shifted by ``len(hist)`` stages (x or u at t_i - r or
-        t_i - s)."""
-        return np.concatenate([hist, rows[:self.M - len(hist)]])
-
 
 def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     """Euler recursion with delayed index lookups; returns the states x_0..x_M
@@ -208,7 +204,7 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     cost summed in stage order."""
     p, M, k_r, df, T = grid.p, grid.M, grid.k_r, grid.df, grid.T
     A, A_D = grid.A, grid.A_D
-    vs = grid.delayed(grid.u_hist, u)
+    vs = shifted_rows(grid.u_hist, u)
     if A is None:
         ts = T.tolist()
         rhs = lambda i, x, y: p.dynamics(ts[i], x, y, u[i], vs[i])
@@ -220,7 +216,7 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     for i in range(M):
         xd = xs[i - k_r] if i >= k_r else grid.x_hist[i]
         xs[i + 1] = xs[i] + df * rhs(i, xs[i], xd)
-    running = df * grid.running_cost(T, xs[:M], grid.delayed(grid.x_hist, xs), u, vs)
+    running = df * grid.running_cost(T, xs[:M], shifted_rows(grid.x_hist, xs[:M]), u, vs)
     return xs, float(np.cumsum(running)[-1]) + p.terminal_cost(xs[M])
 
 
@@ -232,7 +228,7 @@ def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.nda
     f0_dx, f0_dy, f0_du, f0_dv = grid.f0_d
     f_dx, f_dy, f_du, f_dv = grid.f_d
     # stage i reads (t_i, x_i, x(t_i - r), u_i, u(t_i - s))
-    ys, vs = grid.delayed(grid.x_hist, xs), grid.delayed(grid.u_hist, u)
+    ys, vs = shifted_rows(grid.x_hist, xs[:M]), shifted_rows(grid.u_hist, u)
 
     def stages(fn, first=0):
         return fn(T[first:], xs[first:M], ys[first:], u[first:], vs[first:])

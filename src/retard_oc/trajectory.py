@@ -249,11 +249,18 @@ def cell_values(curves: Sequence[Curve], idx: int, ts: np.ndarray,
     (len(ts), dim).  ``history`` is the array form of the history callable
     (:func:`~retard_oc.problems.array_form`), called once for all times.
 
-    This is the method of steps' one delayed-argument resolver: integrators
-    and quadrature resolve every input of a cell through it before the cell
-    is marched or summed.
+    This is the method of steps' delayed-argument resolver by cell index
+    (:func:`shifted_rows` by row): integrators and quadrature resolve every
+    input of a cell through it before the cell is marched or summed.
     """
     return curves[idx].eval_many(ts) if idx >= 0 else history(ts)
+
+
+def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The delayed argument of each of ``rows`` under a delay of whole rows:
+    ``history_rows`` in front (at most ``len(rows)`` of them), then ``rows``
+    moved down by their number; as many rows as ``rows``."""
+    return np.concatenate([history_rows, rows[:len(rows) - len(history_rows)]])
 
 
 # -- builders ----------------------------------------------------------------

@@ -138,9 +138,10 @@ psi[0] = 0
 # every field of a parsed problem and of a registry state-linear problem
 # carries an array form
 FILE_FIELDS = FIELDS + ("g_du", "gD_dv", "f0u_du", "f0u_dv")
-# the fields of the Goellmann problem that declare one, all but f: the
-# running cost and the slot partials of (t, x, y, u, v), then the histories
-SLOT_FIELDS = ("f0", "f_dx", "f_dy", "f_du", "f_dv", "f0_dx", "f0_dy", "f0_du", "f0_dv")
+# the fields of the Goellmann problem, which all declare one: the running
+# cost, the dynamics and the slot partials of (t, x, y, u, v), then the
+# histories
+SLOT_FIELDS = ("f0", "f", "f_dx", "f_dy", "f_du", "f_dv", "f0_dx", "f0_dy", "f0_du", "f0_dv")
 GENERAL_FIELDS = SLOT_FIELDS + ("phi", "psi")
 
 
@@ -150,7 +151,7 @@ def _signature(problem, field):
     shapes = {"A": (n, n), "A_D": (n, n), "g": (n,), "g_D": (n,), "f0x": (),
               "f0u": (), "f0x_dx": (n,), "f0x_dy": (n,), "phi": (n,), "psi": (m,),
               "g_du": (n, m), "gD_dv": (n, m), "f0u_du": (m,), "f0u_dv": (m,),
-              "f0": (), "f_dx": (n, n), "f_dy": (n, n), "f_du": (n, m), "f_dv": (n, m),
+              "f0": (), "f": (n,), "f_dx": (n, n), "f_dy": (n, n), "f_du": (n, m), "f_dv": (n, m),
               "f0_dx": (n,), "f0_dy": (n,), "f0_du": (m,), "f0_dv": (m,)}
     args = {"g": (m,), "g_D": (m,), "g_du": (m,), "gD_dv": (m,), "f0x": (n, n),
             "f0x_dx": (n, n), "f0x_dy": (n, n), "f0u": (m, m), "f0u_du": (m, m),

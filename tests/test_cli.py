@@ -121,6 +121,11 @@ def test_example_run_needs_a_name(capsys):
     assert "example run needs a problem name" in capsys.readouterr().err
 
 
+def test_sweep_without_iterations_is_a_usage_error(capsys):
+    assert main(["solve-fbsm", "ocp-ld-paper", "--max-iter", "0"]) == 2
+    assert "max_iterations must be >= 1" in capsys.readouterr().err
+
+
 def test_cost_needs_a_problem(capsys):
     assert main(["cost"]) == 2
     assert "no problem given" in capsys.readouterr().err

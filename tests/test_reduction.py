@@ -10,10 +10,11 @@ from retard_oc.dde import IntegratorConfig, integrate_forward
 from retard_oc.errors import (MismatchedLatticeError, NonFiniteStateError,
                               SeamMismatchError)
 from retard_oc.lattice import make_lattice
-from retard_oc.problems import CandidateSolution, DelayedProblem
+from retard_oc.problems import (CandidateSolution, DelayedProblem,
+                                StateLinearProblem, as_delayed)
 from retard_oc.reduction import (augment, augmented_cost, integrate_augmented,
                                  reassemble, stack_candidate)
-from retard_oc.trajectory import from_pieces
+from retard_oc.trajectory import CallableCurve, from_pieces
 
 
 @pytest.fixture(scope="module", params=["ld", "d"])
@@ -107,15 +108,24 @@ def test_broken_seam_raises(ld_problem, ld_candidate):
     sol = stack_candidate(augment(ld_problem, lattice), ld_candidate)
     third = sol.state_blocks[2]
     sol.state_blocks = list(sol.state_blocks)
-    sol.state_blocks[2] = lambda sigma: third(sigma) + 0.1
+    sol.state_blocks[2] = CallableCurve(lambda t: third(t) + 0.1, 1)
     with pytest.raises(SeamMismatchError):
         reassemble(sol, lattice)
 
 
 def test_single_block_reduction_uses_history_only():
-    # r = s = h = b - a: every delayed reference resolves to the histories
+    _check_history_only(Fraction(1))
+
+
+def test_shift_past_the_last_block_uses_history_only():
+    # r/h = 2 reaches past the one block: still all history rows
+    _check_history_only(Fraction(2))
+
+
+def _check_history_only(r):
+    # r, s >= h = b - a: every delayed reference resolves to the histories
     problem = DelayedProblem(
-        a=Fraction(0), b=Fraction(1), r=Fraction(1), s=Fraction(1), n=1, m=1,
+        a=Fraction(0), b=Fraction(1), r=r, s=Fraction(1), n=1, m=1,
         f0=lambda t, x, y, u, v: 0.0,
         f=lambda t, x, y, u, v: np.array([float(y[0]) + float(v[0])]),
         phi=lambda t: np.array([2.0]),
@@ -124,7 +134,7 @@ def test_single_block_reduction_uses_history_only():
     assert aug.n_blocks == 1
     X = np.array([5.0])
     W = np.array([0.0])
-    # rhs = phi(t - 1) + psi(t - 1) = 5 regardless of the block values
+    # rhs = phi(t - r) + psi(t - 1) = 5 regardless of the block values
     np.testing.assert_allclose(aug.dynamics(0.5, X, W), [5.0])
 
 
@@ -173,7 +183,95 @@ def test_nan_seam_is_a_mismatch(ld_problem, ld_candidate):
     lattice = ld_problem.lattice()
     sol = stack_candidate(augment(ld_problem, lattice), ld_candidate)
     sol.state_blocks = list(sol.state_blocks)
-    sol.state_blocks[1] = lambda sigma: np.array([np.nan])
+    sol.state_blocks[1] = CallableCurve(lambda t: [np.nan], 1)
     assert np.isnan(sol.linkage_residual())
     with pytest.raises(SeamMismatchError):
         reassemble(sol, lattice)
+
+
+def _two_by_two_problem():
+    """n = m = 2 on [0, 3] with r = 1, s = 1/2: six blocks of length 1/2,
+    state shift 2, control shift 1; plain scalar callables only."""
+    return StateLinearProblem(
+        a=0, b=3, r=1, s=Fraction(1, 2), n=2, m=2,
+        A=lambda t: np.array([[np.sin(t), 1.0], [0.5, -t]]),
+        A_D=lambda t: np.array([[0.3, -0.2 * t], [np.cos(t), 0.1]]),
+        g=lambda t, u: np.array([u[0] ** 2 + t, np.sin(u[1])]),
+        g_D=lambda t, v: np.array([v[1], t * v[0]]),
+        f0x=lambda t, x, y: x[0] ** 2 + x[0] * y[1] + t * y[0] ** 2,
+        f0u=lambda t, u, v: u[0] ** 2 + u[1] * v[0] + v[1] ** 2,
+        phi=lambda t: np.array([np.cos(t), t]),
+        psi=lambda t: np.array([np.sin(t), 1.0 - t]))
+
+
+def _per_block_reference(aug, sigma, X, W):
+    """Dynamics and running cost block by block: each block's delayed
+    arguments read the block ``offset`` before it, or the history at
+    t - delay when that block precedes the horizon start."""
+    p, lat = aug.problem, aug.lattice
+    xb, wb = X.reshape(aug.n_blocks, p.n), W.reshape(aug.n_blocks, p.m)
+    rhs, cost = [], 0.0
+    for i in range(aug.n_blocks):
+        t = float(lat.a) + i * float(lat.h) + sigma
+        k, j = i - aug.state_offset, i - aug.control_offset
+        y = xb[k] if k >= 0 else np.asarray(p.phi(t - float(lat.r)), float)
+        v = wb[j] if j >= 0 else np.asarray(p.psi(t - float(lat.s)), float)
+        rhs.append(p.dynamics(t, xb[i], y, wb[i], v))
+        cost += p.running_cost(t, xb[i], y, wb[i], v)
+    return np.concatenate(rhs), cost
+
+
+@pytest.mark.parametrize("view", ["state-linear", "general"])
+def test_block_arguments_match_a_per_block_loop(view, rng):
+    problem = _two_by_two_problem()
+    if view == "general":
+        problem = as_delayed(problem)
+    aug = augment(problem, problem.lattice())
+    assert (aug.n_blocks, aug.state_offset, aug.control_offset) == (6, 2, 1)
+    for sigma in (0.0, 0.13, 0.5):
+        X, W = rng.normal(size=12), rng.normal(size=12)
+        rhs, cost = _per_block_reference(aug, sigma, X, W)
+        np.testing.assert_array_equal(aug.dynamics(sigma, X, W), rhs)
+        assert aug.running_cost(sigma, X, W) == cost
+
+
+def test_cost_equivalence_with_delayed_cost_terms():
+    # the benchmark costs read no delayed argument; here f0x reads x(t - r)
+    # and f0u reads u(t - s), so every node's history rows and shifted
+    # blocks enter the quadrature
+    problem = _two_by_two_problem()
+    control = from_pieces(2, [(Fraction(-1, 2), 0, problem.psi),
+                              (0, 3, lambda t: [np.cos(2 * t), 0.5 * t])], main_start=0)
+    state = integrate_forward(problem, control, IntegratorConfig(16))
+    cand = CandidateSolution(state=state, control=control)
+    aug = augment(problem, problem.lattice())
+    gap = abs(augmented_cost(aug, stack_candidate(aug, cand), 64)
+              - evaluate_cost(problem, cand, 64))
+    assert gap <= 1e-10
+
+
+def test_augmented_cost_makes_no_per_time_running_cost_call(case, monkeypatch):
+    problem, cand = case
+    lattice = problem.lattice()
+    aug = augment(problem, lattice)
+    reference = evaluate_cost(problem, cand, 512)
+
+    def refuse(*args):
+        raise AssertionError("per-time running_cost call")
+
+    monkeypatch.setattr(DelayedProblem, "running_cost", refuse)
+    monkeypatch.setattr(StateLinearProblem, "running_cost", refuse)
+    assert abs(augmented_cost(aug, stack_candidate(aug, cand), 512) - reference) <= 1e-10
+
+
+def test_blocks_are_the_cell_curves(case):
+    # the round trip is the identity by construction: the blocks are the
+    # candidate's own cell curves, and reassembling passes them on unchanged
+    problem, cand = case
+    lattice = problem.lattice()
+    sol = stack_candidate(augment(problem, lattice), cand)
+    cells = cand.state.cell_curves(lattice)
+    assert all(a is b for a, b in zip(sol.state_blocks, cells))
+    back = reassemble(sol, lattice)
+    tail = back.state.segments[-lattice.n_cells:]
+    assert all(seg.curve is blk for seg, blk in zip(tail, sol.state_blocks))

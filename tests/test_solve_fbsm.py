@@ -92,6 +92,13 @@ def test_invalid_relaxation_rejected():
         SweepConfig(omega=1.5)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_iteration_cap_below_one_rejected(cap):
+    # a sweep with no iteration has no iterate to return
+    with pytest.raises(ValueError, match="max_iterations"):
+        SweepConfig(max_iterations=cap)
+
+
 def test_converged_sweep_passes_verification(ld_problem, ld_sweep):
     from retard_oc.sufficiency import VerifyConfig, verify_state_linear
     cert = verify_state_linear(ld_problem, ld_sweep, VerifyConfig.numeric())
