@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(sub, "solve-fbsm", "forward-backward sweep solver",
                     "--substeps", "--max-iter")
-    p.add_argument("--omega", type=float, default=0.5, help="relaxation weight")
+    p.add_argument("--omega", type=float, default=0.5, help="fallback relaxation weight")
     p.add_argument("--tol", type=float, default=1e-9,
                    help="convergence tolerance on the control change")
 

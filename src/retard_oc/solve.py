@@ -29,6 +29,12 @@ log = logging.getLogger(__name__)
 
 # sufficient-decrease constant of the direct solver's Armijo line search
 ARMIJO_C = 1e-4
+# accepted steps in a row leaving the cost bit-identical that stop the direct
+# solver (runs of three precede convergence on ld-lq-tenth at N = 400)
+STALL_STEPS = 4
+# Walker & Ni's window: the sweep mixes the newest residual with at most
+# this many earlier ones
+ANDERSON_WINDOW = 5
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +43,7 @@ ARMIJO_C = 1e-4
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Relaxed fixed-point iteration parameters for the sweep solver."""
+    """Sweep iteration parameters; ``omega`` weighs the relaxed fallback step."""
 
     max_iterations: int = 100
     omega: float = 0.5
@@ -60,21 +66,33 @@ class SweepSolution(CandidateSolution):
     history: list = field(default_factory=list)
 
 
+def _anderson_mix(kept: list) -> np.ndarray:
+    """Anderson mix of (node control, argmax) pairs, oldest first: the newest
+    argmax minus the argmax differences weighted by the least-squares fit of
+    the residual differences to the newest residual (one pair: full step)."""
+    U, G = (np.stack([pair[i].ravel() for pair in kept], axis=1) for i in (0, 1))
+    gamma = np.linalg.lstsq(np.diff(G - U), (G - U)[:, -1], rcond=None)[0]
+    return kept[-1][1] - (np.diff(G) @ gamma).reshape(kept[-1][1].shape)
+
+
 def solve_fbsm(problem: StateLinearProblem,
                init_control: Optional[Trajectory] = None,
                cfg: SweepConfig = SweepConfig()) -> SweepSolution:
     """Forward-backward sweep for the state-linear problem.
 
-    Iterates state integration, adjoint integration, and the relaxed control
-    update u <- (1 - omega) u + omega argmax until the control stops moving
-    in sup norm.  On stagnation-free convergence the returned pair satisfies
-    the maximality condition on the sweep's own grid by construction.  If
-    the iteration cap is reached the best iterate is returned with
-    ``converged=False`` and the history carries the diagnostics.
+    Each iteration marches the state and the adjoint, takes the argmax at
+    the control nodes and moves the node control u towards the fixed point
+    of u -> argmax(u) by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+    49, 2011) of the residuals r = argmax(u) - u of the last
+    ``ANDERSON_WINDOW`` + 1 iterates (of one iterate: the full step u + r),
+    until the control moves at most ``tol`` in sup norm.  At the iteration
+    cap the best iterate is returned with ``converged=False``.
 
-    The relaxation weight halves (logged) when the sweep stops contracting,
-    i.e. the control moves at least as far as the iteration before.  The
-    cost is no guide: it nears its limit from below in rounding-sized rises.
+    A mix of two or more iterates is kept only if the residual shrinks in
+    sup norm; otherwise the mixing history is cleared and the relaxed step
+    u <- (1 - omega) u + omega argmax(u) is taken from the iterate before;
+    omega halves (logged) when a relaxed step moves the control at least
+    as far as the relaxed step before.
     """
     lattice = problem.lattice()
     control = init_control
@@ -91,17 +109,28 @@ def solve_fbsm(problem: StateLinearProblem,
 
     history: list[dict] = []
     best: Optional[SweepSolution] = None
-    prev_change = np.inf
+    us = control.eval_many(nodes.t)
+    kept: list = []     # (node control, argmax) pairs mixed over, oldest first
+    # a mix of two or more pairs must beat kept[-1]'s sup residual
+    kept_residual, prev_relaxed = np.inf, np.inf
 
     state = integrate_forward(problem, control, cfg.integrator)
     for it in range(1, cfg.max_iterations + 1):
         cand = CandidateSolution(state=state, control=control)
         eta = integrate_adjoint_linear(problem, cand, cfg.integrator)
-
         target = argmax_control_state_linear(problem, cand, eta, nodes)
-        old = control.eval_many(nodes.t)
-        us = (1.0 - omega) * old + omega * target
-        change = float(np.max(np.abs(us - old)))
+        residual = float(np.max(np.abs(target - us)))
+        relaxed = len(kept) > 1 and residual >= kept_residual
+        if relaxed:
+            log.info("fbsm mixed step rejected: residual %.3e", residual)
+            (us, target), kept, step = kept[-1], [], omega
+            nxt = (1.0 - omega) * us + omega * target
+        else:
+            kept = (kept + [(us, target)])[-ANDERSON_WINDOW - 1:]
+            kept_residual, step = residual, 1.0
+            nxt = _anderson_mix(kept)
+        change = float(np.max(np.abs(nxt - us)))
+        us = nxt
         # per-cell Hermite control: jumps stay confined to cell boundaries
         control = cell_trajectory(
             lattice, problem.m,
@@ -111,10 +140,10 @@ def solve_fbsm(problem: StateLinearProblem,
         state = integrate_forward(problem, control, cfg.integrator)
         cost = evaluate_cost(problem, CandidateSolution(state=state, control=control),
                              quadrature_steps_per_cell=128)
-        record = {"iteration": it, "cost": cost, "step": omega, "change": change}
+        record = {"iteration": it, "cost": cost, "step": step, "change": change}
         history.append(record)
         log.info("fbsm iteration=%d cost=%.9f step=%.3g change=%.3e",
-                 it, cost, omega, change)
+                 it, cost, step, change)
         sol = SweepSolution(state=state, control=control, cost=cost,
                             converged=change <= cfg.tol, iterations=it,
                             history=history)
@@ -123,10 +152,11 @@ def solve_fbsm(problem: StateLinearProblem,
         if change <= cfg.tol:
             sol.cost = evaluate_cost(problem, sol, 512)
             return sol
-        if change >= prev_change:
-            omega = max(omega / 2.0, 1e-3)
-            log.info("fbsm oscillation guard: relaxation halved to %.4g", omega)
-        prev_change = change
+        if relaxed:
+            if change >= prev_relaxed:
+                omega = max(omega / 2.0, 1e-3)
+                log.info("fbsm oscillation guard: relaxation halved to %.4g", omega)
+            prev_relaxed = change
 
     best.converged = False
     best.cost = evaluate_cost(problem, best, 512)
@@ -150,6 +180,10 @@ class TranscriptionConfig:
     n_steps: int = 1000
     max_iterations: int = 500
     grad_tol: float = 1e-8
+
+    def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -310,8 +344,9 @@ def solve_direct_euler(problem: AnyProblem,
     The accepted cost sequence is monotone non-increasing by construction.
 
     Raises :class:`NoConvergenceError` (best iterate attached) at the
-    iteration cap and :class:`UnboundedDescentError` when no finite decrease
-    exists along the projected direction.
+    iteration cap or on a stall (:data:`STALL_STEPS`), and
+    :class:`UnboundedDescentError` when no finite decrease exists along the
+    projected direction.
     """
     grid = _EulerGrid(problem, cfg)
     cs = problem.control_set
@@ -322,7 +357,7 @@ def solve_direct_euler(problem: AnyProblem,
     history = [{"iteration": 0, "cost": J, "step": 0.0, "grad_norm": np.nan}]
     step = 1.0
     converged = False
-    it = 0
+    it = stalls = 0
     prev_u = prev_g = None
     for it in range(1, cfg.max_iterations + 1):
         g = _adjoint_gradient(grid, xs, u)
@@ -350,6 +385,7 @@ def solve_direct_euler(problem: AnyProblem,
             if np.isfinite(J_trial) and J_trial <= J - ARMIJO_C * decrease:
                 assert J_trial <= J + 1e-12 * (1.0 + abs(J)), \
                     "accepted step must not increase the cost"
+                stalls = stalls + 1 if J_trial == J else 0
                 u, J, xs = trial, J_trial, xs_trial
                 accepted = True
                 break
@@ -358,6 +394,8 @@ def solve_direct_euler(problem: AnyProblem,
             raise UnboundedDescentError(
                 "line search found no finite decrease along the projected "
                 "gradient direction")
+        if stalls == STALL_STEPS:
+            break
 
     cand = _interpolated_candidate(grid, u, integrator)
     cost = evaluate_cost(problem, cand, 512)
@@ -366,8 +404,10 @@ def solve_direct_euler(problem: AnyProblem,
                          discrete_objective=J, control_samples=u,
                          history=history)
     if not converged:
+        reason = (f"stalled at rounding: {STALL_STEPS} accepted steps left the "
+                  f"cost at {J!r}" if stalls == STALL_STEPS else
+                  f"not within {cfg.max_iterations} iterations")
         raise NoConvergenceError(
-            f"projected gradient did not reach tol {cfg.grad_tol:g} within "
-            f"{cfg.max_iterations} iterations", best=sol,
-            diagnostics={"history": history})
+            f"projected gradient did not reach tol {cfg.grad_tol:g}, {reason}",
+            best=sol, diagnostics={"history": history, "reason": reason})
     return sol

@@ -29,6 +29,8 @@ from .problems import (CandidateSolution, ControlSet, DelayedProblem,
 from .trajectory import Trajectory, eval_delayed, shifted_time
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# rounding allowance of a criterion value, relative to its size: 16 ulps
+ROUNDING_FLOOR = 16 * np.finfo(float).eps
 
 
 def chi_closed(t, lo, hi) -> float:
@@ -290,18 +292,26 @@ def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
     return 0.5 * (a + b)
 
 
+def _shape_tolerances(c0, cp, cm):
+    """(fit, curvature) tolerances of the quadratic test from the criterion at
+    u = 0, 1, -1: relative to the u-dependent differences, plus the values'
+    rounding floor, so a constant offset in the criterion widens neither."""
+    scale = np.maximum(1.0, np.maximum(np.abs(cp - c0), np.abs(cm - c0)))
+    floor = ROUNDING_FLOOR * np.maximum(np.abs(c0), np.maximum(np.abs(cp), np.abs(cm)))
+    return 1e-8 * scale + floor, 1e-12 * scale + floor
+
+
 def _argmax_scalar(fn, control_set: ControlSet) -> np.ndarray:
     """Maximise a scalar-control criterion: closed form for concave
     quadratics, golden-section otherwise."""
     c0, cp, cm = fn(0.0), fn(1.0), fn(-1.0)
-    scale = max(1.0, abs(c0), abs(cp), abs(cm))
+    fit_tol, tiny = _shape_tolerances(c0, cp, cm)
     a2 = 0.5 * (cp + cm) - c0
     a1 = 0.5 * (cp - cm)
     # quadratic means the 3-point fit predicts fresh probe points
     quadratic = all(
-        abs(fn(z) - (c0 + a1 * z + a2 * z * z)) <= 1e-8 * scale
+        abs(fn(z) - (c0 + a1 * z + a2 * z * z)) <= fit_tol
         for z in (2.0, 0.5, -1.5))
-    tiny = 1e-12 * scale
     if quadratic:
         if a2 < -tiny:
             vertex = -a1 / (2.0 * a2)
@@ -386,12 +396,12 @@ def _argmax_all(problem: StateLinearProblem, crit: _Criterion,
         z = np.array([0.0, 1.0, -1.0, 2.0, 0.5, -1.5])   # as in _argmax_scalar
         f = crit.values(np.repeat(np.arange(N), 6), np.tile(z, N)).reshape(N, 6)
         c0, cp, cm = f[:, 0], f[:, 1], f[:, 2]
-        scale = np.maximum(1.0, np.abs(f[:, :3]).max(axis=1))[:, None]
+        fit_tol, tiny = _shape_tolerances(c0, cp, cm)
         a2 = (0.5 * (cp + cm) - c0)[:, None]
         a1 = (0.5 * (cp - cm))[:, None]
         z = z[3:]
-        fits = np.abs(f[:, 3:] - (c0[:, None] + a1 * z + a2 * z * z)) <= 1e-8 * scale
-        vertex = np.all(fits, axis=1) & (a2[:, 0] < -(1e-12 * scale[:, 0]))
+        fits = np.abs(f[:, 3:] - (c0[:, None] + a1 * z + a2 * z * z)) <= fit_tol[:, None]
+        vertex = np.all(fits, axis=1) & (a2[:, 0] < -tiny)
         u = -a1[vertex] / (2.0 * a2[vertex])
         out[vertex] = u if cs.is_free else np.clip(u, cs.lo, cs.hi)
         rest = np.flatnonzero(~vertex).tolist()

@@ -126,6 +126,11 @@ def test_sweep_without_iterations_is_a_usage_error(capsys):
     assert "max_iterations must be >= 1" in capsys.readouterr().err
 
 
+def test_direct_solve_without_iterations_is_a_usage_error(capsys):
+    assert main(["solve-direct", "ocp-ld-paper", "--max-iter", "-3"]) == 2
+    assert "max_iterations must be >= 1" in capsys.readouterr().err
+
+
 def test_cost_needs_a_problem(capsys):
     assert main(["cost"]) == 2
     assert "no problem given" in capsys.readouterr().err

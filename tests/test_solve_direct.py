@@ -410,3 +410,10 @@ def test_goellmann_direct_solve_calls_f_once_per_stage(monkeypatch):
     assert len(per_pass) >= 2 and set(per_pass) == {cfg.n_steps}
     assert {f: calls[f] for f in GOELLMANN_ARRAY_FIELDS} == \
         dict.fromkeys(GOELLMANN_ARRAY_FIELDS, 0)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_iteration_cap_below_one_rejected(cap):
+    # a solve with no iteration would report "within 0 iterations"
+    with pytest.raises(ValueError, match="max_iterations"):
+        TranscriptionConfig(max_iterations=cap)

@@ -1,12 +1,18 @@
+import logging
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from retard_oc import load_problem, solve
 from retard_oc.trajectory import from_pieces
 
 from retard_oc.dde import IntegratorConfig, integrate_adjoint_linear
 from retard_oc.registry import (LD_COST, ld_control_value, make_drift_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
 from retard_oc.sufficiency import check_maximality
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -60,29 +66,55 @@ def test_fixed_point_independent_of_relaxation(ld_problem, ld_sweep):
                    - ld_sweep.control.eval(t)[0]) <= 1e-6
 
 
-def test_converges_from_piecewise_constant_start(ld_problem):
+def test_converges_from_piecewise_constant_start(ld_problem, caplog):
     # a +-0.05 start approaches the fixed point with the cost rising by
-    # rounding-sized steps; the oscillation guard must not mistake that for
-    # oscillation and shrink the relaxation until the iteration cap
+    # rounding-sized steps; no mixed step may be taken for a worse one, so
+    # neither the relaxed fallback nor its oscillation guard fires
     p = ld_problem
     levels = np.random.default_rng(1).uniform(-0.05, 0.05, p.lattice().n_cells)
     start = from_pieces(p.m, [(p.control_history_start, p.a, p.psi)] + [
         (lo, hi, lambda t, c=float(levels[i]): [c])
         for i, lo, hi in p.lattice().cells()], main_start=p.a)
-    sol = solve_fbsm(p, start, SweepConfig(max_iterations=60,
-                                           integrator=IntegratorConfig(16)))
+    with caplog.at_level(logging.INFO, logger="retard_oc.solve"):
+        sol = solve_fbsm(p, start, SweepConfig(max_iterations=60,
+                                               integrator=IntegratorConfig(16)))
     assert sol.converged
-    assert all(rec["step"] == 0.5 for rec in sol.history)
+    assert all(rec["step"] == 1.0 for rec in sol.history)
+    assert "rejected" not in caplog.text
+    assert "oscillation guard" not in caplog.text
     assert sol.cost == pytest.approx(LD_COST, abs=1e-4)
 
 
-def test_iteration_cap_returns_best_iterate(ld_problem):
+def test_iteration_cap_returns_best_iterate():
+    # ld-lq's map is expansive, so two iterations are far from its fixed point
+    problem = load_problem(DATA / "ld-lq.ocp")
     cfg = SweepConfig(max_iterations=2, omega=0.5, tol=1e-12,
                       integrator=IntegratorConfig(8))
-    sol = solve_fbsm(ld_problem, None, cfg)
+    sol = solve_fbsm(problem, None, cfg)
     assert not sol.converged
-    assert sol.iterations <= 2
+    assert len(sol.history) == 2
+    best = min(sol.history, key=lambda rec: rec["cost"])
+    assert sol.iterations == best["iteration"]
     assert np.isfinite(sol.cost)
+
+
+def test_rejected_mixed_step_falls_back_to_the_relaxed_step(ld_problem, monkeypatch,
+                                                            caplog):
+    # every mix over two or more residuals lands 1 away from the fixed point
+    mix = solve._anderson_mix
+    monkeypatch.setattr(solve, "_anderson_mix",
+                        lambda kept: mix(kept) + (len(kept) > 1))
+    cfg = SweepConfig(max_iterations=10, omega=0.5, tol=1e-9,
+                      integrator=IntegratorConfig(8))
+    with caplog.at_level(logging.INFO, logger="retard_oc.solve"):
+        sol = solve_fbsm(ld_problem, None, cfg)
+    # base step to the fixed point, the spoilt mix, then the relaxed step
+    # from the base step's iterate, which is already the fixed point
+    assert [rec["step"] for rec in sol.history] == [1.0, 1.0, 0.5]
+    assert sol.history[1]["change"] == pytest.approx(1.0, abs=1e-9)
+    assert "mixed step rejected" in caplog.text
+    assert sol.converged
+    assert sol.cost == pytest.approx(LD_COST, abs=1e-3)   # 8 substeps per cell
 
 
 def test_invalid_relaxation_rejected():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -585,3 +586,25 @@ def test_probe_blind_criterion_fails_the_check_through_random_probes():
         if gap > worst:
             worst, worst_t = gap, float(t)
     assert (result.worst_residual, result.worst_location) == (worst, worst_t)
+
+
+@pytest.mark.parametrize("center, tol", [(0.75, 0.0), (0.1234, 1e-4)])
+def test_argmax_vertex_survives_a_large_constant_offset(center, tol):
+    # criterion 1e14 (2e14 where the t + s term is gated in) - 100 (u -
+    # center)^2: the offset says nothing about the shape, so neither path may
+    # call it "not strictly concave" nor miss the vertex.  With center 0.75
+    # every probe value is exact; with 0.1234 each carries the rounding of a
+    # value near 1e14, which the quadratic fit must allow for (a golden-section
+    # search on those values misses the vertex by about 1e-2).
+    problem = _with_f0u(_quadratic_cost_problem(center=0.0),
+                        lambda t, u, v: 100.0 * (float(u[0]) - center) ** 2)
+    problem = replace(problem, f0x=lambda t, x, y: -1e14)
+    cand = make_rest_candidate(problem)
+    eta = AdjointTrajectory(
+        trajectory=from_pieces(1, [(0, 2, lambda t: [0.0])], main_start=0),
+        terminal_value=np.zeros(1))
+    times = _lattice_times(problem, 4)
+    batched = argmax_control_state_linear(problem, cand, eta, times)
+    scalar = _reference_argmax(problem, cand, eta, times)
+    assert np.max(np.abs(batched - center)) <= tol
+    assert np.max(np.abs(scalar - center)) <= tol
