@@ -12,7 +12,7 @@ import numpy as np
 from .errors import OutOfDomainError
 from .problems import (AnyProblem, CandidateSolution, model_arrays,
                        running_cost_array)
-from .trajectory import cell_values
+from .trajectory import block_rows, delayed_rows
 
 
 def _simpson_weights(steps: int) -> np.ndarray:
@@ -30,37 +30,32 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     integral over [a, b].
 
     The running integrand is sampled on ``quadrature_steps_per_cell`` equal
-    subintervals of each lattice cell and integrated with composite Simpson;
-    every curve a cell reads is looked up at all of its nodes at once, and
-    the integrand is one call of its array forms per cell, summed in order.
-    Raises :class:`OutOfDomainError` when the candidate does not cover the
-    delayed lookups.
+    subintervals of each lattice cell and integrated with composite Simpson.
+    All cells' nodes are resolved in one pass over the block axis
+    (:func:`~retard_oc.trajectory.delayed_rows`), the integrand is one call
+    of its array forms per quadrature, and the cell sums are added in cell
+    order.  Raises :class:`OutOfDomainError` when the candidate does not
+    cover the delayed lookups.
     """
     lattice = problem.lattice()
     steps = quadrature_steps_per_cell
     weights = _simpson_weights(steps)
-    fractions = np.arange(steps + 1) / steps
 
     if not cand.state.covers(problem.state_history_start, problem.b):
         raise OutOfDomainError("state trajectory does not cover [a - delay, b]")
     if not cand.control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control trajectory does not cover [a - s, b]")
 
-    k_r, k_s = lattice.state_shift, lattice.control_shift
-    rf, sf = float(lattice.r), float(lattice.s)
-    x_cells = cand.state.cell_curves(lattice)
-    u_cells = cand.control.cell_curves(lattice)
+    lo, hi = np.array([(float(lo), float(hi)) for _, lo, hi in lattice.cells()]).T
+    span = hi - lo
+    T = lo[:, None] + span[:, None] * (np.arange(steps + 1) / steps)
+    T[:, -1] = hi
     phi, psi = model_arrays(problem, "phi", "psi")
-    integrand = running_cost_array(problem)
-    total = 0.0
-    for i, lo, hi in lattice.cells():
-        lof, span = float(lo), float(hi) - float(lo)
-        ts = lof + span * fractions
-        ts[-1] = float(hi)
-        x, u = x_cells[i].eval_many(ts), u_cells[i].eval_many(ts)
-        xd = x if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, phi)
-        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, psi)
-        acc = np.cumsum(weights * integrand(ts, x, xd, u, ud))[-1]   # in node order
-        total += float(acc) * (span / steps) / 3.0
-
+    x = block_rows(cand.state.cell_curves(lattice), T)
+    u = block_rows(cand.control.cell_curves(lattice), T)
+    f0 = running_cost_array(problem)(
+        T.ravel(), x, delayed_rows(phi, T, x, float(lattice.r), lattice.state_shift),
+        u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
+    acc = np.cumsum(weights * f0.reshape(T.shape), axis=1)[:, -1]   # in node order
+    total = np.cumsum(acc * (span / steps) / 3.0)[-1]               # in cell order
     return float(total + problem.terminal_cost(cand.state.eval(problem.b)))

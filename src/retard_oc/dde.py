@@ -14,10 +14,12 @@ default 64 substeps per cell hold 1e-8 absolute error on stiff-ish
 benchmark horizons.  Dense output stores value/slope nodes at half-substep
 spacing, so cubic Hermite reconstruction does not dominate the node error.
 
-The stage times of a fixed-step cell are known before it is marched, and
-every delayed or advanced argument a cell reads is already final, so all of
-them are resolved in one vectorised lookup per curve before the march; only
-the current-cell state is sequential.
+The stage times of every cell are known before the march, and a delay of
+k cells is a shift by k blocks (:func:`~retard_oc.trajectory.delayed_rows`),
+so every input a march does not produce itself is resolved once for all
+cells, one array-form call per model term.  Per cell only the finalized
+cell r/h away is read, at its own stage times; only the current-cell state
+is sequential.
 
 Where the slope is affine in the marched value (the costate of every
 problem class, the state of a state-linear problem), each substep is an
@@ -36,7 +38,8 @@ from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        array_form, model_arrays, model_partials)
-from .trajectory import HermiteCurve, Trajectory, cell_trajectory, cell_values
+from .trajectory import (HermiteCurve, Trajectory, block_rows, cell_trajectory,
+                         delayed_rows)
 
 
 @dataclass(frozen=True)
@@ -76,100 +79,103 @@ class AdjointTrajectory:
 # halves; the first half step reuses the full step's initial slope
 _STAGES = 11
 
+# the distinct-time slots of substep j, less 4 j: its start, quarter,
+# midpoint and three quarters are 0 .. 3, and its end is 4, the next
+# substep's start (the same float) or the cell's end; the slots its stages
+# read, in call order, and those of its two nodes (start and midpoint)
+_STAGE_SLOTS, _NODE_SLOTS = [0, 2, 2, 4, 1, 1, 2, 2, 3, 3, 4], [0, 2]
 
-def _cell_schedule(t_start: float, t_end: float, substeps: int):
-    """Substep widths and the times at which a cell march evaluates the
-    right-hand side, in call order: ``_STAGES`` per substep, then the
-    endpoint.  ``t_end < t_start`` marches backward.
+
+def _slots(substeps: int, pattern: list) -> np.ndarray:
+    """``pattern`` over every substep of a cell, then the slot of its end."""
+    return np.append(4 * np.arange(substeps)[:, None] + pattern, 4 * substeps)
+
+
+def _cell_schedule(t_start, t_end, substeps: int):
+    """Substep widths and the 4 ``substeps`` + 1 distinct times at which a
+    cell march evaluates the right-hand side, in march order (see
+    :func:`_slots`).  ``t_end < t_start`` marches backward.  Elementwise in
+    the cell ends: arrays of N of them give N schedules, one row each.
 
     The march steps with exactly these floats, so inputs resolved at them
-    ahead of the march are the ones each stage reads; a substep ends at the
-    one float its successor starts at.
+    ahead of the march are the ones each stage reads.
     """
-    span = t_end - t_start
-    widths, times = [], []
-    for j in range(substeps):
-        t0 = t_start + span * (j / substeps)
-        t1 = t_end if j == substeps - 1 else t_start + span * ((j + 1) / substeps)
-        dt = t1 - t0
-        h = dt / 2.0
-        tm = t0 + h
-        widths.append(dt)
-        times += [t0, tm, tm, t1,
-                  t0 + h / 2.0, t0 + h / 2.0, tm,
-                  tm, tm + h / 2.0, tm + h / 2.0, t1]
-    times.append(t_end)
-    return widths, times
+    t_start, t_end = np.asarray(t_start)[..., None], np.asarray(t_end)[..., None]
+    t0 = t_start + (t_end - t_start) * (np.arange(substeps) / substeps)
+    dt = np.concatenate((t0[..., 1:], t_end), axis=-1) - t0
+    h = dt / 2.0
+    times = np.stack((t0, t0 + h / 2.0, t0 + h, t0 + h + h / 2.0), axis=-1)
+    return dt, np.concatenate((times.reshape(*t0.shape[:-1], -1), t_end), axis=-1)
 
 
-def _rk4(rhs, k: int, times: list, y: np.ndarray, dt: float, k1: np.ndarray):
+def _schedules(lattice: CommensurabilityLattice, substeps: int, backward: bool = False):
+    """:func:`_cell_schedule` of every lattice cell, from its right end when
+    ``backward``: widths and distinct stage times T, row i for cell i."""
+    edges = np.array([float(t) for t in lattice.breakpoints])
+    ends = (edges[1:], edges[:-1]) if backward else (edges[:-1], edges[1:])
+    return _cell_schedule(*ends, substeps)
+
+
+def _rk4(rhs, k: int, y: np.ndarray, dt: float, k1: np.ndarray):
     """Classical RK4 step with initial slope ``k1``; the other three stages
-    are schedule entries ``k``, ``k + 1`` and ``k + 2``."""
-    k2 = rhs(k, times[k], y + (dt / 2.0) * k1)
-    k3 = rhs(k + 1, times[k + 1], y + (dt / 2.0) * k2)
-    k4 = rhs(k + 2, times[k + 2], y + dt * k3)
+    are ``k``, ``k + 1`` and ``k + 2``."""
+    k2 = rhs(k, y + (dt / 2.0) * k1)
+    k3 = rhs(k + 1, y + (dt / 2.0) * k2)
+    k4 = rhs(k + 2, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _substep(rhs, k: int, times: list, y: np.ndarray, dt):
-    """Step-doubled RK4 pair over schedule entries k .. k + 10 from ``y``,
+def _substep(rhs, k: int, y: np.ndarray, dt):
+    """Step-doubled RK4 pair over stages k .. k + 10 from ``y``,
     Richardson-combined: initial slope, midpoint value and slope, end value.
     Elementwise in ``y`` and ``dt``, so it also steps a batch."""
-    k1 = rhs(k, times[k], y)
-    full = _rk4(rhs, k + 1, times, y, dt, k1)
-    half1 = _rk4(rhs, k + 4, times, y, dt / 2.0, k1)
-    k_mid = rhs(k + 7, times[k + 7], half1)
-    half2 = _rk4(rhs, k + 8, times, half1, dt / 2.0, k_mid)
+    k1 = rhs(k, y)
+    full = _rk4(rhs, k + 1, y, dt, k1)
+    half1 = _rk4(rhs, k + 4, y, dt / 2.0, k1)
+    k_mid = rhs(k + 7, half1)
+    half2 = _rk4(rhs, k + 8, half1, dt / 2.0, k_mid)
     return k1, half1, k_mid, half2 + (half2 - full) / 15.0
 
 
-def _node_index(substeps: int) -> np.ndarray:
-    """Schedule entries of the nodes: substep starts and midpoints, endpoint."""
-    return np.append(_STAGES * np.arange(substeps)[:, None] + [0, 7], _STAGES * substeps)
-
-
-def _nodes(times: list, ys, ds):
+def _nodes(ts: np.ndarray, ys, ds):
     """Node arrays of a marched cell, ascending in time, from the values and
-    slopes at the :func:`_node_index` entries in march order."""
-    ts = np.asarray(times)[_node_index(len(times) // _STAGES)]
+    slopes at its node times ``ts`` (the node slots of its distinct times)."""
     ys, ds = np.asarray(ys), np.asarray(ds)
     if ts[-1] < ts[0]:
         ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
     return ts, ys, ds
 
 
-def _integrate_cell(rhs, widths: list, times: list, y0: np.ndarray):
+def _integrate_cell(rhs, widths, times: np.ndarray, y0: np.ndarray):
     """March one cell along its :func:`_cell_schedule`, one :func:`_substep`
-    at a time; ``rhs(k, t, y)`` gets the schedule index k and t = times[k].
+    at a time; ``rhs(k, t, y)`` gets the slot k and t = times[k].
     Returns the :func:`_nodes` arrays and the endpoint value."""
-    ys, ds = [], []
-    y = np.asarray(y0, dtype=float).copy()
+    slots, ts = _slots(len(widths), _STAGE_SLOTS).tolist(), times.tolist()
+    stage = lambda k, y: rhs(slots[k], ts[slots[k]], y)
+    ys, ds, y = [], [], np.asarray(y0, dtype=float).copy()
     for j, dt in enumerate(widths):
-        k1, half1, k_mid, y_next = _substep(rhs, _STAGES * j, times, y, dt)
+        k1, half1, k_mid, y_next = _substep(stage, _STAGES * j, y, dt)
         ys += [y, half1]
         ds += [k1, k_mid]
         y = y_next
-    ys.append(y); ds.append(rhs(len(times) - 1, times[-1], y))
-    return (*_nodes(times, ys, ds), y)
+    ys.append(y); ds.append(rhs(slots[-1], ts[-1], y))
+    return (*_nodes(times[_slots(len(widths), _NODE_SLOTS)], ys, ds), y)
 
 
-def _affine_cell(slope_terms, widths: list, times: list, y0: np.ndarray):
-    """:func:`_integrate_cell` for a slope ``y @ M[k] + c[k]`` at schedule
-    index k.  ``slope_terms(ts)`` gives M, shape (len(ts), n, n), and c,
-    shape (len(ts), n), at the schedule's distinct times ``ts`` (equal
-    floats read equal inputs).  Each :func:`_substep` is an affine map
+def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
+                 y0: np.ndarray):
+    """:func:`_integrate_cell` for a slope ``y @ M[k] + c[k]`` at slot k:
+    M, shape (4 S + 1, n, n), and c, (4 S + 1, n), hold the slope terms at
+    the distinct ``times``.  Each :func:`_substep` is an affine map
     [y, 1] @ Z of its start value: the pair applied to the rows of
     Z = [I; 0], c acting on the last row, all substeps in one batch."""
-    ts, inv = np.unique(times, return_inverse=True)
-    M, c = (terms[inv] for terms in slope_terms(ts))
     S, n = len(widths), M.shape[-1]
-    Ms = M[:-1].reshape(S, _STAGES, n, n)
+    stages = _slots(S, _STAGE_SLOTS)[:-1]
+    Ms = M[stages].reshape(S, _STAGES, n, n)
     cs = np.zeros((S, _STAGES, n + 1, n))
-    cs[:, :, n] = c[:-1].reshape(S, _STAGES, n)
-    # the slope terms are indexed by stage; the stage times are not read
-    _, mid_maps, _, maps = _substep(lambda k, t, Z: Z @ Ms[:, k] + cs[:, k], 0,
-                                    times, np.eye(n + 1, n),
-                                    np.asarray(widths)[:, None, None])
+    cs[:, :, n] = c[stages].reshape(S, _STAGES, n)
+    _, mid_maps, _, maps = _substep(lambda k, Z: Z @ Ms[:, k] + cs[:, k], 0,
+                                    np.eye(n + 1, n), np.asarray(widths)[:, None, None])
     ys = np.ones((S + 1, n + 1))
     ys[0, :n] = y0
     for j in range(S):
@@ -177,29 +183,27 @@ def _affine_cell(slope_terms, widths: list, times: list, y0: np.ndarray):
     mids = np.einsum("ji,jik->jk", ys[:-1], mid_maps)
     node_ys = np.vstack((np.stack((ys[:-1, :n], mids), axis=1).reshape(-1, n),
                          ys[-1, :n]))
-    k = _node_index(S)
+    k = _slots(S, _NODE_SLOTS)
     node_ds = np.einsum("ji,jik->jk", node_ys, M[k]) + c[k]
-    return (*_nodes(times, node_ys, node_ds), ys[-1, :n])
+    return (*_nodes(times[k], node_ys, node_ds), ys[-1, :n])
 
 
-def _march(name: str, lattice: CommensurabilityLattice, substeps: int,
-           y: np.ndarray, march_cell, backward: bool = False) -> list[HermiteCurve]:
+def _march(name: str, lattice: CommensurabilityLattice, schedule, y: np.ndarray,
+           march_cell, backward: bool = False) -> list[HermiteCurve]:
     """Method of steps over the lattice cells, left to right or right to left.
 
-    ``march_cell(i, widths, times, y, curves)`` resolves every input cell
-    ``i`` reads at its :func:`_cell_schedule` (``curves`` holds the cells
-    finalized so far), marches it from ``y`` with :func:`_integrate_cell`
-    or :func:`_affine_cell` and returns what they return.  The value at
-    each cell seam must be finite.
+    ``schedule`` is the pair of :func:`_schedules`.  ``march_cell(i, widths,
+    times, y, curves)`` marches cell ``i`` from ``y`` with its schedule row
+    (``curves`` holds the cells finalized so far) and returns what
+    :func:`_integrate_cell` returns.  Each cell seam value must be finite.
     """
+    widths, T = schedule
     curves: list = [None] * lattice.n_cells
     order = range(lattice.n_cells)
     for i in (reversed(order) if backward else order):
-        lo, hi = lattice.cell(i)
-        start, end = (hi, lo) if backward else (lo, hi)
-        widths, times = _cell_schedule(float(start), float(end), substeps)
-        ts, ys, ds, y = march_cell(i, widths, times, y, curves)
+        ts, ys, ds, y = march_cell(i, widths[i], T[i], y, curves)
         if not np.all(np.isfinite(y)):
+            lo, hi = lattice.cell(i)
             raise NonFiniteStateError(
                 f"{name}: non-finite value at the end of cell {i} [{lo}, {hi}]")
         curves[i] = HermiteCurve(ts, ys, ds)
@@ -212,49 +216,46 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
                       cfg: IntegratorConfig = IntegratorConfig()) -> Trajectory:
     """Integrate the delayed state equation under ``control``.
 
-    Within a cell the delayed arguments x(t-r) and u(t-s) are read from
-    finalized earlier cells (or the histories), so each cell is a plain IVP.
-    The output is continuous at breakpoints by construction.  A
-    :class:`~retard_oc.problems.StateLinearProblem` has the affine slope
-    x A^T + A_D x(t-r) + g + g_D (A_D joins the matrix when r = 0).
+    u(t) and u(t-s) at every stage of every cell, and for a
+    :class:`~retard_oc.problems.StateLinearProblem` A, A_D, g and g_D, are
+    resolved once, one array-form call each.  Per cell only x(t-r) is read:
+    the finalized cell i - r/h at its own stage times, or phi before a.  So
+    each cell is a plain IVP, continuous at breakpoints by construction.  A
+    state-linear slope is the affine x A^T + A_D x(t-r) + g + g_D (A_D joins
+    the matrix when r = 0).
     """
     lattice = problem.lattice()
     if not control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control must cover [a - s, b]")
-    n = problem.n
-    k_r, k_s = lattice.state_shift, lattice.control_shift
-    rf, sf = float(lattice.r), float(lattice.s)
-    u_cells = control.cell_curves(lattice)
+    n, k_r = problem.n, lattice.state_shift
+    schedule = _schedules(lattice, cfg.substeps_per_cell)
+    T, K = schedule[1], schedule[1].shape[1]
     phi, psi = model_arrays(problem, "phi", "psi")
-
-    def inputs(i, ts, x_cells):
-        u = u_cells[i].eval_many(ts)
-        ud = u if k_s == 0 else cell_values(u_cells, i - k_s, ts - sf, psi)
-        xd = None if k_r == 0 else cell_values(x_cells, i - k_r, ts - rf, phi)
-        return u, ud, xd
-
-    if isinstance(problem, StateLinearProblem):
-        A, A_D, g, g_D = model_arrays(problem, "A", "A_D", "g", "g_D")
-
-    def slope_terms(i, ts, x_cells):
-        u, ud, xd = inputs(i, ts, x_cells)
-        if k_r == 0:
-            return np.swapaxes(A(ts) + A_D(ts), 1, 2), g(ts, u) + g_D(ts, ud)
-        return (np.swapaxes(A(ts), 1, 2),
-                (A_D(ts) @ xd[:, :, None])[:, :, 0] + g(ts, u) + g_D(ts, ud))
+    u = block_rows(control.cell_curves(lattice), T)
+    ud = delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift)
+    x_hist = phi(T[:k_r].ravel() - float(lattice.r))
+    linear = isinstance(problem, StateLinearProblem)
+    if linear:
+        A, A_D = (F(T.ravel()) for F in model_arrays(problem, "A", "A_D"))
+        g, g_D = (F(T.ravel(), v) for F, v in zip(model_arrays(problem, "g", "g_D"), (u, ud)))
+        M = np.swapaxes(A + A_D if k_r == 0 else A, 1, 2)
 
     def march_cell(i, widths, times, y, x_cells):
-        if isinstance(problem, StateLinearProblem):
-            return _affine_cell(lambda ts: slope_terms(i, ts, x_cells), widths, times, y)
-        u, ud, xd = inputs(i, np.array(times), x_cells)
+        cell = slice(i * K, (i + 1) * K)
+        xd = (None if k_r == 0 else x_hist[cell] if i < k_r
+              else x_cells[i - k_r].eval_many(T[i - k_r]))
+        if linear:
+            c = (g[cell] + g_D[cell] if xd is None
+                 else (A_D[cell] @ xd[:, :, None])[:, :, 0] + g[cell] + g_D[cell])
+            return _affine_cell(M[cell], c, widths, times, y)
+        u_i, ud_i = u[cell], ud[cell]
 
         def rhs(k, t, x):
-            return problem.dynamics(t, x, x if xd is None else xd[k], u[k], ud[k])
+            return problem.dynamics(t, x, x if xd is None else xd[k], u_i[k], ud_i[k])
         return _integrate_cell(rhs, widths, times, y)
 
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
-    state_cells = _march("integrate_forward", lattice, cfg.substeps_per_cell,
-                         y0, march_cell)
+    state_cells = _march("integrate_forward", lattice, schedule, y0, march_cell)
     return cell_trajectory(lattice, n, state_cells,
                            problem.state_history_start, problem.phi)
 
@@ -271,55 +272,44 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
         raise OutOfDomainError("candidate state must cover [a - r, b]")
     if not cand.control.covers(p.control_history_start, p.b):
         raise OutOfDomainError("candidate control must cover [a - s, b]")
-    k_r, k_s = lattice.state_shift, lattice.control_shift
-    rf, sf = float(lattice.r), float(lattice.s)
-    x_cells = cand.state.cell_curves(lattice)
-    u_cells = cand.control.cell_curves(lattice)
+    k_r, schedule = lattice.state_shift, _schedules(lattice, cfg.substeps_per_cell, True)
+    T = schedule[1]
+    N, K = T.shape
     f0_d, f_d, g0_grad = model_partials(p)
     f0_dx, f0_dy = (array_form(fn, (n,)) for fn in f0_d[1:3])
     f_dx, f_dy = (array_form(fn, (n, n)) for fn in f_d[1:3])
+    phi, psi = model_arrays(p, "phi", "psi")
+    # the tuple [t] = (t, x(t), x(t-r), u(t), u(t-s)) at every stage
+    x = block_rows(cand.state.cell_curves(lattice), T)
+    args = (T.ravel(), x, delayed_rows(phi, T, x, float(lattice.r), k_r))
     # declared state-linear partials never read the control; finite
     # differences of the running cost do, since f0u enters their rounding
-    reads_control = not (isinstance(p, StateLinearProblem)
-                         and p.f0x_dx is not None and p.f0x_dy is not None)
-
-    phi, psi = model_arrays(p, "phi", "psi")
-
-    def states(idx, ts):
-        return cell_values(x_cells, idx, ts, phi)
-
-    def controls(idx, ts):
-        if not reads_control:
-            return [None] * len(ts)
-        return cell_values(u_cells, idx, ts, psi)
-
-    def slope_terms(i, ts, eta_cells):
-        """eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0)."""
-        x = states(i, ts)
-        xd = x if k_r == 0 else states(i - k_r, ts - rf)
-        u = controls(i, ts)
-        ud = u if k_s == 0 else controls(i - k_s, ts - sf)
-        M, c = -f_dx(ts, x, xd, u, ud), -f0_dx(ts, x, xd, u, ud)
-        if i + k_r <= lattice.n_cells - 1:      # chi_[a, b-r], exact per cell
-            ts_adv = ts + rf
-            xa = x if k_r == 0 else states(i + k_r, ts_adv)
-            ua = u if k_r == 0 else controls(i + k_r, ts_adv)
-            uad = ua if k_s == 0 else controls(i + k_r - k_s, ts_adv - sf)
-            f_dy_adv = f_dy(ts_adv, xa, x, ua, uad)
-            c = c - f0_dy(ts_adv, xa, x, ua, uad)
-            if k_r == 0:
-                M = M - f_dy_adv
-            else:
-                c = c - np.einsum("ji,jik->jk", eta_cells[i + k_r].eval_many(ts_adv),
-                                  f_dy_adv)
-        return M, c
+    if isinstance(p, StateLinearProblem) and p.f0x_dx is not None and p.f0x_dy is not None:
+        args += ([None] * T.size,) * 2
+    else:
+        u = block_rows(cand.control.cell_curves(lattice), T)
+        args += (u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
+    # eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0), and
+    # chi_[a, b-r] holds exactly on the cells i < N - k_r, whose advanced
+    # tuple [t+r] is block i + k_r of the same arrays
+    M, c = -f_dx(*args), -f0_dx(*args)
+    if k_r < N:
+        adv = [arg[k_r * K:] for arg in args]
+        f_dy_adv = f_dy(*adv)
+        c[:len(f_dy_adv)] -= f0_dy(*adv)
+        if k_r == 0:
+            M = M - f_dy_adv
 
     def march_cell(i, widths, times, y, eta_cells):
-        return _affine_cell(lambda ts: slope_terms(i, ts, eta_cells), widths, times, y)
+        cell = slice(i * K, (i + 1) * K)
+        c_i = c[cell]
+        if 0 < k_r < N - i:
+            c_i = c_i - np.einsum("ji,jik->jk", eta_cells[i + k_r].eval_many(T[i + k_r]),
+                                  f_dy_adv[cell])
+        return _affine_cell(M[cell], c_i, widths, times, y)
 
     terminal = np.zeros(n) if g0_grad is None else -g0_grad(cand.state.eval(p.b))
-    cells = _march(name, lattice, cfg.substeps_per_cell, terminal, march_cell,
-                   backward=True)
+    cells = _march(name, lattice, schedule, terminal, march_cell, backward=True)
     return lattice, cells, terminal
 
 

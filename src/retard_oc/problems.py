@@ -121,12 +121,14 @@ def batched(scalar: Callable, many: Callable) -> Callable:
 def array_form(fn: Callable, shape: tuple) -> Callable:
     """``fn`` over an array of times, values of ``shape`` stacked: its
     declared ``.many``, or a loop calling ``fn`` once per time whose values
-    are the scalar calls' bit for bit."""
+    are the scalar calls' bit for bit, written into one preallocated array."""
     many = getattr(fn, "many", None)
 
     def loop(ts, *args):
-        return np.array([np.asarray(fn(t, *row), dtype=float).reshape(shape)
-                         for t, *row in zip(ts.tolist(), *args)])
+        out = np.empty((len(ts),) + shape)
+        for i, (t, *row) in enumerate(zip(map(float, ts), *args)):
+            out[i] = np.asarray(fn(t, *row), dtype=float).reshape(shape)
+        return out
 
     def resolved(ts, *args):
         ts = np.asarray(ts, dtype=float)

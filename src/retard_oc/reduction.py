@@ -4,9 +4,10 @@ The trajectory on [a, b] is cut into the N lattice cells and stacked: block
 i at local time sigma in [0, h] is the cell's own curve at original time
 a + i h + sigma.  Delayed arguments become inter-block references with exact
 integer offsets r/h and s/h: over the block axis, a delayed block is a row
-shift (:func:`~retard_oc.trajectory.shifted_rows`) with baked-in history
-rows in front, keeping the stacked dimension at n N.  All blocks are
-resolved in one array pass and the model is one array-form call over them.
+shift with baked-in history rows in front, keeping the stacked dimension at
+n N.  All blocks are resolved in one array pass by the resolver the
+integrators and the quadrature use (:func:`~retard_oc.trajectory.delayed_rows`),
+and the model is one array-form call over them.
 Block boundaries are linked by hard equality X_{i+1}(0) = X_i(h).
 """
 
@@ -22,7 +23,8 @@ from .errors import MismatchedLatticeError, NonFiniteStateError, SeamMismatchErr
 from .lattice import CommensurabilityLattice
 from .problems import (AnyProblem, CandidateSolution, dynamics_array,
                        model_arrays, running_cost_array)
-from .trajectory import HermiteCurve, Trajectory, cell_trajectory, shifted_rows
+from .trajectory import (HermiteCurve, Trajectory, block_rows, cell_trajectory,
+                         delayed_rows)
 
 
 @dataclass(frozen=True)
@@ -42,7 +44,7 @@ class AugmentedProblem:
         for name, value in dict(
                 _starts=np.array([float(lo) for _, lo, _ in lat.cells()]),
                 _delays=(float(lat.r), float(lat.s)),
-                _shifts=(min(lat.state_shift, lat.n_cells), min(lat.control_shift, lat.n_cells)),
+                _shifts=(lat.state_shift, lat.control_shift),
                 _histories=model_arrays(p, "phi", "psi"),
                 _dynamics=dynamics_array(p), _running_cost=running_cost_array(p)).items():
             object.__setattr__(self, name, value)
@@ -75,20 +77,18 @@ class AugmentedProblem:
     def _block_rows(self, curves, sigmas) -> np.ndarray:
         """Values of the block ``curves`` at the local times ``sigmas``,
         block-major: row i K + k is block i at ``sigmas[k]``."""
-        sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        return np.concatenate([curve.eval_many(start + sigmas)
-                               for curve, start in zip(curves, self._starts)])
+        return block_rows(curves, self._starts[:, None] + np.atleast_1d(sigmas))
 
     def _arguments(self, sigmas, X: np.ndarray, W: np.ndarray) -> tuple:
         """The original model's arguments (t, x, x(t-r), u, u(t-s)) of every
         block at the K local times ``sigmas``, block-major like ``X`` and
         ``W``: a delay of k blocks is a shift by k K rows."""
         (rf, sf), (kr, ks), (phi, psi) = self._delays, self._shifts, self._histories
-        K, ts = np.size(sigmas), (self._starts[:, None] + sigmas).ravel()
+        T = self._starts[:, None] + sigmas
         x = np.asarray(X, float).reshape(-1, self.problem.n)
         u = np.asarray(W, float).reshape(-1, self.problem.m)
-        return (ts, x, shifted_rows(phi(ts[:kr * K] - rf), x),
-                u, shifted_rows(psi(ts[:ks * K] - sf), u))
+        return (T.ravel(), x, delayed_rows(phi, T, x, rf, kr),
+                u, delayed_rows(psi, T, u, sf, ks))
 
     def _summed_cost(self, sigmas, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Running cost at each of ``sigmas``, one array-form call, summed block by block."""
@@ -166,7 +166,7 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     N, n = aug.n_blocks, aug.problem.n
     widths, times = _cell_schedule(0.0, float(lattice.h), cfg.substeps_per_cell)
     control_blocks = control.cell_curves(lattice)
-    # the stacked control at every stage: row k is W at times[k]
+    # the stacked control at every distinct stage time: row k is W at times[k]
     W = np.hstack(np.split(aug._block_rows(control_blocks, times), N))
     rhs = lambda k, sigma, X: aug.dynamics(sigma, X, W[k])
     starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)), float).reshape(n), N)

@@ -138,6 +138,14 @@ class VerifyConfig:
     convexity_pairs: int = 1000
     convexity_halfwidth: float = 1.0
 
+    def __post_init__(self):
+        for name, low in (("grid_points_per_cell", 1), ("probes_per_point", 0),
+                          ("convexity_pairs", 1), ("convexity_halfwidth", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
+        if self.quadrature_steps_per_cell < 2 or self.quadrature_steps_per_cell % 2:
+            raise ValueError("quadrature_steps_per_cell must be a positive even integer")
+
     @staticmethod
     def numeric(**overrides) -> "VerifyConfig":
         base = dict(tol_maximality=1e-3, tol_residual=1e-3, tol_feedback=1e-3,

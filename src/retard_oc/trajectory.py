@@ -4,7 +4,8 @@ A :class:`Trajectory` tiles [history_start, end] with half-open segments
 [t_i, t_{i+1}); the final segment is closed at ``end``.  Jumps therefore sit
 at the left endpoint of the following segment, matching piecewise
 definitions like "u(t) = 0 on ]3, 4]".  Segment bounds are exact rationals;
-only curve evaluation uses floats.
+only curve evaluation uses floats.  :func:`delayed_rows` is the library's
+one delayed-argument resolver: on a lattice, a delay is a block shift.
 """
 
 from __future__ import annotations
@@ -242,25 +243,28 @@ def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray
     return traj.eval(shifted_time(t, tau))
 
 
-def cell_values(curves: Sequence[Curve], idx: int, ts: np.ndarray,
-                history: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Values at the float times ``ts`` of the finalized curve of lattice
-    cell ``idx``, or of ``history`` when ``idx`` precedes the horizon; shape
-    (len(ts), dim).  ``history`` is the array form of the history callable
-    (:func:`~retard_oc.problems.array_form`), called once for all times.
-
-    This is the method of steps' delayed-argument resolver by cell index
-    (:func:`shifted_rows` by row): integrators and quadrature resolve every
-    input of a cell through it before the cell is marched or summed.
-    """
-    return curves[idx].eval_many(ts) if idx >= 0 else history(ts)
-
-
 def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The delayed argument of each of ``rows`` under a delay of whole rows:
     ``history_rows`` in front (at most ``len(rows)`` of them), then ``rows``
     moved down by their number; as many rows as ``rows``."""
     return np.concatenate([history_rows, rows[:len(rows) - len(history_rows)]])
+
+
+def block_rows(curves: Sequence[Curve], T: np.ndarray) -> np.ndarray:
+    """Curve i at the times of row i of the (N, K) array ``T``, block-major:
+    row i K + k is ``curves[i]`` at ``T[i, k]``."""
+    return np.concatenate([curve.eval_many(ts) for curve, ts in zip(curves, T)])
+
+
+def delayed_rows(history: Callable[[np.ndarray], np.ndarray], T: np.ndarray,
+                 rows: np.ndarray, delay: float, shift: int) -> np.ndarray:
+    """The method of steps' delayed-argument resolver.  Row i of ``T`` holds
+    the times of lattice cell i, the same pattern in every cell, and
+    ``rows`` the block-major values there (:func:`block_rows`).  A delay of
+    ``shift`` whole cells reads block i - shift at that cell's own times;
+    the first ``shift`` cells read the array-form ``history`` at their
+    times minus ``delay``."""
+    return shifted_rows(history(T[:shift].ravel() - delay), rows)
 
 
 # -- builders ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from retard_oc.cost import evaluate_cost
 from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
                            integrate_forward)
 from retard_oc.probfile import parse_problem
-from retard_oc.problems import StateLinearProblem, array_form, model_arrays
+from retard_oc.problems import StateLinearProblem, array_form, batched, model_arrays
 from retard_oc.registry import REGISTRY, make_ld_candidate, make_ld_problem
 from retard_oc.solve import SweepConfig, solve_fbsm
 from retard_oc.sufficiency import (VerifyConfig, argmax_control_state_linear,
@@ -94,6 +94,39 @@ def test_a_replaced_field_is_honoured_by_every_consumer(field):
     got = _consumer_outputs(native)
     assert got == _consumer_outputs(scalar)
     assert got != _consumer_outputs(make_ld_problem())
+
+
+def _counting(problem, names):
+    """``problem`` with each named field's array form counting its calls."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        fn = getattr(problem, name)
+
+        def many(*args):
+            calls[name] += 1
+            return fn.many(*args)
+        return batched(lambda *args: fn(*args), many)
+    return dataclasses.replace(problem, **{name: counted(name) for name in names}), calls
+
+
+def test_each_model_term_is_one_array_form_call_per_integration():
+    # ld has four cells; a resolver run cell by cell calls each term once
+    # per cell, four times
+    terms = ("A", "A_D", "g", "g_D", "f0x", "f0u", "f0x_dx", "f0x_dy")
+    problem, calls = _counting(make_ld_problem(), terms)
+    cand, integ = make_ld_candidate(), IntegratorConfig(8)
+
+    def calls_of(run, *called):
+        calls.update(dict.fromkeys(terms, 0))
+        run()
+        assert calls == {term: int(term in called) for term in terms}
+
+    calls_of(lambda: integrate_forward(problem, cand.control, integ), "A", "A_D", "g", "g_D")
+    # the slot partials of the costate: d2 f = A, d3 f = A_D, and f0x's
+    calls_of(lambda: integrate_adjoint_linear(problem, cand, integ),
+             "A", "A_D", "f0x_dx", "f0x_dy")
+    calls_of(lambda: evaluate_cost(problem, cand, 64), "f0x", "f0u")
 
 
 # -- every declared array form equals the loop adapter -------------------------------

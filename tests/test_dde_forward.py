@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from retard_oc.cost import evaluate_cost
 from retard_oc.dde import (IntegratorConfig, _affine_cell, _cell_schedule,
                            _integrate_cell, integrate_adjoint_nonlinear,
                            integrate_forward)
@@ -140,7 +141,7 @@ def test_affine_cell_matches_stage_by_stage_march(start, end):
 
     widths, times = _cell_schedule(start, end, 8)
     y0 = rng.normal(size=3)
-    affine = _affine_cell(slope_terms, widths, times, y0)
+    affine = _affine_cell(*slope_terms(times), widths, times, y0)
     staged = _integrate_cell(rhs, widths, times, y0)
     assert np.array_equal(affine[0], staged[0])
     for got, want in zip(affine[1:], staged[1:]):
@@ -174,6 +175,52 @@ def test_state_linear_forward_matches_general_path(r):
         assert np.array_equal(mine.curve.ts, ref.curve.ts)
         np.testing.assert_allclose(mine.curve.ys, ref.curve.ys, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(mine.curve.ds, ref.curve.ds, rtol=0.0, atol=1e-12)
+
+
+def test_delayed_reads_are_the_earlier_cells_own_times():
+    # h = 1/3 is not dyadic, so t - s in floats misses the earlier cell's
+    # own times by an ulp or so.  A delay is a shift by whole cells: every
+    # control cell is read only at its own stage times (forward, and
+    # backward for the costate) and at its own Simpson nodes
+    third = Fraction(1, 3)
+    seen: dict = {}
+
+    def recording(i):
+        def u(t):
+            seen.setdefault(i, set()).add(t)
+            return [np.sin(3.0 * t)]
+        return u
+    control = from_pieces(1, [(-2 * third, 0, lambda t: [0.0])]
+                          + [(i * third, (i + 1) * third, recording(i)) for i in range(3)],
+                          main_start=0)
+    problem = StateLinearProblem(
+        a=0, b=1, r=third, s=2 * third, n=1, m=1,
+        A=lambda t: np.array([[-0.5]]), A_D=lambda t: np.array([[0.3]]),
+        g=lambda t, u: np.array([u[0]]), g_D=lambda t, v: np.array([0.5 * v[0]]),
+        f0x=lambda t, x, y: float(x[0] * y[0]), f0u=lambda t, u, v: float(u[0] * v[0]),
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.2]))
+    cells = [(i, float(lo), float(hi)) for i, lo, hi in problem.lattice().cells()]
+    cfg, steps = IntegratorConfig(16), 32
+
+    def own_times(read, times_of_cell):
+        seen.clear()
+        result = read()
+        assert sorted(seen) == [0, 1, 2]
+        for i, lo, hi in cells:
+            assert seen[i] <= set(np.asarray(times_of_cell(lo, hi)).tolist()), f"cell {i}"
+        return result
+
+    state = own_times(lambda: integrate_forward(problem, control, cfg),
+                      lambda lo, hi: _cell_schedule(lo, hi, 16)[1])
+    cand = CandidateSolution(state, control)
+    own_times(lambda: integrate_adjoint_nonlinear(problem, cand, cfg),
+              lambda lo, hi: _cell_schedule(hi, lo, 16)[1])
+
+    def nodes(lo, hi):
+        ts = lo + (hi - lo) * (np.arange(steps + 1) / steps)
+        ts[-1] = hi
+        return ts
+    own_times(lambda: evaluate_cost(problem, cand, steps), nodes)
 
 
 def test_substep_count_validated():

@@ -3,7 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from retard_oc.cost import evaluate_cost
+from retard_oc.lattice import make_lattice
 from retard_oc.registry import (d_feedback, make_d_value_function,
                                 make_d_zeroed_candidate, make_zero_candidate,
                                 make_zero_problem)
@@ -75,6 +79,20 @@ def test_active_cells_counts_overlap(lattice):
     assert active_cells(lattice, Fraction(1)) == 2  # interior breakpoint
     assert active_cells(lattice, Fraction(0)) == 1
     assert active_cells(lattice, Fraction(3)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.fractions(-3, 3, max_denominator=7), h=st.fractions(1, 3, max_denominator=5),
+       n_cells=st.integers(1, 6), k=st.integers(-2, 8),
+       offset=st.sampled_from([Fraction(0), Fraction(1, 10 ** 12), Fraction(-1, 10 ** 12)])
+       | st.fractions(-1, 1, max_denominator=97))
+def test_active_cells_is_the_closed_cell_count(a, h, n_cells, k, offset):
+    # times on, a hair beside and well off the breakpoints a + k h, against
+    # the definition: how many closed cells [a + i h, a + (i + 1) h] hold t
+    lattice = make_lattice(a, a + n_cells * h, h, 0)
+    t = a + k * h + offset * h
+    expected = sum(lo <= t <= hi for _, lo, hi in lattice.cells())
+    assert active_cells(lattice, t) == expected
 
 
 def test_verify_passes_on_benchmark(d_problem, d_candidate, S):

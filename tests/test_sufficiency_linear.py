@@ -279,6 +279,28 @@ def test_verify_flips_only_maximality_on_bump(ld_problem):
                      "transversality": True, "maximality": False}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("grid_points_per_cell", 0), ("grid_points_per_cell", -3),
+    ("probes_per_point", -1), ("convexity_pairs", 0), ("convexity_halfwidth", -1.0),
+    ("quadrature_steps_per_cell", 0), ("quadrature_steps_per_cell", 7),
+    ("quadrature_steps_per_cell", -2)])
+def test_verify_config_rejects_degenerate_sampling(field, value):
+    # zero grid points sample only t = b, where a bumped control is not
+    # seen; zero convexity pairs leave an empty argmax, and a negative
+    # half-width an empty sampling box
+    with pytest.raises(ValueError, match=field):
+        VerifyConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        VerifyConfig.numeric(**{field: value})
+
+
+def test_one_grid_point_per_cell_still_fails_the_bump(ld_problem):
+    cfg = VerifyConfig(grid_points_per_cell=1, probes_per_point=0)
+    cert = verify_state_linear(ld_problem, make_ld_bumped_candidate(), cfg)
+    assert not cert.overall
+    assert not cert.check("maximality").passed
+
+
 def test_verify_flips_only_convexity_on_concave_problem():
     problem = make_concave_problem()
     cert = verify_state_linear(problem, make_rest_candidate(problem))
