@@ -53,10 +53,6 @@ def _integrator(args: argparse.Namespace) -> IntegratorConfig:
     return IntegratorConfig(substeps_per_cell=args.substeps)
 
 
-def _format(v: float) -> str:
-    return repr(float(v))
-
-
 def write_trajectories_csv(path: Path, problem, cand: CandidateSolution,
                            eta=None) -> None:
     """Uniform grid at 500 samples per unit time, plus every lattice
@@ -81,8 +77,8 @@ def write_trajectories_csv(path: Path, problem, cand: CandidateSolution,
                _csv_cells(times, eta, float(problem.a), n)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t, *cells in zip(times, *columns):
-            fh.write(",".join([_format(t)] + [c for part in cells for c in part]) + "\n")
+        for t, *cells in zip(times.tolist(), *columns):
+            fh.write(",".join([repr(t)] + [c for part in cells for c in part]) + "\n")
 
 
 def _csv_cells(times: np.ndarray, curve, start: float, dim: int):
@@ -91,7 +87,7 @@ def _csv_cells(times: np.ndarray, curve, start: float, dim: int):
     first = int(np.searchsorted(times, start - 1e-12)) if curve is not None else len(times)
     yield from itertools.repeat([""] * dim, first)
     if first < len(times):
-        yield from ([_format(v) for v in row] for row in curve.eval_many(times[first:]))
+        yield from ([repr(v) for v in row.tolist()] for row in curve.eval_many(times[first:]))
 
 
 def _write_artifacts(args: argparse.Namespace, problem, lines: list[str],

@@ -25,7 +25,8 @@ Where the slope is affine in the marched value (the costate of every
 problem class, the state of a state-linear problem), each substep is an
 affine map of its start value; a cell's maps are built in one batched pass
 and only their chaining is sequential.  This agrees with the stage-by-stage
-march to rounding (about 1e-13), not bit for bit.
+march to rounding (about 1e-13), not bit for bit.  The direct solver's
+costate recursion is one doubling scan per lattice cell (:func:`_affine_scan`).
 """
 
 from __future__ import annotations
@@ -186,6 +187,18 @@ def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
     k = _slots(S, _NODE_SLOTS)
     node_ds = np.einsum("ji,jik->jk", node_ys, M[k]) + c[k]
     return (*_nodes(times[k], node_ys, node_ds), ys[-1, :n])
+
+
+def _affine_scan(y0: np.ndarray, P: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Rows y_1 .. y_L of y_{j+1} = y_j @ P[j] + q[j], P (L, n, n), q (L, n):
+    the maps [[P_j, 0], [q_j, 1]] composed by Hillis-Steele doubling in
+    ceil(log2 L) batched matmuls (Blelloch, "Prefix sums...", 1990)."""
+    L, n = q.shape
+    Z = np.zeros((L, n + 1, n + 1))
+    Z[:, :n, :n], Z[:, n, :n], Z[:, n, n] = P, q, 1.0
+    for d in (2 ** k for k in range((L - 1).bit_length())):
+        Z[d:] = Z[:-d] @ Z[d:]
+    return np.append(y0, 1.0) @ Z[:, :, :n]
 
 
 def _march(name: str, lattice: CommensurabilityLattice, schedule, y: np.ndarray,

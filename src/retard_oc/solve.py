@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from .cost import evaluate_cost
-from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
+from .dde import (IntegratorConfig, _affine_scan, integrate_adjoint_linear,
+                  integrate_forward)
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        array_form, model_arrays, model_partials,
@@ -257,7 +258,8 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
 def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """:func:`discrete_adjoint_gradient` at the control samples ``u``, whose
     Euler states ``xs`` are given.  Each slot partial is one array-form call
-    over the stages it enters; only the costate recursion is sequential."""
+    over the stages it enters, and the costate recursion is one
+    :func:`~retard_oc.dde._affine_scan` per lattice cell, right to left."""
     p, M, k_r, k_s, df, T = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.T
     f0_dx, f0_dy, f0_du, f0_dv = grid.f0_d
     f_dx, f_dy, f_du, f_dv = grid.f_d
@@ -275,10 +277,18 @@ def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.nda
     lam = np.zeros((M + 1, p.n))
     if grid.g0_grad is not None:
         lam[M] = grid.g0_grad(xs[M])
-    for i in range(M - 1, -1, -1):
-        lam[i] = lam[i + 1] + df * (c_x[i] + lam[i + 1] @ j_x[i])
-        if i + k_r < M:   # x_i is the delayed argument of stage i + k_r
-            lam[i] += df * (c_y[i] + lam[i + k_r + 1] @ j_y[i])
+    # lam_i = lam_{i+1} @ P_i + q_i, one scan per cell of L stages; the delayed
+    # coupling lam_{i+k_r+1} @ j_y_i reads a final cell, or joins P if k_r = 0
+    P, q = np.eye(p.n) + df * j_x, df * c_x
+    if k_r == 0:
+        P, q = P + df * j_y, q + df * c_y
+    L = M // grid.lattice.n_cells
+    for lo in range(M - L, -1, -L):
+        cell = slice(lo, lo + L)
+        if 0 < k_r < M - lo:   # x_i is the delayed argument of stage i + k_r
+            q[cell] += df * (c_y[cell] + np.einsum(
+                "ki,kij->kj", lam[lo + k_r + 1:lo + k_r + L + 1], j_y[cell]))
+        lam[cell] = _affine_scan(lam[lo + L], P[cell][::-1], q[cell][::-1])[::-1]
 
     grad = df * (stages(f0_du) + np.einsum("ki,kij->kj", lam[1:], stages(f_du)))
     if k_s < M:   # u_j is the delayed argument of stage j + k_s
@@ -295,6 +305,8 @@ def discrete_adjoint_gradient(problem: AnyProblem, control_samples: np.ndarray,
     couplings: state node i feeds stage i, stage i + r/delta (as the delayed
     argument), and the two matching transitions; control node j feeds stage
     j and stage j + s/delta.  A zero shift couples a node to its own stage.
+    The costate recursion is one affine scan per lattice cell; only the
+    forward Euler march is one step per stage.
     """
     grid = _EulerGrid(problem, cfg)
     u = np.asarray(control_samples, float).reshape(grid.M, problem.m)
@@ -313,17 +325,16 @@ def _interpolated_candidate(grid: _EulerGrid, u: np.ndarray,
     """
     p, lattice, df = grid.p, grid.lattice, grid.df
     per_cell = grid.M // lattice.n_cells
+    half = df * (np.arange(per_cell) + 0.5)
     curves = []
-    for i, lo, hi in lattice.cells():
-        base = i * per_cell
-        mids = np.array([float(lo) + df * (k + 0.5) for k in range(per_cell)])
-        vals = np.asarray([u[base + k] for k in range(per_cell)], dtype=float)
+    for (_, lo, hi), vals in zip(lattice.cells(),
+                                 u.reshape(lattice.n_cells, per_cell, p.m)):
         if per_cell >= 2:
             left = 1.5 * vals[0] - 0.5 * vals[1]
             right = 1.5 * vals[-1] - 0.5 * vals[-2]
         else:
             left = right = vals[0]
-        ts = np.concatenate(([float(lo)], mids, [float(hi)]))
+        ts = np.concatenate(([float(lo)], float(lo) + half, [float(hi)]))
         curves.append(hermite_from_samples(
             ts, np.vstack([left[None, :], vals, right[None, :]])))
     control = cell_trajectory(lattice, p.m, curves, p.control_history_start, p.psi)
