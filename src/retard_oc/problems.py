@@ -69,7 +69,8 @@ class ControlSet:
         return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
 
     def sample(self, rng: np.random.Generator, center: Vec) -> Vec:
-        """Random probe point, used by the maximality checker."""
+        """One random probe point: the tests' per-time reference for the
+        probes that the maximality checker takes in one draw."""
         center = np.asarray(center, dtype=float).reshape(self.m)
         if self.is_free:
             return center + rng.normal(size=self.m) * (1.0 + np.abs(center))

@@ -22,7 +22,7 @@ from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        array_form, model_arrays, model_partials,
                        running_cost_array)
-from .sufficiency import _criterion_times, argmax_control_state_linear
+from .sufficiency import _sample_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          hermite_from_samples, shifted_rows)
 
@@ -103,7 +103,7 @@ def solve_fbsm(problem: StateLinearProblem,
                                   problem.control_history_start, problem.psi)
     omega = cfg.omega
     nodes_per_cell = 2 * cfg.integrator.substeps_per_cell
-    nodes = _criterion_times(problem, [
+    nodes = _sample_times(lattice, [
         lo + (hi - lo) * Fraction(j, nodes_per_cell)
         for _, lo, hi in lattice.cells() for j in range(nodes_per_cell + 1)])
     cell_ts = np.split(nodes.t, lattice.n_cells)

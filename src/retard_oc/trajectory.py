@@ -227,20 +227,15 @@ class Trajectory:
         return [self.cell_curve(lo, hi) for _, lo, hi in lattice.cells()]
 
 
-def shifted_time(t: TimeLike, tau: RationalLike) -> TimeLike:
-    """t - tau: exact for a rational t, float arithmetic otherwise."""
-    if isinstance(t, Fraction):
-        return t - as_rational(tau)
-    return float(t) - float(as_rational(tau))
-
-
 def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray:
-    """Evaluate ``traj`` at the shifted time t - tau.
+    """Evaluate ``traj`` at the shifted time t - tau, exact for a rational t
+    and in float arithmetic otherwise.
 
     Crosses transparently from the governed part into prepended history.
     Raises :class:`OutOfDomainError` when t - tau precedes the history start.
     """
-    return traj.eval(shifted_time(t, tau))
+    tau = as_rational(tau)
+    return traj.eval(t - tau if isinstance(t, Fraction) else float(t) - float(tau))
 
 
 def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
 from retard_oc.lattice import make_lattice
-from retard_oc.registry import (d_feedback, make_d_value_function,
+from retard_oc.registry import (d_feedback, d_state_value, make_d_value_function,
                                 make_d_zeroed_candidate, make_zero_candidate,
                                 make_zero_problem)
 from retard_oc.sufficiency import (ValueFunctionCandidate, VerifyConfig,
-                                   active_cells, hj_residual,
-                                   verify_nonlinear_hj)
+                                   active_cells, hamiltonian_nonlinear,
+                                   hj_residual, verify_nonlinear_hj)
+
+NAN = float("nan")
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,10 @@ def test_shifted_offset_keeps_residual_but_breaks_matching(d_problem,
     cert = verify_nonlinear_hj(d_problem, d_candidate, shifted, d_feedback)
     assert not cert.check("value_smoothness").passed
     assert cert.check("hj_residual").passed
+    # the location prints as plain floats in the text and in the JSON
+    assert ("check.value_smoothness: FAIL worst=1.000000e+00 at (2.0, (0.148054,))"
+            in cert.to_text().splitlines())
+    assert cert.to_mapping()["checks"][3]["worst_location"] == "(2.0, (0.148054,))"
 
 
 def test_scaled_multiplier_breaks_residual(d_problem, d_candidate, lattice):
@@ -93,6 +99,92 @@ def test_active_cells_is_the_closed_cell_count(a, h, n_cells, k, offset):
     t = a + k * h + offset * h
     expected = sum(lo <= t <= hi for _, lo, hi in lattice.cells())
     assert active_cells(lattice, t) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.fractions(-3, 3, max_denominator=7), h=st.fractions(1, 3, max_denominator=5),
+       n_cells=st.integers(1, 6), k=st.integers(-2, 8),
+       near=st.sampled_from([0.0, 1e-13, -1e-13]), off=st.floats(0.01, 0.99))
+def test_active_cells_on_float_times_is_the_closed_cell_count(a, h, n_cells, k, near, off):
+    # a float on a breakpoint a + k h, or within the 1e-12 snap of one,
+    # counts as on it; a float well off any counts by its exact value
+    lattice = make_lattice(a, a + n_cells * h, h, 0)
+    count = lambda t: sum(lo <= t <= hi for _, lo, hi in lattice.cells())
+    bp = a + k * h
+    assert active_cells(lattice, float(bp) + near) == count(bp)
+    t = float(bp) + off * float(h)
+    assert active_cells(lattice, t) == count(Fraction(t))
+
+
+def _reference_residual(problem, S, feedback, lattice, t, state, dx):
+    """The residual at one rational time, from scalar calls only."""
+    x = state.eval(t) + dx
+    y = state.eval(t - problem.r)
+    eta = S.dx(t, x)
+    u = feedback(float(t), x, y, eta)
+    ts = t - problem.s
+    if ts < problem.a:
+        v = problem.psi(float(ts))
+    else:
+        xs = state.eval(ts)
+        v = feedback(float(ts), xs, state.eval(ts - problem.r), S.dx(ts, xs))
+    braced = hamiltonian_nonlinear(problem, t, x, y, u, v, eta)
+    return S.dt(t, x) + active_cells(lattice, t) * braced
+
+
+@pytest.mark.parametrize("dx", [None, np.array([1e-3]), np.linspace(-1e-3, 1e-3, 27)[:, None]],
+                         ids=["centerline", "one-displacement", "one-per-time"])
+def test_residual_over_times_is_the_stacked_one_time_residuals(d_problem, d_candidate,
+                                                               S, lattice, dx):
+    # the lattice points 0..3 (breakpoints 1 and 2 inside), rational grid
+    # times between them, and t - s < a for every t < 2
+    times = [Fraction(j, 8) for j in range(25)] + [Fraction(7, 3), Fraction(1, 24)]
+    rows = dx if dx is not None and dx.ndim == 2 else [dx] * len(times)
+    many = hj_residual(d_problem, S, d_feedback, lattice, times, d_candidate.state, dx)
+    one = [hj_residual(d_problem, S, d_feedback, lattice, t, d_candidate.state, row)
+           for t, row in zip(times, rows)]
+    assert isinstance(many, np.ndarray) and all(type(r) is float for r in one)
+    np.testing.assert_array_equal(many, one)
+    reference = [_reference_residual(d_problem, S, d_feedback, lattice, t,
+                                     d_candidate.state, 0.0 if row is None else row)
+                 for t, row in zip(times, rows)]
+    np.testing.assert_array_equal(many, reference)
+
+
+@pytest.mark.parametrize("broken, location", [
+    (lambda t, x: True, 1 / 24),                        # every sample
+    (lambda t, x: t in (1.0, 2.0), 1.0),                # the breakpoint samples only
+    (lambda t, x: x[0] != d_state_value(t), 1 / 24),    # the tube samples only
+], ids=["everywhere", "breakpoints", "tube"])
+def test_a_non_finite_residual_fails_the_check_at_its_first_time(d_problem, d_candidate,
+                                                                 S, broken, location):
+    nan_S = ValueFunctionCandidate(
+        S=S.S, S_x=S.S_x, S_t=lambda t, x: NAN if broken(t, x) else S.S_t(t, x))
+    cert = verify_nonlinear_hj(d_problem, d_candidate, nan_S, d_feedback)
+    check = cert.check("hj_residual")
+    assert not cert.overall and not check.passed
+    assert np.isnan(check.worst_residual)
+    assert (check.worst_location, check.detail) == (location, "non-finite value")
+
+
+def test_a_non_finite_feedback_law_fails_at_its_first_time(d_problem, d_candidate, S):
+    law = lambda t, x, y, eta: np.array([NAN]) if t >= 1.5 else d_feedback(t, x, y, eta)
+    cert = verify_nonlinear_hj(d_problem, d_candidate, S, law)
+    assert not cert.overall
+    for name in ("hj_residual", "feedback_consistency"):
+        check = cert.check(name)
+        assert not check.passed and np.isnan(check.worst_residual)
+        assert check.worst_location == 1.5
+
+
+def test_a_non_finite_value_fails_the_smoothness_check(d_problem, d_candidate, S):
+    nan_S = ValueFunctionCandidate(S=lambda t, x: NAN if 2.0 <= t < 2.5 else S.S(t, x),
+                                   S_t=S.S_t, S_x=S.S_x)
+    cert = verify_nonlinear_hj(d_problem, d_candidate, nan_S, d_feedback)
+    check = cert.check("value_smoothness")
+    assert not cert.overall and not check.passed
+    assert np.isnan(check.worst_residual)
+    assert check.worst_location[0] == 2.0   # the first breakpoint it spoils
 
 
 def test_verify_passes_on_benchmark(d_problem, d_candidate, S):

@@ -308,6 +308,11 @@ def test_verify_flips_only_convexity_on_concave_problem():
     flags = {c.name: c.passed for c in cert.checks}
     assert flags == {"continuity": True, "convexity_f0x": False,
                      "transversality": True, "maximality": True}
+    # the location prints as plain floats in the text and in the JSON
+    location = "(1.8207586532533893, (1.494208, 1.329133))"
+    assert (f"check.convexity_f0x: FAIL worst=2.000000e+00 at {location}"
+            in cert.to_text().splitlines())
+    assert cert.to_mapping()["checks"][1]["worst_location"] == location
 
 
 def test_verify_with_shifted_adjoint_fails_transversality(ld_problem,
