@@ -276,16 +276,18 @@ def _cmd_transform(args: argparse.Namespace) -> int:
                                          - cand.state.eval_many(ts))))
         cost_gap = abs(augmented_cost(aug, sol, args.quadrature_steps)
                        - evaluate_cost(problem, cand, args.quadrature_steps))
-        re = reassemble(integrate_augmented(aug, cand.control, _integrator(args)),
-                        lattice)
+        integrated = integrate_augmented(aug, cand.control, _integrator(args))
+        re = reassemble(integrated, lattice)
         fwd = integrate_forward(problem, cand.control, _integrator(args))
         dyn_gap = float(np.max(np.abs(re.state.eval_many(ts) - fwd.eval_many(ts))))
         print(f"round-trip sup error: {round_trip:.3e}")
         print(f"cost gap (augmented vs original): {cost_gap:.3e}")
         print(f"dynamics gap (augmented vs delayed integration): {dyn_gap:.3e}")
+        print(f"stacked ODE residual: {integrated.ode_residual:.3e}")
         lines += [f"round_trip_sup_error = {round_trip!r}",
                   f"cost_gap = {cost_gap!r}",
-                  f"dynamics_gap = {dyn_gap!r}"]
+                  f"dynamics_gap = {dyn_gap!r}",
+                  f"stacked_ode_residual = {integrated.ode_residual!r}"]
     _write_artifacts(args, problem, lines)
     return 0
 

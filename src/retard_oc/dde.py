@@ -202,13 +202,13 @@ def _affine_scan(y0: np.ndarray, P: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _march(name: str, lattice: CommensurabilityLattice, schedule, y: np.ndarray,
-           march_cell, backward: bool = False) -> list[HermiteCurve]:
+           march_cell, backward: bool = False, unit: str = "cell") -> list[HermiteCurve]:
     """Method of steps over the lattice cells, left to right or right to left.
 
     ``schedule`` is the pair of :func:`_schedules`.  ``march_cell(i, widths,
     times, y, curves)`` marches cell ``i`` from ``y`` with its schedule row
     (``curves`` holds the cells finalized so far) and returns what
-    :func:`_integrate_cell` returns.  Each cell seam value must be finite.
+    :func:`_integrate_cell` returns.  A non-finite seam raises, naming ``unit`` i.
     """
     widths, T = schedule
     curves: list = [None] * lattice.n_cells
@@ -218,7 +218,7 @@ def _march(name: str, lattice: CommensurabilityLattice, schedule, y: np.ndarray,
         if not np.all(np.isfinite(y)):
             lo, hi = lattice.cell(i)
             raise NonFiniteStateError(
-                f"{name}: non-finite value at the end of cell {i} [{lo}, {hi}]")
+                f"{name}: non-finite value at the end of {unit} {i} [{lo}, {hi}]")
         curves[i] = HermiteCurve(ts, ys, ds)
     return curves
 
@@ -240,11 +240,21 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     lattice = problem.lattice()
     if not control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control must cover [a - s, b]")
-    n, k_r = problem.n, lattice.state_shift
     schedule = _schedules(lattice, cfg.substeps_per_cell)
+    state_cells = _forward_cells(problem, control.cell_curves(lattice), lattice,
+                                 schedule, "integrate_forward")
+    return cell_trajectory(lattice, problem.n, state_cells,
+                           problem.state_history_start, problem.phi)
+
+
+def _forward_cells(problem: AnyProblem, control_cells, lattice: CommensurabilityLattice,
+                   schedule, name: str, unit: str = "cell") -> list[HermiteCurve]:
+    """The state's cell curves under ``control_cells``, marched along
+    ``schedule`` (as :func:`_schedules` gives it); see :func:`_march`."""
+    n, k_r = problem.n, lattice.state_shift
     T, K = schedule[1], schedule[1].shape[1]
     phi, psi = model_arrays(problem, "phi", "psi")
-    u = block_rows(control.cell_curves(lattice), T)
+    u = block_rows(control_cells, T)
     ud = delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift)
     x_hist = phi(T[:k_r].ravel() - float(lattice.r))
     linear = isinstance(problem, StateLinearProblem)
@@ -268,9 +278,7 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
         return _integrate_cell(rhs, widths, times, y)
 
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
-    state_cells = _march("integrate_forward", lattice, schedule, y0, march_cell)
-    return cell_trajectory(lattice, n, state_cells,
-                           problem.state_history_start, problem.phi)
+    return _march(name, lattice, schedule, y0, march_cell, unit=unit)
 
 
 # -- adjoint equations -----------------------------------------------------------

@@ -8,7 +8,9 @@ shift with baked-in history rows in front, keeping the stacked dimension at
 n N.  All blocks are resolved in one array pass by the resolver the
 integrators and the quadrature use (:func:`~retard_oc.trajectory.delayed_rows`),
 and the model is one array-form call over them.
-Block boundaries are linked by hard equality X_{i+1}(0) = X_i(h).
+Block boundaries are linked by hard equality X_{i+1}(0) = X_i(h).  Block i
+reads only blocks before it, so the blocks are marched in order by the
+engine of :mod:`~retard_oc.dde`; the stacked right-hand side checks them.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import _simpson_weights
-from .dde import IntegratorConfig, _cell_schedule, _integrate_cell
-from .errors import MismatchedLatticeError, NonFiniteStateError, SeamMismatchError
+from .dde import _NODE_SLOTS, IntegratorConfig, _cell_schedule, _forward_cells, _slots
+from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import (AnyProblem, CandidateSolution, dynamics_array,
                        model_arrays, running_cost_array)
-from .trajectory import (HermiteCurve, Trajectory, block_rows, cell_trajectory,
-                         delayed_rows)
+from .trajectory import Trajectory, block_rows, cell_trajectory, delayed_rows
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,12 @@ class AugmentedProblem:
         costs = self._running_cost(*self._arguments(sigmas, X, W))
         return np.add.accumulate(costs.reshape(self.n_blocks, -1))[-1]
 
-    def dynamics(self, sigma: float, X: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Stacked right-hand side; an ordinary ODE in R^{n N}."""
-        return self._dynamics(*self._arguments(float(sigma), X, W)).reshape(-1)
+    def dynamics(self, sigma, X: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Stacked right-hand side; an ordinary ODE in R^{n N}.  At K local
+        times ``sigma`` (a 1-D array), X and W are block-major rows as
+        :meth:`_block_rows` gives them; the slopes come in the shape of X."""
+        args = self._arguments(np.asarray(sigma, dtype=float), X, W)
+        return self._dynamics(*args).reshape(np.shape(X))
 
     def running_cost(self, sigma: float, X: np.ndarray, W: np.ndarray) -> float:
         """Stacked running cost; its sigma-integral over [0, h] equals the
@@ -127,6 +131,7 @@ class AugmentedSolution:
     aug: AugmentedProblem
     state_blocks: list
     control_blocks: list
+    ode_residual: float | None = None   # see integrate_augmented; None if stacked
 
     def linkage_residual(self) -> float:
         """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf at the cell edges."""
@@ -151,53 +156,44 @@ def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> Augmented
 def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
                         cfg: IntegratorConfig = IntegratorConfig()
                         ) -> AugmentedSolution:
-    """Integrate the stacked system as a plain ODE, no delay machinery.
+    """Integrate the stacked system block by block, then check it as a plain ODE.
 
-    The block linkage makes the initial condition part of the unknown, so
-    the stacked IVP is swept to a fixed point: each sweep integrates all
-    blocks simultaneously over sigma in [0, h], then feeds X_i(h) into
-    X_{i+1}(0) for the next sweep.  Block i reads only blocks before it, so
-    the starts are exact after at most N sweeps; the sweep that reproduces
-    its own starts bit for bit is the solution.  The controls are looked up
-    before the sweeps; a non-finite end value raises
-    :class:`NonFiniteStateError` naming its first block.
+    Block i reads only block i - r/h and the end of block i - 1, so one
+    pass in block order is exact: each block is marched once over sigma in
+    [0, h] at the times start + sigma by the method-of-steps engine of
+    :func:`~retard_oc.dde.integrate_forward`, X_i(h) starting block i + 1.
+    A non-finite end value raises :class:`NonFiniteStateError` naming the
+    block.  The march's node slopes are then checked against the stacked
+    right-hand side, one :meth:`AugmentedProblem.dynamics` call over all
+    blocks at all node times; the worst gap is ``ode_residual``.
     """
     lattice = aug.lattice
-    N, n = aug.n_blocks, aug.problem.n
-    widths, times = _cell_schedule(0.0, float(lattice.h), cfg.substeps_per_cell)
+    widths, sigmas = _cell_schedule(0.0, float(lattice.h), cfg.substeps_per_cell)
     control_blocks = control.cell_curves(lattice)
-    # the stacked control at every distinct stage time: row k is W at times[k]
-    W = np.hstack(np.split(aug._block_rows(control_blocks, times), N))
-    rhs = lambda k, sigma, X: aug.dynamics(sigma, X, W[k])
-    starts = np.tile(np.asarray(aug.problem.phi(float(lattice.a)), float).reshape(n), N)
-    for _ in range(N + 1):
-        ts, ys, ds, y_end = _integrate_cell(rhs, widths, times, starts)
-        if not np.all(np.isfinite(y_end)):
-            i = int(np.flatnonzero(~np.isfinite(y_end))[0]) // n
-            lo, hi = lattice.cell(i)
-            raise NonFiniteStateError(
-                f"integrate_augmented: non-finite value at the end of block {i} [{lo}, {hi}]")
-        new_starts = np.concatenate((starts[:n], y_end[:-n]))
-        if np.array_equal(new_starts, starts):
-            break
-        starts = new_starts
-    blocks = zip(aug._starts, np.split(ys, N, axis=1), np.split(ds, N, axis=1))
-    return AugmentedSolution(aug=aug, control_blocks=control_blocks, state_blocks=[
-        HermiteCurve(start + ts, y, d) for start, y, d in blocks])
+    schedule = (np.broadcast_to(widths, (aug.n_blocks, len(widths))),
+                aug._starts[:, None] + sigmas)
+    blocks = _forward_cells(aug.problem, control_blocks, lattice, schedule,
+                            "integrate_augmented", "block")
+    nodes = sigmas[_slots(len(widths), _NODE_SLOTS)]
+    slopes = aug.dynamics(nodes, np.concatenate([b.ys for b in blocks]),
+                          aug._block_rows(control_blocks, nodes))
+    gap = np.max(np.abs(slopes - np.concatenate([b.ds for b in blocks])))
+    return AugmentedSolution(aug=aug, state_blocks=blocks, control_blocks=control_blocks,
+                             ode_residual=float(gap))
 
 
 def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice,
                tol: float = 1e-9) -> CandidateSolution:
     """Concatenate stacked blocks back into trajectories on [a, b].
 
-    Linkage is enforced as hard equality: a seam residual above ``tol``,
-    or NaN, raises :class:`SeamMismatchError` instead of smoothing it over.
+    Linkage is enforced as hard equality: a seam or stacked-ODE residual
+    above ``tol``, or NaN, raises :class:`SeamMismatchError`.
     """
     problem = aug_solution.aug.problem
-    residual = aug_solution.linkage_residual()
-    if not residual <= tol:
-        raise SeamMismatchError(
-            f"block linkage residual {residual:.3e} exceeds {tol:g}")
+    for what, residual in (("block linkage", aug_solution.linkage_residual()),
+                           ("stacked ODE", aug_solution.ode_residual)):
+        if residual is not None and not residual <= tol:
+            raise SeamMismatchError(f"{what} residual {residual:.3e} exceeds {tol:g}")
     state = cell_trajectory(lattice, problem.n, aug_solution.state_blocks,
                             problem.state_history_start, problem.phi)
     control = cell_trajectory(lattice, problem.m, aug_solution.control_blocks,

@@ -167,14 +167,16 @@ def test_criterion_7_reduction_equivalence(ld_problem, ld_candidate,
         cost_gap = abs(augmented_cost(aug, stacked, 512)
                        - evaluate_cost(problem, cand, 512))
         cfg = IntegratorConfig(substeps_per_cell=64)
-        re = reassemble(integrate_augmented(aug, cand.control, cfg), lattice)
+        integrated = integrate_augmented(aug, cand.control, cfg)
+        re = reassemble(integrated, lattice)
         fwd = integrate_forward(problem, cand.control, cfg)
         ts = np.linspace(float(problem.a), float(problem.b), 1001)
         dyn_gap = max(float(np.max(np.abs(re.state.eval(t) - fwd.eval(t))))
                       for t in ts)
         ok = ok and round_trip <= 1e-12 and cost_gap <= 1e-10 and dyn_gap <= 1e-8
         details.append(f"{problem.name}: trip={round_trip:.1e} "
-                       f"cost={cost_gap:.1e} dyn={dyn_gap:.1e}")
+                       f"cost={cost_gap:.1e} dyn={dyn_gap:.1e} "
+                       f"ode={integrated.ode_residual:.1e}")
         assert round_trip <= 1e-12
         assert cost_gap <= 1e-10
         assert dyn_gap <= 1e-8

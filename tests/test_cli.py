@@ -248,6 +248,18 @@ def test_transform_reports_offsets(capsys):
     assert "control offset (cells): 2" in out
 
 
+def test_transform_reports_the_stacked_ode_residual(tmp_path, capsys):
+    assert main(["transform", "ocp-ld-paper", "--substeps", "16",
+                 "--out", str(tmp_path)]) == 0
+    printed = float(capsys.readouterr().out.split("stacked ODE residual: ")[1].split()[0])
+    summary = (tmp_path / "summary.txt").read_text().splitlines()
+    assert "dynamics_gap = " in summary[-2]
+    key, written = summary[-1].split(" = ")
+    assert key == "stacked_ode_residual"
+    assert printed == pytest.approx(float(written), rel=1e-3)
+    assert float(written) <= 1e-12
+
+
 def test_cost_command(capsys):
     assert main(["cost", "ocp-d-goellmann"]) == 0
     cost = float(capsys.readouterr().out.split("cost: ")[-1].strip())

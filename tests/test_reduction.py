@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import retard_oc.dde as dde
 import retard_oc.reduction as reduction
 
 from retard_oc.cost import evaluate_cost
@@ -138,29 +139,29 @@ def _check_history_only(r):
     np.testing.assert_allclose(aug.dynamics(0.5, X, W), [5.0])
 
 
-@pytest.mark.parametrize("name,marches", [("ld", 4), ("d", 1)])
-def test_augmented_march_stops_at_the_settled_sweep(name, marches, monkeypatch,
-                                                    ld_problem, ld_candidate,
-                                                    d_problem, d_candidate):
-    # block i reads only blocks before it: on ld (4 blocks) the starts are
-    # exact after 3 sweeps and the 4th reproduces them; on d every block
-    # starts at the history value 1, which the first sweep already carries
+@pytest.mark.parametrize("name,blocks", [("ld", 4), ("d", 3)])
+def test_augmented_march_runs_each_block_once(name, blocks, monkeypatch,
+                                              ld_problem, ld_candidate,
+                                              d_problem, d_candidate):
+    # block i reads only blocks before it, so one pass in block order is
+    # exact: ld marches its 4 blocks affinely, d its 3 stage by stage, each
+    # once; the stacked right-hand side is called once, as the check
     problem, cand = (ld_problem, ld_candidate) if name == "ld" else (d_problem, d_candidate)
-    ends = []
+    calls = {"march": 0, "stacked": 0}
 
-    def counting(*args):
-        out = march(*args)
-        ends.append(out[3])
-        return out
+    def counting(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
 
-    march = reduction._integrate_cell
-    monkeypatch.setattr(reduction, "_integrate_cell", counting)
-    lattice = problem.lattice()
-    aug = augment(problem, lattice)
-    sol = integrate_augmented(aug, cand.control, IntegratorConfig(16))
-    assert len(ends) == marches
-    h = float(lattice.h)
-    np.testing.assert_array_equal(sol.stacked_state(h), ends[-1])
+    for cell in ("_affine_cell", "_integrate_cell"):
+        monkeypatch.setattr(dde, cell, counting(getattr(dde, cell), "march"))
+    monkeypatch.setattr(reduction.AugmentedProblem, "dynamics",
+                        counting(reduction.AugmentedProblem.dynamics, "stacked"))
+    sol = integrate_augmented(augment(problem, problem.lattice()), cand.control,
+                              IntegratorConfig(16))
+    assert calls == {"march": blocks, "stacked": 1}
     assert sol.linkage_residual() == 0.0
 
 
@@ -228,11 +229,17 @@ def test_block_arguments_match_a_per_block_loop(view, rng):
         problem = as_delayed(problem)
     aug = augment(problem, problem.lattice())
     assert (aug.n_blocks, aug.state_offset, aug.control_offset) == (6, 2, 1)
-    for sigma in (0.0, 0.13, 0.5):
-        X, W = rng.normal(size=12), rng.normal(size=12)
+    sigmas = np.array([0.0, 0.13, 0.5])
+    Xs, Ws = rng.normal(size=(3, 12)), rng.normal(size=(3, 12))
+    for sigma, X, W in zip(sigmas, Xs, Ws):
         rhs, cost = _per_block_reference(aug, sigma, X, W)
         np.testing.assert_array_equal(aug.dynamics(sigma, X, W), rhs)
         assert aug.running_cost(sigma, X, W) == cost
+    # at all three times at once, X and W as block-major rows: block i at
+    # sigmas[k] is row 3 i + k
+    rows = lambda V: np.swapaxes(V.reshape(3, 6, 2), 0, 1).reshape(18, 2)
+    stacked = np.array([aug.dynamics(*args) for args in zip(sigmas, Xs, Ws)])
+    np.testing.assert_array_equal(aug.dynamics(sigmas, rows(Xs), rows(Ws)), rows(stacked))
 
 
 def test_cost_equivalence_with_delayed_cost_terms():
@@ -240,8 +247,7 @@ def test_cost_equivalence_with_delayed_cost_terms():
     # and f0u reads u(t - s), so every node's history rows and shifted
     # blocks enter the quadrature
     problem = _two_by_two_problem()
-    control = from_pieces(2, [(Fraction(-1, 2), 0, problem.psi),
-                              (0, 3, lambda t: [np.cos(2 * t), 0.5 * t])], main_start=0)
+    control = _two_by_two_control(problem)
     state = integrate_forward(problem, control, IntegratorConfig(16))
     cand = CandidateSolution(state=state, control=control)
     aug = augment(problem, problem.lattice())
@@ -275,3 +281,50 @@ def test_blocks_are_the_cell_curves(case):
     back = reassemble(sol, lattice)
     tail = back.state.segments[-lattice.n_cells:]
     assert all(seg.curve is blk for seg, blk in zip(tail, sol.state_blocks))
+
+
+def _two_by_two_control(problem):
+    return from_pieces(2, [(Fraction(-1, 2), 0, problem.psi),
+                           (0, 3, lambda t: [np.cos(2 * t), 0.5 * t])], main_start=0)
+
+
+@pytest.mark.parametrize("substeps", [16, 64])
+@pytest.mark.parametrize("name", ["ld", "d", "state-linear", "general"])
+def test_marched_blocks_solve_the_stacked_ode(name, substeps, ld_problem, ld_candidate,
+                                              d_problem, d_candidate):
+    # the march resolves its delays on the method-of-steps engine; the
+    # residual re-reads them from the stacked right-hand side alone
+    if name in ("ld", "d"):
+        problem, control = ((ld_problem, ld_candidate.control) if name == "ld"
+                            else (d_problem, d_candidate.control))
+    else:
+        problem = _two_by_two_problem()
+        control = _two_by_two_control(problem)
+        if name == "general":
+            problem = as_delayed(problem)
+    sol = integrate_augmented(augment(problem, problem.lattice()), control,
+                              IntegratorConfig(substeps))
+    largest = max(float(np.max(np.abs(block.ds))) for block in sol.state_blocks)
+    assert sol.ode_residual <= 1e-13 * largest
+    reassemble(sol, problem.lattice())
+
+
+def test_misread_delay_is_a_mismatch(ld_problem, ld_candidate):
+    # a stacked right-hand side that reads x(t - r) one block too far back
+    # disagrees with the march, which resolves the delay by itself
+    lattice = ld_problem.lattice()
+    aug = augment(ld_problem, lattice)
+    object.__setattr__(aug, "_shifts", (aug.state_offset + 1, aug.control_offset))
+    sol = integrate_augmented(aug, ld_candidate.control, IntegratorConfig(16))
+    assert sol.linkage_residual() == 0.0
+    with pytest.raises(SeamMismatchError, match="stacked ODE"):
+        reassemble(sol, lattice)
+
+
+def test_nan_ode_residual_is_a_mismatch(ld_problem, ld_candidate):
+    lattice = ld_problem.lattice()
+    sol = integrate_augmented(augment(ld_problem, lattice), ld_candidate.control,
+                              IntegratorConfig(16))
+    sol.ode_residual = np.nan
+    with pytest.raises(SeamMismatchError, match="stacked ODE"):
+        reassemble(sol, lattice)
