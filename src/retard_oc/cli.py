@@ -28,7 +28,7 @@ import numpy as np
 from .cost import evaluate_cost
 from .dde import IntegratorConfig, integrate_adjoint_linear, integrate_forward
 from .errors import ProblemFileError, RetardOCError
-from .problems import CandidateSolution, StateLinearProblem
+from .problems import CandidateSolution, StateLinearProblem, array_form
 from .probfile import load_problem, load_value_function
 from .reduction import augment, augmented_cost, integrate_augmented, reassemble, stack_candidate
 from .registry import (get_example, list_examples, make_d_zeroed_candidate,
@@ -241,8 +241,8 @@ def _cmd_verify_hj(args: argparse.Namespace) -> int:
                        quadrature_steps_per_cell=args.quadrature_steps)
     cert = verify_nonlinear_hj(problem, cand, S, example.feedback, cfg)
     # the multiplier column carries S_x along the candidate trajectory
-    eta = SimpleNamespace(eval_many=lambda ts: np.array(
-        [S.dx(float(t), x) for t, x in zip(ts, cand.state.eval_many(ts))]))
+    eta = SimpleNamespace(eval_many=lambda ts: array_form(S.S_x, (problem.n,))(
+        ts, cand.state.eval_many(ts)))
     _write_artifacts(args, problem, _verdict_lines(problem, cert), cand, eta, cert)
     return 0 if cert.overall else 1
 

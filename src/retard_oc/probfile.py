@@ -28,10 +28,10 @@ Value-function file grammar (pieces are affine in the state)::
 
     value-function
     dims n = 1
-    piece 0 1                       # closed t-interval of the piece
+    piece 0 1                       # closed t-interval of the piece, LO < HI
     eta[0] = -2*t + 5
     c = 3*t - 1
-    piece 1 2
+    piece 1 2                       # starts where the piece before it ends
     ...
 
 Scalars (horizon, delays, dims, box and piece bounds) are integers,
@@ -41,7 +41,8 @@ spelling is refused with its line, as are indices outside ``dims``.
 A parsed problem carries the exact partials of every field, differentiated
 once with :meth:`Expr.diff`, so nothing falls back to finite differences.
 Every field also carries its array form: :meth:`Expr.eval` reads float
-arrays as it reads floats, so one walk of a tree evaluates it at all times.
+arrays as it reads floats, so one walk of a tree evaluates it at all times,
+and a scalar call is the array form on one row.
 """
 
 from __future__ import annotations
@@ -296,23 +297,9 @@ def _dims(rest: str, line: int) -> dict:
 def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
     """The field with entries ``exprs`` (by index; entries left out are
     zero) as a function of (t, *values), the values named by the
-    ``(prefix, dim)`` pairs of ``vectors``, with its array form."""
+    ``(prefix, dim)`` pairs of ``vectors``, with its array form; a scalar
+    call is the array form on one row."""
     names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
-
-    def evaluate(t, *values):
-        if not exprs:
-            return np.zeros(shape)
-        env = {"t": float(t)}
-        for keys, vec in zip(names, values):
-            vec = np.asarray(vec).reshape(len(keys))
-            for k, key in enumerate(keys):
-                env[key] = float(vec[k])
-        if not shape:   # a scalar field, f0x or f0u
-            return exprs[()].eval(env)
-        out = np.zeros(shape)
-        for idx, expr in exprs.items():
-            out[idx] = expr.eval(env)
-        return out
 
     def many(ts, *values):
         env, out = {"t": ts}, np.zeros((len(ts),) + shape)
@@ -321,7 +308,7 @@ def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
         for idx, expr in exprs.items():
             out[(slice(None),) + idx] = expr.eval(env)
         return out
-    return batched(evaluate, many)
+    return batched(lambda t, *values: many(np.array([float(t)]), *values)[0], many)
 
 
 def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
@@ -480,8 +467,11 @@ def parse_value_function(text: str):
     """Parse a piecewise, state-affine verification function.
 
     Each piece holds S(t, x) = sum_i eta_i(t) x_i + c(t) on a closed
-    t-interval; the time derivative is differentiated exactly from the
-    expressions.  Returns a :class:`ValueFunctionCandidate`.
+    t-interval; the pieces, in order of their bounds, tile one interval.  A
+    time is read on the first piece whose upper bound exceeds it, else on
+    the last.  The time derivative is differentiated exactly from the
+    expressions.  S, S_t and S_x carry array forms, and a scalar call is
+    the array form on one row.  Returns a :class:`ValueFunctionCandidate`.
     """
     from .sufficiency import ValueFunctionCandidate
 
@@ -505,9 +495,10 @@ def parse_value_function(text: str):
             bounds = rest.split()
             if len(bounds) != 2:
                 raise ProblemFileError("expected: piece LO HI", lineno)
-            current = {"lo": float(_rational(bounds[0], lineno)),
-                       "hi": float(_rational(bounds[1], lineno)),
-                       "eta": {}, "c": Const(0.0)}
+            lo, hi = (_rational(v, lineno) for v in bounds)
+            if lo >= hi:
+                raise ProblemFileError(f"piece {lo} {hi} is empty (need LO < HI)", lineno)
+            current = {"lo": lo, "hi": hi, "line": lineno, "eta": {}, "c": Const(0.0)}
             pieces.append(current)
             continue
         m = _ASSIGN.match(stripped)
@@ -529,32 +520,42 @@ def parse_value_function(text: str):
     for i, line in eta_lines.items():
         if i >= n:
             raise ProblemFileError(f"eta[{i}] out of range for dims n = {n}", line)
+    pieces.sort(key=lambda p: p["lo"])
+    for prev, piece in zip(pieces, pieces[1:]):
+        if piece["lo"] != prev["hi"]:
+            raise ProblemFileError(
+                f"piece {piece['lo']} {piece['hi']} must start where the piece "
+                f"before it ends, at {prev['hi']}", piece["line"])
     for piece in pieces:   # S_t is differentiated once, here
         piece["c_t"] = piece["c"].diff("t")
         piece["eta_t"] = {i: expr.diff("t") for i, expr in piece["eta"].items()}
         piece["S_x"] = _entry_evaluator({(i,): e for i, e in piece["eta"].items()}, (n,))
-    pieces.sort(key=lambda p: p["lo"])
+    upper = np.array([float(p["hi"]) for p in pieces[:-1]])
 
-    def pick(t: float) -> dict:
-        for piece in pieces[:-1]:
-            if t < piece["hi"]:
-                return piece
-        return pieces[-1]
+    def by_piece(rule: Callable, shape: tuple) -> Callable:
+        """(t, x) -> rule(piece, {"t": times}, x rows) on the piece owning each time."""
+        def many(ts, X):
+            X = np.asarray(X, dtype=float).reshape(len(ts), n)
+            owner = np.searchsorted(upper, ts, side="right")
+            out = np.zeros((len(ts),) + shape)
+            for k, piece in enumerate(pieces):
+                rows = owner == k
+                out[rows] = rule(piece, {"t": ts[rows]}, X[rows])
+            return out
+        return batched(lambda t, x: many(np.array([float(t)]), x)[0], many)
 
     def affine(c_key: str, eta_key: str) -> Callable:
-        """(t, x) -> c(t) + sum_i eta_i(t) x_i on the piece owning t."""
-        def value(t, x):
-            piece, env = pick(float(t)), {"t": float(t)}
-            x = np.asarray(x, float).reshape(n)
+        """c(t) + sum_i eta_i(t) x_i, added up in index order."""
+        def rule(piece, env, X):
             val = piece[c_key].eval(env)
             for i, expr in piece[eta_key].items():
-                val += expr.eval(env) * x[i]
+                val = val + expr.eval(env) * X[:, i]
             return val
-        return value
+        return by_piece(rule, ())
 
-    S, S_t = affine("c", "eta"), affine("c_t", "eta_t")
-    S_x = lambda t, x: pick(float(t))["S_x"](t)
-    return ValueFunctionCandidate(S=S, S_t=S_t, S_x=S_x)
+    return ValueFunctionCandidate(
+        S=affine("c", "eta"), S_t=affine("c_t", "eta_t"),
+        S_x=by_piece(lambda piece, env, X: piece["S_x"].many(env["t"]), (n,)))
 
 
 def load_value_function(path: str):

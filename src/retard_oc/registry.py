@@ -19,11 +19,8 @@ from .problems import (CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem, TerminalSet, batched)
 from .trajectory import Trajectory, from_pieces
 
-E1 = math.e
 E2 = math.exp(2.0)
-E3 = math.exp(3.0)
 E4 = math.exp(4.0)
-E5 = math.exp(5.0)
 E6 = math.exp(6.0)
 
 
@@ -219,49 +216,6 @@ def d_adjoint_value(t: float) -> float:
     return d_eta3(t)
 
 
-def d_c1(t: float) -> float:
-    return (2.0 * t * (3.0 * E4 + 4.0 * E2 + 3.0) + math.exp(2.0 * t)
-            - math.exp(4.0 - 2.0 * t) - 15.0 * E4 - 32.0 * E2 - 9.0) / (2.0 * _Q2)
-
-
-def d_c2(t: float) -> float:
-    return (2.0 * t * (3.0 * E4 + 10.0 * E2 + 3.0)
-            + 2.0 * (math.exp(6.0 - 2.0 * t) - math.exp(2.0 * t - 2.0))
-            - 17.0 * E4 - 44.0 * E2 - 7.0) / (2.0 * _Q2)
-
-
-def d_c3(t: float) -> float:
-    return (4.0 * E2 * (t - 3.0)
-            + 5.0 * (math.exp(2.0 * t - 4.0) - math.exp(8.0 - 2.0 * t))) / (2.0 * _Q2)
-
-
-# time derivatives of the value-function pieces, used for the exact d/dt term
-def d_eta1_dot(t: float) -> float:
-    return -2.0
-
-
-def d_eta2_dot(t: float) -> float:
-    return (-(4.0 * E2 / _Q2 + 2.0)
-            + (2.0 * math.exp(2.0 * t - 2.0) + 2.0 * math.exp(6.0 - 2.0 * t)) / _Q2)
-
-
-def d_eta3_dot(t: float) -> float:
-    return 2.0 * (-math.exp(4.0 - t) - math.exp(t - 2.0)) / _Q
-
-
-def d_c1_dot(t: float) -> float:
-    return (3.0 * E4 + 4.0 * E2 + 3.0 + math.exp(2.0 * t) + math.exp(4.0 - 2.0 * t)) / _Q2
-
-
-def d_c2_dot(t: float) -> float:
-    return (3.0 * E4 + 10.0 * E2 + 3.0
-            - 2.0 * math.exp(6.0 - 2.0 * t) - 2.0 * math.exp(2.0 * t - 2.0)) / _Q2
-
-
-def d_c3_dot(t: float) -> float:
-    return (2.0 * E2 + 5.0 * math.exp(2.0 * t - 4.0) + 5.0 * math.exp(8.0 - 2.0 * t)) / _Q2
-
-
 def make_d_candidate() -> CandidateSolution:
     state = from_pieces(1, [
         (Fraction(-3), Fraction(0), _vec(lambda t: 1.0)),
@@ -284,43 +238,45 @@ def make_d_adjoint_trajectory() -> Trajectory:
     ], main_start=0, require_continuity=True)
 
 
-def d_feedback(t, x, y, eta) -> np.ndarray:
-    """Closed-loop control law for the nonlinear benchmark.
+def _d_feedback_many(ts, X, Y, ETA) -> np.ndarray:
+    """Closed-loop control law for the nonlinear benchmark, one row per time:
+    the optimal control depends on time only, so the law is constant (and
+    trivially smooth) in the state and multiplier arguments."""
+    ts = np.asarray(ts, dtype=float)
+    u = np.where((ts >= 0.0) & (ts <= 1.0), (np.exp(ts) - np.exp(2.0 - ts)) / _Q, 0.0)
+    return u[:, None]
 
-    The optimal control here depends on time only, so the law is constant in
-    the state and multiplier arguments (trivially smooth in all of them).
-    """
-    return np.array([d_control_value(float(t))])
+
+d_feedback = batched(lambda t, x, y, eta: _d_feedback_many([t], x, y, eta)[0],
+                     _d_feedback_many)
+
+# the text of make_d_value_function; {scale} and {shift} perturb piece 3
+D_VALUE_FUNCTION = """\
+value-function
+dims n = 1
+piece 0 1
+eta[0] = -2*t + 5 + (2*exp(2) - 2)/{q}^2
+c = (2*t*(3*exp(4) + 4*exp(2) + 3) + exp(2*t) - exp(4 - 2*t) - 15*exp(4) - 32*exp(2) - 9)/(2*{q}^2)
+piece 1 2
+eta[0] = -(4*exp(2)/{q}^2 + 2)*t + (4*exp(2) - 4)/{q}^2 + 6 + (exp(2*t - 2) - exp(6 - 2*t))/{q}^2
+c = (2*t*(3*exp(4) + 10*exp(2) + 3) + 2*(exp(6 - 2*t) - exp(2*t - 2)) - 17*exp(4) - 44*exp(2) - 7)/(2*{q}^2)
+piece 2 3
+eta[0] = {scale}*((2*exp(4 - t) - 2*exp(t - 2))/{q})
+c = (4*exp(2)*(t - 3) + 5*(exp(2*t - 4) - exp(8 - 2*t)))/(2*{q}^2) + {shift}
+""".replace("{q}", "(exp(2) + 1)")
 
 
 def make_d_value_function(eta3_scale: float = 1.0, c3_shift: float = 0.0):
-    """Piecewise verification function S(t, x) = eta_i(t) x + c_i(t).
-
-    ``eta3_scale`` and ``c3_shift`` build the documented broken variants for
-    negative testing; defaults give the genuine solution.
+    """The verification function S(t, x) = eta_i(t) x + c_i(t) on [i - 1, i]
+    (Goellmann, Kern & Maurer 2009), eta_i as in d_eta1..d_eta3.  A scaled
+    eta_3 or a shifted c_3 gives the documented broken variants; the
+    defaults, a factor 1 and a term 0, drop out of the parsed expressions.
     """
-    from .sufficiency import ValueFunctionCandidate
+    from .probfile import parse_value_function
 
-    def pick(t: float):
-        if t < 1.0:
-            return d_eta1, d_eta1_dot, d_c1, d_c1_dot, 1.0, 0.0
-        if t < 2.0:
-            return d_eta2, d_eta2_dot, d_c2, d_c2_dot, 1.0, 0.0
-        return d_eta3, d_eta3_dot, d_c3, d_c3_dot, eta3_scale, c3_shift
-
-    def S(t, x):
-        eta, _, c, _, scale, shift = pick(float(t))
-        return scale * eta(float(t)) * float(np.asarray(x).reshape(1)[0]) + c(float(t)) + shift
-
-    def S_t(t, x):
-        _, eta_dot, _, c_dot, scale, _ = pick(float(t))
-        return scale * eta_dot(float(t)) * float(np.asarray(x).reshape(1)[0]) + c_dot(float(t))
-
-    def S_x(t, x):
-        eta, _, _, _, scale, _ = pick(float(t))
-        return np.array([scale * eta(float(t))])
-
-    return ValueFunctionCandidate(S=S, S_t=S_t, S_x=S_x)
+    number = lambda v: np.format_float_positional(v, trim="-")
+    return parse_value_function(D_VALUE_FUNCTION.format(scale=number(eta3_scale),
+                                                        shift=number(c3_shift)))
 
 
 # ---------------------------------------------------------------------------

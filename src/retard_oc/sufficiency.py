@@ -634,28 +634,32 @@ def verify_state_linear(problem: StateLinearProblem, cand: CandidateSolution,
 class ValueFunctionCandidate:
     """Scalar verification function S(t, x) with optional analytic partials.
 
-    Missing partials fall back to central finite differences; the time
-    derivative is one-sided unreliable across lattice breakpoints, so
-    analytic S_t is strongly preferred for piecewise-defined functions.
+    Missing partials are central finite differences of S, set once here;
+    the time derivative is one-sided unreliable across lattice breakpoints,
+    so analytic S_t is strongly preferred for piecewise-defined functions.
     """
 
     S: Callable[[float, np.ndarray], float]
     S_t: Optional[Callable[[float, np.ndarray], float]] = None
     S_x: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        if self.S_t is None:
+            object.__setattr__(self, "S_t", lambda t, x: central_scalar(
+                lambda tt: self.value(tt, x), float(t)))
+        if self.S_x is None:
+            object.__setattr__(self, "S_x", lambda t, x: gradient(
+                lambda z: self.value(t, z), np.atleast_1d(np.asarray(x, float))))
+
     def value(self, t, x) -> float:
         return float(self.S(float(t), np.asarray(x, float)))
 
     def dt(self, t, x) -> float:
-        if self.S_t is not None:
-            return float(self.S_t(float(t), np.asarray(x, float)))
-        return central_scalar(lambda tt: self.value(tt, x), float(t))
+        return float(self.S_t(float(t), np.asarray(x, float)))
 
     def dx(self, t, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, float))
-        if self.S_x is not None:
-            return np.asarray(self.S_x(float(t), x), float).reshape(x.shape)
-        return gradient(lambda z: self.value(t, z), x)
+        return np.asarray(self.S_x(float(t), x), float).reshape(x.shape)
 
 
 def active_cells(lattice: CommensurabilityLattice, t) -> int:
@@ -674,7 +678,7 @@ def _closed_loop(problem: DelayedProblem, S: ValueFunctionCandidate, feedback: C
     if dx is not None:
         x = x + np.asarray(dx, dtype=float)
     y = state_traj.eval_many(t_delayed)
-    eta = array_form(S.dx, (problem.n,))(t, x)
+    eta = array_form(S.S_x, (problem.n,))(t, x)
     return array_form(feedback, (problem.m,))(t, x, y, eta), x, y, eta
 
 
@@ -710,7 +714,7 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     args = (times.t, x, y, u, v)
     braced = (-array_form(problem.f0, ())(*args)
               + np.sum(eta * array_form(problem.f, (problem.n,))(*args), axis=1))
-    res = array_form(S.dt, ())(times.t, x) + times.cells * braced
+    res = array_form(S.S_t, ())(times.t, x) + times.cells * braced
     return float(res[0]) if single else res
 
 
@@ -777,7 +781,7 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     # the O(eps) drift from the one-sided time slope
     limit = lambda fn, shape, h: (2.0 * array_form(fn, shape)(tb + h, x)
                                   - array_form(fn, shape)(tb + 2 * h, x))
-    left, right = (np.column_stack([limit(S.value, (), h), limit(S.dx, (problem.n,), h)])
+    left, right = (np.column_stack([limit(S.S, (), h), limit(S.S_x, (problem.n,), h)])
                    for h in (-eps, eps))
     cert.checks.append(_scored(
         "value_smoothness", np.max(np.abs(left - right), axis=1),

@@ -15,7 +15,8 @@ from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
                            integrate_forward)
 from retard_oc.probfile import parse_problem
 from retard_oc.problems import StateLinearProblem, array_form, batched, model_arrays
-from retard_oc.registry import REGISTRY, make_ld_candidate, make_ld_problem
+from retard_oc.registry import (REGISTRY, make_d_value_function, make_ld_candidate,
+                                make_ld_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
 from retard_oc.sufficiency import (VerifyConfig, argmax_control_state_linear,
                                    check_continuity_spot, check_convexity_f0x,
@@ -210,17 +211,14 @@ def _sample(problem, field, k=2000, seed=0):
     return rng.uniform(-1.0, 3.0, k), [rng.uniform(-3.0, 3.0, (k, d)) for d in dims]
 
 
-def _compare_with_loop(problem, field, ts, args, max_ulp=0):
+def _compare_with_loop(problem, field, ts, args):
     fn = getattr(problem, field)
     assert hasattr(fn, "many"), field
     shape, _ = _signature(problem, field)
     native = array_form(fn, shape)(ts, *args)
     loop = array_form(lambda *a: fn(*a), shape)(ts, *args)   # no .many: the loop
     assert native.shape == loop.shape == (len(ts),) + shape
-    if max_ulp:
-        np.testing.assert_array_max_ulp(native, loop, maxulp=max_ulp)
-    else:
-        assert native.tobytes() == loop.tobytes(), field
+    assert native.tobytes() == loop.tobytes(), field
 
 
 REGISTRY_LINEAR = [name for name, ex in REGISTRY.items()
@@ -251,18 +249,29 @@ def test_probfile_array_forms_are_the_loop_bit_for_bit(data):
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_probfile_array_forms_with_exp_within_two_ulp(data):
-    # numpy's exp over an array and over one float may round differently;
-    # every other node is the same float operation on both paths
+def test_probfile_array_forms_with_exp_are_the_loop_bit_for_bit(data):
+    # a parsed field's scalar call is its array form on one row, so numpy's
+    # exp runs on arrays on both paths
     problem = parse_problem(FILE_EXP)
     field = data.draw(st.sampled_from(FILE_FIELDS))
-    _compare_with_loop(problem, field, *_draw(problem, field, data), max_ulp=2)
+    _compare_with_loop(problem, field, *_draw(problem, field, data))
+
+
+@pytest.mark.parametrize("field", ["S", "S_t", "S_x"])
+def test_value_function_array_forms_are_the_scalar_calls_bit_for_bit(field):
+    fn = getattr(make_d_value_function(), field)
+    assert hasattr(fn, "many"), field
+    rng = np.random.default_rng(0)
+    ts, X = rng.uniform(-0.5, 3.5, 2000), rng.uniform(0.0, 2.0, (2000, 1))
+    shape = (1,) if field == "S_x" else ()
+    native = array_form(fn, shape)(ts, X)
+    assert native.tobytes() == array_form(lambda *a: fn(*a), shape)(ts, X).tobytes()
 
 
 @pytest.mark.parametrize("problem", [REGISTRY[name].make_problem() for name in
                                      REGISTRY_LINEAR + ["ocp-d-goellmann"]]
-                         + [parse_problem(FILE_NO_EXP)],
-                         ids=REGISTRY_LINEAR + ["ocp-d-goellmann", "every-node"])
+                         + [parse_problem(FILE_NO_EXP), parse_problem(FILE_EXP)],
+                         ids=REGISTRY_LINEAR + ["ocp-d-goellmann", "every-node", "with-exp"])
 def test_array_forms_are_the_loop_on_a_large_sample(problem):
     # numpy's square and Python's float power differ in about one value
     # in a thousand: a few random draws would not see a form built on the

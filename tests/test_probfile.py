@@ -12,7 +12,8 @@ from retard_oc.cost import evaluate_cost
 from retard_oc.errors import ProblemFileError
 from retard_oc.probfile import (parse_expression, parse_problem,
                                 parse_value_function)
-from retard_oc.registry import LD_COST, make_d_value_function, make_ld_candidate
+from retard_oc.registry import (D_COST, LD_COST, d_adjoint_value, make_d_value_function,
+                                make_ld_candidate)
 from retard_oc.solve import TranscriptionConfig, solve_direct_euler
 from retard_oc.dde import IntegratorConfig
 
@@ -213,20 +214,55 @@ def test_expression_language():
 
 
 def test_value_function_file_matches_registry():
-    vf = textwrap.dedent("""\
-        value-function
-        dims n = 1
-        piece 2 3
-        eta[0] = (2*exp(4 - t) - 2*exp(t - 2))/(exp(2) + 1)
-        c = (4*exp(2)*(t - 3) + 5*(exp(2*t - 4) - exp(8 - 2*t)))/(2*(exp(2) + 1)^2)
-        """)
-    S = parse_value_function(vf)
-    S0 = make_d_value_function()
-    for t in (2.0, 2.4, 2.9):
-        for x in (0.6, 1.0):
-            assert S.value(t, [x]) == pytest.approx(S0.value(t, [x]), abs=1e-12)
-            assert S.dt(t, [x]) == pytest.approx(S0.dt(t, [x]), abs=1e-12)
-            assert S.dx(t, [x])[0] == pytest.approx(S0.dx(t, [x])[0], abs=1e-12)
+    # the registry's S is parsed from value-function text, so it is checked
+    # against oracles of its own: the closed-form adjoint for S_x, a central
+    # difference of S for S_t, and the known cost for -S(0, phi)
+    S = make_d_value_function()
+    h = 1e-5
+    for lo in (0, 1, 2):
+        for t in (lo + 0.1, lo + 0.5, lo + 0.9):
+            for x in (0.6, 1.0):
+                assert S.dx(t, [x])[0] == pytest.approx(d_adjoint_value(t), abs=1e-12)
+                slope = (S.value(t + h, [x]) - S.value(t - h, [x])) / (2 * h)
+                assert S.dt(t, [x]) == pytest.approx(slope, abs=1e-8)
+    assert -S.value(0.0, [1.0]) == pytest.approx(D_COST, abs=1e-12)
+
+
+def _pieces(*bounds: str) -> str:
+    """A value-function text with one ``piece LO HI`` line per bound pair,
+    on lines 2, 4, 6, ..."""
+    return "value-function\n" + "".join(f"piece {b}\nc = t\n" for b in bounds)
+
+
+@pytest.mark.parametrize("bounds, line", [
+    (("1 0",), 2),
+    (("1 1",), 2),
+    (("0 1", "0 1"), 4),
+    (("0 2", "1 3"), 4),
+    (("1 3", "0 2"), 2),
+    (("0 1", "2 3"), 4),
+    (("0 1/3", "0.3333333333333333 1"), 4),
+], ids=["reversed", "empty", "duplicate", "overlapping", "overlapping-unsorted",
+        "gapped", "float-gap"])
+def test_value_function_pieces_must_tile_an_interval(bounds, line):
+    with pytest.raises(ProblemFileError) as err:
+        parse_value_function(_pieces(*bounds))
+    assert err.value.line == line
+
+
+def test_value_function_reads_each_time_on_its_piece():
+    # pieces in any order; a time is read on the first piece whose upper
+    # bound exceeds it, else on the last, so a shared bound belongs to the
+    # right piece and times outside the pieces to the nearest end piece
+    S = parse_value_function("value-function\npiece 1 2\nc = 20 + t\neta[0] = t\n"
+                             "piece 0 1/2\nc = 0\npiece 1/2 1\nc = 10\n"
+                             "piece 2 3\nc = 30 + exp(t)\n")
+    ts = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    X = np.full((len(ts), 1), 2.0)
+    expected = [0.0, 0.0, 0.0, 10.0, 23.0, 24.5] + [30 + np.exp(t) for t in ts[6:]]
+    assert S.S.many(ts, X).tolist() == expected
+    assert S.S_t.many(ts, X).tolist() == [0.0] * 4 + [3.0, 3.0] + np.exp(ts[6:]).tolist()
+    assert S.S_x.many(ts, X)[:, 0].tolist() == [0.0] * 4 + [1.0, 1.5] + [0.0] * 3
 
 
 # -- the expression language: trees, rejections, fuzzing ------------------------

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
 from retard_oc.lattice import make_lattice
-from retard_oc.registry import (d_feedback, d_state_value, make_d_value_function,
-                                make_d_zeroed_candidate, make_zero_candidate,
-                                make_zero_problem)
+from retard_oc.probfile import parse_value_function
+from retard_oc.problems import batched
+from retard_oc.registry import (D_VALUE_FUNCTION, d_feedback, d_state_value,
+                                make_d_value_function, make_d_zeroed_candidate,
+                                make_zero_candidate, make_zero_problem)
 from retard_oc.sufficiency import (ValueFunctionCandidate, VerifyConfig,
                                    active_cells, hamiltonian_nonlinear,
                                    hj_residual, verify_nonlinear_hj)
@@ -247,3 +249,44 @@ def test_tube_probe_tolerates_affine_value_function(d_problem, d_candidate, S):
     cfg_wide = VerifyConfig(tube_radius=0.5, tube_tol=1e-8)
     cert = verify_nonlinear_hj(d_problem, d_candidate, S, d_feedback, cfg_wide)
     assert not cert.check("hj_residual").passed
+
+
+def _counted(fn, calls: list):
+    """``fn`` with a scalar form that counts its calls into ``calls``, and
+    ``fn``'s own array form if it declares one."""
+    def scalar(*args):
+        calls.append(fn)
+        return fn(*args)
+    return batched(scalar, getattr(fn, "many", None))
+
+
+def test_the_certificate_calls_S_and_the_law_through_their_array_forms(
+        d_problem, d_candidate, S):
+    calls = []
+    counted = ValueFunctionCandidate(*(_counted(fn, calls) for fn in (S.S, S.S_t, S.S_x)))
+    cert = verify_nonlinear_hj(d_problem, d_candidate, counted, _counted(d_feedback, calls))
+    assert cert.overall
+    assert calls == [S.S, S.S]   # S(b, x(b)) for the terminal value, S(a, phi(a))
+
+
+_DELTAS = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(piece=st.integers(0, 2), target=st.sampled_from(["eta[0]", "c"]), delta=_DELTAS)
+def test_a_perturbed_value_function_never_passes(d_problem, d_candidate, piece, target,
+                                                 delta):
+    # eta_i scaled by 1 + delta breaks the verification equation inside the
+    # piece; c_i shifted by delta leaves it intact and breaks the matching
+    # of S across the piece's interior breakpoints
+    lines = D_VALUE_FUNCTION.format(scale=1, shift=0).splitlines()
+    row = [i for i, line in enumerate(lines) if line.startswith(target + " =")][piece]
+    rhs = lines[row].split(" = ", 1)[1]
+    number = lambda v: np.format_float_positional(v, trim="-")   # no exponent
+    lines[row] = (f"eta[0] = {number(1 + delta)}*({rhs})" if target == "eta[0]"
+                  else f"c = ({rhs}) + {number(delta)}")
+    S = parse_value_function("\n".join(lines))
+    cert = verify_nonlinear_hj(d_problem, d_candidate, S, d_feedback)
+    failed = [c.name for c in cert.checks if not c.passed]
+    assert not cert.overall
+    assert ("hj_residual" if target == "eta[0]" else "value_smoothness") in failed
