@@ -174,7 +174,7 @@ def _cmd_solve_fbsm(args: argparse.Namespace) -> int:
 
 def _cmd_solve_direct(args: argparse.Namespace) -> int:
     problem, _ = _load(args)
-    n_steps = args.n_steps if args.n_steps else 250 * problem.lattice().n_cells
+    n_steps = 250 * problem.lattice().n_cells if args.n_steps is None else args.n_steps
     cfg = TranscriptionConfig(n_steps=n_steps, max_iterations=args.max_iter,
                               grad_tol=args.tol)
     sol = solve_direct_euler(problem, cfg, _integrator(args))
@@ -399,7 +399,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(message)s", stream=sys.stderr)
     if args.seed is None:
-        args.seed = int(os.environ.get(SEED_ENV) or 0)
+        try:
+            args.seed = int(os.environ.get(SEED_ENV) or 0)
+        except ValueError:
+            print(f"error: ${SEED_ENV} must be an integer, got "
+                  f"{os.environ[SEED_ENV]!r}", file=sys.stderr)
+            return 2
     return run(args)
 
 

@@ -8,6 +8,7 @@ deliberately tiny problems that isolate a single behaviour.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,8 +25,33 @@ E4 = math.exp(4.0)
 E6 = math.exp(6.0)
 
 
-def _vec(fn: Callable[[float], float]) -> Callable[[float], np.ndarray]:
-    return lambda t: np.array([fn(t)])
+def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A closed form written in numpy, elementwise in t: an array of times
+    in gives an array out; a float in gives a Python float, the value on
+    an array of one time."""
+    @functools.wraps(fn)
+    def oracle(t):
+        if np.ndim(t) == 0:
+            return float(fn(np.array([float(t)]))[0])
+        return fn(np.asarray(t, dtype=float))
+    return oracle
+
+
+def _vec(fn: Callable[[np.ndarray], object]) -> Callable:
+    """A one-dimensional curve from ``fn``, a closed form over an array of
+    times or a constant, with its array form: ``fn`` as a (K, 1) column.
+    The scalar call is the array form on one row."""
+    def many(ts):
+        ts = np.asarray(ts, dtype=float)
+        return np.full(ts.shape, fn(ts))[:, None]
+    return batched(lambda t: many(np.array([float(t)]))[0], many)
+
+
+def _pieces(fn: Callable, *bounds) -> list:
+    """``from_pieces`` pieces of the curve ``_vec(fn)`` between each two
+    consecutive ``bounds``."""
+    curve = _vec(fn)
+    return [(lo, hi, curve) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _constant(value) -> Callable:
@@ -79,62 +105,46 @@ def make_ld_problem() -> StateLinearProblem:
     )
 
 
-def ld_adjoint_value(t: float) -> float:
+@_elementwise
+def ld_adjoint_value(t):
     """Closed-form adjoint: solves etadot = 1 - eta - eta(t+2) on [0,2],
     etadot = 1 - eta on ]2,4], eta(4) = 0."""
-    if t <= 2.0:
-        return math.exp(2.0 - t) * (t - E2 - 1.0)
-    return 1.0 - math.exp(4.0 - t)
+    return np.where(t <= 2.0, np.exp(2.0 - t) * (t - E2 - 1.0), 1.0 - np.exp(4.0 - t))
 
 
-def ld_control_value(t: float) -> float:
+@_elementwise
+def ld_control_value(t):
     """Optimal control: -eta(t+1)/20 on [0,3], zero elsewhere."""
-    if t < 0.0:
-        return 0.0
-    if t < 1.0:
-        return (math.exp(3.0 - t) - t * math.exp(1.0 - t)) / 20.0
-    if t <= 3.0:
-        return (math.exp(3.0 - t) - 1.0) / 20.0
-    return 0.0
+    return np.select([t < 0.0, t < 1.0, t <= 3.0],
+                     [0.0, (np.exp(3.0 - t) - t * np.exp(1.0 - t)) / 20.0,
+                      (np.exp(3.0 - t) - 1.0) / 20.0], 0.0)
 
 
-def ld_state_value(t: float) -> float:
+@_elementwise
+def ld_state_value(t):
     """Optimal state, five pieces on [-2, 4]."""
-    if t <= 0.0:
-        return 1.0
-    et = math.exp(t)
-    if t <= 1.0:
-        return -1.0 + 2.0 * et
-    emt = math.exp(-t)
-    if t <= 2.0:
-        return ((E2 + 2.0 * E4 - 2.0 * E2 * t) * emt - 8.0
-                + (17.0 - 2.0 * E2) * et) / 8.0
-    if t <= 3.0:
-        return (2.0 * math.exp(4.0 - t) + 4.0
-                + (-47.0 / E2 + 17.0 - 2.0 * E2 + 16.0 * t / E2) * et) / 8.0
-    return ((-E6 + E4 * t) * emt + 4.0
-            + (-51.0 / E2 + 24.0 - 2.0 * E2 + 17.0 * t / E2 - 2.0 * t) * et) / 8.0
+    et, emt = np.exp(t), np.exp(-t)
+    return np.select([t <= 0.0, t <= 1.0, t <= 2.0, t <= 3.0], [
+        1.0,
+        -1.0 + 2.0 * et,
+        ((E2 + 2.0 * E4 - 2.0 * E2 * t) * emt - 8.0 + (17.0 - 2.0 * E2) * et) / 8.0,
+        (2.0 * np.exp(4.0 - t) + 4.0
+         + (-47.0 / E2 + 17.0 - 2.0 * E2 + 16.0 * t / E2) * et) / 8.0],
+        ((-E6 + E4 * t) * emt + 4.0
+         + (-51.0 / E2 + 24.0 - 2.0 * E2 + 17.0 * t / E2 - 2.0 * t) * et) / 8.0)
 
 
 def make_ld_candidate() -> CandidateSolution:
-    state = from_pieces(1, [
-        (Fraction(-2), Fraction(0), _vec(lambda t: 1.0))] + [
-        (Fraction(k), Fraction(k + 1), _vec(ld_state_value)) for k in range(4)],
-        main_start=0, require_continuity=True)
-    control = from_pieces(1, [
-        (Fraction(-1), Fraction(0), _vec(lambda t: 0.0)),
-        (Fraction(0), Fraction(1), _vec(lambda t: (math.exp(3 - t) - t * math.exp(1 - t)) / 20.0)),
-        (Fraction(1), Fraction(3), _vec(lambda t: (math.exp(3 - t) - 1.0) / 20.0)),
-        (Fraction(3), Fraction(4), _vec(lambda t: 0.0)),
-    ], main_start=0)
+    state = from_pieces(1, _pieces(lambda t: 1.0, -2, 0) + _pieces(ld_state_value, 0, 1, 2, 3, 4),
+                        main_start=0, require_continuity=True)
+    control = from_pieces(1, _pieces(lambda t: 0.0, -1, 0) + _pieces(ld_control_value, 0, 1, 3, 4),
+                          main_start=0)
     return CandidateSolution(state=state, control=control, cost=LD_COST)
 
 
 def make_ld_adjoint_trajectory() -> Trajectory:
-    return from_pieces(1, [
-        (Fraction(0), Fraction(2), _vec(lambda t: math.exp(2 - t) * (t - E2 - 1.0))),
-        (Fraction(2), Fraction(4), _vec(lambda t: 1.0 - math.exp(4 - t))),
-    ], main_start=0, require_continuity=True)
+    return from_pieces(1, _pieces(ld_adjoint_value, 0, 2, 4), main_start=0,
+                       require_continuity=True)
 
 
 # ---------------------------------------------------------------------------
@@ -181,74 +191,56 @@ def make_d_problem() -> DelayedProblem:
     )
 
 
-def d_state_value(t: float) -> float:
-    if t <= 2.0:
-        return 1.0
-    return (math.exp(t - 2.0) + math.exp(4.0 - t)) / _Q
+@_elementwise
+def d_state_value(t):
+    return np.where(t <= 2.0, 1.0, (np.exp(t - 2.0) + np.exp(4.0 - t)) / _Q)
 
 
-def d_control_value(t: float) -> float:
-    if t < 0.0:
-        return 0.0
-    if t <= 1.0:
-        return (math.exp(t) - math.exp(2.0 - t)) / _Q
-    return 0.0
+@_elementwise
+def d_control_value(t):
+    return np.select([t < 0.0, t <= 1.0], [0.0, (np.exp(t) - np.exp(2.0 - t)) / _Q],
+                     0.0)
 
 
-def d_eta1(t: float) -> float:
+@_elementwise
+def d_eta1(t):
     return -2.0 * t + 5.0 + 2.0 * (E2 - 1.0) / _Q2
 
 
-def d_eta2(t: float) -> float:
+@_elementwise
+def d_eta2(t):
     return (-(4.0 * E2 / _Q2 + 2.0) * t + 4.0 * (E2 - 1.0) / _Q2 + 6.0
-            + (math.exp(2.0 * t - 2.0) - math.exp(6.0 - 2.0 * t)) / _Q2)
+            + (np.exp(2.0 * t - 2.0) - np.exp(6.0 - 2.0 * t)) / _Q2)
 
 
-def d_eta3(t: float) -> float:
-    return 2.0 * (math.exp(4.0 - t) - math.exp(t - 2.0)) / _Q
+@_elementwise
+def d_eta3(t):
+    return 2.0 * (np.exp(4.0 - t) - np.exp(t - 2.0)) / _Q
 
 
-def d_adjoint_value(t: float) -> float:
-    if t < 1.0:
-        return d_eta1(t)
-    if t < 2.0:
-        return d_eta2(t)
-    return d_eta3(t)
+@_elementwise
+def d_adjoint_value(t):
+    return np.select([t < 1.0, t < 2.0], [d_eta1(t), d_eta2(t)], d_eta3(t))
 
 
 def make_d_candidate() -> CandidateSolution:
-    state = from_pieces(1, [
-        (Fraction(-3), Fraction(0), _vec(lambda t: 1.0)),
-        (Fraction(0), Fraction(2), _vec(lambda t: 1.0)),
-        (Fraction(2), Fraction(3), _vec(d_state_value)),
-    ], main_start=0, require_continuity=True)
-    control = from_pieces(1, [
-        (Fraction(-2), Fraction(0), _vec(lambda t: 0.0)),
-        (Fraction(0), Fraction(1), _vec(lambda t: (math.exp(t) - math.exp(2.0 - t)) / _Q)),
-        (Fraction(1), Fraction(3), _vec(lambda t: 0.0)),
-    ], main_start=0)
+    state = from_pieces(1, _pieces(lambda t: 1.0, -3, 0) + _pieces(d_state_value, 0, 2, 3),
+                        main_start=0, require_continuity=True)
+    control = from_pieces(1, _pieces(lambda t: 0.0, -2, 0) + _pieces(d_control_value, 0, 1, 3),
+                          main_start=0)
     return CandidateSolution(state=state, control=control, cost=D_COST)
 
 
 def make_d_adjoint_trajectory() -> Trajectory:
-    return from_pieces(1, [
-        (Fraction(0), Fraction(1), _vec(d_eta1)),
-        (Fraction(1), Fraction(2), _vec(d_eta2)),
-        (Fraction(2), Fraction(3), _vec(d_eta3)),
-    ], main_start=0, require_continuity=True)
+    return from_pieces(1, _pieces(d_eta1, 0, 1) + _pieces(d_eta2, 1, 2) + _pieces(d_eta3, 2, 3),
+                       main_start=0, require_continuity=True)
 
 
-def _d_feedback_many(ts, X, Y, ETA) -> np.ndarray:
-    """Closed-loop control law for the nonlinear benchmark, one row per time:
-    the optimal control depends on time only, so the law is constant (and
-    trivially smooth) in the state and multiplier arguments."""
-    ts = np.asarray(ts, dtype=float)
-    u = np.where((ts >= 0.0) & (ts <= 1.0), (np.exp(ts) - np.exp(2.0 - ts)) / _Q, 0.0)
-    return u[:, None]
-
-
-d_feedback = batched(lambda t, x, y, eta: _d_feedback_many([t], x, y, eta)[0],
-                     _d_feedback_many)
+# Closed-loop control law for the nonlinear benchmark: the optimal control
+# depends on time only, so the law is constant (and trivially smooth) in the
+# state and multiplier arguments.
+d_feedback = batched(lambda t, x, y, eta: np.array([d_control_value(t)]),
+                     lambda ts, X, Y, ETA: d_control_value(ts)[:, None])
 
 # the text of make_d_value_function; {scale} and {shift} perturb piece 3
 D_VALUE_FUNCTION = """\
@@ -297,12 +289,8 @@ def make_zero_problem() -> DelayedProblem:
 
 
 def make_zero_candidate() -> CandidateSolution:
-    state = from_pieces(1, [(Fraction(-2), Fraction(0), _vec(lambda t: 0.75)),
-                            (Fraction(0), Fraction(2), _vec(lambda t: 0.75))],
-                        main_start=0)
-    control = from_pieces(1, [(Fraction(-1), Fraction(0), _vec(lambda t: 0.0)),
-                              (Fraction(0), Fraction(2), _vec(lambda t: 0.0))],
-                          main_start=0)
+    state = from_pieces(1, _pieces(lambda t: 0.75, -2, 0, 2), main_start=0)
+    control = from_pieces(1, _pieces(lambda t: 0.0, -1, 0, 2), main_start=0)
     return CandidateSolution(state=state, control=control, cost=0.0)
 
 
@@ -348,15 +336,12 @@ def make_concave_problem() -> StateLinearProblem:
 def make_rest_candidate(problem) -> CandidateSolution:
     """x pinned at the history value, u identically zero."""
     hist = float(problem.phi(float(problem.a))[0])
-    xs = problem.state_history_start
-    us = problem.control_history_start
-    state = from_pieces(1, [(xs, problem.a, _vec(lambda t: hist)),
-                            (problem.a, problem.b, _vec(lambda t: hist))],
-                        main_start=problem.a)
-    control = from_pieces(1, [(us, problem.a, _vec(lambda t: 0.0)),
-                              (problem.a, problem.b, _vec(lambda t: 0.0))],
-                          main_start=problem.a)
-    return CandidateSolution(state=state, control=control)
+    a, b = problem.a, problem.b
+    return CandidateSolution(
+        state=from_pieces(1, _pieces(lambda t: hist, problem.state_history_start, a, b),
+                          main_start=a),
+        control=from_pieces(1, _pieces(lambda t: 0.0, problem.control_history_start, a, b),
+                            main_start=a))
 
 
 # ---------------------------------------------------------------------------
@@ -365,36 +350,25 @@ def make_rest_candidate(problem) -> CandidateSolution:
 
 def make_ld_bumped_candidate(bump: float = 0.1) -> CandidateSolution:
     """Analytic pair with the control raised by ``bump`` on [1, 2)."""
-    base = make_ld_candidate()
-    control = from_pieces(1, [
-        (Fraction(-1), Fraction(0), _vec(lambda t: 0.0)),
-        (Fraction(0), Fraction(1), _vec(lambda t: ld_control_value(t))),
-        (Fraction(1), Fraction(2), _vec(lambda t: ld_control_value(t) + bump)),
-        (Fraction(2), Fraction(3), _vec(lambda t: ld_control_value(t))),
-        (Fraction(3), Fraction(4), _vec(lambda t: 0.0)),
-    ], main_start=0)
-    return CandidateSolution(state=base.state, control=control)
+    control = from_pieces(1, _pieces(lambda t: 0.0, -1, 0) + _pieces(ld_control_value, 0, 1)
+                          + _pieces(lambda t: ld_control_value(t) + bump, 1, 2)
+                          + _pieces(ld_control_value, 2, 3, 4), main_start=0)
+    return CandidateSolution(state=make_ld_candidate().state, control=control)
 
 
 def make_ld_shifted_adjoint(shift: float = 1.0):
     """Analytic adjoint plus a constant: breaks the terminal condition."""
     from .dde import AdjointTrajectory
 
-    traj = from_pieces(1, [
-        (Fraction(0), Fraction(2), _vec(lambda t: ld_adjoint_value(t) + shift)),
-        (Fraction(2), Fraction(4), _vec(lambda t: ld_adjoint_value(t) + shift)),
-    ], main_start=0)
+    traj = from_pieces(1, _pieces(lambda t: ld_adjoint_value(t) + shift, 0, 2, 4),
+                       main_start=0)
     return AdjointTrajectory(trajectory=traj, terminal_value=np.array([shift]))
 
 
 def make_d_zeroed_candidate() -> CandidateSolution:
     """Analytic pair with the control zeroed on [0, 1)."""
-    base = make_d_candidate()
-    control = from_pieces(1, [
-        (Fraction(-2), Fraction(0), _vec(lambda t: 0.0)),
-        (Fraction(0), Fraction(3), _vec(lambda t: 0.0)),
-    ], main_start=0)
-    return CandidateSolution(state=base.state, control=control)
+    control = from_pieces(1, _pieces(lambda t: 0.0, -2, 0, 3), main_start=0)
+    return CandidateSolution(state=make_d_candidate().state, control=control)
 
 
 # ---------------------------------------------------------------------------

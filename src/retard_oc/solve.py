@@ -20,7 +20,7 @@ from .dde import (IntegratorConfig, _affine_scan, integrate_adjoint_linear,
                   integrate_forward)
 from .errors import NoConvergenceError, UnboundedDescentError
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_form, model_arrays, model_partials,
+                       array_form, batched, model_arrays, model_partials,
                        running_cost_array)
 from .sufficiency import _sample_times, argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
@@ -98,7 +98,8 @@ def solve_fbsm(problem: StateLinearProblem,
     lattice = problem.lattice()
     control = init_control
     if control is None:
-        zero = CallableCurve(lambda t: np.zeros(problem.m), problem.m)
+        zero = CallableCurve(batched(lambda t: np.zeros(problem.m),
+                                     lambda ts: np.zeros((len(ts), problem.m))), problem.m)
         control = cell_trajectory(lattice, problem.m, [zero] * lattice.n_cells,
                                   problem.control_history_start, problem.psi)
     omega = cfg.omega

@@ -1,6 +1,6 @@
-"""Array forms of model fields: the registry's and the problem files' own
-forms, the loop adapter for plain scalar callables, and the consumers that
-call a field once per array of times."""
+"""Array forms of model fields and registry curves: the registry's and the
+problem files' own forms, the loop adapter for plain scalar callables, and
+the consumers that call a field once per array of times."""
 
 import dataclasses
 from fractions import Fraction
@@ -15,12 +15,15 @@ from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
                            integrate_forward)
 from retard_oc.probfile import parse_problem
 from retard_oc.problems import StateLinearProblem, array_form, batched, model_arrays
-from retard_oc.registry import (REGISTRY, make_d_value_function, make_ld_candidate,
-                                make_ld_problem)
+from retard_oc import registry, solve
+from retard_oc.registry import (REGISTRY, d_feedback, make_d_value_function,
+                                make_ld_candidate, make_ld_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
 from retard_oc.sufficiency import (VerifyConfig, argmax_control_state_linear,
                                    check_continuity_spot, check_convexity_f0x,
-                                   check_maximality, verify_state_linear)
+                                   check_maximality, verify_nonlinear_hj,
+                                   verify_state_linear)
+from retard_oc.trajectory import CallableCurve, Segment
 
 FIELDS = ("A", "A_D", "g", "g_D", "f0x", "f0u", "f0x_dx", "f0x_dy", "phi", "psi")
 
@@ -286,3 +289,96 @@ def test_model_arrays_shapes_on_empty_and_full_time_arrays():
     assert A(np.array([])).shape == (0, 2, 2)
     assert g(np.zeros(3), np.ones((3, 2))).shape == (3, 2)
     assert f0x(np.zeros(4), np.ones((4, 2)), np.ones((4, 2))).shape == (4,)
+
+
+# -- the registry's closed forms and curves ------------------------------------------
+
+ORACLES = ("ld_state_value", "ld_control_value", "ld_adjoint_value", "d_state_value",
+           "d_control_value", "d_eta1", "d_eta2", "d_eta3", "d_adjoint_value")
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_an_oracle_on_an_array_is_the_oracle_on_each_float(name):
+    oracle = getattr(registry, name)
+    rng = np.random.default_rng(0)
+    # every breakpoint of every branch chain, exactly
+    ts = np.concatenate([rng.uniform(-3.0, 5.0, 2000), np.arange(-3.0, 5.0)])
+    floats = [oracle(float(t)) for t in ts]
+    assert all(type(v) is float for v in floats)
+    assert type(oracle(np.float64(0.5))) is float
+    assert oracle(ts).tobytes() == np.array(floats).tobytes()
+
+
+def _sweep_zero_start(monkeypatch):
+    """The control the sweep starts from when given none."""
+    starts, cell_trajectory = [], solve.cell_trajectory
+
+    def recorded(*args, **kwargs):
+        starts.append(cell_trajectory(*args, **kwargs))
+        return starts[-1]
+    monkeypatch.setattr(solve, "cell_trajectory", recorded)
+    solve_fbsm(make_ld_problem(), None, SweepConfig(integrator=IntegratorConfig(4)))
+    return starts[0]
+
+
+REGISTRY_CURVES = {
+    "ld state": lambda: registry.make_ld_candidate().state,
+    "ld control": lambda: registry.make_ld_candidate().control,
+    "d state": lambda: registry.make_d_candidate().state,
+    "d control": lambda: registry.make_d_candidate().control,
+    "ld adjoint": registry.make_ld_adjoint_trajectory,
+    "d adjoint": registry.make_d_adjoint_trajectory,
+    "ld bumped control": lambda: registry.make_ld_bumped_candidate().control,
+    "ld shifted adjoint": lambda: registry.make_ld_shifted_adjoint().trajectory,
+    "d zeroed control": lambda: registry.make_d_zeroed_candidate().control,
+    "zero state": lambda: registry.make_zero_candidate().state,
+    "zero control": lambda: registry.make_zero_candidate().control,
+    **{f"{name} rest {part}": (lambda name=name, part=part: getattr(
+        REGISTRY[name].make_candidate(), part))
+       for name in ("drift-linear", "inert-linear", "concave-cost")
+       for part in ("state", "control")},
+}
+
+
+@pytest.mark.parametrize("curve", list(REGISTRY_CURVES) + ["sweep zero start"])
+def test_every_registry_curve_is_its_array_form_bit_for_bit(curve, monkeypatch):
+    traj = (_sweep_zero_start(monkeypatch) if curve == "sweep zero start"
+            else REGISTRY_CURVES[curve]())
+    rng = np.random.default_rng(0)
+    for seg in traj.segments:
+        fn = seg.curve.fn
+        assert hasattr(fn, "many"), (curve, seg.lo)
+        ts = rng.uniform(float(seg.lo), float(seg.hi), 2000)
+        scalar = np.array([np.asarray(fn(t), dtype=float).reshape(traj.dimension)
+                           for t in ts])
+        assert np.asarray(fn.many(ts), dtype=float).tobytes() == scalar.tobytes()
+
+
+def _counted(fn, calls: list):
+    """``fn`` with a scalar form that counts its calls into ``calls``, and
+    ``fn``'s own array form if it declares one."""
+    def scalar(*args):
+        calls.append(args[0])
+        return fn(*args)
+    return batched(scalar, getattr(fn, "many", None))
+
+
+def _counting_candidate(cand, calls: list):
+    """``cand`` with every piece function of its state and control counted."""
+    def counted(traj):
+        return dataclasses.replace(traj, segments=tuple(
+            Segment(s.lo, s.hi, CallableCurve(_counted(s.curve.fn, calls), traj.dimension))
+            for s in traj.segments))
+    return dataclasses.replace(cand, state=counted(cand.state), control=counted(cand.control))
+
+
+def test_the_certificates_evaluate_the_closed_forms_through_their_array_forms(
+        ld_problem, ld_candidate, d_problem, d_candidate):
+    # what is left is x(b): in the quadrature cost and the terminal check
+    calls = []
+    cert = verify_state_linear(ld_problem, _counting_candidate(ld_candidate, calls))
+    assert cert.overall and len(calls) <= 2
+    calls.clear()
+    cert = verify_nonlinear_hj(d_problem, _counting_candidate(d_candidate, calls),
+                               make_d_value_function(), _counted(d_feedback, calls))
+    assert cert.overall and len(calls) <= 2

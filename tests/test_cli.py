@@ -131,6 +131,13 @@ def test_direct_solve_without_iterations_is_a_usage_error(capsys):
     assert "max_iterations must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n_steps", ["0", "-4"])
+def test_direct_solve_on_no_or_negative_steps_is_a_usage_error(n_steps, capsys):
+    # --N 0 is a given grid size, not the default one
+    assert main(["solve-direct", "ocp-ld-paper", "--N", n_steps]) == 2
+    assert "n_steps must be a positive multiple of 4" in capsys.readouterr().err
+
+
 def test_cost_needs_a_problem(capsys):
     assert main(["cost"]) == 2
     assert "no problem given" in capsys.readouterr().err
@@ -279,6 +286,14 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     spec_args = ["verify-linear", "ocp-ld-paper", "--out", str(tmp_path)]
     assert main(spec_args) == 0
     assert '"seed": 99' in (tmp_path / "certificate.json").read_text()
+
+
+def test_a_non_integer_seed_env_is_a_usage_error(monkeypatch, capsys):
+    # exit 1 means a certificate failed; a bad seed is an input error
+    monkeypatch.setenv("RETARD_OC_SEED", "abc")
+    assert main(["cost", "ocp-ld-paper"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RETARD_OC_SEED" in err and "'abc'" in err
 
 
 def test_list_examples_with_empty_registry():
