@@ -38,6 +38,9 @@ from .sufficiency import VerifyConfig, verify_nonlinear_hj, verify_state_linear
 
 SEED_ENV = "RETARD_OC_SEED"
 SAMPLES_PER_UNIT_TIME = 500
+# rows formatted and written at a time: the column lists are a block's, never
+# the whole file's, which would raise peak memory
+CSV_BLOCK_ROWS = 256
 
 
 def _load(args: argparse.Namespace):
@@ -77,17 +80,27 @@ def write_trajectories_csv(path: Path, problem, cand: CandidateSolution,
                _csv_cells(times, eta, float(problem.a), n)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for t, *cells in zip(times.tolist(), *columns):
-            fh.write(",".join([repr(t)] + [c for part in cells for c in part]) + "\n")
+        for lo in range(0, len(times), CSV_BLOCK_ROWS):
+            hi = lo + CSV_BLOCK_ROWS
+            cells = [map(repr, times[lo:hi].tolist())]
+            for block in columns:
+                cells += block(lo, hi)
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _csv_cells(times: np.ndarray, curve, start: float, dim: int):
-    """Formatted cells of ``curve`` row by row: empty before ``start`` or
-    without a curve, then those of one ``eval_many`` call on the rest."""
+    """The formatted cells of ``curve`` on rows lo..hi-1, one iterable per
+    component, as a function of (lo, hi): empty before ``start`` or without a
+    curve, then those of one ``eval_many`` call on the rest of ``times``."""
     first = int(np.searchsorted(times, start - 1e-12)) if curve is not None else len(times)
-    yield from itertools.repeat([""] * dim, first)
-    if first < len(times):
-        yield from ([repr(v) for v in row.tolist()] for row in curve.eval_many(times[first:]))
+    values = curve.eval_many(times[first:]) if first < len(times) else np.empty((0, dim))
+
+    def block(lo: int, hi: int) -> list:
+        # blanks up to row first - 1; the writer's zip stops at row hi - 1
+        return [itertools.chain(itertools.repeat("", max(first - lo, 0)),
+                                map(repr, col.tolist()))
+                for col in values[max(lo - first, 0):max(hi - first, 0)].T]
+    return block
 
 
 def _write_artifacts(args: argparse.Namespace, problem, lines: list[str],

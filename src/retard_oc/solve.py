@@ -226,32 +226,75 @@ class _EulerGrid:
         dims = (p.n, p.n, p.m, p.m)
         self.f0_d = [array_form(fn, (d,)) for fn, d in zip(f0_d, dims)]
         self.f_d = [array_form(fn, (p.n, d)) for fn, d in zip(f_d, dims)]
-        self.A = self.A_D = None   # stays None for a general problem
+        self.L = self.M // lattice.n_cells   # Euler stages per lattice cell
+        # A and A_D stay None for a general problem, f_many for a state-linear
+        # one or an f without a declared array form
+        self.A = self.A_D = self.f_many = None
         if isinstance(p, StateLinearProblem):
             self.A, self.A_D = (many(T) for many in model_arrays(p, "A", "A_D"))
             self.g, self.g_D = model_arrays(p, "g", "g_D")
+        elif hasattr(p.f, "many"):
+            self.f_many = array_form(p.f, (p.n,))
 
 
 def _euler_forward(grid: _EulerGrid, u: np.ndarray):
-    """Euler recursion with delayed index lookups; returns the states x_0..x_M
-    and the discrete cost.  Only the state march is sequential: a general
-    problem's f is called per stage, since it may read the current state,
-    while g, g_D and the running cost are one call over all stages each, the
-    cost summed in stage order."""
-    p, M, k_r, df, T = grid.p, grid.M, grid.k_r, grid.df, grid.T
-    A, A_D = grid.A, grid.A_D
+    """Euler recursion x_{i+1} = x_i + delta f(t_i, x_i, x_{i-k_r}, u_i, v_i)
+    by the method of steps; returns the states x_0..x_M and the discrete
+    cost, both bit for bit those of one model call per stage.
+
+    The march takes one lattice cell of L stages at a time.  Since k_r is 0
+    or a multiple of L, a cell's delayed rows are a finished block k_r
+    stages back or history rows, unless k_r = 0, when they are its own.
+    With k_r > 0:
+
+    - a general problem whose f declares an array form first takes the cell
+      as an explicit sum: F = f with the cell's start state x_lo on every
+      row, and the running sums of x_lo, delta F_0, delta F_1, ...
+      (``np.cumsum``, strictly in order, so each is x_i + delta F_i).  They
+      are the Euler states exactly when f at them gives F again bit for bit
+      and all are finite; otherwise (f reads x, or a value overflows) the
+      cell is marched stage by stage, with numpy's warnings;
+    - a state-linear problem with n = 1 marches on Python floats, in
+      numpy's order of operations.
+
+    Every other march is one numpy row step per stage.  The delayed
+    controls, g, g_D and the running cost are resolved over all stages at
+    once, the cost summed in stage order."""
+    p, M, L, k_r, df, T = grid.p, grid.M, grid.L, grid.k_r, grid.df, grid.T
+    A, A_D, f_many = grid.A, grid.A_D, grid.f_many if k_r else None
     vs = shifted_rows(grid.u_hist, u)
     if A is None:
-        ts = T.tolist()
-        rhs = lambda i, x, y: p.dynamics(ts[i], x, y, u[i], vs[i])
+        rhs = lambda i, x, y: p.dynamics(float(T[i]), x, y, u[i], vs[i])
     else:
         G, GD = grid.g(T, u), grid.g_D(T, vs)
         rhs = lambda i, x, y: A[i] @ x + A_D[i] @ y + G[i] + GD[i]
+    floats = A is not None and p.n == 1 and k_r > 0
     xs = np.empty((M + 1, p.n))
     xs[0] = grid.x0
-    for i in range(M):
-        xd = xs[i - k_r] if i >= k_r else grid.x_hist[i]
-        xs[i + 1] = xs[i] + df * rhs(i, xs[i], xd)
+    for lo in range(0, M, L):
+        cell, run = slice(lo, lo + L), xs[lo:lo + L + 1]
+        # a view: at k_r = 0 row i of the cell is x_i once stage i is reached
+        ys = xs[lo - k_r:lo - k_r + L] if lo >= k_r else grid.x_hist[cell]
+        if f_many is not None:
+            with np.errstate(all="ignore"):
+                F = f_many(T[cell], np.broadcast_to(run[0], ys.shape), ys, u[cell], vs[cell])
+                run[1:] = df * F
+                np.cumsum(run, axis=0, out=run)
+                if (np.isfinite(run).all() and f_many(
+                        T[cell], run[:-1], ys, u[cell], vs[cell]).tobytes() == F.tobytes()):
+                    continue
+        if floats:
+            x, out = float(run[0, 0]), []
+            cols = (A[cell, 0, 0], A_D[cell, 0, 0], ys[:, 0], G[cell, 0], GD[cell, 0])
+            for a, ad, y, g, gd in zip(*(col.tolist() for col in cols)):
+                # + 0.0: a 1 x 1 matmul sums from 0.0, turning a -0.0 product
+                # into 0.0; the rest is numpy's A x + A_D y + g + g_D
+                x = x + df * (a * x + ad * y + 0.0 + g + gd)
+                out.append(x)
+            run[1:, 0] = out
+        else:
+            for i in range(lo, lo + L):
+                xs[i + 1] = xs[i] + df * rhs(i, xs[i], ys[i - lo])
     running = df * grid.running_cost(T, xs[:M], shifted_rows(grid.x_hist, xs[:M]), u, vs)
     return xs, float(np.cumsum(running)[-1]) + p.terminal_cost(xs[M])
 
@@ -261,7 +304,7 @@ def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.nda
     Euler states ``xs`` are given.  Each slot partial is one array-form call
     over the stages it enters, and the costate recursion is one
     :func:`~retard_oc.dde._affine_scan` per lattice cell, right to left."""
-    p, M, k_r, k_s, df, T = grid.p, grid.M, grid.k_r, grid.k_s, grid.df, grid.T
+    p, M, L, k_r, k_s, df, T = grid.p, grid.M, grid.L, grid.k_r, grid.k_s, grid.df, grid.T
     f0_dx, f0_dy, f0_du, f0_dv = grid.f0_d
     f_dx, f_dy, f_du, f_dv = grid.f_d
     # stage i reads (t_i, x_i, x(t_i - r), u_i, u(t_i - s))
@@ -283,7 +326,6 @@ def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.nda
     P, q = np.eye(p.n) + df * j_x, df * c_x
     if k_r == 0:
         P, q = P + df * j_y, q + df * c_y
-    L = M // grid.lattice.n_cells
     for lo in range(M - L, -1, -L):
         cell = slice(lo, lo + L)
         if 0 < k_r < M - lo:   # x_i is the delayed argument of stage i + k_r
@@ -324,8 +366,7 @@ def _interpolated_candidate(grid: _EulerGrid, u: np.ndarray,
     accurate); lattice-cell edges take the linear extension of the two
     nearest midpoints, and interpolation never bridges a lattice breakpoint.
     """
-    p, lattice, df = grid.p, grid.lattice, grid.df
-    per_cell = grid.M // lattice.n_cells
+    p, lattice, df, per_cell = grid.p, grid.lattice, grid.df, grid.L
     half = df * (np.arange(per_cell) + 0.5)
     curves = []
     for (_, lo, hi), vals in zip(lattice.cells(),

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from retard_oc.cli import SAMPLES_PER_UNIT_TIME, main, write_trajectories_csv
+from retard_oc import cli
+from retard_oc.cli import (CSV_BLOCK_ROWS, SAMPLES_PER_UNIT_TIME, main,
+                           write_trajectories_csv)
 from retard_oc.registry import (ld_adjoint_value, ld_control_value,
                                 ld_state_value)
 
@@ -78,22 +80,26 @@ def _per_row_csv(problem, cand, eta) -> bytes:
     grid.update(float(bp) for bp in problem.lattice().breakpoints)
     grid.update((float(problem.state_history_start),
                  float(problem.control_history_start)))
-    lines = ["t,x_1,u_1,eta_1"]
+    n, m = problem.n, problem.m
+    lines = [",".join(["t"] + [f"x_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)]
+                      + [f"eta_{i + 1}" for i in range(n)])]
     for t in sorted(grid):
         row = [repr(t)]
-        for curve, start in ((cand.state, problem.state_history_start),
-                             (cand.control, problem.control_history_start),
-                             (eta, problem.a)):
+        for curve, start, dim in ((cand.state, problem.state_history_start, n),
+                                  (cand.control, problem.control_history_start, m),
+                                  (eta, problem.a, n)):
             row += ([repr(float(v)) for v in curve.eval(t)]
-                    if t >= float(start) - 1e-12 else [""])
+                    if curve is not None and t >= float(start) - 1e-12 else [""] * dim)
         lines.append(",".join(row))
     return ("\n".join(lines) + "\n").encode()
 
 
 def test_csv_matches_per_row_evaluation(tmp_path, ld_problem, ld_candidate,
-                                        fast_integrator):
+                                        fast_integrator, monkeypatch):
     # history rows (empty eta, and empty u before a - s), breakpoint rows,
-    # closed-form and Hermite curves: the batched writer gives the same bytes
+    # closed-form and Hermite curves, and no eta at all: the block writer
+    # gives the per-row bytes.  The 3001 rows are no whole number of blocks,
+    # and u and eta start inside a block, at rows 500 and 1000.
     from retard_oc.dde import integrate_adjoint_linear, integrate_forward
     from retard_oc.problems import CandidateSolution
     cand = CandidateSolution(
@@ -101,9 +107,58 @@ def test_csv_matches_per_row_evaluation(tmp_path, ld_problem, ld_candidate,
         control=ld_candidate.control)
     eta = integrate_adjoint_linear(ld_problem, cand, fast_integrator)
     path = tmp_path / "trajectories.csv"
-    write_trajectories_csv(path, ld_problem, cand, eta)
-    reference = _per_row_csv(ld_problem, cand, eta)
-    assert b"\n-2.0,1.0,,\n" in reference and b"\n2.0," in reference
+    for block, curve in ((CSV_BLOCK_ROWS, eta), (7, eta), (CSV_BLOCK_ROWS, None)):
+        monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        write_trajectories_csv(path, ld_problem, cand, curve)
+        reference = _per_row_csv(ld_problem, cand, curve)
+        rows = reference.split(b"\n")[1:-1]
+        assert len(rows) == 3001 and all(n % block for n in (len(rows), 500, 1000))
+        assert rows[0] == b"-2.0,1.0,," and rows[1000].startswith(b"0.0,")
+        assert b"\n2.0," in reference
+        assert rows[1000].endswith(b",") == (curve is None)
+        assert path.read_bytes() == reference
+
+
+TWO_STATE = """\
+problem two-state
+kind state-linear
+horizon a = 0  b = 1
+delays r = 1/2  s = 1/4
+dims n = 2  m = 2
+A[0,1] = 1
+AD[1,0] = t
+g[0] = u0
+g[1] = u1
+gD[0] = v1
+f0x = x0^2
+f0u = u0^2 + u1^2
+phi[0] = 1
+phi[1] = t
+psi[0] = t
+psi[1] = 1
+"""
+
+
+def test_two_state_csv_matches_per_row_evaluation(tmp_path, fast_integrator, monkeypatch):
+    # two columns per curve, blank before u and eta start, in blocks of 7 rows
+    from retard_oc.dde import integrate_adjoint_linear, integrate_forward
+    from retard_oc.probfile import parse_problem
+    from retard_oc.problems import CandidateSolution
+    from retard_oc.trajectory import CallableCurve, cell_trajectory
+    problem = parse_problem(TWO_STATE)
+    lattice = problem.lattice()
+    ramp = CallableCurve(lambda t: np.array([t, 1.0 - t * t]), 2)
+    control = cell_trajectory(lattice, 2, [ramp] * lattice.n_cells,
+                              problem.control_history_start, problem.psi)
+    cand = CandidateSolution(state=integrate_forward(problem, control, fast_integrator),
+                             control=control)
+    eta = integrate_adjoint_linear(problem, cand, fast_integrator)
+    monkeypatch.setattr(cli, "CSV_BLOCK_ROWS", 7)
+    path = tmp_path / "trajectories.csv"
+    write_trajectories_csv(path, problem, cand, eta)
+    reference = _per_row_csv(problem, cand, eta)
+    rows = reference.split(b"\n")
+    assert rows[0] == b"t,x_1,x_2,u_1,u_2,eta_1,eta_2" and rows[1] == b"-0.5,1.0,-0.5,,,,"
     assert path.read_bytes() == reference
 
 

@@ -7,7 +7,8 @@ import pytest
 from retard_oc import solve
 from retard_oc.dde import IntegratorConfig, _affine_scan
 from retard_oc.probfile import parse_problem
-from retard_oc.problems import as_delayed, batched, model_partials
+from retard_oc.problems import (DelayedProblem, as_delayed, batched, dynamics_array,
+                                model_partials)
 from retard_oc.registry import (D_COST, d_control_value, ld_control_value,
                                 make_d_problem, make_ld_problem, make_zero_problem)
 from retard_oc.solve import (TranscriptionConfig, _EulerGrid, _euler_forward,
@@ -261,6 +262,23 @@ phi[1] = t^2
 psi[0] = t/3
 psi[1] = t
 """
+# one state, every term nonzero and time-varying: ld has A = 1 and g = 0,
+# which hide a reordered sum in the scalar march
+SCALAR_FILE = """\
+problem scalar-time-varying
+kind state-linear
+horizon a = 0  b = 2
+delays r = 1/2  s = 1/4
+dims n = 1  m = 1
+A[0,0] = -1 + t/4
+AD[0,0] = (1 + t)/(2 + t^2)
+g[0] = (1 + t/2)*u0 - t/5
+gD[0] = 2*v0 - t^2/3
+f0x = x0^2 + t*y0^2/5
+f0u = u0^2 + (1/2)*v0^2
+phi[0] = 1 - t^2
+psi[0] = t/3
+"""
 LINEAR_FIELDS = ("A", "A_D", "g", "g_D", "f0x", "f0u", "phi", "psi", "f0x_dx",
                  "f0x_dy", "g_du", "gD_dv", "f0u_du", "f0u_dv")
 # the Goellmann fields with an array form: all but f
@@ -334,17 +352,29 @@ def _scalar_only(problem, names):
                                for name in names})
 
 
+def _with_array_f(problem):
+    """The general view of ``problem`` with the array form of its dynamics as
+    the ``.many`` of f: an f that declares an array form and reads x."""
+    view = as_delayed(problem)
+    return replace(view, f=batched(lambda *args: view.f(*args), dynamics_array(problem)))
+
+
 def _case(name):
     """A problem and its transcription: the ld problem file, the same file
-    with r = 0 and its general view, a two-state file, registry ld and
-    Goellmann with native array forms, registry ld with scalar fields only,
-    and registry ld with its control partials left to finite differences."""
+    with r = 0 and its general view, a two-state file, a one-state file with
+    every term time-varying and its general view with an array-form f,
+    registry ld and Goellmann with native array forms, registry ld with
+    scalar fields only, and registry ld with its control partials left to
+    finite differences."""
     ld_cfg = TranscriptionConfig(n_steps=400, max_iterations=200, grad_tol=1e-9)
+    scalar_cfg = TranscriptionConfig(n_steps=200, max_iterations=200)
     return {
         "file": lambda: (parse_problem(LD_FILE), ld_cfg),
         "file-r0": lambda: (parse_problem(LD_FILE_R0), ld_cfg),
         "general-file-r0": lambda: (as_delayed(parse_problem(LD_FILE_R0)), ld_cfg),
         "two-by-two": lambda: (parse_problem(TWO_BY_TWO), TranscriptionConfig(n_steps=200)),
+        "scalar-file": lambda: (parse_problem(SCALAR_FILE), scalar_cfg),
+        "general-scalar-file": lambda: (_with_array_f(parse_problem(SCALAR_FILE)), scalar_cfg),
         "ld": lambda: (make_ld_problem(), ld_cfg),
         "goellmann": lambda: (make_d_problem(), TranscriptionConfig(
             n_steps=300, max_iterations=200, grad_tol=1e-9)),
@@ -354,7 +384,8 @@ def _case(name):
     }[name]()
 
 
-CASES = ["file", "file-r0", "general-file-r0", "ld", "goellmann", "scalar-ld", "fd-ld"]
+CASES = ["file", "file-r0", "general-file-r0", "scalar-file", "general-scalar-file", "ld",
+         "goellmann", "scalar-ld", "fd-ld"]
 
 
 @pytest.mark.parametrize("name", CASES + ["two-by-two"])
@@ -466,24 +497,69 @@ def test_direct_solve_makes_no_scalar_model_call(name):
     assert calls == dict.fromkeys(fields, 0)
 
 
-def test_goellmann_direct_solve_calls_f_once_per_stage(monkeypatch):
+def test_goellmann_forward_pass_is_two_array_calls_of_f_per_cell(monkeypatch):
+    # f reads no current state, so each lattice cell is an explicit sum: one
+    # array call of f at the cell's start state and one that verifies it
     base, cfg = _case("goellmann")
-    assert all(hasattr(getattr(base, f), "many") for f in GOELLMANN_ARRAY_FIELDS)
+    assert all(hasattr(getattr(base, f), "many") for f in ("f",) + GOELLMANN_ARRAY_FIELDS)
     problem, calls = _counted(base, ("f",) + GOELLMANN_ARRAY_FIELDS)
+    many, calls["f.many"] = problem.f.many, 0
+
+    def counted_many(*args):
+        calls["f.many"] += 1
+        return many(*args)
+
+    problem.f.many = counted_many
     per_pass = []
     forward = solve._euler_forward
 
     def spy(grid, u):
-        before = calls["f"]
+        before = dict(calls)
         result = forward(grid, u)
-        per_pass.append(calls["f"] - before)
+        per_pass.append({f: calls[f] - before[f] for f in calls})
         return result
 
     monkeypatch.setattr(solve, "_euler_forward", spy)
     solve_direct_euler(problem, cfg, FAST)
-    assert len(per_pass) >= 2 and set(per_pass) == {cfg.n_steps}
+    want = dict.fromkeys(calls, 0) | {"f.many": 2 * problem.lattice().n_cells}
+    assert len(per_pass) >= 2 and all(counts == want for counts in per_pass)
     assert {f: calls[f] for f in GOELLMANN_ARRAY_FIELDS} == \
         dict.fromkeys(GOELLMANN_ARRAY_FIELDS, 0)
+
+
+def test_overflowing_cell_is_marched_stage_by_stage():
+    # f reads no current state, but its sum overflows in the middle cell: the
+    # explicit sum is refused there and the stage march gives the reference's
+    # states, inf from the overflow on, with numpy's warning
+    big = 1e308
+    problem = DelayedProblem(
+        a=0, b=6, r=2, s=2, n=1, m=1,
+        f0=batched(lambda t, x, y, u, v: 0.0, lambda ts, X, Y, U, V: np.zeros(len(ts))),
+        f=batched(lambda t, x, y, u, v: np.array([big if 2.0 <= t < 4.0 else 1.0]),
+                  lambda ts, X, Y, U, V: np.where((2.0 <= ts) & (ts < 4.0), big, 1.0)[:, None]),
+        phi=lambda t: np.ones(1), psi=lambda t: np.zeros(1))
+    grid = _EulerGrid(problem, TranscriptionConfig(n_steps=12))
+    u = np.zeros((12, 1))
+    with pytest.warns(RuntimeWarning) as got:
+        xs, cost = _euler_forward(grid, u)
+    with pytest.warns(RuntimeWarning) as want:
+        ref_xs, ref_cost = _reference_forward(grid, u)
+    assert [str(w.message) for w in got] == [str(w.message) for w in want] == \
+        ["overflow encountered in add"]
+    np.testing.assert_array_equal(xs, ref_xs)
+    assert np.isfinite(xs[:8]).all() and np.isinf(xs[8:]).all()
+    assert cost == ref_cost == 0.0
+
+
+def test_scalar_march_keeps_numpys_signed_zeros():
+    # x = -0.0 with every term -0.0: numpy's 1 x 1 matmul sums from 0.0, so
+    # A x + A_D y + g + g_D is 0.0 and the next state 0.0, not -0.0
+    text = LD_FILE.replace("phi[0] = 1", "phi[0] = -0").replace("g[0] = 0", "g[0] = -u0")
+    grid = _EulerGrid(parse_problem(text), TranscriptionConfig(n_steps=8))
+    u = np.zeros((8, 1))
+    xs, ref_xs = _euler_forward(grid, u)[0], _reference_forward(grid, u)[0]
+    assert np.signbit(ref_xs[0, 0]) and not np.signbit(ref_xs[1:]).any()
+    assert xs.tobytes() == ref_xs.tobytes()
 
 
 @pytest.mark.parametrize("cap", [0, -1])
