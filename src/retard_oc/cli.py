@@ -15,6 +15,7 @@ land in ``--out DIR``: ``trajectories.csv`` with header
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import logging
 import os
@@ -406,8 +407,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads with, built once per process on first
+    use; :func:`build_parser` gives a fresh one."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(name)s %(message)s", stream=sys.stderr)

@@ -58,4 +58,4 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
         u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
     acc = np.cumsum(weights * f0.reshape(T.shape), axis=1)[:, -1]   # in node order
     total = np.cumsum(acc * (span / steps) / 3.0)[-1]               # in cell order
-    return float(total + problem.terminal_cost(cand.state.eval(problem.b)))
+    return float(total + problem.terminal_cost(x[-1]))   # x(b): the last node

@@ -311,6 +311,17 @@ def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
     return batched(lambda t, *values: many(np.array([float(t)]), *values)[0], many)
 
 
+def _statements(text: str):
+    """(line number, keyword, rest, statement) of each statement of a file
+    text: ``#`` comments cut, blank lines skipped, and the first word split
+    from the rest."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if stripped:
+            head = stripped.split(None, 1)
+            yield lineno, head[0], head[1] if len(head) > 1 else "", stripped
+
+
 def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     """Parse a state-linear problem from declarative text.
 
@@ -325,14 +336,7 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     control_line = None   # where the control set was given
     scalars: dict[str, Expr] = {}
 
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        head = stripped.split(None, 1)
-        keyword = head[0]
-        rest = head[1] if len(head) > 1 else ""
+    for lineno, keyword, rest, stripped in _statements(text):
         if keyword == "problem":
             name = rest.strip() or None
             continue
@@ -479,13 +483,7 @@ def parse_value_function(text: str):
     pieces: list[dict] = []
     current: Optional[dict] = None
     eta_lines: dict = {}   # first line giving eta[i], by index
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        head = stripped.split(None, 1)
-        keyword = head[0]
-        rest = head[1] if len(head) > 1 else ""
+    for lineno, keyword, rest, stripped in _statements(text):
         if keyword == "value-function":
             continue
         if keyword == "dims":

@@ -139,12 +139,6 @@ class AugmentedSolution:
                 zip(self.state_blocks, self.state_blocks[1:], self.aug._starts[1:])]
         return float(np.max(gaps, initial=0.0))   # NaN propagates
 
-    def stacked_state(self, sigma: float) -> np.ndarray:
-        return self.aug._block_rows(self.state_blocks, sigma).reshape(-1)
-
-    def stacked_control(self, sigma: float) -> np.ndarray:
-        return self.aug._block_rows(self.control_blocks, sigma).reshape(-1)
-
 
 def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> AugmentedSolution:
     """Slice a candidate pair into its cell curves, the stacked blocks (the

@@ -4,13 +4,14 @@ A :class:`Trajectory` tiles [history_start, end] with half-open segments
 [t_i, t_{i+1}); the final segment is closed at ``end``.  Jumps therefore sit
 at the left endpoint of the following segment, matching piecewise
 definitions like "u(t) = 0 on ]3, 4]".  Segment bounds are exact rationals;
-only curve evaluation uses floats.  :func:`delayed_rows` is the library's
-one delayed-argument resolver: on a lattice, a delay is a block shift.
+only curve evaluation uses floats, and a curve answers a single time as
+an array of one time, so there is one lookup.  :func:`delayed_rows` is the
+library's one delayed-argument resolver: on a lattice, a delay is a block
+shift.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -27,6 +28,12 @@ TimeLike = Union[float, int, Fraction]
 _SNAP = 1e-11
 
 
+def _one_row(self, t: TimeLike) -> np.ndarray:
+    """Value at the one time ``t``: :meth:`eval_many` on one row, so a
+    single time and an array of times share one lookup."""
+    return self.eval_many(np.array([float(t)]))[0]
+
+
 class CallableCurve:
     """Closed-form curve wrapping a scalar-time callable returning shape (dim,)."""
 
@@ -34,9 +41,7 @@ class CallableCurve:
         self.fn = fn
         self.dim = dim
 
-    def __call__(self, t: float) -> np.ndarray:
-        out = np.asarray(self.fn(float(t)), dtype=float)
-        return out.reshape(self.dim)
+    __call__ = _one_row
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Values at each of ``ts``, shape (len(ts), dim), from the array form
@@ -46,7 +51,7 @@ class CallableCurve:
 
 
 def _hermite_basis(theta):
-    """Cubic Hermite basis (h00, h10, h01, h11) at theta, scalar or array."""
+    """Cubic Hermite basis (h00, h10, h01, h11) at theta."""
     t2 = theta * theta
     t3 = t2 * theta
     return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + theta, -2 * t3 + 3 * t2, t3 - t2
@@ -75,40 +80,24 @@ class HermiteCurve:
         self.dim = ys.shape[1]
         self._slack = _SNAP * max(1.0, abs(ts[0]), abs(ts[-1]))
 
-    def _check_domain(self, t_min: float, t_max: float) -> None:
-        ts, slack = self.ts, self._slack
-        if t_min < ts[0] - slack or t_max > ts[-1] + slack:
-            bad = t_min if t_min < ts[0] - slack else t_max
-            raise OutOfDomainError(f"t={bad} outside nodes [{ts[0]}, {ts[-1]}]")
-
-    def _blend(self, i, dt, theta):
-        """Hermite value on node interval ``i``; ``dt`` and ``theta`` are
-        scalars for one time, or (k, 1) columns for k times."""
-        h00, h10, h01, h11 = _hermite_basis(theta)
-        return (h00 * self.ys[i] + h10 * dt * self.ds[i]
-                + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
-
-    def __call__(self, t: float) -> np.ndarray:
-        ts = self.ts
-        t = float(t)
-        self._check_domain(t, t)
-        i = min(max(bisect.bisect_right(ts, t) - 1, 0), len(ts) - 2)
-        dt = ts[i + 1] - ts[i]
-        theta = min(max((t - ts[i]) / dt, 0.0), 1.0)
-        return self._blend(i, dt, theta)
+    __call__ = _one_row
 
     def eval_many(self, t: np.ndarray) -> np.ndarray:
-        """Values at each of the times ``t``, shape (len(t), dim); bit for bit
-        the rows the scalar call gives."""
-        ts = self.ts
+        """Values at each of the times ``t``, shape (len(t), dim): each time
+        within float fuzz of the nodes is clamped onto them and blended on
+        the node interval holding it."""
+        ts, slack = self.ts, self._slack
         t = np.asarray(t, dtype=float)
-        if t.size:
-            self._check_domain(t.min(), t.max())
+        if t.size and (t.min() < ts[0] - slack or t.max() > ts[-1] + slack):
+            bad = t.min() if t.min() < ts[0] - slack else t.max()
+            raise OutOfDomainError(f"t={bad} outside nodes [{ts[0]}, {ts[-1]}]")
         i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
         t0 = ts[i][:, None]
         dt = ts[i + 1][:, None] - t0
         theta = np.clip((t[:, None] - t0) / dt, 0.0, 1.0)
-        return self._blend(i, dt, theta)
+        h00, h10, h01, h11 = _hermite_basis(theta)
+        return (h00 * self.ys[i] + h10 * dt * self.ds[i]
+                + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
 
 
 Curve = Union[CallableCurve, HermiteCurve]
@@ -147,63 +136,44 @@ class Trajectory:
             prev = seg.hi
         if prev != self.end:
             raise ValueError(f"segments end at {prev}, expected {self.end}")
-        edges = [float(s.lo) for s in self.segments] + [float(self.end)]
-        # the scalar path bisects plain floats, the array path searches numpy
-        object.__setattr__(self, "_edges", edges)
-        object.__setattr__(self, "_bounds", np.array(edges))
+        bounds = np.array([float(s.lo) for s in self.segments] + [float(self.end)])
+        object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_slack", _SNAP * max(
-            1.0, edges[-1] - edges[0], abs(edges[0]), abs(edges[-1])))
+            1.0, bounds[-1] - bounds[0], abs(bounds[0]), abs(bounds[-1])))
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, t_min: float, t_max: float) -> None:
-        lo, hi = self._edges[0] - self._slack, self._edges[-1] + self._slack
-        if t_min < lo or t_max > hi:
-            bad = t_min if t_min < lo else t_max
+    def _lookup(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Owning segment index and float time of each of ``ts``.
+
+        The right segment owns each interior breakpoint, and the last one
+        owns ``end``; a time within float fuzz of its segment's right
+        boundary is snapped onto the next segment.  A time within float fuzz
+        outside its owning segment (snapped onto it, or past either end) is
+        clamped onto that segment's interval; one further out raises
+        :class:`OutOfDomainError`.
+        """
+        tf = np.asarray(ts, dtype=float)
+        bounds, slack, last = self._bounds, self._slack, len(self.segments) - 1
+        if tf.size and (tf.min() < bounds[0] - slack or tf.max() > bounds[-1] + slack):
+            bad = tf.min() if tf.min() < bounds[0] - slack else tf.max()
             raise OutOfDomainError(
                 f"t={bad} outside [{self.history_start}, {self.end}]")
+        i = np.clip(np.searchsorted(bounds, tf, side="right") - 1, 0, last)
+        i = i + ((i < last) & (abs(tf - bounds[i + 1]) <= slack))
+        return i, np.clip(tf, bounds[i], bounds[i + 1])
 
-    def _snap(self, i, tf, right):
-        """Segment index ``i`` moved to the right-owning segment where ``tf``
-        sits within float fuzz of the segment's ``right`` boundary; the last
-        segment keeps ownership of ``end``.  Elementwise on arrays."""
-        return i + ((i < len(self.segments) - 1) & (abs(tf - right) <= self._slack))
-
-    def _locate(self, t: TimeLike) -> int:
-        tf = float(t)
-        self._check_domain(tf, tf)
-        edges = self._edges
-        i = min(max(bisect.bisect_right(edges, tf) - 1, 0), len(self.segments) - 1)
-        return self._snap(i, tf, edges[i + 1])
-
-    def eval(self, t: TimeLike) -> np.ndarray:
-        """Value at time t; the right segment owns each interior breakpoint.
-        A time within float fuzz outside its owning segment (snapped onto it,
-        or past either end) is clamped onto that segment's interval first."""
-        i = self._locate(t)
-        edges = self._edges
-        return self.segments[i].curve(min(max(float(t), edges[i]), edges[i + 1]))
-
+    eval = _one_row
     __call__ = eval
 
     def eval_many(self, ts) -> np.ndarray:
-        """Values at each of the times ``ts``, shape (len(ts), dimension).
-
-        Bit for bit the rows :meth:`eval` gives, with the same domain check,
-        breakpoint ownership and clamping; one lookup per segment touched.
-        """
-        tf = np.asarray(ts, dtype=float)
-        if tf.size:
-            self._check_domain(tf.min(), tf.max())
-        i = np.clip(np.searchsorted(self._bounds, tf, side="right") - 1,
-                    0, len(self.segments) - 1)
-        i = self._snap(i, tf, self._bounds[i + 1])
-        tf = np.clip(tf, self._bounds[i], self._bounds[i + 1])
+        """Values at each of the times ``ts``, shape (len(ts), dimension),
+        located by :meth:`_lookup`; one curve lookup per segment touched."""
+        i, tf = self._lookup(ts)
         out = np.empty((tf.size, self.dimension))
-        for j, seg in enumerate(self.segments):
+        for j in np.flatnonzero(np.bincount(i)):   # each segment touched
             sel = i == j
-            if sel.any():
-                out[sel] = seg.curve.eval_many(tf[sel])
+            out[sel] = self.segments[j].curve.eval_many(tf[sel])
         return out
 
     def covers(self, lo: RationalLike, hi: RationalLike) -> bool:
@@ -215,16 +185,25 @@ class Trajectory:
 
         Evaluating it at ``hi`` yields the left limit when a jump sits there,
         which is the a.e.-correct restriction integrators and quadrature need.
+        Raises :class:`OutOfDomainError` naming the cell when a segment edge
+        falls inside it.
         """
-        seg = self.segments[self._locate((lo + hi) / 2)]
-        if not (seg.lo <= lo and hi <= seg.hi):
-            raise OutOfDomainError(
-                f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
-        return seg.curve
+        return self._cell_curves([(lo, hi)])[0]
 
     def cell_curves(self, lattice) -> list[Curve]:
         """:meth:`cell_curve` of every lattice cell, in cell order."""
-        return [self.cell_curve(lo, hi) for _, lo, hi in lattice.cells()]
+        return self._cell_curves([(lo, hi) for _, lo, hi in lattice.cells()])
+
+    def _cell_curves(self, cells) -> list[Curve]:
+        """:meth:`cell_curve` of each (lo, hi) of ``cells``: one lookup of
+        all their midpoints."""
+        index, _ = self._lookup([float((lo + hi) / 2) for lo, hi in cells])
+        segs = [self.segments[i] for i in index]
+        for (lo, hi), seg in zip(cells, segs):
+            if not (seg.lo <= lo and hi <= seg.hi):
+                raise OutOfDomainError(
+                    f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
+        return [seg.curve for seg in segs]
 
 
 def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray:

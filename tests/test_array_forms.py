@@ -374,11 +374,13 @@ def _counting_candidate(cand, calls: list):
 
 def test_the_certificates_evaluate_the_closed_forms_through_their_array_forms(
         ld_problem, ld_candidate, d_problem, d_candidate):
-    # what is left is x(b): in the quadrature cost and the terminal check
+    # no scalar call is left: the quadrature cost reads x(b) off its last
+    # node, and a lookup of one time (the terminal check's x(b)) is the
+    # array lookup on one row
     calls = []
     cert = verify_state_linear(ld_problem, _counting_candidate(ld_candidate, calls))
-    assert cert.overall and len(calls) <= 2
+    assert cert.overall and len(calls) == 0
     calls.clear()
     cert = verify_nonlinear_hj(d_problem, _counting_candidate(d_candidate, calls),
                                make_d_value_function(), _counted(d_feedback, calls))
-    assert cert.overall and len(calls) <= 2
+    assert cert.overall and len(calls) == 0

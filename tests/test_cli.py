@@ -205,6 +205,21 @@ def test_flag_on_a_command_that_ignores_it_is_a_usage_error(capsys):
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built, build = [], cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    for _ in range(2):
+        assert main(["example", "list"]) == 0
+    assert len(built) == 1
+    assert cli.build_parser() is not cli.build_parser()   # still a fresh one
+
+
 def test_module_entry_point_reads_argv():
     import retard_oc
     src = str(Path(retard_oc.__file__).parents[1])

@@ -73,6 +73,19 @@ def test_cell_curve_left_limit_semantics():
     assert traj.eval(1.0)[0] == 5.0              # plain eval: right segment owns t=1
 
 
+def test_a_segment_edge_inside_a_cell_is_refused_naming_the_cell():
+    from retard_oc.lattice import make_lattice
+    # cells of width 1 on [0, 4]; a segment edge at 5/4 falls inside [1, 2]
+    traj = from_pieces(1, [(-2, 0, lambda t: [1.0]), (0, Fraction(5, 4), lambda t: [t]),
+                           (Fraction(5, 4), 4, lambda t: [t])], main_start=0)
+    lattice = make_lattice(0, 4, 2, 1)
+    with pytest.raises(OutOfDomainError, match=r"cell \[1, 2\] straddles segment \[5/4, 4\]"):
+        traj.cell_curve(Fraction(1), Fraction(2))
+    with pytest.raises(OutOfDomainError, match=r"cell \[1, 2\] straddles"):
+        traj.cell_curves(lattice)
+    assert traj.cell_curve(Fraction(2), Fraction(3)) is traj.segments[2].curve
+
+
 def test_hermite_reproduces_cubics():
     ts = np.linspace(0.0, 2.0, 9)
     ys = (ts ** 3 - 2 * ts)[:, None]
