@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import IncommensurableDelayError, ZeroDelaysError
 
 #: Exact rational scalar used for every lattice quantity.  Stored in lowest
@@ -136,3 +138,84 @@ def make_lattice(a: RationalLike, b: RationalLike, r: RationalLike,
     n_cells = (b - a) / h
     assert n_cells.denominator == 1
     return CommensurabilityLattice(a=a, b=b, r=r, s=s, h=h, n_cells=int(n_cells))
+
+
+# -- sample times ----------------------------------------------------------------
+
+def _closed(t: float, lo, hi):
+    """lo <= t <= hi for a float t, each end widened by 1e-12 of its size;
+    elementwise over arrays of ends."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    snap = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    return (lo - snap <= t) & (t <= hi + snap)
+
+
+@dataclass(frozen=True)
+class _SampleTimes:
+    """Where both certificates read their arguments at fixed sample times:
+    exact for a rational (or integer) time, in float arithmetic for a float
+    one.  ``ahead`` and ``ahead_delayed`` hold the gated times only."""
+
+    t: np.ndarray
+    delayed_state: np.ndarray     # t - r
+    delayed_control: np.ndarray   # t - s
+    delayed_both: np.ndarray      # t - s - r
+    before_start: np.ndarray      # t - s < a: the history psi gives u(t - s)
+    gated: np.ndarray             # chi_[a, b-s](t)
+    ahead: np.ndarray             # t + s
+    ahead_delayed: np.ndarray     # t + s - r
+    cells: np.ndarray             # closed lattice cells holding t
+
+
+def _sample_times(lattice: CommensurabilityLattice, times: Sequence) -> _SampleTimes:
+    a, b, r, s, h = lattice.a, lattice.b, lattice.r, lattice.s, lattice.h
+    exact = [t for t in times if isinstance(t, (Fraction, int))]
+    D = math.lcm(*(x.denominator for x in [a, b, r, s, h, *exact]))
+    # a rational time is held as the integer t D, so its shifts and tests are
+    # exact integer arithmetic; a float time meets the lattice as floats
+    unit = lambda x: x.numerator * (D // x.denominator)
+    ts = [unit(t) if isinstance(t, (Fraction, int)) else float(t) for t in times]
+    floats = lambda xs: np.array([x / D if type(x) is int else x for x in xs], dtype=float)
+
+    def minus(xs, c):
+        C, F = unit(c), float(c)
+        return [x - C if type(x) is int else x - F for x in xs]
+
+    A, B, G, H = unit(a), unit(b), unit(b - s), unit(h)
+    ends = np.array(lattice.breakpoints, dtype=float) if len(exact) < len(ts) else None
+    gated = [A <= t <= G if type(t) is int else bool(_closed(t, a, b - s)) for t in ts]
+    cells = [int(A <= t <= B) + int(A < t < B and (t - A) % H == 0) if type(t) is int
+             else int(np.count_nonzero(_closed(t, ends[:-1], ends[1:]))) for t in ts]
+    control, ahead = minus(ts, s), minus([t for t, g in zip(ts, gated) if g], -s)
+    return _SampleTimes(
+        t=floats(ts), delayed_state=floats(minus(ts, r)), delayed_control=floats(control),
+        delayed_both=floats(minus(control, r)),
+        before_start=np.array([v < A if type(v) is int else v < float(a) - 1e-12
+                               for v in control], dtype=bool),
+        gated=np.array(gated, dtype=bool), ahead=floats(ahead),
+        ahead_delayed=floats(minus(ahead, r)), cells=np.array(cells, dtype=int))
+
+
+def _lattice_grid(lattice: CommensurabilityLattice, per_cell: int, interior_only: bool = False,
+                  both_ends: bool = False, rows=slice(None)) -> _SampleTimes:
+    """:func:`_sample_times` of the times a + (i + j / per_cell) h, cell by cell (j = 0 ..
+    per_cell - 1, then b; j = 1 .. per_cell - 1 if ``interior_only``; j = 0 .. per_cell in
+    every cell if ``both_ends``), or of their ``rows``, in integer array arithmetic: each time
+    is an int64 numerator over D, per_cell times the lattice's common denominator.  A numerator
+    below 2^53 is exact in float64, so its quotient by D is Python's int / int."""
+    D = math.lcm(*(x.denominator for x in (lattice.a, lattice.b, lattice.r,
+                                           lattice.s, lattice.h))) * per_cell
+    a, b, r, s, h = (x.numerator * (D // x.denominator) for x in
+                     (lattice.a, lattice.b, lattice.r, lattice.s, lattice.h))
+    assert D + max(abs(a), abs(b)) + r + s < 2 ** 53   # bounds every shifted time
+    j = np.arange(int(interior_only), per_cell + both_ends)
+    num = (a + h * np.arange(lattice.n_cells)[:, None] + h // per_cell * j).ravel()
+    num = (num if interior_only or both_ends else np.append(num, b))[rows]
+    gated, control = (a <= num) & (num <= b - s), num - s
+    ahead = num[gated] + s
+    return _SampleTimes(
+        t=num / D, delayed_state=(num - r) / D, delayed_control=control / D,
+        delayed_both=(control - r) / D, before_start=control < a, gated=gated,
+        ahead=ahead / D, ahead_delayed=(ahead - r) / D,
+        cells=((a <= num) & (num <= b)).astype(int)
+        + ((a < num) & (num < b) & ((num - a) % h == 0)))

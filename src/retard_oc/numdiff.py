@@ -31,17 +31,9 @@ def central_scalar(fn: Callable[[float], float], x: float,
 
 
 def gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Gradient of a scalar function of a vector, one coordinate at a time."""
+    """Gradient of a scalar function of a vector: its one-row Jacobian."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        h = _step(x.flat[i])
-        xp = x.copy(); xp.flat[i] += h
-        xm = x.copy(); xm.flat[i] -= h
-        out.flat[i] = (fn(xp) - fn(xm)) / (2.0 * h)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteDerivativeError("non-finite gradient probe")
-    return out
+    return jacobian(fn, x, 1).reshape(x.shape)
 
 
 def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
@@ -60,24 +52,26 @@ def jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return out
 
 
-def hessian(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Symmetric finite-difference Hessian; coarse but enough for sign checks."""
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    out = np.empty((k, k))
-    hs = FD2_STEP * (1.0 + np.abs(x.ravel()))
-    f0 = fn(x)
-    for i in range(k):
-        xp = x.copy(); xp.flat[i] += hs[i]
-        xm = x.copy(); xm.flat[i] -= hs[i]
-        out[i, i] = (fn(xp) - 2.0 * f0 + fn(xm)) / hs[i] ** 2
-        for j in range(i + 1, k):
-            xpp = x.copy(); xpp.flat[i] += hs[i]; xpp.flat[j] += hs[j]
-            xpm = x.copy(); xpm.flat[i] += hs[i]; xpm.flat[j] -= hs[j]
-            xmp = x.copy(); xmp.flat[i] -= hs[i]; xmp.flat[j] += hs[j]
-            xmm = x.copy(); xmm.flat[i] -= hs[i]; xmm.flat[j] -= hs[j]
-            out[i, j] = out[j, i] = (
-                fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * hs[i] * hs[j])
+def hessians(fn: Callable[[np.ndarray], np.ndarray], X: np.ndarray) -> np.ndarray:
+    """The Hessian at each row of X, (P, k, k): central second differences
+    with steps FD2_STEP (1 + |x_i|), every probe of every row in one call of
+    ``fn`` on rows, (M, k) -> (M,).  The probes of a row are x, x +- h_i e_i
+    for each i, then x +- h_i e_i +- h_j e_j for each pair i < j."""
+    X = np.asarray(X, dtype=float)
+    P, k = X.shape
+    hs, E, pm, (I, J) = FD2_STEP * (1.0 + np.abs(X)), np.eye(k), (1.0, -1.0), np.triu_indices(k, 1)
+    steps = np.array([np.zeros(k)] + [s * E[i] for i in range(k) for s in pm]
+                     + [si * E[i] + sj * E[j] for i, j in zip(I, J) for si in pm for sj in pm])
+    probes = np.where(steps == 0.0, X[:, None], X[:, None] + steps * hs[:, None])
+    F = np.asarray(fn(probes.reshape(-1, k)), dtype=float).reshape(P, len(steps))
+    d, c = 1 + 2 * np.arange(k), 1 + 2 * k + 4 * np.arange(len(I))
+    out = np.empty((P, k, k))
+    with np.errstate(all="ignore"):
+        # float_power is libm pow, as a float64 scalar's ** 2 (not x * x)
+        out[:, range(k), range(k)] = ((F[:, d] - 2.0 * F[:, :1] + F[:, d + 1])
+                                      / np.float_power(hs, 2))
+        out[:, I, J] = out[:, J, I] = ((F[:, c] - F[:, c + 1] - F[:, c + 2] + F[:, c + 3])
+                                       / (4.0 * hs[:, I] * hs[:, J]))
     if not np.all(np.isfinite(out)):
         raise NonFiniteDerivativeError("non-finite Hessian probe")
     return out

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -19,10 +18,11 @@ from .cost import evaluate_cost
 from .dde import (IntegratorConfig, _affine_scan, integrate_adjoint_linear,
                   integrate_forward)
 from .errors import NoConvergenceError, UnboundedDescentError
+from .lattice import _lattice_grid
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        array_form, batched, model_arrays, model_partials,
                        running_cost_array)
-from .sufficiency import _sample_times, argmax_control_state_linear
+from .sufficiency import argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          hermite_from_samples, shifted_rows)
 
@@ -104,9 +104,7 @@ def solve_fbsm(problem: StateLinearProblem,
                                   problem.control_history_start, problem.psi)
     omega = cfg.omega
     nodes_per_cell = 2 * cfg.integrator.substeps_per_cell
-    nodes = _sample_times(lattice, [
-        lo + (hi - lo) * Fraction(j, nodes_per_cell)
-        for _, lo, hi in lattice.cells() for j in range(nodes_per_cell + 1)])
+    nodes = _lattice_grid(lattice, nodes_per_cell, both_ends=True)
     cell_ts = np.split(nodes.t, lattice.n_cells)
 
     history: list[dict] = []

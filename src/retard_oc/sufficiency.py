@@ -5,17 +5,15 @@ location) rather than raising; a certificate is the conjunction of its
 checks together with the tolerances and random seed that produced it.
 
 Indicator windows such as chi_[a, b-s] switch exactly at lattice points.
-Sample grids are therefore generated as exact rationals and membership is
-decided in rational arithmetic, with the closed-interval convention: the
-endpoint t = b - s is inside the window.
+Lattice sample grids are therefore integer numerators over one common
+denominator, and membership is decided in integer arithmetic, with the
+closed-interval convention: the endpoint t = b - s is inside the window.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,8 +21,9 @@ import numpy as np
 from .cost import evaluate_cost
 from .dde import (AdjointTrajectory, IntegratorConfig, integrate_adjoint_linear)
 from .errors import UnboundedCriterionError
-from .lattice import CommensurabilityLattice, Rational, as_rational
-from .numdiff import central_scalar, gradient, hessian
+from .lattice import (CommensurabilityLattice, _lattice_grid, _sample_times, _SampleTimes,
+                      as_rational)
+from .numdiff import central_scalar, gradient, hessians
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem, array_form, model_arrays)
 from .trajectory import Trajectory
@@ -32,14 +31,6 @@ from .trajectory import Trajectory
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 # rounding allowance of a criterion value, relative to its size: 16 ulps
 ROUNDING_FLOOR = 16 * np.finfo(float).eps
-
-
-def _closed(t: float, lo, hi):
-    """lo <= t <= hi for a float t, each end widened by 1e-12 of its size;
-    elementwise over arrays of ends."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    snap = 1e-12 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    return (lo - snap <= t) & (t <= hi + snap)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -202,54 +193,6 @@ def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
             + float(eta @ np.asarray(problem.f(t, x, y, u, v), float).reshape(problem.n)))
 
 
-# -- sample times ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _SampleTimes:
-    """Where both certificates read their arguments at fixed sample times:
-    exact for a rational (or integer) time, in float arithmetic for a float
-    one.  ``ahead`` and ``ahead_delayed`` hold the gated times only."""
-
-    t: np.ndarray
-    delayed_state: np.ndarray     # t - r
-    delayed_control: np.ndarray   # t - s
-    delayed_both: np.ndarray      # t - s - r
-    before_start: np.ndarray      # t - s < a: the history psi gives u(t - s)
-    gated: np.ndarray             # chi_[a, b-s](t)
-    ahead: np.ndarray             # t + s
-    ahead_delayed: np.ndarray     # t + s - r
-    cells: np.ndarray             # closed lattice cells holding t
-
-
-def _sample_times(lattice: CommensurabilityLattice, times: Sequence) -> _SampleTimes:
-    a, b, r, s, h = lattice.a, lattice.b, lattice.r, lattice.s, lattice.h
-    exact = [t for t in times if isinstance(t, (Fraction, int))]
-    D = math.lcm(*(x.denominator for x in [a, b, r, s, h, *exact]))
-    # a rational time is held as the integer t D, so its shifts and tests are
-    # exact integer arithmetic; a float time meets the lattice as floats
-    unit = lambda x: x.numerator * (D // x.denominator)
-    ts = [unit(t) if isinstance(t, (Fraction, int)) else float(t) for t in times]
-    floats = lambda xs: np.array([x / D if type(x) is int else x for x in xs], dtype=float)
-
-    def minus(xs, c):
-        C, F = unit(c), float(c)
-        return [x - C if type(x) is int else x - F for x in xs]
-
-    A, B, G, H = unit(a), unit(b), unit(b - s), unit(h)
-    ends = np.array(lattice.breakpoints, dtype=float) if len(exact) < len(ts) else None
-    gated = [A <= t <= G if type(t) is int else bool(_closed(t, a, b - s)) for t in ts]
-    cells = [int(A <= t <= B) + int(A < t < B and (t - A) % H == 0) if type(t) is int
-             else int(np.count_nonzero(_closed(t, ends[:-1], ends[1:]))) for t in ts]
-    control, ahead = minus(ts, s), minus([t for t, g in zip(ts, gated) if g], -s)
-    return _SampleTimes(
-        t=floats(ts), delayed_state=floats(minus(ts, r)), delayed_control=floats(control),
-        delayed_both=floats(minus(control, r)),
-        before_start=np.array([v < A if type(v) is int else v < float(a) - 1e-12
-                               for v in control], dtype=bool),
-        gated=np.array(gated, dtype=bool), ahead=floats(ahead),
-        ahead_delayed=floats(minus(ahead, r)), cells=np.array(cells, dtype=int))
-
-
 # -- maximality ------------------------------------------------------------------
 
 class _Criterion:
@@ -292,6 +235,8 @@ class _Criterion:
 
     def values(self, k, U) -> np.ndarray:
         """Criterion at the times ``k`` (an index array) of the controls U, (K, m)."""
+        if not len(k):
+            return np.zeros(0)
         U = np.asarray(U, float).reshape(len(k), self.problem.m)
         val = self._terms(1, self.now, k, U)
         hit = self.ahead[k] >= 0
@@ -313,78 +258,14 @@ def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
     return _Criterion(problem, cand, eta, _sample_times(problem.lattice(), [t])).at(0)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-    return 0.5 * (a + b)
-
-
-def _shape_tolerances(c0, cp, cm):
-    """(fit, curvature) tolerances of the quadratic test from the criterion at
-    u = 0, 1, -1: relative to the u-dependent differences, plus the values'
-    rounding floor, so a constant offset in the criterion widens neither."""
-    scale = np.maximum(1.0, np.maximum(np.abs(cp - c0), np.abs(cm - c0)))
-    floor = ROUNDING_FLOOR * np.maximum(np.abs(c0), np.maximum(np.abs(cp), np.abs(cm)))
-    return 1e-8 * scale + floor, 1e-12 * scale + floor
-
-
-def _argmax_scalar(fn, control_set: ControlSet) -> np.ndarray:
-    """Maximise a scalar-control criterion: closed form for concave
-    quadratics, golden-section otherwise."""
-    c0, cp, cm = fn(0.0), fn(1.0), fn(-1.0)
-    fit_tol, tiny = _shape_tolerances(c0, cp, cm)
-    a2 = 0.5 * (cp + cm) - c0
-    a1 = 0.5 * (cp - cm)
-    # quadratic means the 3-point fit predicts fresh probe points
-    quadratic = all(
-        abs(fn(z) - (c0 + a1 * z + a2 * z * z)) <= fit_tol
-        for z in (2.0, 0.5, -1.5))
-    if quadratic:
-        if a2 < -tiny:
-            vertex = -a1 / (2.0 * a2)
-            return control_set.project(np.array([vertex]))
-        if control_set.is_free:
-            if abs(a2) <= tiny and abs(a1) <= tiny:
-                return np.array([0.0])  # constant criterion: any u maximises
-            raise UnboundedCriterionError(
-                "criterion is not strictly concave and U is unbounded")
-        lo, hi = float(control_set.lo[0]), float(control_set.hi[0])
-        return np.array([lo if fn(lo) >= fn(hi) else hi])
-    if not control_set.is_free:
-        lo, hi = float(control_set.lo[0]), float(control_set.hi[0])
-    else:
-        # expand a bracket around 0 until the maximum is interior
-        width = 1.0
-        while True:
-            lo, hi = -width, width
-            if fn(lo) < fn(0.0) > fn(hi):
-                break
-            width *= 4.0
-            if width > 1e8:
-                raise UnboundedCriterionError("criterion keeps growing; no "
-                                              "finite maximiser found")
-    best = _golden_max(fn, lo, hi)
-    return np.array([best])
-
-
 def _argmax_vector(fn, control_set: ControlSet, m: int,
-                   rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Projected gradient ascent with multistart for box-constrained m > 1."""
+                   rng: Optional[np.random.Generator] = None, time=None) -> np.ndarray:
+    """Projected gradient ascent with multistart for box-constrained m > 1;
+    ``time`` is the criterion's sample time, named if it is unbounded."""
     if control_set.is_free:
         # quadratic model via finite differences; require negative definiteness
-        H = hessian(lambda u: fn(u), np.zeros(m))
-        g0 = gradient(lambda u: fn(u), np.zeros(m))
+        H = hessians(lambda U: np.array([fn(u) for u in U]), np.zeros((1, m)))[0]
+        g0 = gradient(fn, np.zeros(m))
         eig = np.linalg.eigvalsh(H)
         if np.max(eig) < -1e-10:
             u = np.linalg.solve(-H, g0)
@@ -393,7 +274,7 @@ def _argmax_vector(fn, control_set: ControlSet, m: int,
                    for d in (np.eye(m) * 1e-3)):
                 return u
         raise UnboundedCriterionError(
-            "criterion is not negative definite and U is unbounded")
+            "criterion is not negative definite and U is unbounded", time)
     rng = rng or np.random.default_rng(0)
     starts = [0.5 * (control_set.lo + control_set.hi), control_set.lo.copy(),
               control_set.hi.copy()]
@@ -418,38 +299,84 @@ def _argmax_vector(fn, control_set: ControlSet, m: int,
     return best_u
 
 
+def _bracket(crit: _Criterion, k: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Half-width w = 1, 4, 16, ... <= 1e8 at each time of k, the first with the
+    criterion at -w and at w below its value f0 at 0, in lockstep; NaN if none is."""
+    w, open_, width = np.full(len(k), np.nan), np.arange(len(k)), 1.0
+    while open_.size and width <= 1e8:
+        f_lo, f_hi = crit.values(np.tile(k[open_], 2),
+                                 np.repeat([-width, width], open_.size)).reshape(2, -1)
+        done = (f_lo < f0[open_]) & (f0[open_] > f_hi)
+        w[open_[done]] = width
+        open_, width = open_[~done], width * 4.0
+    return w
+
+
+def _golden_section(crit: _Criterion, k: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    tol: float = 1e-11) -> np.ndarray:
+    """Golden-section maxima on [a, b] at the times k in lockstep, each as a search alone."""
+    c, d = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    fc, fd = crit.values(np.tile(k, 2), np.concatenate([c, d])).reshape(2, -1)
+    live = np.arange(len(k))
+    while (live := live[np.abs(b[live] - a[live])
+                        > tol * (1.0 + np.abs(a[live]) + np.abs(b[live]))]).size:
+        left = fc[live] > fd[live]
+        i, j = live[left], live[~left]
+        b[i], d[i], fd[i] = d[i], c[i], fc[i]
+        c[i] = b[i] - GOLDEN * (b[i] - a[i])
+        a[j], c[j], fc[j] = c[j], d[j], fd[j]
+        d[j] = a[j] + GOLDEN * (b[j] - a[j])
+        f = crit.values(k[live], np.where(left, c[live], d[live]))
+        fc[i], fd[j] = f[left], f[~left]
+    return 0.5 * (a + b)
+
+
 def _argmax_all(problem: StateLinearProblem, crit: _Criterion,
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
     """Maximiser at every time of ``crit``, shape (len(crit.t), m).
 
-    For a scalar control the quadratic test of :func:`_argmax_scalar` runs
-    on arrays over all times, and a concave quadratic takes its (projected)
-    vertex.  Every other time runs the scalar code through its one-time
-    view, in the order given, so the first unbounded time is the one named.
-    """
+    A scalar control runs at all times in array passes.  Where the quadratic
+    fit at u = 0, 1, -1 predicts the values at 2, 0.5 and -1.5, a strictly
+    concave quadratic takes its (projected) vertex, a constant one 0 on a
+    free U, any other the better end of a box (the lower on a tie); other
+    times take a golden-section search on the box or a bracket grown around
+    0.  A criterion unbounded over a free U raises at its first time.  A
+    vector control runs :func:`_argmax_vector` time by time."""
     N, cs = len(crit.t), problem.control_set
-    out = np.empty((N, problem.m))
-    rest = range(N)
-    if problem.m == 1:
-        z = np.array([0.0, 1.0, -1.0, 2.0, 0.5, -1.5])   # as in _argmax_scalar
-        f = crit.values(np.repeat(np.arange(N), 6), np.tile(z, N)).reshape(N, 6)
-        c0, cp, cm = f[:, 0], f[:, 1], f[:, 2]
-        fit_tol, tiny = _shape_tolerances(c0, cp, cm)
-        a2 = (0.5 * (cp + cm) - c0)[:, None]
-        a1 = (0.5 * (cp - cm))[:, None]
-        z = z[3:]
-        fits = np.abs(f[:, 3:] - (c0[:, None] + a1 * z + a2 * z * z)) <= fit_tol[:, None]
-        vertex = np.all(fits, axis=1) & (a2[:, 0] < -tiny)
-        u = -a1[vertex] / (2.0 * a2[vertex])
-        out[vertex] = u if cs.is_free else np.clip(u, cs.lo, cs.hi)
-        rest = np.flatnonzero(~vertex).tolist()
-    for k in rest:
-        fn = crit.at(k)
-        try:
-            out[k] = (_argmax_scalar(lambda z: fn(np.array([z])), cs) if problem.m == 1
-                      else _argmax_vector(fn, cs, problem.m, rng))
-        except UnboundedCriterionError as exc:
-            raise UnboundedCriterionError(str(exc), time=crit.t[k]) from None
+    if problem.m > 1:
+        return np.array([_argmax_vector(crit.at(k), cs, problem.m, rng, crit.t[k])
+                         for k in range(N)]).reshape(N, problem.m)
+    z = np.array([0.0, 1.0, -1.0, 2.0, 0.5, -1.5])
+    f = crit.values(np.repeat(np.arange(N), 6), np.tile(z, N)).reshape(N, 6)
+    c0, cp, cm = f[:, 0], f[:, 1], f[:, 2]
+    # fit and curvature tolerances: relative to the u-dependent differences,
+    # plus the values' rounding floor, so a constant offset widens neither
+    scale = np.maximum(1.0, np.maximum(np.abs(cp - c0), np.abs(cm - c0)))
+    floor = ROUNDING_FLOOR * np.maximum(np.abs(c0), np.maximum(np.abs(cp), np.abs(cm)))
+    fit_tol, tiny = 1e-8 * scale + floor, 1e-12 * scale + floor
+    a2, a1, z = 0.5 * (cp + cm) - c0, 0.5 * (cp - cm), z[3:]
+    # quadratic means the 3-point fit predicts fresh probe points
+    quadratic = np.all(np.abs(f[:, 3:] - (c0[:, None] + a1[:, None] * z + a2[:, None] * z * z))
+                       <= fit_tol[:, None], axis=1)
+    vertex = quadratic & (a2 < -tiny)
+    out, u = np.zeros((N, 1)), -a1[vertex] / (2.0 * a2[vertex])
+    out[vertex, 0] = u if cs.is_free else np.clip(u, cs.lo, cs.hi)
+    k, search = np.flatnonzero(quadratic & ~vertex), np.flatnonzero(~quadratic)
+    if cs.is_free:   # a constant criterion takes 0
+        w = _bracket(crit, search, c0[search])
+        flat = (np.abs(a2[k]) <= tiny[k]) & (np.abs(a1[k]) <= tiny[k])
+        failed = sorted(k[~flat].tolist() + search[np.isnan(w)].tolist())
+        if failed:
+            raise UnboundedCriterionError(
+                "criterion keeps growing; no finite maximiser found" if failed[0] in search
+                else "criterion is not strictly concave and U is unbounded", time=crit.t[failed[0]])
+        lo, hi = -w, w
+    else:
+        lo, hi = float(cs.lo[0]), float(cs.hi[0])
+        f_lo, f_hi = crit.values(np.tile(k, 2), np.repeat([lo, hi], len(k))).reshape(2, -1)
+        out[k, 0] = np.where(f_lo >= f_hi, lo, hi)
+        lo, hi = np.full(len(search), lo), np.full(len(search), hi)
+    out[search, 0] = _golden_section(crit, search, lo, hi)
     return out
 
 
@@ -463,20 +390,13 @@ def argmax_control_state_linear(problem: StateLinearProblem,
     ``t`` is one time (result shape (m,)) or a sequence of times (result
     shape (len(t), m), bit for bit the stacked one-time results); the curve
     values at all times are looked up together.  A solver whose sample times
-    never change passes them prepared once by ``_sample_times``.
+    never change passes them prepared once, as a ``_SampleTimes``.
     """
     single = not isinstance(t, (Sequence, np.ndarray, _SampleTimes))
-    if not isinstance(t, _SampleTimes):
-        t = _sample_times(problem.lattice(), [t] if single else t)
-    out = _argmax_all(problem, _Criterion(problem, cand, eta, t), rng)
+    times = t if isinstance(t, _SampleTimes) else _sample_times(problem.lattice(),
+                                                                 [t] if single else t)
+    out = _argmax_all(problem, _Criterion(problem, cand, eta, times), rng)
     return out[0] if single else out
-
-
-def _rational_grid(lattice: CommensurabilityLattice, per_cell: int,
-                   interior_only: bool = False) -> list[Rational]:
-    ts = [lo + (hi - lo) * Fraction(j, per_cell) for _, lo, hi in lattice.cells()
-          for j in range(1 if interior_only else 0, per_cell)]
-    return ts if interior_only else ts + [lattice.b]
 
 
 def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
@@ -492,8 +412,7 @@ def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
     """
     rng = np.random.default_rng(seed)
     lattice = problem.lattice()
-    crit = _Criterion(problem, cand, eta, _sample_times(
-        lattice, _rational_grid(lattice, grid_points_per_cell)))
+    crit = _Criterion(problem, cand, eta, _lattice_grid(lattice, grid_points_per_cell))
     cs, u_c = problem.control_set, cand.control.eval_many(crit.t)
     N, m = u_c.shape
     # one draw for all times, in the stream order of per-time sampling
@@ -553,13 +472,16 @@ def check_convexity_f0x(problem: StateLinearProblem, cand: CandidateSolution,
     k = int(np.argmax(viol))   # the first pair with the worst violation
     worst, worst_loc = ((float(viol[k]), (float(t[k]), tuple(np.round(mid[k], 6).tolist())))
                         if viol[k] > 0.0 else (0.0, None))
-    for _ in range(32):
-        t = rng.uniform(a, b)
-        z = rng.uniform(box_lo, box_hi)
-        H = hessian(lambda w: float(problem.f0x(t, w[:n], w[n:])), z)
-        neg = -float(np.min(np.linalg.eigvalsh(H)))
-        if neg > max(worst, noise):
-            worst, worst_loc = neg, (t, tuple(np.round(z, 6).tolist()))
+    # the Hessian at 32 points, drawn (t, z) point by point in the stream
+    # order of rng.uniform, each probe of each point in one f0x call
+    draw = rng.random((32, 1 + 2 * n))
+    t = a + (b - a) * draw[:, 0]
+    z = box_lo + (box_hi - box_lo) * draw[:, 1:]
+    H = hessians(lambda w: f0x(np.repeat(t, len(w) // len(t)), w[:, :n], w[:, n:]), z)
+    neg = -np.min(np.linalg.eigvalsh(H), axis=1)
+    k = int(np.argmax(neg))   # the first point with the most negative eigenvalue
+    if neg[k] > max(worst, noise):
+        worst, worst_loc = float(neg[k]), (float(t[k]), tuple(np.round(z[k], 6).tolist()))
     return CheckResult("convexity_f0x", worst <= tol, worst, worst_loc,
                        detail=f"box halfwidth {halfwidth}, {pairs} midpoint pairs, "
                               f"Hessian eigenvalues above -{noise:g} taken as noise")
@@ -696,14 +618,15 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     standing in when t - s precedes the horizon start.
 
     ``t`` is one time (a float result) or a sequence of times (an array, bit
-    for bit the stacked one-time results), each term one array-form call.
+    for bit the stacked one-time results, also when prepared as a
+    ``_SampleTimes``), each term one array-form call.
     ``dx`` displaces the current state x(t) off the trajectory: one
     displacement, or one row per time.  The delayed argument x(t-r) and the
     control u*(t-s) stay on the centerline: the equation is stated along
     trajectories, so this only probes robustness of S in x.
     """
-    single = not isinstance(t, (Sequence, np.ndarray))
-    times = _sample_times(lattice, [t] if single else t)
+    single = not isinstance(t, (Sequence, np.ndarray, _SampleTimes))
+    times = t if isinstance(t, _SampleTimes) else _sample_times(lattice, [t] if single else t)
     u, x, y, eta = _closed_loop(problem, S, feedback, state_traj, times.t,
                                 times.delayed_state, dx)
     early, lag = times.before_start, ~times.before_start
@@ -745,11 +668,12 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     cert.checks.append(CheckResult("terminal_value", term <= cfg.tol_terminal,
                                    term, float(problem.b)))
 
-    interior = _rational_grid(lattice, cfg.grid_points_per_cell, interior_only=True)
+    interior = _lattice_grid(lattice, cfg.grid_points_per_cell, interior_only=True)
+    tube = np.repeat(np.arange(len(interior.t))[:: max(1, len(interior.t) // 40)], 4)
+    tube_times = _lattice_grid(lattice, cfg.grid_points_per_cell, interior_only=True, rows=tube)
     breakpoints = list(lattice.breakpoints[1:-1])
-    tube_times = [t for t in interior[:: max(1, len(interior) // 40)] for _ in range(4)]
     # one draw, in the stream order of drawing the directions sample by sample
-    directions = rng.normal(size=(len(tube_times), problem.n))
+    directions = rng.normal(size=(len(tube_times.t), problem.n))
     directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
     res, bp_res, tube = (
         hj_residual(problem, S, feedback, lattice, ts, cand.state, dx) for ts, dx in
@@ -760,13 +684,14 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     # the breakpoint and tube samples weigh in here only when non-finite
     gaps = [np.abs(res)] + [np.where(np.isfinite(v), 0.0, np.inf) for v in (bp_res, tube)]
     check = _scored("hj_residual", np.concatenate(gaps),
-                    [float(t) for t in interior + breakpoints + tube_times], cfg.tol_residual,
+                    interior.t.tolist() + [float(t) for t in breakpoints] + tube_times.t.tolist(),
+                    cfg.tol_residual,
                     detail=(f"tube worst {tube_worst:.3e} at radius {cfg.tube_radius:g}; "
                             f"breakpoint samples: {bp_notes or 'none'}"))
     check.passed = check.passed and tube_worst <= cfg.tube_tol
     cert.checks.append(check)
 
-    grid = _sample_times(lattice, _rational_grid(lattice, cfg.grid_points_per_cell))
+    grid = _lattice_grid(lattice, cfg.grid_points_per_cell)
     u = _closed_loop(problem, S, feedback, cand.state, grid.t, grid.delayed_state)[0]
     cert.checks.append(_scored(
         "feedback_consistency", np.max(np.abs(u - cand.control.eval_many(grid.t)), axis=1),

@@ -3,11 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
-from retard_oc.lattice import make_lattice
+from retard_oc.lattice import _lattice_grid, _sample_times, make_lattice
 from retard_oc.probfile import parse_value_function
 from retard_oc.problems import batched
 from retard_oc.registry import (D_VALUE_FUNCTION, d_feedback, d_state_value,
@@ -101,6 +101,49 @@ def test_active_cells_is_the_closed_cell_count(a, h, n_cells, k, offset):
     t = a + k * h + offset * h
     expected = sum(lo <= t <= hi for _, lo, hi in lattice.cells())
     assert active_cells(lattice, t) == expected
+
+
+def _fraction_grid(lattice, per_cell, form):
+    """The sample grid as exact Fractions, one per time: j / per_cell of
+    each cell, then b; the interior points only; or both ends of each cell."""
+    if form == "both ends":
+        return [lo + (hi - lo) * Fraction(j, per_cell)
+                for _, lo, hi in lattice.cells() for j in range(per_cell + 1)]
+    ts = [lo + (hi - lo) * Fraction(j, per_cell) for _, lo, hi in lattice.cells()
+          for j in range(1 if form == "interior" else 0, per_cell)]
+    return ts if form == "interior" else ts + [lattice.b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.fractions(-3, 3, max_denominator=7), h=st.fractions(1, 3, max_denominator=5),
+       n_cells=st.integers(1, 6), kr=st.integers(0, 4), ks=st.integers(0, 4),
+       per_cell=st.integers(1, 64), form=st.sampled_from(["grid", "interior", "both ends"]),
+       stride=st.integers(1, 5))
+@example(a=Fraction(-1, 3), h=Fraction(1, 3), n_cells=6, kr=2, ks=1, per_cell=24,
+         form="interior", stride=3)
+def test_the_integer_grid_is_the_fraction_grid(a, h, n_cells, kr, ks, per_cell, form, stride):
+    # r = kr h and s = ks h, so the lattice's amplitude is a multiple of h and
+    # need not be an integer; every field must be the one _sample_times
+    # gives the same times as Fractions, also on a repeated subset of rows
+    lattice = make_lattice(a, a + n_cells * h, kr * h, ks * h if kr or ks else h)
+    exact = _fraction_grid(lattice, per_cell, form)
+    rows = np.repeat(np.arange(len(exact))[::stride], 4)
+    kw = dict(interior_only=form == "interior", both_ends=form == "both ends")
+    for got, want in ((_lattice_grid(lattice, per_cell, **kw), _sample_times(lattice, exact)),
+                      (_lattice_grid(lattice, per_cell, rows=rows, **kw),
+                       _sample_times(lattice, [exact[i] for i in rows]))):
+        for name in want.__dataclass_fields__:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+def test_the_integer_grid_refuses_numerators_past_2_to_the_53():
+    # two cells, a = 2^-47: D = 2^47 per_cell, so b D passes 2^53 at 64
+    lattice = make_lattice(Fraction(1, 2 ** 47), 1 + Fraction(1, 2 ** 47), Fraction(1, 2), 0)
+    assert lattice.n_cells == 2
+    assert _lattice_grid(lattice, 1).t.tolist() == [float(t) for t in lattice.breakpoints]
+    with pytest.raises(AssertionError):
+        _lattice_grid(lattice, 64)
 
 
 @settings(max_examples=300, deadline=None)

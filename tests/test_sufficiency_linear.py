@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from retard_oc.dde import integrate_adjoint_linear
-from retard_oc.errors import UnboundedCriterionError
+from retard_oc.errors import NonFiniteDerivativeError, UnboundedCriterionError
+from retard_oc.numdiff import FD2_STEP, hessians
 from retard_oc.problems import (CandidateSolution, ControlSet,
-                                StateLinearProblem)
+                                StateLinearProblem, model_arrays)
 from retard_oc.registry import (make_concave_problem, make_drift_problem,
                                 make_inert_problem,
                                 make_ld_adjoint_trajectory,
@@ -16,7 +17,8 @@ from retard_oc.registry import (make_concave_problem, make_drift_problem,
                                 make_ld_problem, make_ld_shifted_adjoint,
                                 make_rest_candidate)
 from retard_oc.dde import AdjointTrajectory
-from retard_oc.sufficiency import (VerifyConfig, _argmax_scalar, _argmax_vector,
+from retard_oc.sufficiency import (GOLDEN, ROUNDING_FLOOR, CheckResult, VerifyConfig,
+                                   _argmax_vector, _candidate_state_box,
                                    argmax_control_state_linear,
                                    check_convexity_f0x, check_maximality,
                                    check_transversality,
@@ -245,6 +247,126 @@ def test_convexity_gate_is_tol_itself():
     assert "Hessian eigenvalues above -1e-06 taken as noise" in result.detail
 
 
+# -- the convexity Hessian against a per-point reference ------------------------------
+
+def _per_point_hessian(fn, x):
+    """The finite-difference Hessian as computed one point at a time."""
+    x = np.asarray(x, dtype=float)
+    k = x.size
+    out = np.empty((k, k))
+    hs = FD2_STEP * (1.0 + np.abs(x.ravel()))
+    f0 = fn(x)
+    for i in range(k):
+        xp = x.copy(); xp.flat[i] += hs[i]
+        xm = x.copy(); xm.flat[i] -= hs[i]
+        out[i, i] = (fn(xp) - 2.0 * f0 + fn(xm)) / hs[i] ** 2
+        for j in range(i + 1, k):
+            xpp = x.copy(); xpp.flat[i] += hs[i]; xpp.flat[j] += hs[j]
+            xpm = x.copy(); xpm.flat[i] += hs[i]; xpm.flat[j] -= hs[j]
+            xmp = x.copy(); xmp.flat[i] -= hs[i]; xmp.flat[j] += hs[j]
+            xmm = x.copy(); xmm.flat[i] -= hs[i]; xmm.flat[j] -= hs[j]
+            out[i, j] = out[j, i] = (
+                fn(xpp) - fn(xpm) - fn(xmp) + fn(xmm)) / (4.0 * hs[i] * hs[j])
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteDerivativeError("non-finite Hessian probe")
+    return out
+
+
+def _per_point_convexity(problem, cand, tol=1e-6, pairs=1000, halfwidth=1.0, seed=0):
+    """check_convexity_f0x with its 32 Hessians drawn and taken one point at
+    a time through the scalar f0x."""
+    rng = np.random.default_rng(seed)
+    lo, hi = _candidate_state_box(problem, cand, halfwidth)
+    n = problem.n
+    a, b = float(problem.a), float(problem.b)
+    noise = 1e-6
+    draw = rng.random((pairs, 1 + 4 * n))
+    box_lo, box_hi = np.concatenate([lo, lo]), np.concatenate([hi, hi])
+    t = a + (b - a) * draw[:, 0]
+    p, q = (box_lo + (box_hi - box_lo) * draw[:, k:k + 2 * n] for k in (1, 1 + 2 * n))
+    mid = 0.5 * (p + q)
+    f0x, = model_arrays(problem, "f0x")
+    at = lambda z: f0x(t, z[:, :n], z[:, n:])
+    viol = at(mid) - 0.5 * (at(p) + at(q))
+    viol = np.where(viol > 0.0, viol, 0.0)
+    k = int(np.argmax(viol))
+    worst, worst_loc = ((float(viol[k]), (float(t[k]), tuple(np.round(mid[k], 6).tolist())))
+                        if viol[k] > 0.0 else (0.0, None))
+    for _ in range(32):
+        t = rng.uniform(a, b)
+        z = rng.uniform(box_lo, box_hi)
+        H = _per_point_hessian(lambda w: float(problem.f0x(t, w[:n], w[n:])), z)
+        neg = -float(np.min(np.linalg.eigvalsh(H)))
+        if neg > max(worst, noise):
+            worst, worst_loc = neg, (t, tuple(np.round(z, 6).tolist()))
+    return CheckResult("convexity_f0x", worst <= tol, worst, worst_loc,
+                       detail=f"box halfwidth {halfwidth}, {pairs} midpoint pairs, "
+                              f"Hessian eigenvalues above -{noise:g} taken as noise")
+
+
+def _two_state(f0x):
+    """An n = 2 problem with running state cost ``f0x`` and a moving candidate."""
+    problem = StateLinearProblem(
+        a=Fraction(1, 3), b=Fraction(7, 3), r=Fraction(2, 3), s=Fraction(1, 3), n=2, m=1,
+        A=lambda t: np.array([[-0.5, 1.0], [0.2, 0.1]]), A_D=lambda t: np.zeros((2, 2)),
+        g=lambda t, u: np.array([u[0], 0.0]), g_D=lambda t, v: np.zeros(2),
+        f0x=f0x, f0u=lambda t, u, v: float(u[0]) ** 2,
+        phi=lambda t: np.array([1.0, -0.5]), psi=lambda t: np.array([0.0]))
+    state = from_pieces(2, [(-Fraction(1, 3), Fraction(1, 3), lambda t: [1.0, -0.5]),
+                            (Fraction(1, 3), Fraction(7, 3),
+                             lambda t: [np.cos(t), np.sin(2.0 * t) - 0.5])], main_start=Fraction(1, 3))
+    return problem, CandidateSolution(state=state, control=make_rest_candidate(problem).control)
+
+
+def _convexity_cases():
+    ld, ld_cand = make_ld_problem(), make_ld_candidate()
+    concave = make_concave_problem()
+    squares = replace(ld, f0x=lambda t, x, y: float(x[0]) ** 2 + float(y[0]) ** 2,
+                      f0x_dx=None, f0x_dy=None)
+    saddle = _two_state(lambda t, x, y: (float(x[0]) ** 2 + 0.5 * float(x[0] * x[1])
+                                         - 0.3 * float(x[1] * y[0]) + np.sin(t * float(y[1]))))
+    bowl = _two_state(lambda t, x, y: float(x @ x) + 2.0 * float(y @ y) + t * float(x[0]))
+    return {"ld": (ld, ld_cand), "concave-cost": (concave, make_rest_candidate(concave)),
+            "sum-of-squares": (squares, ld_cand), "n2-saddle": saddle, "n2-bowl": bowl}
+
+
+@pytest.mark.parametrize("name", ["ld", "concave-cost", "sum-of-squares", "n2-saddle", "n2-bowl"])
+@pytest.mark.parametrize("pairs, seed", [(1000, 0), (1, 0), (20, 7)])
+def test_convexity_hessians_in_one_call_match_the_per_point_loop(name, pairs, seed):
+    # one pair leaves the verdict to the Hessians, so their witness is tested
+    problem, cand = _convexity_cases()[name]
+    got = check_convexity_f0x(problem, cand, pairs=pairs, seed=seed)
+    assert repr(got) == repr(_per_point_convexity(problem, cand, pairs=pairs, seed=seed))
+
+
+def test_the_hessian_witness_is_the_first_most_negative_point():
+    problem, cand = _convexity_cases()["n2-saddle"]
+    result = check_convexity_f0x(problem, cand, pairs=1)
+    assert not result.passed and result.worst_residual > 1e-2
+    assert result.worst_location == _per_point_convexity(problem, cand, pairs=1).worst_location
+
+
+def test_hessians_of_rows_match_the_per_point_hessian(rng):
+    # the ld two-control argmax takes this Hessian of its scalar criterion
+    fn = lambda w: float(np.sin(w[0]) * w[-1] + np.exp(0.3 * w.sum()) + w[0] ** 4)
+    for k in (1, 2, 3, 5):
+        X = rng.normal(size=(6, k)) * 3.0
+        # a step h whose h ** 2 (libm pow) and h * h round apart
+        X[0, 0] = -4.419429223996875
+        got = hessians(lambda W: np.array([fn(w) for w in W]), X)
+        assert np.array_equal(got, np.array([_per_point_hessian(fn, x) for x in X]))
+
+
+def test_a_non_finite_hessian_probe_still_raises():
+    # a zero half-width pins every midpoint pair to the candidate's constant
+    # state, where f0x is finite; each Hessian probe steps off it to a NaN
+    problem, cand = _drift_with_cost(
+        lambda t, x, y: 0.0 if float(x[0]) == float(y[0]) == 1.0 else np.nan)
+    for check in (check_convexity_f0x, _per_point_convexity):
+        with pytest.raises(NonFiniteDerivativeError, match="non-finite Hessian probe"):
+            check(problem, cand, halfwidth=0.0)
+
+
 def test_transversality_checks():
     zero = AdjointTrajectory(
         trajectory=from_pieces(1, [(0, 2, lambda t: [0.0])], main_start=0),
@@ -387,6 +509,73 @@ def _reference_criterion(problem, cand, eta, t):
     return crit
 
 
+# the per-time scalar searches the array argmax replaced, kept as its reference
+
+def _golden_max(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while abs(b - a) > tol * (1.0 + abs(a) + abs(b)):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+    return 0.5 * (a + b)
+
+
+def _shape_tolerances(c0, cp, cm):
+    """(fit, curvature) tolerances of the quadratic test from the criterion at
+    u = 0, 1, -1: relative to the u-dependent differences, plus the values'
+    rounding floor, so a constant offset in the criterion widens neither."""
+    scale = np.maximum(1.0, np.maximum(np.abs(cp - c0), np.abs(cm - c0)))
+    floor = ROUNDING_FLOOR * np.maximum(np.abs(c0), np.maximum(np.abs(cp), np.abs(cm)))
+    return 1e-8 * scale + floor, 1e-12 * scale + floor
+
+
+def _argmax_scalar(fn, control_set: ControlSet) -> np.ndarray:
+    """Maximise a scalar-control criterion: closed form for concave
+    quadratics, golden-section otherwise."""
+    c0, cp, cm = fn(0.0), fn(1.0), fn(-1.0)
+    fit_tol, tiny = _shape_tolerances(c0, cp, cm)
+    a2 = 0.5 * (cp + cm) - c0
+    a1 = 0.5 * (cp - cm)
+    # quadratic means the 3-point fit predicts fresh probe points
+    quadratic = all(
+        abs(fn(z) - (c0 + a1 * z + a2 * z * z)) <= fit_tol
+        for z in (2.0, 0.5, -1.5))
+    if quadratic:
+        if a2 < -tiny:
+            vertex = -a1 / (2.0 * a2)
+            return control_set.project(np.array([vertex]))
+        if control_set.is_free:
+            if abs(a2) <= tiny and abs(a1) <= tiny:
+                return np.array([0.0])  # constant criterion: any u maximises
+            raise UnboundedCriterionError(
+                "criterion is not strictly concave and U is unbounded")
+        lo, hi = float(control_set.lo[0]), float(control_set.hi[0])
+        return np.array([lo if fn(lo) >= fn(hi) else hi])
+    if not control_set.is_free:
+        lo, hi = float(control_set.lo[0]), float(control_set.hi[0])
+    else:
+        # expand a bracket around 0 until the maximum is interior
+        width = 1.0
+        while True:
+            lo, hi = -width, width
+            if fn(lo) < fn(0.0) > fn(hi):
+                break
+            width *= 4.0
+            if width > 1e8:
+                raise UnboundedCriterionError("criterion keeps growing; no "
+                                              "finite maximiser found")
+    best = _golden_max(fn, lo, hi)
+    return np.array([best])
+
+
 def _reference_argmax(problem, cand, eta, times, rng=None):
     """Maximiser time by time, in order, through the scalar searches."""
     out = []
@@ -432,22 +621,36 @@ def test_batched_argmax_clamps_vertex_like_reference(ld_problem, ld_candidate):
         rtol=0.0, atol=1e-12)
 
 
+def _quartic_control_cost(problem, quartic, control_set=None):
+    return replace(problem, control_set=control_set or problem.control_set,
+                   f0u=lambda t, u, v: 100.0 * float(u[0]) ** 2 + quartic * float(u[0]) ** 4)
+
+
 @pytest.mark.parametrize("quartic", [400.0, 1e-3])
 def test_batched_argmax_golden_section_like_reference(ld_problem, ld_candidate,
                                                       quartic):
     # a quartic control cost: the quadratic test fails at every time, even
     # for a quartic term far below the criterion's scale, and each time
-    # takes the bracketed golden-section search
-    from dataclasses import replace
-    problem = replace(ld_problem, f0u=lambda t, u, v: 100.0 * float(u[0]) ** 2
-                      + quartic * float(u[0]) ** 4)
+    # takes the bracketed golden-section search, all times in lockstep
+    problem = _quartic_control_cost(ld_problem, quartic)
     eta = integrate_adjoint_linear(problem, ld_candidate)
     times = _lattice_times(problem, 4)
     batched = argmax_control_state_linear(problem, ld_candidate, eta, times)
     assert np.count_nonzero(np.abs(batched) > 1e-3) > len(times) // 2
-    np.testing.assert_allclose(
-        batched, _reference_argmax(problem, ld_candidate, eta, times),
-        rtol=0.0, atol=1e-12)
+    assert np.array_equal(batched, _reference_argmax(problem, ld_candidate, eta, times))
+
+
+@pytest.mark.parametrize("quartic", [400.0, 1e-3])
+def test_batched_argmax_golden_section_on_a_box_like_reference(ld_problem, ld_candidate,
+                                                               quartic):
+    # the same search on the box [-0.2, 0.3], which holds some maximisers
+    # and cuts off others
+    problem = _quartic_control_cost(ld_problem, quartic, ControlSet.box([-0.2], [0.3]))
+    eta = integrate_adjoint_linear(problem, ld_candidate)
+    times = _lattice_times(problem, 4)
+    batched = argmax_control_state_linear(problem, ld_candidate, eta, times)
+    assert np.any(batched > 0.29) and np.any((batched > 1e-3) & (batched < 0.29))
+    assert np.array_equal(batched, _reference_argmax(problem, ld_candidate, eta, times))
 
 
 def test_batched_argmax_two_controls_like_reference():
@@ -490,6 +693,97 @@ def test_batched_argmax_two_controls_like_reference():
 def _with_f0u(problem, f0u):
     from dataclasses import replace
     return replace(problem, f0u=f0u)
+
+
+def _zero_adjoint():
+    return AdjointTrajectory(trajectory=from_pieces(1, [(0, 2, lambda t: [0.0])], main_start=0),
+                             terminal_value=np.zeros(1))
+
+
+def _reference_first_unbounded(problem, cand, eta, times):
+    """(time, message) of the first time at which the scalar search raises,
+    the time named as the library names it; None if none does."""
+    for t in times:
+        try:
+            _reference_argmax(problem, cand, eta, [t])
+        except UnboundedCriterionError as exc:
+            return float(t), f"{exc} at t={float(t)!r}"
+    return None
+
+
+def test_constant_criterion_takes_zero_like_reference():
+    # concave-cost: f0u = 0 and no control in the dynamics, so the criterion
+    # is constant in u at every time; on a free U each takes 0
+    problem = make_concave_problem()
+    assert problem.control_set.is_free
+    cand = make_rest_candidate(problem)
+    eta = integrate_adjoint_linear(problem, cand)
+    times = _lattice_times(problem, 24)
+    batched = argmax_control_state_linear(problem, cand, eta, times)
+    assert np.array_equal(batched, _reference_argmax(problem, cand, eta, times))
+    assert not np.any(batched)
+
+
+@pytest.mark.parametrize("f0u", [lambda t, u, v: (1.0 - t) * float(u[0]),
+                                 lambda t, u, v: 0.0 * float(u[0]) + t])
+def test_linear_or_flat_criterion_on_a_box_takes_the_better_end(f0u):
+    # criterion -(1 - t) u: the lower end before t = 1, the upper after it,
+    # and the lower on the tie at t = 1; a flat criterion ties everywhere
+    problem = replace(_with_f0u(_quadratic_cost_problem(center=0.0), f0u),
+                      control_set=ControlSet.box([-0.5], [2.0]))
+    cand, eta = make_rest_candidate(problem), _zero_adjoint()
+    times = _lattice_times(problem, 8)
+    batched = argmax_control_state_linear(problem, cand, eta, times)
+    assert np.array_equal(batched, _reference_argmax(problem, cand, eta, times))
+    assert set(batched.ravel().tolist()) <= {-0.5, 2.0}
+    assert batched[times.index(Fraction(1))][0] == -0.5
+
+
+def test_non_concave_quadratic_on_a_free_set_names_the_first_time():
+    # criterion -f0u = (t - 1/2) u^2 + u: strictly concave before t = 1/2,
+    # linear at it and convex after it, both unbounded on a free U
+    problem = _with_f0u(_quadratic_cost_problem(center=0.0),
+                        lambda t, u, v: (0.5 - t) * float(u[0]) ** 2 - float(u[0]))
+    cand, eta = make_rest_candidate(problem), _zero_adjoint()
+    times = _lattice_times(problem, 8)
+    first = _reference_first_unbounded(problem, cand, eta, times)
+    assert first == (0.5, "criterion is not strictly concave and U is unbounded at t=0.5")
+    with pytest.raises(UnboundedCriterionError) as info:
+        argmax_control_state_linear(problem, cand, eta, times)
+    assert (info.value.time, str(info.value)) == first
+    kept = [t for t in times if t < Fraction(1, 2)]
+    assert np.array_equal(argmax_control_state_linear(problem, cand, eta, kept),
+                          _reference_argmax(problem, cand, eta, kept))
+
+
+def _three_phase_cost(early, middle, late):
+    """f0u following ``early`` before t = 1/4, ``middle`` up to t = 1/2 and
+    ``late`` after it."""
+    return lambda t, u, v: (early if t < 0.25 else middle if t < 0.5 else late)(float(u[0]))
+
+
+CONCAVE, GROWING, CONVEX = (lambda u: (u - 0.3) ** 2, lambda u: -u ** 4 - u ** 2,
+                            lambda u: -u ** 2)
+
+
+@pytest.mark.parametrize("middle, late, message", [
+    (GROWING, CONVEX, "criterion keeps growing; no finite maximiser found"),
+    (CONVEX, GROWING, "criterion is not strictly concave and U is unbounded")])
+def test_the_first_unbounded_time_is_named_whichever_its_kind(middle, late, message):
+    # a non-quadratic criterion that keeps growing and a convex quadratic
+    # one, in either order after concave times: the first of them is named,
+    # with its own message, as the time-by-time search names it
+    problem = _with_f0u(_quadratic_cost_problem(center=0.0),
+                        _three_phase_cost(CONCAVE, middle, late))
+    cand, eta = make_rest_candidate(problem), _zero_adjoint()
+    times = _lattice_times(problem, 8)
+    first = _reference_first_unbounded(problem, cand, eta, times)
+    assert first == (0.25, f"{message} at t=0.25")
+    with pytest.raises(UnboundedCriterionError) as info:
+        argmax_control_state_linear(problem, cand, eta, times)
+    assert (info.value.time, str(info.value)) == first
+    result = check_maximality(problem, cand, eta, grid_points_per_cell=8)
+    assert (result.passed, result.worst_residual, result.worst_location) == (False, np.inf, 0.25)
 
 
 def test_batched_argmax_raises_at_the_first_unbounded_time():
