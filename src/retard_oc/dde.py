@@ -19,7 +19,7 @@ k cells is a shift by k blocks (:func:`~retard_oc.trajectory.delayed_rows`),
 so every input a march does not produce itself is resolved once for all
 cells, one array-form call per model term.  Per cell only the finalized
 cell r/h away is read, at its own stage times; only the current-cell state
-is sequential.
+is sequential, and not even that where f reads none (:func:`_state_free_cell`).
 
 Where the slope is affine in the marched value (the costate of every
 problem class, the state of a state-linear problem), each substep is an
@@ -138,10 +138,9 @@ def _substep(rhs, k: int, y: np.ndarray, dt):
     return k1, half1, k_mid, half2 + (half2 - full) / 15.0
 
 
-def _nodes(ts: np.ndarray, ys, ds):
+def _nodes(ts: np.ndarray, ys: np.ndarray, ds: np.ndarray):
     """Node arrays of a marched cell, ascending in time, from the values and
     slopes at its node times ``ts`` (the node slots of its distinct times)."""
-    ys, ds = np.asarray(ys), np.asarray(ds)
     if ts[-1] < ts[0]:
         ts, ys, ds = ts[::-1], ys[::-1], ds[::-1]
     return ts, ys, ds
@@ -149,18 +148,43 @@ def _nodes(ts: np.ndarray, ys, ds):
 
 def _integrate_cell(rhs, widths, times: np.ndarray, y0: np.ndarray):
     """March one cell along its :func:`_cell_schedule`, one :func:`_substep`
-    at a time; ``rhs(k, t, y)`` gets the slot k and t = times[k].
-    Returns the :func:`_nodes` arrays and the endpoint value."""
-    slots, ts = _slots(len(widths), _STAGE_SLOTS).tolist(), times.tolist()
-    stage = lambda k, y: rhs(slots[k], ts[slots[k]], y)
-    ys, ds, y = [], [], np.asarray(y0, dtype=float).copy()
+    at a time; ``rhs(k, t, y)`` gets the slot k and t = times[k].  Returns
+    the state read at each stage j (slot ``_slots(S, _STAGE_SLOTS)[j]``),
+    and the :func:`_nodes` arrays and the endpoint value."""
+    S, slots, ts = len(widths), _slots(len(widths), _STAGE_SLOTS).tolist(), times.tolist()
+    y = np.asarray(y0, dtype=float).copy()
+    states, slopes = np.empty((2, len(slots), len(y)))
+
+    def stage(k, x):
+        states[k], slopes[k] = x, rhs(slots[k], ts[slots[k]], x)
+        return slopes[k]
     for j, dt in enumerate(widths):
-        k1, half1, k_mid, y_next = _substep(stage, _STAGES * j, y, dt)
-        ys += [y, half1]
-        ds += [k1, k_mid]
-        y = y_next
-    ys.append(y); ds.append(rhs(slots[-1], ts[-1], y))
-    return (*_nodes(times[_slots(len(widths), _NODE_SLOTS)], ys, ds), y)
+        y = _substep(stage, _STAGES * j, y, dt)[3]
+    stage(-1, y)
+    # a substep's nodes are read by its stages 0 (start) and 7 (midpoint)
+    nodes = np.append(_STAGES * np.arange(S)[:, None] + [0, 7], -1)
+    return states, (*_nodes(times[_slots(S, _NODE_SLOTS)], states[nodes], slopes[nodes]), y)
+
+
+def _state_free_cell(problem: AnyProblem, k_r: int, x0: np.ndarray, args: tuple,
+                     march, rows=slice(None)):
+    """The state-free cell step of both marches (RK4 here, Euler in
+    :mod:`~retard_oc.solve`), for a general f with an array form and k_r > 0.
+    F is f at the cell's (t, y, u, v) rows ``args`` with the start state
+    ``x0`` on every row; ``march(F)`` marches on F and returns (states, out),
+    state j read with row ``rows[j]`` of F and one more only the cell's end.
+    Where f at those states gives those rows bit for bit and all values are
+    finite, that is the march on f itself, returned.  Else None (f reads x,
+    or a value overflows; numpy's warnings silenced): march stage by stage."""
+    if isinstance(problem, StateLinearProblem) or k_r == 0 or not hasattr(problem.f, "many"):
+        return None
+    f_many, (t, y, u, v) = array_form(problem.f, (problem.n,)), args
+    with np.errstate(all="ignore"):
+        F = f_many(t, np.broadcast_to(x0, y.shape), y, u, v)
+        (states, out), read = march(F), F[rows]
+        if np.isfinite(read).all() and np.isfinite(states).all() and f_many(
+                t[rows], states[:len(read)], y[rows], u[rows], v[rows]).tobytes() == read.tobytes():
+            return states, out
 
 
 def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
@@ -207,8 +231,8 @@ def _march(name: str, lattice: CommensurabilityLattice, schedule, y: np.ndarray,
 
     ``schedule`` is the pair of :func:`_schedules`.  ``march_cell(i, widths,
     times, y, curves)`` marches cell ``i`` from ``y`` with its schedule row
-    (``curves`` holds the cells finalized so far) and returns what
-    :func:`_integrate_cell` returns.  A non-finite seam raises, naming ``unit`` i.
+    (``curves`` holds the cells finalized so far) and returns the nodes and
+    end value of :func:`_integrate_cell`.  A non-finite seam raises, naming ``unit`` i.
     """
     widths, T = schedule
     curves: list = [None] * lattice.n_cells
@@ -272,10 +296,14 @@ def _forward_cells(problem: AnyProblem, control_cells, lattice: Commensurability
                  else (A_D[cell] @ xd[:, :, None])[:, :, 0] + g[cell] + g_D[cell])
             return _affine_cell(M[cell], c, widths, times, y)
         u_i, ud_i = u[cell], ud[cell]
+        kept = _state_free_cell(problem, k_r, y, (times, xd, u_i, ud_i), lambda F: _integrate_cell(
+            lambda k, t, x: F[k], widths, times, y), _slots(len(widths), _STAGE_SLOTS))
+        if kept:
+            return kept[1]
 
         def rhs(k, t, x):
             return problem.dynamics(t, x, x if xd is None else xd[k], u_i[k], ud_i[k])
-        return _integrate_cell(rhs, widths, times, y)
+        return _integrate_cell(rhs, widths, times, y)[1]
 
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
     return _march(name, lattice, schedule, y0, march_cell, unit=unit)

@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
-from .problems import ControlSet, StateLinearProblem, batched
+from .problems import ControlSet, StateLinearProblem, array_field
 
 # -- expression language -------------------------------------------------------
 
@@ -162,10 +162,10 @@ class Pow(Expr):
     def diff(self, var):
         if self.exponent == 0:
             return Const(0.0)
-        return mul(mul(Const(float(self.exponent)),
-                       Pow(self.base, self.exponent - 1) if self.exponent != 1
-                       else Const(1.0)),
-                   self.base.diff(var))
+        # x ** 1 is x exactly: a square's derivative reads its base itself
+        lowered = (Const(1.0) if self.exponent == 1 else self.base if self.exponent == 2
+                   else Pow(self.base, self.exponent - 1))
+        return mul(mul(Const(float(self.exponent)), lowered), self.base.diff(var))
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
         for idx, expr in exprs.items():
             out[(slice(None),) + idx] = expr.eval(env)
         return out
-    return batched(lambda t, *values: many(np.array([float(t)]), *values)[0], many)
+    return array_field(many)
 
 
 def _statements(text: str):
@@ -540,7 +540,7 @@ def parse_value_function(text: str):
                 rows = owner == k
                 out[rows] = rule(piece, {"t": ts[rows]}, X[rows])
             return out
-        return batched(lambda t, x: many(np.array([float(t)]), x)[0], many)
+        return array_field(many)
 
     def affine(c_key: str, eta_key: str) -> Callable:
         """c(t) + sum_i eta_i(t) x_i, added up in index order."""

@@ -119,6 +119,13 @@ def batched(scalar: Callable, many: Callable) -> Callable:
     return scalar
 
 
+def array_field(many: Callable) -> Callable:
+    """A model callable written once, as its array form ``many`` over K
+    times and (K, dim) vectors: the scalar call is ``many`` on one row."""
+    return batched(lambda t, *args: many(np.array([float(t)]), *(
+        np.asarray(arg, dtype=float).reshape(1, -1) for arg in args))[0], many)
+
+
 def array_form(fn: Callable, shape: tuple) -> Callable:
     """``fn`` over an array of times, values of ``shape`` stacked: its
     declared ``.many``, or a loop calling ``fn`` once per time whose values

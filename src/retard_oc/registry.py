@@ -4,6 +4,10 @@ Two benchmarks carry full analytic data (state, control, adjoint, and for
 the nonlinear one a verification function with its feedback law); they are
 the oracles most of the test suite is written against.  The fixtures are
 deliberately tiny problems that isolate a single behaviour.
+
+Every model field, curve and the feedback law is written once, as its array
+form (:func:`~retard_oc.problems.array_field`); a scalar call is the array
+form on one row, as for a parsed problem file.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, TerminalSet, batched)
+                       StateLinearProblem, TerminalSet, array_field)
 from .trajectory import Trajectory, from_pieces
 
 E2 = math.exp(2.0)
@@ -37,34 +41,24 @@ def _elementwise(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
     return oracle
 
 
-def _vec(fn: Callable[[np.ndarray], object]) -> Callable:
-    """A one-dimensional curve from ``fn``, a closed form over an array of
-    times or a constant, with its array form: ``fn`` as a (K, 1) column.
-    The scalar call is the array form on one row."""
-    def many(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.full(ts.shape, fn(ts))[:, None]
-    return batched(lambda t: many(np.array([float(t)]))[0], many)
-
-
 def _pieces(fn: Callable, *bounds) -> list:
-    """``from_pieces`` pieces of the curve ``_vec(fn)`` between each two
-    consecutive ``bounds``."""
-    curve = _vec(fn)
+    """``from_pieces`` pieces between each two consecutive ``bounds`` of
+    the one-dimensional curve ``fn``, a closed form over an array of times
+    or a constant, as a (K, 1) column."""
+    curve = array_field(lambda ts: np.full(np.shape(ts), fn(np.asarray(ts, dtype=float)))[:, None])
     return [(lo, hi, curve) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _constant(value) -> Callable:
-    """A model field equal to ``value`` whatever its arguments, with its
-    array form (:func:`~retard_oc.problems.batched`)."""
+    """A model field equal to ``value`` whatever its arguments."""
     value = np.array(value, dtype=float)
-    scalar = (lambda *args: float(value)) if value.ndim == 0 else (lambda *args: value.copy())
-    return batched(scalar, lambda ts, *args: np.full((len(ts),) + value.shape, value))
+    return array_field(lambda ts, *args: np.full((len(ts),) + value.shape, value))
 
 
 def _squares(col: np.ndarray) -> np.ndarray:
-    """``c ** 2`` for each value, as the scalar forms compute it: Python's
-    float power, which can differ from numpy's square in the last bit."""
+    """``c ** 2`` for each value in Python's float power: the power of a
+    parsed ``^2`` and of the tests' scalar reference forms; numpy's square
+    can differ from it in the last bit."""
     return np.array([c ** 2 for c in col.tolist()])
 
 
@@ -87,19 +81,16 @@ def make_ld_problem() -> StateLinearProblem:
         A=_constant([[1.0]]),
         A_D=_constant([[1.0]]),
         g=_constant([0.0]),
-        g_D=batched(lambda t, v: np.array([-10.0 * v[0]]),
-                    lambda ts, V: -10.0 * V[:, :1]),
-        f0x=batched(lambda t, x, y: float(x[0]), lambda ts, X, Y: X[:, 0]),
-        f0u=batched(lambda t, u, v: 100.0 * float(u[0]) ** 2,
-                    lambda ts, U, V: 100.0 * _squares(U[:, 0])),
+        g_D=array_field(lambda ts, V: -10.0 * V[:, :1]),
+        f0x=array_field(lambda ts, X, Y: X[:, 0]),
+        f0u=array_field(lambda ts, U, V: 100.0 * _squares(U[:, 0])),
         phi=_constant([1.0]),
         psi=_constant([0.0]),
         control_set=ControlSet.free(1),
         f0x_dx=_constant([1.0]),
         f0x_dy=_constant([0.0]),
         g_du=_constant([[0.0]]), gD_dv=_constant([[-10.0]]),
-        f0u_du=batched(lambda t, u, v: np.array([200.0 * float(u[0])]),
-                       lambda ts, U, V: 200.0 * U[:, :1]),
+        f0u_du=array_field(lambda ts, U, V: 200.0 * U[:, :1]),
         f0u_dv=_constant([0.0]),
         name="ocp-ld-paper",
     )
@@ -165,26 +156,20 @@ def make_d_problem() -> DelayedProblem:
     return DelayedProblem(
         a=Fraction(0), b=Fraction(3), r=Fraction(1), s=Fraction(2),
         n=1, m=1,
-        f0=batched(lambda t, x, y, u, v: float(x[0]) ** 2 + float(u[0]) ** 2,
-                   lambda ts, X, Y, U, V: _squares(X[:, 0]) + _squares(U[:, 0])),
-        f=batched(lambda t, x, y, u, v: np.array([float(y[0]) * float(v[0])]),
-                  lambda ts, X, Y, U, V: Y[:, :1] * V[:, :1]),
+        f0=array_field(lambda ts, X, Y, U, V: _squares(X[:, 0]) + _squares(U[:, 0])),
+        f=array_field(lambda ts, X, Y, U, V: Y[:, :1] * V[:, :1]),
         phi=_constant([1.0]),
         psi=_constant([0.0]),
         g0=lambda x: 0.0,
         control_set=ControlSet.free(1),
         terminal_set=TerminalSet.free(1),
         f_dx=_constant([[0.0]]),
-        f_dy=batched(lambda t, x, y, u, v: np.array([[float(v[0])]]),
-                     lambda ts, X, Y, U, V: V[:, :1, None]),
+        f_dy=array_field(lambda ts, X, Y, U, V: V[:, :1, None]),
         f_du=_constant([[0.0]]),
-        f_dv=batched(lambda t, x, y, u, v: np.array([[float(y[0])]]),
-                     lambda ts, X, Y, U, V: Y[:, :1, None]),
-        f0_dx=batched(lambda t, x, y, u, v: np.array([2.0 * float(x[0])]),
-                      lambda ts, X, Y, U, V: 2.0 * X[:, :1]),
+        f_dv=array_field(lambda ts, X, Y, U, V: Y[:, :1, None]),
+        f0_dx=array_field(lambda ts, X, Y, U, V: 2.0 * X[:, :1]),
         f0_dy=_constant([0.0]),
-        f0_du=batched(lambda t, x, y, u, v: np.array([2.0 * float(u[0])]),
-                      lambda ts, X, Y, U, V: 2.0 * U[:, :1]),
+        f0_du=array_field(lambda ts, X, Y, U, V: 2.0 * U[:, :1]),
         f0_dv=_constant([0.0]),
         g0_grad=lambda x: np.array([0.0]),
         name="ocp-d-goellmann",
@@ -239,8 +224,7 @@ def make_d_adjoint_trajectory() -> Trajectory:
 # Closed-loop control law for the nonlinear benchmark: the optimal control
 # depends on time only, so the law is constant (and trivially smooth) in the
 # state and multiplier arguments.
-d_feedback = batched(lambda t, x, y, eta: np.array([d_control_value(t)]),
-                     lambda ts, X, Y, ETA: d_control_value(ts)[:, None])
+d_feedback = array_field(lambda ts, X, Y, ETA: d_control_value(ts)[:, None])
 
 # the text of make_d_value_function; {scale} and {shift} perturb piece 3
 D_VALUE_FUNCTION = """\
@@ -298,7 +282,7 @@ def _inert_dynamics_problem(name: str, **costs) -> StateLinearProblem:
     """A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
     whatever the control does.  ``costs`` replace fields of the running
     cost f0x = x, f0u = 0."""
-    fields = dict(f0x=batched(lambda t, x, y: float(x[0]), lambda ts, X, Y: X[:, 0]),
+    fields = dict(f0x=array_field(lambda ts, X, Y: X[:, 0]),
                   f0x_dx=_constant([1.0]), f0u=_constant(0.0), f0u_du=_constant([0.0]))
     return StateLinearProblem(
         a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1), n=1, m=1,
@@ -313,9 +297,8 @@ def make_drift_problem() -> StateLinearProblem:
     """Uncontrollable state with a pure control-energy cost."""
     return _inert_dynamics_problem(
         "drift-linear",
-        f0u=batched(lambda t, u, v: float(u[0]) ** 2, lambda ts, U, V: _squares(U[:, 0])),
-        f0u_du=batched(lambda t, u, v: np.array([2.0 * float(u[0])]),
-                       lambda ts, U, V: 2.0 * U[:, :1]))
+        f0u=array_field(lambda ts, U, V: _squares(U[:, 0])),
+        f0u_du=array_field(lambda ts, U, V: 2.0 * U[:, :1]))
 
 
 def make_inert_problem() -> StateLinearProblem:
@@ -328,9 +311,8 @@ def make_concave_problem() -> StateLinearProblem:
     nothing else does."""
     return _inert_dynamics_problem(
         "concave-cost",
-        f0x=batched(lambda t, x, y: -float(x[0]) ** 2, lambda ts, X, Y: -_squares(X[:, 0])),
-        f0x_dx=batched(lambda t, x, y: np.array([-2.0 * float(x[0])]),
-                       lambda ts, X, Y: -2.0 * X[:, :1]))
+        f0x=array_field(lambda ts, X, Y: -_squares(X[:, 0])),
+        f0x_dx=array_field(lambda ts, X, Y: -2.0 * X[:, :1]))
 
 
 def make_rest_candidate(problem) -> CandidateSolution:
@@ -387,19 +369,17 @@ class RegisteredExample:
     known_cost: Optional[float] = None
 
 
-REGISTRY: dict[str, RegisteredExample] = {
-    "ocp-ld-paper": RegisteredExample(
-        name="ocp-ld-paper",
-        note="state-linear benchmark with closed-form optimal pair and adjoint",
+REGISTRY: dict[str, RegisteredExample] = {example.name: example for example in (
+    RegisteredExample(
+        "ocp-ld-paper", "state-linear benchmark with closed-form optimal pair and adjoint",
         make_problem=make_ld_problem,
         make_candidate=make_ld_candidate,
         make_adjoint=make_ld_adjoint_trajectory,
         known_cost=LD_COST,
     ),
-    "ocp-d-goellmann": RegisteredExample(
-        name="ocp-d-goellmann",
-        note="nonlinear benchmark (Goellmann-type) with closed-form "
-             "verification function",
+    RegisteredExample(
+        "ocp-d-goellmann",
+        "nonlinear benchmark (Goellmann-type) with closed-form verification function",
         make_problem=make_d_problem,
         make_candidate=make_d_candidate,
         make_adjoint=make_d_adjoint_trajectory,
@@ -407,32 +387,28 @@ REGISTRY: dict[str, RegisteredExample] = {
         feedback=d_feedback,
         known_cost=D_COST,
     ),
-    "zero-delayed": RegisteredExample(
-        name="zero-delayed",
-        note="fixture: no dynamics, no cost",
+    RegisteredExample(
+        "zero-delayed", "fixture: no dynamics, no cost",
         make_problem=make_zero_problem,
         make_candidate=make_zero_candidate,
         known_cost=0.0,
     ),
-    "drift-linear": RegisteredExample(
-        name="drift-linear",
-        note="fixture: uncontrollable state, control-energy cost",
+    RegisteredExample(
+        "drift-linear", "fixture: uncontrollable state, control-energy cost",
         make_problem=make_drift_problem,
         make_candidate=lambda: make_rest_candidate(make_drift_problem()),
     ),
-    "inert-linear": RegisteredExample(
-        name="inert-linear",
-        note="fixture: cost constant in the control",
+    RegisteredExample(
+        "inert-linear", "fixture: cost constant in the control",
         make_problem=make_inert_problem,
         make_candidate=lambda: make_rest_candidate(make_inert_problem()),
     ),
-    "concave-cost": RegisteredExample(
-        name="concave-cost",
-        note="fixture: concave running state cost (convexity hypothesis fails)",
+    RegisteredExample(
+        "concave-cost", "fixture: concave running state cost (convexity hypothesis fails)",
         make_problem=make_concave_problem,
         make_candidate=lambda: make_rest_candidate(make_concave_problem()),
     ),
-}
+)}
 
 
 def get_example(name: str) -> RegisteredExample:

@@ -15,12 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .cost import evaluate_cost
-from .dde import (IntegratorConfig, _affine_scan, integrate_adjoint_linear,
-                  integrate_forward)
+from .dde import (IntegratorConfig, _affine_scan, _state_free_cell,
+                  integrate_adjoint_linear, integrate_forward)
 from .errors import NoConvergenceError, UnboundedDescentError
 from .lattice import _lattice_grid
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_form, batched, model_arrays, model_partials,
+                       array_field, array_form, model_arrays, model_partials,
                        running_cost_array)
 from .sufficiency import argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
@@ -98,8 +98,7 @@ def solve_fbsm(problem: StateLinearProblem,
     lattice = problem.lattice()
     control = init_control
     if control is None:
-        zero = CallableCurve(batched(lambda t: np.zeros(problem.m),
-                                     lambda ts: np.zeros((len(ts), problem.m))), problem.m)
+        zero = CallableCurve(array_field(lambda ts: np.zeros((len(ts), problem.m))), problem.m)
         control = cell_trajectory(lattice, problem.m, [zero] * lattice.n_cells,
                                   problem.control_history_start, problem.psi)
     omega = cfg.omega
@@ -225,14 +224,10 @@ class _EulerGrid:
         self.f0_d = [array_form(fn, (d,)) for fn, d in zip(f0_d, dims)]
         self.f_d = [array_form(fn, (p.n, d)) for fn, d in zip(f_d, dims)]
         self.L = self.M // lattice.n_cells   # Euler stages per lattice cell
-        # A and A_D stay None for a general problem, f_many for a state-linear
-        # one or an f without a declared array form
-        self.A = self.A_D = self.f_many = None
+        self.A = self.A_D = None   # stay None for a general problem
         if isinstance(p, StateLinearProblem):
             self.A, self.A_D = (many(T) for many in model_arrays(p, "A", "A_D"))
             self.g, self.g_D = model_arrays(p, "g", "g_D")
-        elif hasattr(p.f, "many"):
-            self.f_many = array_form(p.f, (p.n,))
 
 
 def _euler_forward(grid: _EulerGrid, u: np.ndarray):
@@ -245,13 +240,9 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     stages back or history rows, unless k_r = 0, when they are its own.
     With k_r > 0:
 
-    - a general problem whose f declares an array form first takes the cell
-      as an explicit sum: F = f with the cell's start state x_lo on every
-      row, and the running sums of x_lo, delta F_0, delta F_1, ...
-      (``np.cumsum``, strictly in order, so each is x_i + delta F_i).  They
-      are the Euler states exactly when f at them gives F again bit for bit
-      and all are finite; otherwise (f reads x, or a value overflows) the
-      cell is marched stage by stage, with numpy's warnings;
+    - a general problem whose f declares an array form first tries the cell
+      as a :func:`~retard_oc.dde._state_free_cell`, its states the running
+      sums x_lo, x_lo + delta F_0, ... (``np.cumsum``, strictly in order);
     - a state-linear problem with n = 1 marches on Python floats, in
       numpy's order of operations.
 
@@ -259,7 +250,7 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
     controls, g, g_D and the running cost are resolved over all stages at
     once, the cost summed in stage order."""
     p, M, L, k_r, df, T = grid.p, grid.M, grid.L, grid.k_r, grid.df, grid.T
-    A, A_D, f_many = grid.A, grid.A_D, grid.f_many if k_r else None
+    A, A_D = grid.A, grid.A_D
     vs = shifted_rows(grid.u_hist, u)
     if A is None:
         rhs = lambda i, x, y: p.dynamics(float(T[i]), x, y, u[i], vs[i])
@@ -273,14 +264,12 @@ def _euler_forward(grid: _EulerGrid, u: np.ndarray):
         cell, run = slice(lo, lo + L), xs[lo:lo + L + 1]
         # a view: at k_r = 0 row i of the cell is x_i once stage i is reached
         ys = xs[lo - k_r:lo - k_r + L] if lo >= k_r else grid.x_hist[cell]
-        if f_many is not None:
-            with np.errstate(all="ignore"):
-                F = f_many(T[cell], np.broadcast_to(run[0], ys.shape), ys, u[cell], vs[cell])
-                run[1:] = df * F
-                np.cumsum(run, axis=0, out=run)
-                if (np.isfinite(run).all() and f_many(
-                        T[cell], run[:-1], ys, u[cell], vs[cell]).tobytes() == F.tobytes()):
-                    continue
+
+        def euler_sum(F):
+            run[1:] = df * F
+            return np.cumsum(run, axis=0, out=run), None
+        if _state_free_cell(p, k_r, run[0], (T[cell], ys, u[cell], vs[cell]), euler_sum):
+            continue
         if floats:
             x, out = float(run[0, 0]), []
             cols = (A[cell, 0, 0], A_D[cell, 0, 0], ys[:, 0], G[cell, 0], GD[cell, 0])

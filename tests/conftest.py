@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,14 @@ def fast_integrator():
 @pytest.fixture(scope="session")
 def default_integrator():
     return IntegratorConfig(substeps_per_cell=64)
+
+
+def stage_by_stage(problem):
+    """``problem`` with f rewrapped without its array form, so that every
+    cell of a march is taken stage by stage: the reference of a state-free
+    cell."""
+    f = problem.f
+    return dataclasses.replace(problem, f=lambda *args: f(*args))
 
 
 def max_abs_error(traj, reference, ts):

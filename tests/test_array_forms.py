@@ -16,8 +16,9 @@ from retard_oc.dde import (IntegratorConfig, integrate_adjoint_linear,
 from retard_oc.probfile import parse_problem
 from retard_oc.problems import StateLinearProblem, array_form, batched, model_arrays
 from retard_oc import registry, solve
-from retard_oc.registry import (REGISTRY, d_feedback, make_d_value_function,
-                                make_ld_candidate, make_ld_problem)
+from retard_oc.registry import (REGISTRY, d_control_value, d_feedback,
+                                make_d_value_function, make_ld_candidate,
+                                make_ld_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
 from retard_oc.sufficiency import (VerifyConfig, argmax_control_state_linear,
                                    check_continuity_spot, check_convexity_f0x,
@@ -214,14 +215,50 @@ def _sample(problem, field, k=2000, seed=0):
     return rng.uniform(-1.0, 3.0, k), [rng.uniform(-3.0, 3.0, (k, d)) for d in dims]
 
 
+# The registry writes each model field once, as its array form; these are
+# the scalar formulas it wrote next to them before, kept here verbatim as
+# the reference those array forms must give bit for bit.
+_INERT_F0X = lambda t, x, y: float(x[0])
+SCALAR_REFERENCE = {
+    "ocp-ld-paper": {
+        "g_D": lambda t, v: np.array([-10.0 * v[0]]),
+        "f0x": lambda t, x, y: float(x[0]),
+        "f0u": lambda t, u, v: 100.0 * float(u[0]) ** 2,
+        "f0u_du": lambda t, u, v: np.array([200.0 * float(u[0])]),
+    },
+    "ocp-d-goellmann": {
+        "f0": lambda t, x, y, u, v: float(x[0]) ** 2 + float(u[0]) ** 2,
+        "f": lambda t, x, y, u, v: np.array([float(y[0]) * float(v[0])]),
+        "f_dy": lambda t, x, y, u, v: np.array([[float(v[0])]]),
+        "f_dv": lambda t, x, y, u, v: np.array([[float(y[0])]]),
+        "f0_dx": lambda t, x, y, u, v: np.array([2.0 * float(x[0])]),
+        "f0_du": lambda t, x, y, u, v: np.array([2.0 * float(u[0])]),
+    },
+    "inert-linear": {"f0x": _INERT_F0X},
+    "drift-linear": {
+        "f0x": _INERT_F0X,
+        "f0u": lambda t, u, v: float(u[0]) ** 2,
+        "f0u_du": lambda t, u, v: np.array([2.0 * float(u[0])]),
+    },
+    "concave-cost": {
+        "f0x": lambda t, x, y: -float(x[0]) ** 2,
+        "f0x_dx": lambda t, x, y: np.array([-2.0 * float(x[0])]),
+    },
+}
+D_FEEDBACK_REFERENCE = lambda t, x, y, eta: np.array([d_control_value(t)])
+
+
 def _compare_with_loop(problem, field, ts, args):
+    """The field's array form against a loop of its own scalar calls and,
+    for a registry field, a loop of its scalar reference formula."""
     fn = getattr(problem, field)
     assert hasattr(fn, "many"), field
     shape, _ = _signature(problem, field)
     native = array_form(fn, shape)(ts, *args)
-    loop = array_form(lambda *a: fn(*a), shape)(ts, *args)   # no .many: the loop
-    assert native.shape == loop.shape == (len(ts),) + shape
-    assert native.tobytes() == loop.tobytes(), field
+    for scalar in (fn, SCALAR_REFERENCE.get(problem.name, {}).get(field, fn)):
+        loop = array_form(lambda *a: scalar(*a), shape)(ts, *args)   # no .many: the loop
+        assert native.shape == loop.shape == (len(ts),) + shape
+        assert native.tobytes() == loop.tobytes(), field
 
 
 REGISTRY_LINEAR = [name for name, ex in REGISTRY.items()
@@ -281,6 +318,16 @@ def test_array_forms_are_the_loop_on_a_large_sample(problem):
     # wrong one
     for field in GENERAL_FIELDS if problem.name == "ocp-d-goellmann" else FILE_FIELDS:
         _compare_with_loop(problem, field, *_sample(problem, field))
+
+
+def test_feedback_array_form_is_the_scalar_reference_on_a_large_sample():
+    rng = np.random.default_rng(0)
+    ts = np.concatenate([rng.uniform(-2.5, 3.5, 2000), np.arange(-2.0, 4.0)])
+    X, Y, ETA = rng.uniform(-3.0, 3.0, (3, len(ts), 1))
+    native = array_form(d_feedback, (1,))(ts, X, Y, ETA)
+    for scalar in (d_feedback, D_FEEDBACK_REFERENCE):
+        loop = array_form(lambda *a: scalar(*a), (1,))(ts, X, Y, ETA)
+        assert native.tobytes() == loop.tobytes()
 
 
 def test_model_arrays_shapes_on_empty_and_full_time_arrays():

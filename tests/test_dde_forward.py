@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,12 @@ from retard_oc.dde import (IntegratorConfig, _affine_cell, _cell_schedule,
                            integrate_forward)
 from retard_oc.errors import NonFiniteStateError, OutOfDomainError
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
-                                StateLinearProblem, as_delayed)
+                                StateLinearProblem, as_delayed, batched)
 from retard_oc.registry import (d_state_value, ld_state_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
 
-from conftest import max_abs_error
+from conftest import max_abs_error, stage_by_stage
 
 
 def test_ld_state_reproduced(ld_problem, ld_candidate, default_integrator):
@@ -86,6 +87,90 @@ def test_blow_up_raises_naming_integrator_and_cell():
             integrate_forward(problem, control, IntegratorConfig(16))
 
 
+def _cell_nodes(traj):
+    """The node arrays (ts, ys, ds) of each marched cell of ``traj``."""
+    return [(seg.curve.ts, seg.curve.ys, seg.curve.ds) for seg in traj.segments
+            if hasattr(seg.curve, "ts")]
+
+
+def _assert_same_nodes(got, want):
+    assert len(got) == len(want)
+    for mine, ref in zip(got, want):
+        for a, b in zip(mine, ref):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("substeps", [1, 16, 64])
+def test_goellmann_state_free_cells_are_the_stage_march_bit_for_bit(substeps, d_problem,
+                                                                    d_candidate):
+    # f = y v reads no current state: each cell is marched on the slopes of
+    # one array call and kept after a second one, with the stage march's bits
+    cfg = IntegratorConfig(substeps)
+    got = integrate_forward(d_problem, d_candidate.control, cfg)
+    want = integrate_forward(stage_by_stage(d_problem), d_candidate.control, cfg)
+    _assert_same_nodes(_cell_nodes(got), _cell_nodes(want))
+
+
+def _counting_f(problem):
+    """``problem`` with its f's scalar and array-form calls counted."""
+    calls, f = {"f": 0, "f.many": 0}, problem.f
+
+    def scalar(*args):
+        calls["f"] += 1
+        return f(*args)
+
+    def many(*args):
+        calls["f.many"] += 1
+        return f.many(*args)
+    return dataclasses.replace(problem, f=batched(scalar, many)), calls
+
+
+def test_goellmann_forward_is_two_array_calls_of_f_per_cell(d_problem, d_candidate):
+    problem, calls = _counting_f(d_problem)
+    integrate_forward(problem, d_candidate.control, IntegratorConfig(16))
+    assert calls == {"f": 0, "f.many": 2 * problem.lattice().n_cells}
+
+
+@pytest.mark.parametrize("r, tried", [(Fraction(1, 2), True), (Fraction(0), False)],
+                         ids=["reads x", "k_r = 0"])
+def test_a_state_reading_f_is_marchedstage_by_stage(r, tried):
+    # f reads x: each cell's state-free try is refused after its two array
+    # calls; with k_r = 0 the delayed state is the current one and no cell
+    # is tried.  Either way the cells are the stage march's
+    f = batched(lambda t, x, y, u, v: -x + y + u, lambda ts, X, Y, U, V: -X + Y + U)
+    problem = DelayedProblem(
+        a=0, b=1, r=r, s=Fraction(1, 2), n=1, m=1, f0=lambda t, x, y, u, v: 0.0, f=f,
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]))
+    control = from_pieces(1, [(Fraction(-1, 2), 1, lambda t: [np.cos(t)])], main_start=0)
+    counted, calls = _counting_f(problem)
+    cfg, cells = IntegratorConfig(16), problem.lattice().n_cells
+    got = integrate_forward(counted, control, cfg)
+    want = integrate_forward(stage_by_stage(problem), control, cfg)
+    _assert_same_nodes(_cell_nodes(got), _cell_nodes(want))
+    assert calls == {"f": cells * (11 * 16 + 1), "f.many": 2 * cells if tried else 0}
+
+
+def test_an_overflowing_state_free_cell_raises_as_the_stage_march_does():
+    # f reads no current state, but x overflows in cell 1: the state-free
+    # cell is refused there and the stage march raises, naming the cell,
+    # with numpy's warnings
+    big = 1e308
+    problem = DelayedProblem(
+        a=0, b=3, r=1, s=1, n=1, m=1, f0=lambda t, x, y, u, v: 0.0,
+        f=batched(lambda t, x, y, u, v: np.array([big if 1.0 <= t < 2.0 else 1.0]),
+                  lambda ts, X, Y, U, V: np.where((1.0 <= ts) & (ts < 2.0), big, 1.0)[:, None]),
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]))
+    control = from_pieces(1, [(-1, 3, lambda t: [0.0])], main_start=0)
+    messages = []
+    for p in (problem, stage_by_stage(problem)):
+        with pytest.warns(RuntimeWarning) as got:
+            with pytest.raises(NonFiniteStateError,
+                               match=r"integrate_forward.* cell 1 \[1, 2\]") as err:
+                integrate_forward(p, control, IntegratorConfig(8))
+        messages.append((str(err.value), [str(w.message) for w in got]))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("substeps", [1, 3])
 def test_rhs_evaluations_per_cell(substeps):
     # per substep: RK4 over it, then over its two halves, the first half
@@ -142,7 +227,7 @@ def test_affine_cell_matches_stage_by_stage_march(start, end):
     widths, times = _cell_schedule(start, end, 8)
     y0 = rng.normal(size=3)
     affine = _affine_cell(*slope_terms(times), widths, times, y0)
-    staged = _integrate_cell(rhs, widths, times, y0)
+    staged = _integrate_cell(rhs, widths, times, y0)[1]
     assert np.array_equal(affine[0], staged[0])
     for got, want in zip(affine[1:], staged[1:]):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

@@ -362,3 +362,44 @@ def test_any_text_parses_or_raises_a_file_error(text):
     for parse in (parse_problem, parse_value_function):
         err = _parses_or_raises(parse, text)
         assert err is None or err.line is None or 1 <= err.line <= len(text.splitlines())
+
+
+def _pow_diff_with_first_powers(self, var):
+    """``Pow.diff`` building d(x^2) as 2 * Pow(x, 1): the reference tree."""
+    if self.exponent == 0:
+        return probfile.Const(0.0)
+    return probfile.mul(probfile.mul(probfile.Const(float(self.exponent)),
+                                     probfile.Pow(self.base, self.exponent - 1)
+                                     if self.exponent != 1 else probfile.Const(1.0)),
+                        self.base.diff(var))
+
+
+@pytest.mark.parametrize("text,var,squares_only", [
+    ("100*u0^2", "u0", True),
+    ("x0^2 + t*y1^2 + x1*y0/5", "y1", True),
+    ("u0^2 + 3*v1^2 - u1*v0", "v1", True),
+    ("(t - 2*u0)^2*u0 + u0^3", "u0", False),
+    ("exp(-t)*u0^2", "u0", False),
+])
+def test_a_squares_derivative_reads_its_base_with_the_same_values(text, var, squares_only,
+                                                                   monkeypatch):
+    # x ** 1 is x exactly, so the base itself replaces Pow(x, 1), whose
+    # array evaluation is a Python loop
+    names = {"t", "u0", "u1", "v0", "v1", "x0", "x1", "y0", "y1"}
+    expr = parse_expression(text, names)
+    lean = expr.diff(var)
+    monkeypatch.setattr(probfile.Pow, "diff", _pow_diff_with_first_powers)
+    reference = expr.diff(var)
+    assert "exponent=1)" in repr(reference)
+    assert "exponent=1)" not in repr(lean)
+    if squares_only:
+        assert "Pow" not in repr(lean)
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -2.2e-308]
+    values = np.concatenate([rng.normal(size=200) * 10.0 ** rng.integers(-5, 5, 200),
+                             special * 3])
+    env = {name: rng.permutation(values) for name in names}
+    with np.errstate(all="ignore"):
+        got, want = lean.eval(env), reference.eval(env)
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))

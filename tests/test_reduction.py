@@ -17,6 +17,8 @@ from retard_oc.reduction import (augment, augmented_cost, integrate_augmented,
                                  reassemble, stack_candidate)
 from retard_oc.trajectory import CallableCurve, from_pieces
 
+from conftest import stage_by_stage
+
 
 @pytest.fixture(scope="module", params=["ld", "d"])
 def case(request, ld_problem, ld_candidate, d_problem, d_candidate):
@@ -144,8 +146,8 @@ def test_augmented_march_runs_each_block_once(name, blocks, monkeypatch,
                                               ld_problem, ld_candidate,
                                               d_problem, d_candidate):
     # block i reads only blocks before it, so one pass in block order is
-    # exact: ld marches its 4 blocks affinely, d its 3 stage by stage, each
-    # once; the stacked right-hand side is called once, as the check
+    # exact: ld marches its 4 blocks affinely, d its 3 as state-free cells,
+    # each once; the stacked right-hand side is called once, as the check
     problem, cand = (ld_problem, ld_candidate) if name == "ld" else (d_problem, d_candidate)
     calls = {"march": 0, "stacked": 0}
 
@@ -163,6 +165,21 @@ def test_augmented_march_runs_each_block_once(name, blocks, monkeypatch,
                               IntegratorConfig(16))
     assert calls == {"march": blocks, "stacked": 1}
     assert sol.linkage_residual() == 0.0
+
+
+@pytest.mark.parametrize("substeps", [1, 16, 64])
+def test_goellmann_blocks_are_the_stage_march_bit_for_bit(substeps, d_problem, d_candidate):
+    # f = y v reads no current state, so each block is a state-free cell:
+    # its nodes must be those of the stage march, forced by an f without
+    # an array form
+    cfg = IntegratorConfig(substeps)
+    got, want = (integrate_augmented(augment(p, p.lattice()), d_candidate.control, cfg)
+                 for p in (d_problem, stage_by_stage(d_problem)))
+    assert len(got.state_blocks) == len(want.state_blocks) == 3
+    for mine, ref in zip(got.state_blocks, want.state_blocks):
+        for a, b in ((mine.ts, ref.ts), (mine.ys, ref.ys), (mine.ds, ref.ds)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.ode_residual == want.ode_residual
 
 
 def test_augmented_blow_up_raises_naming_the_block():
