@@ -19,7 +19,8 @@ k cells is a shift by k blocks (:func:`~retard_oc.trajectory.delayed_rows`),
 so every input a march does not produce itself is resolved once for all
 cells, one array-form call per model term.  Per cell only the finalized
 cell r/h away is read, at its own stage times; only the current-cell state
-is sequential, and not even that where f reads none (:func:`_state_free_cell`).
+is sequential, and where f reads none (:func:`_state_free_cell`) each state
+component is marched alone on Python floats (:func:`_state_free_march`).
 
 Where the slope is affine in the marched value (the costate of every
 problem class, the state of a state-linear problem), each substep is an
@@ -166,6 +167,20 @@ def _integrate_cell(rhs, widths, times: np.ndarray, y0: np.ndarray):
     return states, (*_nodes(times[_slots(S, _NODE_SLOTS)], states[nodes], slopes[nodes]), y)
 
 
+def _state_free_march(F: np.ndarray, widths, times: np.ndarray, y0: np.ndarray):
+    """:func:`_integrate_cell` on slopes ``F[k]`` at slot k that read no state: each
+    component alone on Python floats through the elementwise :func:`_substep`, bit for bit."""
+    S, slots = len(widths), _slots(len(widths), _STAGE_SLOTS)
+    states = np.empty((len(slots), F.shape[1]))
+    for c, (y, col) in enumerate(zip(np.asarray(y0, dtype=float).tolist(), F[slots].T.tolist())):
+        read = []   # the state each stage reads, in call order
+        for j, dt in enumerate(np.asarray(widths).tolist()):
+            y = _substep(lambda k, x: read.append(x) or col[k], _STAGES * j, y, dt)[3]
+        states[:, c] = read + [y]
+    nodes, k = np.append(_STAGES * np.arange(S)[:, None] + [0, 7], -1), _slots(S, _NODE_SLOTS)
+    return states, (*_nodes(times[k], states[nodes], F[k]), states[-1].copy())
+
+
 def _state_free_cell(problem: AnyProblem, k_r: int, x0: np.ndarray, args: tuple,
                      march, rows=slice(None)):
     """The state-free cell step of both marches (RK4 here, Euler in
@@ -296,14 +311,12 @@ def _forward_cells(problem: AnyProblem, control_cells, lattice: Commensurability
                  else (A_D[cell] @ xd[:, :, None])[:, :, 0] + g[cell] + g_D[cell])
             return _affine_cell(M[cell], c, widths, times, y)
         u_i, ud_i = u[cell], ud[cell]
-        kept = _state_free_cell(problem, k_r, y, (times, xd, u_i, ud_i), lambda F: _integrate_cell(
-            lambda k, t, x: F[k], widths, times, y), _slots(len(widths), _STAGE_SLOTS))
-        if kept:
+        if kept := _state_free_cell(problem, k_r, y, (times, xd, u_i, ud_i),
+                                    lambda F: _state_free_march(F, widths, times, y),
+                                    _slots(len(widths), _STAGE_SLOTS)):
             return kept[1]
-
-        def rhs(k, t, x):
-            return problem.dynamics(t, x, x if xd is None else xd[k], u_i[k], ud_i[k])
-        return _integrate_cell(rhs, widths, times, y)[1]
+        return _integrate_cell(lambda k, t, x: problem.dynamics(
+            t, x, x if xd is None else xd[k], u_i[k], ud_i[k]), widths, times, y)[1]
 
     y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
     return _march(name, lattice, schedule, y0, march_cell, unit=unit)

@@ -48,6 +48,7 @@ and a scalar call is the array form on one row.
 from __future__ import annotations
 
 import ast
+import contextlib
 import re
 import warnings
 from dataclasses import dataclass
@@ -58,7 +59,7 @@ import numpy as np
 
 from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
-from .problems import ControlSet, StateLinearProblem, array_field
+from .problems import ControlSet, StateLinearProblem, array_field, int_power
 
 # -- expression language -------------------------------------------------------
 
@@ -154,10 +155,8 @@ class Pow(Expr):
 
     def eval(self, env):
         base = self.base.eval(env)
-        if type(base) is np.ndarray:
-            # Python's float power, as on floats: numpy's can differ in the last bit
-            return np.array([b ** self.exponent for b in base.tolist()])
-        return base ** self.exponent
+        # an array is raised as Python raises each of its floats (libm pow)
+        return int_power(base, self.exponent) if type(base) is np.ndarray else base ** self.exponent
 
     def diff(self, var):
         if self.exponent == 0:
@@ -200,6 +199,27 @@ def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     return Mul(a, b)
+
+
+def fold(*exprs: Expr, memo: Optional[dict] = None) -> list:
+    """Each of ``exprs`` with every variable-free subtree replaced, in one
+    bottom-up pass, by the Const of the float it evaluates to in any
+    evaluation (so bit for bit alike), unless that raises or is not finite;
+    a subtree already walked with the same ``memo`` is not walked again."""
+    memo = {} if memo is None else memo
+
+    def walk(e: Expr) -> Expr:
+        if type(e) not in (Const, Var) and id(e) not in memo:
+            kids = {k: walk(v) for k, v in vars(e).items() if isinstance(v, Expr)}
+            out = type(e)(**{**vars(e), **kids})
+            if all(type(v) is Const for v in kids.values()):
+                with contextlib.suppress(ArithmeticError):
+                    value = float(out.eval({}))
+                    out = Const(value) if np.isfinite(value) else out
+            memo[id(e)] = (e, out)   # e held, so that its id is not reused
+        return memo[id(e)][1] if id(e) in memo else e
+    with np.errstate(all="ignore"):
+        return [walk(e) for e in exprs]
 
 
 _NUMBER = re.compile(r"\d+\.\d+|\d+")
@@ -294,12 +314,13 @@ def _dims(rest: str, line: int) -> dict:
     return {key: int(v) for key, v in out.items()}
 
 
-def _entry_evaluator(exprs: dict, shape: tuple, *vectors) -> Callable:
-    """The field with entries ``exprs`` (by index; entries left out are
-    zero) as a function of (t, *values), the values named by the
-    ``(prefix, dim)`` pairs of ``vectors``, with its array form; a scalar
-    call is the array form on one row."""
+def _entry_evaluator(exprs: dict, shape: tuple, *vectors, memo=None) -> Callable:
+    """The field with entries ``exprs`` (by index; entries left out are zero;
+    folded by :func:`fold` with ``memo``) as a function of (t, *values),
+    the values named by the ``(prefix, dim)`` pairs of ``vectors``, with
+    its array form; a scalar call is the array form on one row."""
     names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
+    exprs = dict(zip(exprs, fold(*exprs.values(), memo=memo)))
 
     def many(ts, *values):
         env, out = {"t": ts}, np.zeros((len(ts),) + shape)
@@ -524,36 +545,36 @@ def parse_value_function(text: str):
             raise ProblemFileError(
                 f"piece {piece['lo']} {piece['hi']} must start where the piece "
                 f"before it ends, at {prev['hi']}", piece["line"])
+
+    memo: dict = {}   # one fold for all pieces
+
+    def affine(c: Expr, eta: dict) -> Callable:
+        """c(t) + sum_i eta_i(t) x_i, added up in index order, on (t, x)."""
+        for i, e in eta.items():
+            c = Add(c, Mul(e, Var(f"x{i}")))
+        return _entry_evaluator({(): c}, (), ("x", n), memo=memo)
+
     for piece in pieces:   # S_t is differentiated once, here
-        piece["c_t"] = piece["c"].diff("t")
-        piece["eta_t"] = {i: expr.diff("t") for i, expr in piece["eta"].items()}
-        piece["S_x"] = _entry_evaluator({(i,): e for i, e in piece["eta"].items()}, (n,))
+        c, eta = piece["c"], piece["eta"]
+        eta_t = {i: e.diff("t") for i, e in eta.items()}
+        piece.update(S=affine(c, eta), S_t=affine(c.diff("t"), eta_t),
+                     S_x=_entry_evaluator({(i,): e for i, e in eta.items()}, (n,), memo=memo))
     upper = np.array([float(p["hi"]) for p in pieces[:-1]])
 
-    def by_piece(rule: Callable, shape: tuple) -> Callable:
-        """(t, x) -> rule(piece, {"t": times}, x rows) on the piece owning each time."""
+    def by_piece(key: str, shape: tuple) -> Callable:
+        """(t, x) -> the piece's ``key`` field on the piece owning each time."""
         def many(ts, X):
             X = np.asarray(X, dtype=float).reshape(len(ts), n)
             owner = np.searchsorted(upper, ts, side="right")
             out = np.zeros((len(ts),) + shape)
-            for k, piece in enumerate(pieces):
+            for k in np.flatnonzero(np.bincount(owner)):   # each piece owning rows
                 rows = owner == k
-                out[rows] = rule(piece, {"t": ts[rows]}, X[rows])
+                out[rows] = pieces[k][key].many(ts[rows], X[rows])
             return out
         return array_field(many)
 
-    def affine(c_key: str, eta_key: str) -> Callable:
-        """c(t) + sum_i eta_i(t) x_i, added up in index order."""
-        def rule(piece, env, X):
-            val = piece[c_key].eval(env)
-            for i, expr in piece[eta_key].items():
-                val = val + expr.eval(env) * X[:, i]
-            return val
-        return by_piece(rule, ())
-
-    return ValueFunctionCandidate(
-        S=affine("c", "eta"), S_t=affine("c_t", "eta_t"),
-        S_x=by_piece(lambda piece, env, X: piece["S_x"].many(env["t"]), (n,)))
+    return ValueFunctionCandidate(S=by_piece("S", ()), S_t=by_piece("S_t", ()),
+                                  S_x=by_piece("S_x", (n,)))
 
 
 def load_value_function(path: str):

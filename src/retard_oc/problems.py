@@ -145,6 +145,18 @@ def array_form(fn: Callable, shape: tuple) -> Callable:
     return resolved
 
 
+def int_power(values: np.ndarray, k: int) -> np.ndarray:
+    """``v ** k`` of each float v of ``values`` as Python's float power (libm pow; numpy's
+    square can differ in the last bit): a NaN kept, an overflow an :class:`OverflowError`."""
+    try:
+        with np.errstate(over="raise"):
+            out = np.float_power(values, k)
+    except FloatingPointError as exc:
+        raise OverflowError(str(exc)) from None
+    np.copyto(out, values, where=np.isnan(values) & (k != 0))   # nan ** 0 is 1.0
+    return out
+
+
 # -- problem classes ----------------------------------------------------------
 
 class _Problem:

@@ -134,10 +134,10 @@ class AugmentedSolution:
     ode_residual: float | None = None   # see integrate_augmented; None if stacked
 
     def linkage_residual(self) -> float:
-        """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf at the cell edges."""
-        gaps = [np.max(np.abs(left(edge) - right(edge))) for left, right, edge in
-                zip(self.state_blocks, self.state_blocks[1:], self.aug._starts[1:])]
-        return float(np.max(gaps, initial=0.0))   # NaN propagates
+        """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf, each block read at its edges."""
+        s = self.aug._starts
+        ends = block_rows(self.state_blocks, np.c_[s, np.r_[s[1:], s[-1]]]).reshape(len(s), 2, -1)
+        return float(np.max(np.abs(ends[:-1, 1] - ends[1:, 0]), initial=0.0))   # NaN propagates
 
 
 def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> AugmentedSolution:

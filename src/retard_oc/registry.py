@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, TerminalSet, array_field)
+                       StateLinearProblem, TerminalSet, array_field, int_power)
 from .trajectory import Trajectory, from_pieces
 
 E2 = math.exp(2.0)
@@ -55,13 +55,6 @@ def _constant(value) -> Callable:
     return array_field(lambda ts, *args: np.full((len(ts),) + value.shape, value))
 
 
-def _squares(col: np.ndarray) -> np.ndarray:
-    """``c ** 2`` for each value in Python's float power: the power of a
-    parsed ``^2`` and of the tests' scalar reference forms; numpy's square
-    can differ from it in the last bit."""
-    return np.array([c ** 2 for c in col.tolist()])
-
-
 # ---------------------------------------------------------------------------
 # ocp-ld-paper: scalar state-linear benchmark with closed-form optimal pair
 #
@@ -83,7 +76,7 @@ def make_ld_problem() -> StateLinearProblem:
         g=_constant([0.0]),
         g_D=array_field(lambda ts, V: -10.0 * V[:, :1]),
         f0x=array_field(lambda ts, X, Y: X[:, 0]),
-        f0u=array_field(lambda ts, U, V: 100.0 * _squares(U[:, 0])),
+        f0u=array_field(lambda ts, U, V: 100.0 * int_power(U[:, 0], 2)),
         phi=_constant([1.0]),
         psi=_constant([0.0]),
         control_set=ControlSet.free(1),
@@ -156,7 +149,8 @@ def make_d_problem() -> DelayedProblem:
     return DelayedProblem(
         a=Fraction(0), b=Fraction(3), r=Fraction(1), s=Fraction(2),
         n=1, m=1,
-        f0=array_field(lambda ts, X, Y, U, V: _squares(X[:, 0]) + _squares(U[:, 0])),
+        f0=array_field(lambda ts, X, Y, U, V: int_power(X[:, 0], 2)
+                       + int_power(U[:, 0], 2)),
         f=array_field(lambda ts, X, Y, U, V: Y[:, :1] * V[:, :1]),
         phi=_constant([1.0]),
         psi=_constant([0.0]),
@@ -297,7 +291,7 @@ def make_drift_problem() -> StateLinearProblem:
     """Uncontrollable state with a pure control-energy cost."""
     return _inert_dynamics_problem(
         "drift-linear",
-        f0u=array_field(lambda ts, U, V: _squares(U[:, 0])),
+        f0u=array_field(lambda ts, U, V: int_power(U[:, 0], 2)),
         f0u_du=array_field(lambda ts, U, V: 2.0 * U[:, :1]))
 
 
@@ -311,7 +305,7 @@ def make_concave_problem() -> StateLinearProblem:
     nothing else does."""
     return _inert_dynamics_problem(
         "concave-cost",
-        f0x=array_field(lambda ts, X, Y: -_squares(X[:, 0])),
+        f0x=array_field(lambda ts, X, Y: -int_power(X[:, 0], 2)),
         f0x_dx=array_field(lambda ts, X, Y: -2.0 * X[:, :1]))
 
 

@@ -489,7 +489,7 @@ def check_convexity_f0x(problem: StateLinearProblem, cand: CandidateSolution,
 
 def check_transversality(eta: AdjointTrajectory, tol: float = 1e-9) -> CheckResult:
     """Terminal adjoint must vanish (free terminal state)."""
-    residual = float(np.max(np.abs(eta.eval(eta.end))))
+    residual = float(np.max(np.abs(eta.eval_many([float(eta.end)]))))
     return CheckResult("transversality", residual <= tol, residual,
                        float(eta.end))
 
@@ -663,7 +663,7 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
                            "tol_terminal", "tol_residual", "tube_radius", "tube_tol",
                            "tol_feedback", "tol_smoothness", "tol_cost"))
 
-    xb = cand.state.eval(problem.b)
+    xb = cand.state.eval_many([float(problem.b)])[0]
     term = abs(S.value(problem.b, xb) + problem.terminal_cost(xb))
     cert.checks.append(CheckResult("terminal_value", term <= cfg.tol_terminal,
                                    term, float(problem.b)))

@@ -1,9 +1,12 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from retard_oc.dde import IntegratorConfig
+from retard_oc.problems import DelayedProblem, array_field
+from retard_oc.trajectory import from_pieces
 from retard_oc.registry import (make_d_candidate, make_d_problem,
                                 make_ld_candidate, make_ld_problem)
 
@@ -44,6 +47,19 @@ def stage_by_stage(problem):
     cell."""
     f = problem.f
     return dataclasses.replace(problem, f=lambda *args: f(*args))
+
+
+def two_state_free_problem():
+    """A two-state problem whose f reads the delayed state and the controls
+    but no current state, with a control on [a - s, b]: its cells are
+    state-free, one march per state component."""
+    problem = DelayedProblem(
+        a=0, b=3, r=1, s=Fraction(1, 2), n=2, m=1, f0=lambda t, x, y, u, v: 0.0,
+        f=array_field(lambda ts, X, Y, U, V: np.column_stack(
+            (Y[:, 1] * V[:, 0] - 0.3 * U[:, 0], ts - Y[:, 0] * U[:, 0]))),
+        phi=lambda t: np.array([1.0 + t, -0.5]), psi=lambda t: np.array([0.25]))
+    control = from_pieces(1, [(Fraction(-1, 2), 3, lambda t: [np.cos(t)])], main_start=0)
+    return problem, control
 
 
 def max_abs_error(traj, reference, ts):

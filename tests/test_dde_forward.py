@@ -15,7 +15,7 @@ from retard_oc.registry import (d_state_value, ld_state_value,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
 
-from conftest import max_abs_error, stage_by_stage
+from conftest import max_abs_error, stage_by_stage, two_state_free_problem
 
 
 def test_ld_state_reproduced(ld_problem, ld_candidate, default_integrator):
@@ -100,15 +100,29 @@ def _assert_same_nodes(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("substeps", [1, 16, 64])
+@pytest.mark.parametrize("substeps", [1, 2, 16, 64, 100])
 def test_goellmann_state_free_cells_are_the_stage_march_bit_for_bit(substeps, d_problem,
                                                                     d_candidate):
     # f = y v reads no current state: each cell is marched on the slopes of
-    # one array call and kept after a second one, with the stage march's bits
+    # one array call, on Python floats, and kept after a second one, with
+    # the stage march's bits
     cfg = IntegratorConfig(substeps)
     got = integrate_forward(d_problem, d_candidate.control, cfg)
     want = integrate_forward(stage_by_stage(d_problem), d_candidate.control, cfg)
     _assert_same_nodes(_cell_nodes(got), _cell_nodes(want))
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 16, 64, 100])
+def test_two_state_free_cells_are_the_stage_march_bit_for_bit(substeps):
+    # each state component is marched alone; together they are the stage
+    # march of the row, and every cell is kept (two array calls of f)
+    problem, control = two_state_free_problem()
+    counted, calls = _counting_f(problem)
+    cfg = IntegratorConfig(substeps)
+    got = integrate_forward(counted, control, cfg)
+    want = integrate_forward(stage_by_stage(problem), control, cfg)
+    _assert_same_nodes(_cell_nodes(got), _cell_nodes(want))
+    assert calls == {"f": 0, "f.many": 2 * problem.lattice().n_cells}
 
 
 def _counting_f(problem):

@@ -384,7 +384,7 @@ def _pow_diff_with_first_powers(self, var):
 def test_a_squares_derivative_reads_its_base_with_the_same_values(text, var, squares_only,
                                                                    monkeypatch):
     # x ** 1 is x exactly, so the base itself replaces Pow(x, 1), whose
-    # array evaluation is a Python loop
+    # array evaluation is a pass of libm pow
     names = {"t", "u0", "u1", "v0", "v1", "x0", "x1", "y0", "y1"}
     expr = parse_expression(text, names)
     lean = expr.diff(var)
@@ -403,3 +403,79 @@ def test_a_squares_derivative_reads_its_base_with_the_same_values(text, var, squ
         got, want = lean.eval(env), reference.eval(env)
     np.testing.assert_array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# -- the constant fold: variable-free subtrees as the floats they evaluate to ---
+
+def _variable_free_nodes(expr):
+    """Every node of ``expr`` that reads no variable and is not a Const."""
+    kids = [v for v in vars(expr).values() if isinstance(v, probfile.Expr)]
+    here = [] if expr.variables() or isinstance(expr, probfile.Const) else [expr]
+    return here + [node for kid in kids for node in _variable_free_nodes(kid)]
+
+
+def test_a_folded_partial_evaluates_bit_for_bit_like_its_tree():
+    # d/dv1 of (1/2) v1^2 keeps d(1/2) = 0/(2*2) times v1^2; folded, the Div
+    # nodes are Consts and nothing else changes: 0 * inf is still NaN
+    names = {"u0", "u1", "v0", "v1"}
+    tree = parse_expression("u0^2 + (1/2)*v1^2 - u1*v0", names).diff("v1")
+    assert _variable_free_nodes(tree)
+    folded, = probfile.fold(tree)
+    assert _variable_free_nodes(folded) == []
+    assert "Div" not in repr(folded) and "Pow" in repr(folded)
+    rng = np.random.default_rng(1)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]
+    values = np.concatenate([rng.normal(size=500) * 10.0 ** rng.integers(-8, 8, 500),
+                             special * 4])
+    env = {name: rng.permutation(values) for name in names}
+    with np.errstate(all="ignore"):
+        got, want = folded.eval(env), tree.eval(env)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_file_fields_and_partials_are_folded_at_parse_time(monkeypatch):
+    seen, fold = [], probfile.fold
+
+    def record(*exprs, memo=None):
+        out = fold(*exprs, memo=memo)
+        seen.extend(out)
+        return out
+    monkeypatch.setattr(probfile, "fold", record)
+    problem = parse_problem(LD_FILE.replace("f0u = 100*u0^2", "f0u = (1/2)*u0^2 + 1/4*v0"))
+    assert seen and all(_variable_free_nodes(e) == [] for e in seen)
+    assert problem.f0u_du(0.0, np.array([3.0]), np.array([1.0])).tolist() == [3.0]
+    assert problem.f0u_dv(0.0, np.array([3.0]), np.array([1.0])).tolist() == [0.25]
+
+
+@pytest.mark.parametrize("text", ["1/0 + t", "exp(1000)*2 + t", "(2*t)^1 + exp(800)^2"])
+def test_a_subtree_that_fails_or_overflows_is_not_folded(text):
+    # such a subtree is kept, so evaluating the tree raises or warns as before
+    tree = parse_expression(text, {"t"})
+    folded, = probfile.fold(tree)
+    assert repr(folded) == repr(tree) and _variable_free_nodes(tree)
+
+
+def test_value_functions_evaluate_bit_for_bit_unfolded(monkeypatch):
+    # the registry's value function and a perturbed one, at times on every
+    # piece (bounds included) and outside them, with and without the fold
+    ts = np.concatenate([np.linspace(-0.5, 3.5, 401), [0.0, 1.0, 2.0, 3.0]])
+    X = np.random.default_rng(2).normal(size=(len(ts), 1)) * 3.0
+    outputs = []
+    for folding in (True, False):
+        if not folding:
+            monkeypatch.setattr(probfile, "fold", lambda *exprs, memo=None: list(exprs))
+        for S in (make_d_value_function(), make_d_value_function(1.1, 1.0)):
+            outputs.append([fn.many(ts, X).tobytes() for fn in (S.S, S.S_t, S.S_x)])
+    assert outputs[:2] == outputs[2:]
+
+
+def test_value_function_skips_pieces_that_own_no_rows(monkeypatch):
+    # only the pieces owning a time are evaluated
+    S = parse_value_function("value-function\npiece 0 1\nc = t\npiece 1 2\nc = 2*t\n"
+                             "piece 2 3\nc = 3*t\n")
+    evaluated = []
+    const_eval = probfile.Const.eval
+    monkeypatch.setattr(probfile.Const, "eval",
+                        lambda self, env: evaluated.append(self.value) or const_eval(self, env))
+    assert S.S.many(np.array([0.5, 2.5]), np.zeros((2, 1))).tolist() == [0.5, 7.5]
+    assert sorted(set(evaluated)) == [3.0]

@@ -12,12 +12,12 @@ from retard_oc.errors import (MismatchedLatticeError, NonFiniteStateError,
                               SeamMismatchError)
 from retard_oc.lattice import make_lattice
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
-                                StateLinearProblem, as_delayed)
+                                StateLinearProblem, as_delayed, batched)
 from retard_oc.reduction import (augment, augmented_cost, integrate_augmented,
                                  reassemble, stack_candidate)
 from retard_oc.trajectory import CallableCurve, from_pieces
 
-from conftest import stage_by_stage
+from conftest import stage_by_stage, two_state_free_problem
 
 
 @pytest.fixture(scope="module", params=["ld", "d"])
@@ -157,7 +157,7 @@ def test_augmented_march_runs_each_block_once(name, blocks, monkeypatch,
             return fn(*args)
         return wrapped
 
-    for cell in ("_affine_cell", "_integrate_cell"):
+    for cell in ("_affine_cell", "_integrate_cell", "_state_free_march"):
         monkeypatch.setattr(dde, cell, counting(getattr(dde, cell), "march"))
     monkeypatch.setattr(reduction.AugmentedProblem, "dynamics",
                         counting(reduction.AugmentedProblem.dynamics, "stacked"))
@@ -167,19 +167,51 @@ def test_augmented_march_runs_each_block_once(name, blocks, monkeypatch,
     assert sol.linkage_residual() == 0.0
 
 
-@pytest.mark.parametrize("substeps", [1, 16, 64])
-def test_goellmann_blocks_are_the_stage_march_bit_for_bit(substeps, d_problem, d_candidate):
-    # f = y v reads no current state, so each block is a state-free cell:
-    # its nodes must be those of the stage march, forced by an f without
-    # an array form
+def _assert_blocks_are_the_stage_march(problem, control, substeps):
     cfg = IntegratorConfig(substeps)
-    got, want = (integrate_augmented(augment(p, p.lattice()), d_candidate.control, cfg)
-                 for p in (d_problem, stage_by_stage(d_problem)))
-    assert len(got.state_blocks) == len(want.state_blocks) == 3
+    got, want = (integrate_augmented(augment(p, p.lattice()), control, cfg)
+                 for p in (problem, stage_by_stage(problem)))
+    assert len(got.state_blocks) == len(want.state_blocks) == problem.lattice().n_cells
     for mine, ref in zip(got.state_blocks, want.state_blocks):
         for a, b in ((mine.ts, ref.ts), (mine.ys, ref.ys), (mine.ds, ref.ds)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.ode_residual == want.ode_residual
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 16, 64, 100])
+def test_goellmann_blocks_are_the_stage_march_bit_for_bit(substeps, d_problem, d_candidate):
+    # f = y v reads no current state, so each block is a state-free cell:
+    # its nodes must be those of the stage march, forced by an f without
+    # an array form
+    assert d_problem.lattice().n_cells == 3
+    _assert_blocks_are_the_stage_march(d_problem, d_candidate.control, substeps)
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 16, 64, 100])
+def test_two_state_free_blocks_are_the_stage_march_bit_for_bit(substeps):
+    # with two states, each component of a block is marched alone
+    _assert_blocks_are_the_stage_march(*two_state_free_problem(), substeps)
+
+
+def test_an_overflowing_state_free_block_raises_as_the_stage_march_does():
+    # the forward integrator's overflow fixture through the block march:
+    # the state-free block is refused and the stage march raises, naming
+    # the block, with numpy's warnings
+    big = 1e308
+    problem = DelayedProblem(
+        a=0, b=3, r=1, s=1, n=1, m=1, f0=lambda t, x, y, u, v: 0.0,
+        f=batched(lambda t, x, y, u, v: np.array([big if 1.0 <= t < 2.0 else 1.0]),
+                  lambda ts, X, Y, U, V: np.where((1.0 <= ts) & (ts < 2.0), big, 1.0)[:, None]),
+        phi=lambda t: np.array([1.0]), psi=lambda t: np.array([0.0]))
+    control = from_pieces(1, [(-1, 3, lambda t: [0.0])], main_start=0)
+    messages = []
+    for p in (problem, stage_by_stage(problem)):
+        with pytest.warns(RuntimeWarning) as got:
+            with pytest.raises(NonFiniteStateError,
+                               match=r"integrate_augmented.* block 1 \[1, 2\]") as err:
+                integrate_augmented(augment(p, p.lattice()), control, IntegratorConfig(8))
+        messages.append((str(err.value), [str(w.message) for w in got]))
+    assert messages[0] == messages[1]
 
 
 def test_augmented_blow_up_raises_naming_the_block():
