@@ -72,10 +72,15 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         raise NotImplementedError
 
-    def variables(self) -> set:
-        """Names of the variables the expression reads."""
-        return set().union(*(v.variables() for v in vars(self).values()
-                             if isinstance(v, Expr)))
+    def variables(self, names: Optional[set] = None) -> set:
+        """Names of the variables the expression reads, added in one walk to one set."""
+        names = set() if names is None else names
+        if type(self) is Var:
+            names.add(self.name)
+        for v in vars(self).values():
+            if isinstance(v, Expr):
+                v.variables(names)
+        return names
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,6 @@ class Var(Expr):
 
     def diff(self, var):
         return Const(1.0 if var == self.name else 0.0)
-
-    def variables(self):
-        return {self.name}
 
 
 def _is_const(e: Expr, v: Optional[float] = None) -> bool:

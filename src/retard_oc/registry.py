@@ -7,7 +7,8 @@ deliberately tiny problems that isolate a single behaviour.
 
 Every model field, curve and the feedback law is written once, as its array
 form (:func:`~retard_oc.problems.array_field`); a scalar call is the array
-form on one row, as for a parsed problem file.
+form on one row, as for a parsed problem file.  A closed form evaluates each
+of its branches only at the times that branch owns (:func:`_branches`).
 """
 
 from __future__ import annotations
@@ -89,33 +90,45 @@ def make_ld_problem() -> StateLinearProblem:
     )
 
 
+def _branches(t: np.ndarray, cases, default) -> np.ndarray:
+    """``np.select`` over ``cases``, (condition, form) pairs, each form (a constant or a
+    closed form) evaluated only at the times it owns; ``default`` owns the rest (NaN)."""
+    out, rest = np.empty(t.shape), np.ones(t.shape, dtype=bool)
+    for cond, form in [*cases, (rest, default)]:
+        own = rest & cond
+        if own.any():   # else nothing is owned and nothing is left to remove
+            out[own] = form(t[own]) if callable(form) else form
+            rest &= ~cond
+    return out
+
+
 @_elementwise
 def ld_adjoint_value(t):
     """Closed-form adjoint: solves etadot = 1 - eta - eta(t+2) on [0,2],
     etadot = 1 - eta on ]2,4], eta(4) = 0."""
-    return np.where(t <= 2.0, np.exp(2.0 - t) * (t - E2 - 1.0), 1.0 - np.exp(4.0 - t))
+    return _branches(t, [(t <= 2.0, lambda t: np.exp(2.0 - t) * (t - E2 - 1.0))],
+                     lambda t: 1.0 - np.exp(4.0 - t))
 
 
 @_elementwise
 def ld_control_value(t):
     """Optimal control: -eta(t+1)/20 on [0,3], zero elsewhere."""
-    return np.select([t < 0.0, t < 1.0, t <= 3.0],
-                     [0.0, (np.exp(3.0 - t) - t * np.exp(1.0 - t)) / 20.0,
-                      (np.exp(3.0 - t) - 1.0) / 20.0], 0.0)
+    return _branches(t, [(t < 0.0, 0.0),
+                         (t < 1.0, lambda t: (np.exp(3.0 - t) - t * np.exp(1.0 - t)) / 20.0),
+                         (t <= 3.0, lambda t: (np.exp(3.0 - t) - 1.0) / 20.0)], 0.0)
 
 
 @_elementwise
 def ld_state_value(t):
     """Optimal state, five pieces on [-2, 4]."""
-    et, emt = np.exp(t), np.exp(-t)
-    return np.select([t <= 0.0, t <= 1.0, t <= 2.0, t <= 3.0], [
-        1.0,
-        -1.0 + 2.0 * et,
-        ((E2 + 2.0 * E4 - 2.0 * E2 * t) * emt - 8.0 + (17.0 - 2.0 * E2) * et) / 8.0,
-        (2.0 * np.exp(4.0 - t) + 4.0
-         + (-47.0 / E2 + 17.0 - 2.0 * E2 + 16.0 * t / E2) * et) / 8.0],
-        ((-E6 + E4 * t) * emt + 4.0
-         + (-51.0 / E2 + 24.0 - 2.0 * E2 + 17.0 * t / E2 - 2.0 * t) * et) / 8.0)
+    return _branches(t, [
+        (t <= 0.0, 1.0), (t <= 1.0, lambda t: -1.0 + 2.0 * np.exp(t)),
+        (t <= 2.0, lambda t: ((E2 + 2.0 * E4 - 2.0 * E2 * t) * np.exp(-t) - 8.0
+                              + (17.0 - 2.0 * E2) * np.exp(t)) / 8.0),
+        (t <= 3.0, lambda t: (2.0 * np.exp(4.0 - t) + 4.0
+                              + (-47.0 / E2 + 17.0 - 2.0 * E2 + 16.0 * t / E2) * np.exp(t)) / 8.0)],
+        lambda t: ((-E6 + E4 * t) * np.exp(-t) + 4.0
+                   + (-51.0 / E2 + 24.0 - 2.0 * E2 + 17.0 * t / E2 - 2.0 * t) * np.exp(t)) / 8.0)
 
 
 def make_ld_candidate() -> CandidateSolution:
@@ -172,12 +185,12 @@ def make_d_problem() -> DelayedProblem:
 
 @_elementwise
 def d_state_value(t):
-    return np.where(t <= 2.0, 1.0, (np.exp(t - 2.0) + np.exp(4.0 - t)) / _Q)
+    return _branches(t, [(t <= 2.0, 1.0)], lambda t: (np.exp(t - 2.0) + np.exp(4.0 - t)) / _Q)
 
 
 @_elementwise
 def d_control_value(t):
-    return np.select([t < 0.0, t <= 1.0], [0.0, (np.exp(t) - np.exp(2.0 - t)) / _Q],
+    return _branches(t, [(t < 0.0, 0.0), (t <= 1.0, lambda t: (np.exp(t) - np.exp(2.0 - t)) / _Q)],
                      0.0)
 
 
@@ -199,7 +212,7 @@ def d_eta3(t):
 
 @_elementwise
 def d_adjoint_value(t):
-    return np.select([t < 1.0, t < 2.0], [d_eta1(t), d_eta2(t)], d_eta3(t))
+    return _branches(t, [(t < 1.0, d_eta1), (t < 2.0, d_eta2)], d_eta3)
 
 
 def make_d_candidate() -> CandidateSolution:

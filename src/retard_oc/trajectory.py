@@ -5,15 +5,17 @@ A :class:`Trajectory` tiles [history_start, end] with half-open segments
 at the left endpoint of the following segment, matching piecewise
 definitions like "u(t) = 0 on ]3, 4]".  Segment bounds are exact rationals;
 only curve evaluation uses floats, and a curve answers a single time as
-an array of one time, so there is one lookup.  :func:`delayed_rows` is the
-library's one delayed-argument resolver: on a lattice, a delay is a block
-shift.
+an array of one time, so there is one lookup.  Segments (and cells, in
+:func:`block_rows`) whose curves share one function are evaluated in one
+call.  :func:`delayed_rows` is the library's one delayed-argument
+resolver: on a lattice, a delay is a block shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -28,6 +30,13 @@ TimeLike = Union[float, int, Fraction]
 _SNAP = 1e-11
 
 
+def _times(ts) -> np.ndarray:
+    """``eval_many``'s times as a 1-D float array; another shape raises ValueError."""
+    if (t := np.asarray(ts, dtype=float)).ndim != 1:
+        raise ValueError(f"eval_many takes a 1-D sequence of times, not shape {t.shape}")
+    return t
+
+
 def _one_row(self, t: TimeLike) -> np.ndarray:
     """Value at the one time ``t``: :meth:`eval_many` on one row, so a
     single time and an array of times share one lookup."""
@@ -38,16 +47,17 @@ class CallableCurve:
     """Closed-form curve wrapping a scalar-time callable returning shape (dim,)."""
 
     def __init__(self, fn: Callable[[float], object], dim: int):
+        from .problems import array_form   # problems builds on this module
         self.fn = fn
         self.dim = dim
+        self._many = array_form(fn, (dim,))
 
     __call__ = _one_row
 
     def eval_many(self, ts: np.ndarray) -> np.ndarray:
         """Values at each of ``ts``, shape (len(ts), dim), from the array form
         of the callable: one call per time unless it declares one."""
-        from .problems import array_form   # problems builds on this module
-        return array_form(self.fn, (self.dim,))(ts)
+        return self._many(_times(ts))
 
 
 def _hermite_basis(theta):
@@ -65,19 +75,15 @@ class HermiteCurve:
     """
 
     def __init__(self, ts: np.ndarray, ys: np.ndarray, ds: np.ndarray):
-        ts = np.asarray(ts, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        ds = np.asarray(ds, dtype=float)
+        ts, ys, ds = (np.asarray(a, dtype=float) for a in (ts, ys, ds))
         if ts.ndim != 1 or len(ts) < 2:
             raise ValueError("need at least two nodes")
         if ys.shape != (len(ts), ys.shape[1]) or ds.shape != ys.shape:
             raise ValueError("node array shapes disagree")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("node times must increase")
-        self.ts = ts
-        self.ys = ys
-        self.ds = ds
-        self.dim = ys.shape[1]
+        self.ts, self.ys, self.ds, self.dim = ts, ys, ds, ys.shape[1]
+        self._inner, self._dt = ts[1:-1], np.diff(ts)   # interior nodes, interval widths
         self._slack = _SNAP * max(1.0, abs(ts[0]), abs(ts[-1]))
 
     __call__ = _one_row
@@ -86,14 +92,14 @@ class HermiteCurve:
         """Values at each of the times ``t``, shape (len(t), dim): each time
         within float fuzz of the nodes is clamped onto them and blended on
         the node interval holding it."""
-        ts, slack = self.ts, self._slack
-        t = np.asarray(t, dtype=float)
-        if t.size and (t.min() < ts[0] - slack or t.max() > ts[-1] + slack):
-            bad = t.min() if t.min() < ts[0] - slack else t.max()
-            raise OutOfDomainError(f"t={bad} outside nodes [{ts[0]}, {ts[-1]}]")
-        i = np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 2)
+        ts, slack, t = self.ts, self._slack, _times(t)
+        lo, hi = t.min(initial=np.inf), t.max(initial=-np.inf)
+        if lo < ts[0] - slack or hi > ts[-1] + slack:
+            raise OutOfDomainError(
+                f"t={lo if lo < ts[0] - slack else hi} outside nodes [{ts[0]}, {ts[-1]}]")
+        i = np.searchsorted(self._inner, t, side="right")
         t0 = ts[i][:, None]
-        dt = ts[i + 1][:, None] - t0
+        dt = self._dt[i][:, None]
         theta = np.clip((t[:, None] - t0) / dt, 0.0, 1.0)
         h00, h10, h01, h11 = _hermite_basis(theta)
         return (h00 * self.ys[i] + h10 * dt * self.ds[i]
@@ -138,6 +144,9 @@ class Trajectory:
             raise ValueError(f"segments end at {prev}, expected {self.end}")
         bounds = np.array([float(s.lo) for s in self.segments] + [float(self.end)])
         object.__setattr__(self, "_bounds", bounds)
+        first = {}   # segment k's group: the first segment with its curve function (fn, or itself)
+        object.__setattr__(self, "_group", np.array([first.setdefault(
+            id(getattr(s.curve, "fn", s.curve)), k) for k, s in enumerate(self.segments)]))
         object.__setattr__(self, "_slack", _SNAP * max(
             1.0, bounds[-1] - bounds[0], abs(bounds[0]), abs(bounds[-1])))
 
@@ -153,13 +162,13 @@ class Trajectory:
         clamped onto that segment's interval; one further out raises
         :class:`OutOfDomainError`.
         """
-        tf = np.asarray(ts, dtype=float)
+        tf = _times(ts)
         bounds, slack, last = self._bounds, self._slack, len(self.segments) - 1
-        if tf.size and (tf.min() < bounds[0] - slack or tf.max() > bounds[-1] + slack):
-            bad = tf.min() if tf.min() < bounds[0] - slack else tf.max()
-            raise OutOfDomainError(
-                f"t={bad} outside [{self.history_start}, {self.end}]")
-        i = np.clip(np.searchsorted(bounds, tf, side="right") - 1, 0, last)
+        lo, hi = tf.min(initial=np.inf), tf.max(initial=-np.inf)
+        if lo < bounds[0] - slack or hi > bounds[-1] + slack:
+            raise OutOfDomainError(f"t={lo if lo < bounds[0] - slack else hi} "
+                                   f"outside [{self.history_start}, {self.end}]")
+        i = np.searchsorted(bounds[1:-1], tf, side="right")
         i = i + ((i < last) & (abs(tf - bounds[i + 1]) <= slack))
         return i, np.clip(tf, bounds[i], bounds[i + 1])
 
@@ -168,11 +177,13 @@ class Trajectory:
 
     def eval_many(self, ts) -> np.ndarray:
         """Values at each of the times ``ts``, shape (len(ts), dimension),
-        located by :meth:`_lookup`; one curve lookup per segment touched."""
+        located by :meth:`_lookup`; one call per curve function touched, at
+        the times of all its segments."""
         i, tf = self._lookup(ts)
+        group = self._group[i]
         out = np.empty((tf.size, self.dimension))
-        for j in np.flatnonzero(np.bincount(i)):   # each segment touched
-            sel = i == j
+        for j in np.flatnonzero(np.bincount(group)):   # each group touched
+            sel = group == j
             out[sel] = self.segments[j].curve.eval_many(tf[sel])
         return out
 
@@ -226,8 +237,12 @@ def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def block_rows(curves: Sequence[Curve], T: np.ndarray) -> np.ndarray:
     """Curve i at the times of row i of the (N, K) array ``T``, block-major:
-    row i K + k is ``curves[i]`` at ``T[i, k]``."""
-    return np.concatenate([curve.eval_many(ts) for curve, ts in zip(curves, T)])
+    row i K + k is ``curves[i]`` at ``T[i, k]``; a run of consecutive curves
+    with one function is evaluated in one call."""
+    runs = groupby(curves[:len(T)], key=lambda curve: getattr(curve, "fn", curve))
+    ends = np.cumsum([len(list(run)) for _, run in runs])
+    return np.concatenate([curves[i].eval_many(T[i:j].ravel())
+                           for i, j in zip(np.r_[0, ends[:-1]], ends)])
 
 
 def delayed_rows(history: Callable[[np.ndarray], np.ndarray], T: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 from fractions import Fraction
 from pathlib import Path
@@ -278,6 +279,26 @@ def test_expression_trees_are_unchanged(text):
     # every expression in the tests, the README and the benchmark's ld file,
     # mapped to the tree the hand-written recursive-descent parser built
     assert repr(parse_expression(text, ALL_NAMES)) == TREES[text]
+
+
+def _names_by_union(expr) -> set:
+    """Variable names as a new set at every node, unioned up the tree."""
+    if isinstance(expr, probfile.Var):
+        return {expr.name}
+    return set().union(*(_names_by_union(v) for v in vars(expr).values()
+                         if isinstance(v, probfile.Expr)))
+
+
+@pytest.mark.parametrize("text", sorted(TREES))
+def test_the_variables_walk_collects_every_name(text):
+    expr = parse_expression(text, ALL_NAMES)
+    assert expr.variables() == _names_by_union(expr)
+    extra = sorted(_names_by_union(expr) - {"t"})
+    if extra:
+        message = f"variables {extra} not allowed here (allowed: ['t'])"
+        with pytest.raises(ProblemFileError, match=re.escape(message)) as err:
+            parse_expression(text, {"t"}, line=7)
+        assert err.value.line == 7 and str(err.value).endswith(message)
 
 
 @pytest.mark.parametrize("text", [
