@@ -189,6 +189,8 @@ def _cmd_solve_fbsm(args: argparse.Namespace) -> int:
 def _cmd_solve_direct(args: argparse.Namespace) -> int:
     problem, _ = _load(args)
     n_steps = 250 * problem.lattice().n_cells if args.n_steps is None else args.n_steps
+    if n_steps < 1:   # refused with the cell count, which the config cannot name
+        raise ValueError(f"n_steps must be a positive multiple of {problem.lattice().n_cells}")
     cfg = TranscriptionConfig(n_steps=n_steps, max_iterations=args.max_iter,
                               grad_tol=args.tol)
     sol = solve_direct_euler(problem, cfg, _integrator(args))

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .problems import (AnyProblem, CandidateSolution, model_arrays,
+from .problems import (AnyProblem, CandidateSolution, model_arguments,
                        running_cost_array)
-from .trajectory import block_rows, delayed_rows
+from .trajectory import block_rows
 
 
 def _simpson_weights(steps: int) -> np.ndarray:
@@ -50,12 +50,9 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     span = hi - lo
     T = lo[:, None] + span[:, None] * (np.arange(steps + 1) / steps)
     T[:, -1] = hi
-    phi, psi = model_arrays(problem, "phi", "psi")
     x = block_rows(cand.state.cell_curves(lattice), T)
     u = block_rows(cand.control.cell_curves(lattice), T)
-    f0 = running_cost_array(problem)(
-        T.ravel(), x, delayed_rows(phi, T, x, float(lattice.r), lattice.state_shift),
-        u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
+    f0 = running_cost_array(problem)(*model_arguments(problem, lattice, T, x, u))
     acc = np.cumsum(weights * f0.reshape(T.shape), axis=1)[:, -1]   # in node order
     total = np.cumsum(acc * (span / steps) / 3.0)[-1]               # in cell order
     return float(total + problem.terminal_cost(x[-1]))   # x(b): the last node

@@ -33,15 +33,30 @@ costate recursion is one doubling scan per lattice cell (:func:`_affine_scan`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_form, model_arrays, model_partials)
+                       dynamics_array, model_arguments, model_arrays, model_partials)
 from .trajectory import (HermiteCurve, Trajectory, block_rows, cell_trajectory,
                          delayed_rows)
+
+
+def _check_settings(cfg, counts: dict, tolerances=()) -> None:
+    """Refuse a bad setting of a config when it is built, by name: each of
+    ``counts`` is an integer (Python or numpy, not a bool) of at least its
+    minimum, each of ``tolerances`` a finite number >= 0."""
+    for name, low in counts.items():
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+            raise ValueError(f"{name} must be >= {low} and an integer, not {value!r}")
+    for name in tolerances:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+            raise ValueError(f"{name} must be a finite number >= 0, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +66,7 @@ class IntegratorConfig:
     substeps_per_cell: int = 64
 
     def __post_init__(self):
-        if self.substeps_per_cell < 1:
-            raise ValueError("substeps_per_cell must be >= 1")
+        _check_settings(self, {"substeps_per_cell": 1})
 
 
 @dataclass(frozen=True)
@@ -193,7 +207,7 @@ def _state_free_cell(problem: AnyProblem, k_r: int, x0: np.ndarray, args: tuple,
     or a value overflows; numpy's warnings silenced): march stage by stage."""
     if isinstance(problem, StateLinearProblem) or k_r == 0 or not hasattr(problem.f, "many"):
         return None
-    f_many, (t, y, u, v) = array_form(problem.f, (problem.n,)), args
+    f_many, (t, y, u, v) = dynamics_array(problem), args
     with np.errstate(all="ignore"):
         F = f_many(t, np.broadcast_to(x0, y.shape), y, u, v)
         (states, out), read = march(F), F[rows]
@@ -290,7 +304,7 @@ def _forward_cells(problem: AnyProblem, control_cells, lattice: Commensurability
                    schedule, name: str, unit: str = "cell") -> list[HermiteCurve]:
     """The state's cell curves under ``control_cells``, marched along
     ``schedule`` (as :func:`_schedules` gives it); see :func:`_march`."""
-    n, k_r = problem.n, lattice.state_shift
+    k_r = lattice.state_shift
     T, K = schedule[1], schedule[1].shape[1]
     phi, psi = model_arrays(problem, "phi", "psi")
     u = block_rows(control_cells, T)
@@ -318,7 +332,7 @@ def _forward_cells(problem: AnyProblem, control_cells, lattice: Commensurability
         return _integrate_cell(lambda k, t, x: problem.dynamics(
             t, x, x if xd is None else xd[k], u_i[k], ud_i[k]), widths, times, y)[1]
 
-    y0 = np.asarray(problem.phi(float(lattice.a)), dtype=float).reshape(n)
+    y0 = phi(np.array([float(lattice.a)]))[0]
     return _march(name, lattice, schedule, y0, march_cell, unit=unit)
 
 
@@ -337,20 +351,14 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
     k_r, schedule = lattice.state_shift, _schedules(lattice, cfg.substeps_per_cell, True)
     T = schedule[1]
     N, K = T.shape
-    f0_d, f_d, g0_grad = model_partials(p)
-    f0_dx, f0_dy = (array_form(fn, (n,)) for fn in f0_d[1:3])
-    f_dx, f_dy = (array_form(fn, (n, n)) for fn in f_d[1:3])
-    phi, psi = model_arrays(p, "phi", "psi")
-    # the tuple [t] = (t, x(t), x(t-r), u(t), u(t-s)) at every stage
+    (f0_dx, f0_dy, *_), (f_dx, f_dy, *_), g0_grad = model_partials(p)
+    # the tuple [t] = (t, x(t), x(t-r), u(t), u(t-s)) at every stage;
+    # declared state-linear partials never read the control, so it is left
+    # out; finite differences of the running cost do, since f0u enters their rounding
     x = block_rows(cand.state.cell_curves(lattice), T)
-    args = (T.ravel(), x, delayed_rows(phi, T, x, float(lattice.r), k_r))
-    # declared state-linear partials never read the control; finite
-    # differences of the running cost do, since f0u enters their rounding
-    if isinstance(p, StateLinearProblem) and p.f0x_dx is not None and p.f0x_dy is not None:
-        args += ([None] * T.size,) * 2
-    else:
-        u = block_rows(cand.control.cell_curves(lattice), T)
-        args += (u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
+    u = (None if isinstance(p, StateLinearProblem) and p.f0x_dx is not None
+         and p.f0x_dy is not None else block_rows(cand.control.cell_curves(lattice), T))
+    args = model_arguments(p, lattice, T, x, u)
     # eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0), and
     # chi_[a, b-r] holds exactly on the cells i < N - k_r, whose advanced
     # tuple [t+r] is block i + k_r of the same arrays

@@ -15,13 +15,13 @@ Problem file grammar (line oriented, ``#`` starts a comment)::
     delays r = 2  s = 1
     dims n = 1  m = 1
     control-set all                 # or: control-set box lo = -1 hi = 1
-    A[0,0]  = 1                     # entries default to 0; variables: t
+    A[0,0]  = 1                     # entries default to 0
     AD[0,0] = 1
-    g[0]  = 0                       # variables: t, u0..u{m-1}
-    gD[0] = -10*v0                  # variables: t, v0..v{m-1}
-    f0x = x0                        # variables: t, x0.., y0..
-    f0u = 100*u0^2                  # variables: t, u0.., v0..
-    phi[0] = 1                      # variables: t
+    g[0]  = 0
+    gD[0] = -10*v0
+    f0x = x0
+    f0u = 100*u0^2
+    phi[0] = 1
     psi[0] = 0
 
 Value-function file grammar (pieces are affine in the state)::
@@ -34,11 +34,16 @@ Value-function file grammar (pieces are affine in the state)::
     piece 1 2                       # starts where the piece before it ends
     ...
 
+A field is named without its underscore (``AD`` for ``A_D``); it reads
+``t`` and the variables of the slots (``x0..``, ``y0..``, ``u0..``,
+``v0..``) of its row of :data:`~retard_oc.problems.MODEL_FIELDS`, and
+takes one index per axis of the row's shape.
+
 Scalars (horizon, delays, dims, box and piece bounds) are integers,
 decimals or rationals like ``1/2``, with an optional sign; any other
 spelling is refused with its line, as are indices outside ``dims``.
 
-A parsed problem carries the exact partials of every field, differentiated
+A parsed problem carries the exact partials the table lists, differentiated
 once with :meth:`Expr.diff`, so nothing falls back to finite differences.
 Every field also carries its array form: :meth:`Expr.eval` reads float
 arrays as it reads floats, so one walk of a tree evaluates it at all times,
@@ -59,7 +64,8 @@ import numpy as np
 
 from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
-from .problems import ControlSet, StateLinearProblem, array_field, int_power
+from .problems import (MODEL_FIELDS, ControlSet, StateLinearProblem, array_field,
+                       field_layout, int_power)
 
 # -- expression language -------------------------------------------------------
 
@@ -282,6 +288,10 @@ def parse_expression(text: str, allowed: set, line: Optional[int] = None) -> Exp
 
 # -- problem files ---------------------------------------------------------------
 
+# the fields of a problem file; their partials are differentiated from them
+_FILE_FIELDS = ("A", "A_D", "g", "g_D", "f0x", "f0u", "phi", "psi")
+# the horizon and delays, each with the line that gives it
+_LATTICE_KEYS = (("a", "horizon"), ("b", "horizon"), ("r", "delays"), ("s", "delays"))
 _ASSIGN = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*"
     r"(?:\[(?P<idx>\d+(?:\s*,\s*\d+)?)\])?\s*=\s*(?P<rhs>.+)$")
@@ -348,16 +358,18 @@ def _statements(text: str):
 def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     """Parse a state-linear problem from declarative text.
 
-    Raises :class:`ProblemFileError` with the offending 1-based line number.
+    Each field's variables, index bound and exact partials follow its row
+    of :data:`~retard_oc.problems.MODEL_FIELDS`.  Raises
+    :class:`ProblemFileError` with the offending 1-based line number.
     """
     name = None
-    horizon: dict = {}
-    delays: dict = {}
+    given: dict = {"horizon": {}, "delays": {}}   # a, b and r, s
     dims: dict = {}
     control: Optional[ControlSet] = None
-    entries: dict[str, dict] = {k: {} for k in ("A", "AD", "g", "gD", "phi", "psi")}
     control_line = None   # where the control set was given
-    scalars: dict[str, Expr] = {}
+    # the fields a file assigns and their entries, by their spelling there (AD for A_D)
+    fields = {field.replace("_", ""): field for field in _FILE_FIELDS}
+    entries: dict[str, dict] = {spelling: {} for spelling in fields}
 
     for lineno, keyword, rest, stripped in _statements(text):
         if keyword == "problem":
@@ -369,11 +381,8 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
                     f"unsupported kind {rest.strip()!r}; only 'state-linear' "
                     f"problems are expressible in files", lineno)
             continue
-        if keyword == "horizon":
-            horizon = _scalar_pairs(rest, lineno)
-            continue
-        if keyword == "delays":
-            delays = _scalar_pairs(rest, lineno)
+        if keyword in given:
+            given[keyword] = _scalar_pairs(rest, lineno)
             continue
         if keyword == "dims":
             if dims:
@@ -405,29 +414,27 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
         if not m:
             raise ProblemFileError(f"cannot parse {stripped!r}", lineno)
         target, idx, rhs = m.group("name"), m.group("idx"), m.group("rhs")
-        if target in ("f0x", "f0u"):
-            if idx is not None:
-                raise ProblemFileError(f"{target} is scalar, drop the index", lineno)
-            allowed = {"t", "x", "y"} if target == "f0x" else {"t", "u", "v"}
-            scalars[target] = _parse_field(rhs, allowed, dims, lineno)
-        elif target in entries:
-            if idx is None:
-                raise ProblemFileError(f"{target} needs an index like {target}[0]", lineno)
-            index = tuple(int(v) for v in idx.split(","))
-            allowed = {"A": {"t"}, "AD": {"t"}, "g": {"t", "u"},
-                       "gD": {"t", "v"}, "phi": {"t"}, "psi": {"t"}}[target]
-            entries[target][index] = _parse_field(rhs, allowed, dims, lineno)
-            n, m_dim = dims["n"], dims["m"]
-            bound = {"A": (n, n), "AD": (n, n), "psi": (m_dim,)}.get(target, (n,))
-            if len(index) != len(bound) or any(i >= b for i, b in zip(index, bound)):
-                raise ProblemFileError(f"index {index} out of range for {target} "
-                                       f"with dims {bound}", lineno)
-        else:
+        if target not in fields:
             raise ProblemFileError(f"unknown field {target!r}", lineno)
+        scalar = not MODEL_FIELDS[fields[target]][1]
+        if scalar and idx is not None:
+            raise ProblemFileError(f"{target} is scalar, drop the index", lineno)
+        if not scalar and idx is None:
+            raise ProblemFileError(f"{target} needs an index like {target}[0]", lineno)
+        if "n" not in dims or "m" not in dims:
+            raise ProblemFileError(
+                "a dims line with both n and m must precede field definitions", lineno)
+        slots, bound = field_layout(fields[target], dims["n"], dims["m"])
+        allowed = {"t"} | {f"{w}{i}" for w, dim in slots for i in range(dim)}
+        expr = parse_expression(rhs, allowed, lineno)
+        index = () if scalar else tuple(int(v) for v in idx.split(","))
+        if len(index) != len(bound) or any(i >= b for i, b in zip(index, bound)):
+            raise ProblemFileError(f"index {index} out of range for {target} "
+                                   f"with dims {bound}", lineno)
+        entries[target][index] = expr
 
-    for key, given, what in (("a", horizon, "horizon"), ("b", horizon, "horizon"),
-                             ("r", delays, "delays"), ("s", delays, "delays")):
-        if key not in given:
+    for key, what in _LATTICE_KEYS:
+        if key not in given[what]:
             raise ProblemFileError(f"missing '{key}' in {what} line")
     if "n" not in dims or "m" not in dims:
         raise ProblemFileError("missing dims line (need n and m)")
@@ -435,52 +442,29 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     if isinstance(control, ControlSet) and control.m != m_dim:
         raise ProblemFileError(f"control-set box has {control.m} bounds per "
                                f"side, dims has m = {m_dim}", control_line)
-    if "f0x" not in scalars or "f0u" not in scalars:
+    if not entries["f0x"] or not entries["f0u"]:
         raise ProblemFileError("both f0x and f0u must be given")
 
-    xy, uv = (("x", n), ("y", n)), (("u", m_dim), ("v", m_dim))
-    f0x_expr, f0u_expr = scalars["f0x"], scalars["f0u"]
+    def evaluator(field: str, exprs: dict, var: str = "") -> Callable:
+        """``field`` with entries ``exprs``, or the partial ``field`` of them in
+        the slot ``var``, its last index over that slot's variables."""
+        slots, shape = field_layout(field, n, m_dim)
+        if var:
+            exprs = {idx + (j,): d for idx, e in exprs.items()
+                     for j in range(dict(slots)[var])
+                     if not _is_const(d := e.diff(f"{var}{j}"), 0.0)}
+        return _entry_evaluator(exprs, shape, *slots)
 
-    def partials(exprs: dict, var: str, count: int, shape: tuple, *vectors) -> Callable:
-        """Evaluator of d exprs / d(var0 .. var{count-1}), differentiated once
-        here; the new last index runs over the variables."""
-        derivs = {idx + (j,): e.diff(f"{var}{j}")
-                  for idx, e in exprs.items() for j in range(count)}
-        return _entry_evaluator({k: d for k, d in derivs.items()
-                                 if not _is_const(d, 0.0)}, shape, *vectors)
-
+    partials = {}
+    for field in MODEL_FIELDS:   # F_dw, the partial of a file field F in slot w
+        of = re.fullmatch(r"(\w+)_d([xyuv])", field)
+        if of and of[1] in fields:
+            partials[field] = evaluator(field, entries[of[1]], of[2])
     return StateLinearProblem(
-        a=horizon["a"], b=horizon["b"], r=delays["r"], s=delays["s"],
-        n=n, m=m_dim,
-        A=_entry_evaluator(entries["A"], (n, n)),
-        A_D=_entry_evaluator(entries["AD"], (n, n)),
-        g=_entry_evaluator(entries["g"], (n,), ("u", m_dim)),
-        g_D=_entry_evaluator(entries["gD"], (n,), ("v", m_dim)),
-        f0x=_entry_evaluator({(): f0x_expr}, (), *xy),
-        f0u=_entry_evaluator({(): f0u_expr}, (), *uv),
-        phi=_entry_evaluator(entries["phi"], (n,)),
-        psi=_entry_evaluator(entries["psi"], (m_dim,)),
+        **{key: given[what][key] for key, what in _LATTICE_KEYS}, n=n, m=m_dim,
         control_set=(ControlSet.free(m_dim) if control in (None, "all") else control),
-        f0x_dx=partials({(): f0x_expr}, "x", n, (n,), *xy),
-        f0x_dy=partials({(): f0x_expr}, "y", n, (n,), *xy),
-        g_du=partials(entries["g"], "u", m_dim, (n, m_dim), ("u", m_dim)),
-        gD_dv=partials(entries["gD"], "v", m_dim, (n, m_dim), ("v", m_dim)),
-        f0u_du=partials({(): f0u_expr}, "u", m_dim, (m_dim,), *uv),
-        f0u_dv=partials({(): f0u_expr}, "v", m_dim, (m_dim,), *uv),
-        name=name or source,
-    )
-
-
-def _parse_field(rhs: str, allowed_prefixes: set, dims: dict, lineno: int) -> Expr:
-    if "n" not in dims or "m" not in dims:
-        raise ProblemFileError(
-            "a dims line with both n and m must precede field definitions",
-            lineno)
-    allowed = {"t"} if "t" in allowed_prefixes else set()
-    for prefix, count_key in (("x", "n"), ("y", "n"), ("u", "m"), ("v", "m")):
-        if prefix in allowed_prefixes:
-            allowed |= {f"{prefix}{i}" for i in range(dims[count_key])}
-    return parse_expression(rhs, allowed, lineno)
+        name=name or source, **partials,
+        **{field: evaluator(field, entries[spelling]) for spelling, field in fields.items()})
 
 
 def load_problem(path: str) -> StateLinearProblem:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .lattice import CommensurabilityLattice, Rational, as_rational, make_lattice
 from .numdiff import grad_scalar_slot, gradient, partial_vec_slot
-from .trajectory import Trajectory
+from .trajectory import Trajectory, delayed_rows
 
 Vec = np.ndarray
 Mat = np.ndarray
@@ -48,7 +48,7 @@ class ControlSet:
     def box(lo, hi) -> "ControlSet":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or np.any(lo > hi):
+        if lo.shape != hi.shape or not np.all(lo <= hi):
             raise ValueError("invalid box bounds")
         return ControlSet(m=len(lo), lo=lo, hi=hi)
 
@@ -159,9 +159,18 @@ def int_power(values: np.ndarray, k: int) -> np.ndarray:
 
 # -- problem classes ----------------------------------------------------------
 
+@dataclass(frozen=True)
 class _Problem:
-    """What both problem classes share: exact rational horizon and delays, a
-    free control set by default, the control history and the lattice."""
+    """What both problem classes share: exact rational horizon and delays,
+    the dimensions, a free control set by default, the control history and
+    the lattice."""
+
+    a: Rational
+    b: Rational
+    r: Rational
+    s: Rational
+    n: int
+    m: int
 
     def __post_init__(self):
         for key in ("a", "b", "r", "s"):
@@ -187,12 +196,6 @@ class DelayedProblem(_Problem):
     are used when they are absent.
     """
 
-    a: Rational
-    b: Rational
-    r: Rational
-    s: Rational
-    n: int
-    m: int
     f0: Callable[[float, Vec, Vec, Vec, Vec], float]
     f: Callable[[float, Vec, Vec, Vec, Vec], Vec]
     phi: Callable[[float], Vec]
@@ -234,14 +237,9 @@ class DelayedProblem(_Problem):
 @dataclass(frozen=True)
 class StateLinearProblem(_Problem):
     """Problem with dynamics linear in the current and delayed state.  Any
-    optional partial left out is taken by central finite differences."""
+    optional partial left out is taken by central finite differences; the
+    arguments and shape of each field are its row of :data:`MODEL_FIELDS`."""
 
-    a: Rational
-    b: Rational
-    r: Rational
-    s: Rational
-    n: int
-    m: int
     A: Callable[[float], Mat]
     A_D: Callable[[float], Mat]
     g: Callable[[float, Vec], Vec]
@@ -251,12 +249,12 @@ class StateLinearProblem(_Problem):
     phi: Callable[[float], Vec]
     psi: Callable[[float], Vec]
     control_set: ControlSet = None  # type: ignore[assignment]
-    f0x_dx: Optional[Callable] = None   # d f0x / d x, shape (n,)
-    f0x_dy: Optional[Callable] = None   # d f0x / d x(t-r), shape (n,)
-    g_du: Optional[Callable] = None     # d g / d u at (t, u), shape (n, m)
-    gD_dv: Optional[Callable] = None    # d g_D / d u(t-s) at (t, v), shape (n, m)
-    f0u_du: Optional[Callable] = None   # d f0u / d u at (t, u, v), shape (m,)
-    f0u_dv: Optional[Callable] = None   # d f0u / d u(t-s) at (t, u, v), shape (m,)
+    f0x_dx: Optional[Callable] = None   # d f0x / d x
+    f0x_dy: Optional[Callable] = None   # d f0x / d x(t-r)
+    g_du: Optional[Callable] = None     # d g / d u
+    gD_dv: Optional[Callable] = None    # d g_D / d u(t-s)
+    f0u_du: Optional[Callable] = None   # d f0u / d u
+    f0u_dv: Optional[Callable] = None   # d f0u / d u(t-s)
     name: str = ""
 
     @property
@@ -280,13 +278,36 @@ class StateLinearProblem(_Problem):
 AnyProblem = DelayedProblem | StateLinearProblem
 
 
+# Every model field of both classes: the slots among x, y, u, v it reads
+# after t, and its shape, one letter per axis (n or m; "nm" is (n, m)).  The
+# partial of field F in slot w is named F_dw, F without its underscore.
+MODEL_FIELDS = {
+    "A": ("", "nn"), "A_D": ("", "nn"), "g": ("u", "n"), "g_D": ("v", "n"),
+    "f0x": ("xy", ""), "f0u": ("uv", ""), "phi": ("", "n"), "psi": ("", "m"),
+    "f0x_dx": ("xy", "n"), "f0x_dy": ("xy", "n"), "g_du": ("u", "nm"),
+    "gD_dv": ("v", "nm"), "f0u_du": ("uv", "m"), "f0u_dv": ("uv", "m"),
+    "f": ("xyuv", "n"), "f0": ("xyuv", ""),
+    "f_dx": ("xyuv", "nn"), "f_dy": ("xyuv", "nn"), "f_du": ("xyuv", "nm"),
+    "f_dv": ("xyuv", "nm"), "f0_dx": ("xyuv", "n"), "f0_dy": ("xyuv", "n"),
+    "f0_du": ("xyuv", "m"), "f0_dv": ("xyuv", "m"),
+}
+
+
+def field_layout(name: str, n: int, m: int) -> tuple[list, tuple]:
+    """The row of :data:`MODEL_FIELDS` for ``name`` at dimensions n and m:
+    its slots as (letter, dimension) pairs, and its shape."""
+    dim = {"x": n, "y": n, "u": m, "v": m, "n": n, "m": m}
+    slots, shape = MODEL_FIELDS[name]
+    return [(w, dim[w]) for w in slots], tuple(dim[axis] for axis in shape)
+
+
 def as_delayed(problem: AnyProblem) -> DelayedProblem:
     """View a state-linear problem through the general nonlinear interface.
 
-    The composed problem declares the partials :func:`model_partials`
-    resolves for ``problem``: exact state Jacobians (A and A_D), the f0x
-    partials where given, finite differences otherwise.  Already-general
-    problems pass through unchanged.
+    The composed problem declares, through :func:`array_field`, the array
+    forms :func:`model_partials` resolves for ``problem``: exact state
+    Jacobians (A and A_D), the declared partials, finite differences
+    otherwise.  Already-general problems pass through unchanged.
     """
     if isinstance(problem, DelayedProblem):
         return problem
@@ -296,21 +317,30 @@ def as_delayed(problem: AnyProblem) -> DelayedProblem:
         a=p.a, b=p.b, r=p.r, s=p.s, n=p.n, m=p.m,
         f0=p.running_cost, f=p.dynamics, phi=p.phi, psi=p.psi,
         control_set=p.control_set,
-        terminal_set=TerminalSet.free(p.n),
-        f_dx=f_d[1], f_dy=f_d[2], f_du=f_d[3], f_dv=f_d[4],
-        f0_dx=f0_d[1], f0_dy=f0_d[2], f0_du=f0_d[3], f0_dv=f0_d[4],
+        **{f"{fn}_d{w}": array_field(many) for fn, partials in (("f0", f0_d), ("f", f_d))
+           for w, many in zip("xyuv", partials)},
         name=p.name,
     )
 
 
 def model_arrays(problem: AnyProblem, *names: str) -> tuple:
-    """The :func:`array_form` of each named field: ``A`` and ``A_D`` of shape
-    (K, n, n); ``g``, ``g_D``, the f0x partials and ``phi`` (K, n); ``psi``
-    (K, m); ``f0x`` and ``f0u`` (K,)."""
-    n = problem.n
-    shapes = {"A": (n, n), "A_D": (n, n), "g": (n,), "g_D": (n,), "f0x": (),
-              "f0u": (), "f0x_dx": (n,), "f0x_dy": (n,), "phi": (n,), "psi": (problem.m,)}
-    return tuple(array_form(getattr(problem, name), shapes[name]) for name in names)
+    """The :func:`array_form` of each named field, its shape from
+    :data:`MODEL_FIELDS`."""
+    return tuple(array_form(getattr(problem, name), field_layout(name, problem.n, problem.m)[1])
+                 for name in names)
+
+
+def model_arguments(problem: AnyProblem, lattice: CommensurabilityLattice, T: np.ndarray,
+                    x: np.ndarray, u: Optional[np.ndarray] = None) -> tuple:
+    """The model's arguments (t, x, x(t-r), u, u(t-s)) at the times ``T``, row
+    i in lattice cell i, from the block-major rows ``x`` and ``u`` there, the
+    delayed ones by :func:`~retard_oc.trajectory.delayed_rows`; without ``u``,
+    (t, x, x(t-r))."""
+    phi, psi = model_arrays(problem, "phi", "psi")
+    args = (T.ravel(), x, delayed_rows(phi, T, x, float(lattice.r), lattice.state_shift))
+    if u is None:
+        return args
+    return args + (u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
 
 
 def running_cost_array(problem: AnyProblem) -> Callable:
@@ -320,7 +350,7 @@ def running_cost_array(problem: AnyProblem) -> Callable:
     if isinstance(problem, StateLinearProblem):
         f0x, f0u = model_arrays(problem, "f0x", "f0u")
         return lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v)
-    return array_form(problem.f0, ())
+    return model_arrays(problem, "f0")[0]
 
 
 def dynamics_array(problem: AnyProblem) -> Callable:
@@ -331,56 +361,42 @@ def dynamics_array(problem: AnyProblem) -> Callable:
         A, A_D, g, g_D = model_arrays(problem, "A", "A_D", "g", "g_D")
         return lambda ts, x, y, u, v: ((A(ts) @ x[:, :, None] + A_D(ts) @ y[:, :, None])[:, :, 0]
                                        + g(ts, u) + g_D(ts, v))
-    return array_form(problem.f, (problem.n,))
-
-
-def _shaped(fn: Optional[Callable], shape: tuple,
-            pick: Callable = lambda *args: args) -> Optional[Callable]:
-    """``fn`` on ``pick(*args)`` as a float array of ``shape``, with the
-    array form of ``fn`` on the same picks; or None."""
-    if fn is None:
-        return None
-    many = array_form(fn, shape)
-    return batched(lambda *args: np.asarray(fn(*pick(*args)), dtype=float).reshape(shape),
-                   lambda *args: many(*pick(*args)))
+    return model_arrays(problem, "f")[0]
 
 
 def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable]]:
     """Slot partials of the model of ``problem``, resolved once per
     integration or gradient: ``(f0, f, g0)``.
 
-    ``f0[k]`` and ``f[k]`` take the five arguments (t, x, y, u, v) and return
-    d f0 / d(slot k), shape (dim,), and d f / d(slot k), shape (n, dim), for
-    the slots k = 1..4 (x, y, u, v; index 0 is unused).  ``g0`` maps x to the
-    terminal-cost gradient, or is None when the class has no terminal cost.
-    Declared partials are used where given, central finite differences of
-    the model functions otherwise; a state-linear problem supplies A and A_D
-    directly, and its declared f0x, g, g_D and f0u partials.
+    ``f0`` and ``f`` hold, for the slots x, y, u, v in that order, the array
+    forms of d f0 / d slot and d f / d slot over (ts, X, Y, U, V).  A declared
+    partial reads only its slots of :data:`MODEL_FIELDS`, so later arguments
+    may be left out; finite differences of the model, where none is
+    declared, read all five.  A state-linear problem's f partials in x and
+    y are A and A_D.  ``g0`` maps x to the terminal-cost gradient, or is
+    None when the class has no terminal cost.
     """
     p, n = problem, problem.n
-    dims = (None, n, n, p.m, p.m)
     if isinstance(p, StateLinearProblem):
+        names = (("f0x_dx", "f0x_dy", "f0u_du", "f0u_dv"), ("A", "A_D", "g_du", "gD_dv"))
         f0_fn, f_fn, g0 = p.running_cost, p.dynamics, None
-        txy, tuv = (lambda t, x, y, u, v: (t, x, y)), (lambda t, x, y, u, v: (t, u, v))
-        f0 = [None, _shaped(p.f0x_dx, (n,), txy), _shaped(p.f0x_dy, (n,), txy),
-              _shaped(p.f0u_du, (p.m,), tuv), _shaped(p.f0u_dv, (p.m,), tuv)]
-        f = [None,
-             _shaped(p.A, (n, n), lambda t, x, y, u, v: (t,)),
-             _shaped(p.A_D, (n, n), lambda t, x, y, u, v: (t,)),
-             _shaped(p.g_du, (n, p.m), lambda t, x, y, u, v: (t, u)),
-             _shaped(p.gD_dv, (n, p.m), lambda t, x, y, u, v: (t, v))]
     else:
+        names = [[f"{fn}_d{w}" for w in "xyuv"] for fn in ("f0", "f")]
         f0_fn, f_fn = p.f0, p.f
-        f0 = [None] + [_shaped(fn, (dims[k],)) for k, fn in
-                       enumerate((p.f0_dx, p.f0_dy, p.f0_du, p.f0_dv), 1)]
-        f = [None] + [_shaped(fn, (n, dims[k])) for k, fn in
-                      enumerate((p.f_dx, p.f_dy, p.f_du, p.f_dv), 1)]
-        g0 = _shaped(p.g0_grad, (n,)) or (
-            lambda x: gradient(lambda z: float(p.g0(z)), np.asarray(x, float)))
-    for k in range(1, 5):
-        f0[k] = f0[k] or (lambda *args, k=k: grad_scalar_slot(f0_fn, k, args))
-        f[k] = f[k] or (lambda *args, k=k: partial_vec_slot(f_fn, k, args, n))
-    return tuple(f0), tuple(f), g0
+        g0 = ((lambda x: np.asarray(p.g0_grad(x), dtype=float).reshape(n)) if p.g0_grad is not None
+              else lambda x: gradient(lambda z: float(p.g0(z)), np.asarray(x, float)))
+    differences = (lambda k, args: grad_scalar_slot(f0_fn, k, args),
+                   lambda k, args: partial_vec_slot(f_fn, k, args, n))
+
+    def resolve(name: str, k: int, difference: Callable) -> Callable:
+        (slots, shape), fn = field_layout(name, n, p.m), getattr(p, name)
+        if fn is None:
+            return array_form(lambda *args: difference(k, args), shape)
+        many, picks = array_form(fn, shape), ["xyuv".index(w) for w, _ in slots]
+        return lambda ts, *args: many(ts, *(args[i] for i in picks))
+    f0, f = (tuple(resolve(name, k, difference) for k, name in enumerate(row, 1))
+             for row, difference in zip(names, differences))
+    return f0, f, g0
 
 
 # -- candidate pairs ----------------------------------------------------------

@@ -24,8 +24,8 @@ from .dde import _NODE_SLOTS, IntegratorConfig, _cell_schedule, _forward_cells, 
 from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import (AnyProblem, CandidateSolution, dynamics_array,
-                       model_arrays, running_cost_array)
-from .trajectory import Trajectory, block_rows, cell_trajectory, delayed_rows
+                       model_arguments, running_cost_array)
+from .trajectory import Trajectory, block_rows, cell_trajectory
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class AugmentedProblem:
         p, lat = self.problem, self.lattice
         for name, value in dict(
                 _starts=np.array([float(lo) for _, lo, _ in lat.cells()]),
-                _delays=(float(lat.r), float(lat.s)),
-                _shifts=(lat.state_shift, lat.control_shift),
-                _histories=model_arrays(p, "phi", "psi"),
                 _dynamics=dynamics_array(p), _running_cost=running_cost_array(p)).items():
             object.__setattr__(self, name, value)
 
@@ -84,12 +81,9 @@ class AugmentedProblem:
         """The original model's arguments (t, x, x(t-r), u, u(t-s)) of every
         block at the K local times ``sigmas``, block-major like ``X`` and
         ``W``: a delay of k blocks is a shift by k K rows."""
-        (rf, sf), (kr, ks), (phi, psi) = self._delays, self._shifts, self._histories
-        T = self._starts[:, None] + sigmas
-        x = np.asarray(X, float).reshape(-1, self.problem.n)
-        u = np.asarray(W, float).reshape(-1, self.problem.m)
-        return (T.ravel(), x, delayed_rows(phi, T, x, rf, kr),
-                u, delayed_rows(psi, T, u, sf, ks))
+        return model_arguments(self.problem, self.lattice, self._starts[:, None] + sigmas,
+                               np.asarray(X, float).reshape(-1, self.problem.n),
+                               np.asarray(W, float).reshape(-1, self.problem.m))
 
     def _summed_cost(self, sigmas, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Running cost at each of ``sigmas``, one array-form call, summed block by block."""

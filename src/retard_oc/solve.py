@@ -15,13 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .cost import evaluate_cost
-from .dde import (IntegratorConfig, _affine_scan, _state_free_cell,
+from .dde import (IntegratorConfig, _affine_scan, _check_settings, _state_free_cell,
                   integrate_adjoint_linear, integrate_forward)
 from .errors import NoConvergenceError, UnboundedDescentError
 from .lattice import _lattice_grid
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_field, array_form, model_arrays, model_partials,
-                       running_cost_array)
+                       array_field, model_arrays, model_partials, running_cost_array)
 from .sufficiency import argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          hermite_from_samples, shifted_rows)
@@ -54,8 +53,7 @@ class SweepConfig:
     def __post_init__(self):
         if not 0.0 < self.omega <= 1.0:
             raise ValueError("relaxation weight must lie in (0, 1]")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_settings(self, {"max_iterations": 1}, ("tol",))
 
 
 @dataclass
@@ -181,8 +179,7 @@ class TranscriptionConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        _check_settings(self, {"n_steps": 1, "max_iterations": 1}, ("grad_tol",))
 
 
 @dataclass
@@ -204,7 +201,7 @@ class _EulerGrid:
 
     def __init__(self, p: AnyProblem, cfg: TranscriptionConfig):
         lattice = p.lattice()
-        if cfg.n_steps <= 0 or cfg.n_steps % lattice.n_cells != 0:
+        if cfg.n_steps % lattice.n_cells != 0:
             raise ValueError(
                 f"n_steps must be a positive multiple of {lattice.n_cells}")
         delta = (lattice.b - lattice.a) / cfg.n_steps
@@ -212,17 +209,13 @@ class _EulerGrid:
         assert k_r.denominator == 1 and k_s.denominator == 1
         self.p, self.lattice, self.M = p, lattice, cfg.n_steps
         self.k_r, self.k_s, self.df = int(k_r), int(k_s), float(delta)
-        af = float(lattice.a)
-        T = self.T = af + self.df * np.arange(self.M)
-        self.x0 = np.asarray(p.phi(af), float).reshape(p.n)
+        T = self.T = float(lattice.a) + self.df * np.arange(self.M)
         phi, psi = model_arrays(p, "phi", "psi")
+        self.x0 = phi(T[:1])[0]   # T[0] is a
         self.x_hist = phi(T[:self.k_r] - float(lattice.r))
         self.u_hist = psi(T[:self.k_s] - float(lattice.s))
         self.running_cost = running_cost_array(p)
-        (_, *f0_d), (_, *f_d), self.g0_grad = model_partials(p)
-        dims = (p.n, p.n, p.m, p.m)
-        self.f0_d = [array_form(fn, (d,)) for fn, d in zip(f0_d, dims)]
-        self.f_d = [array_form(fn, (p.n, d)) for fn, d in zip(f_d, dims)]
+        self.f0_d, self.f_d, self.g0_grad = model_partials(p)
         self.L = self.M // lattice.n_cells   # Euler stages per lattice cell
         self.A = self.A_D = None   # stay None for a general problem
         if isinstance(p, StateLinearProblem):

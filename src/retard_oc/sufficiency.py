@@ -19,13 +19,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .cost import evaluate_cost
-from .dde import (AdjointTrajectory, IntegratorConfig, integrate_adjoint_linear)
+from .dde import (AdjointTrajectory, IntegratorConfig, _check_settings,
+                  integrate_adjoint_linear)
 from .errors import UnboundedCriterionError
 from .lattice import (CommensurabilityLattice, _lattice_grid, _sample_times, _SampleTimes,
                       as_rational)
 from .numdiff import central_scalar, gradient, hessians
 from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, array_form, model_arrays)
+                       StateLinearProblem, array_form, dynamics_array, model_arrays,
+                       running_cost_array)
 from .trajectory import Trajectory
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -144,11 +146,11 @@ class VerifyConfig:
     convexity_halfwidth: float = 1.0
 
     def __post_init__(self):
-        for name, low in (("grid_points_per_cell", 1), ("probes_per_point", 0),
-                          ("convexity_pairs", 1), ("convexity_halfwidth", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
-        if self.quadrature_steps_per_cell < 2 or self.quadrature_steps_per_cell % 2:
+        _check_settings(self, {"grid_points_per_cell": 1, "probes_per_point": 0,
+                               "convexity_pairs": 1, "quadrature_steps_per_cell": 2},
+                        [name for name in vars(self) if name.startswith(("tol_", "tube_"))]
+                        + ["convexity_halfwidth"])
+        if self.quadrature_steps_per_cell % 2:
             raise ValueError("quadrature_steps_per_cell must be a positive even integer")
 
     @staticmethod
@@ -635,8 +637,8 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     v[lag] = _closed_loop(problem, S, feedback, state_traj, times.delayed_control[lag],
                           times.delayed_both[lag])[0]
     args = (times.t, x, y, u, v)
-    braced = (-array_form(problem.f0, ())(*args)
-              + np.sum(eta * array_form(problem.f, (problem.n,))(*args), axis=1))
+    braced = (-running_cost_array(problem)(*args)
+              + np.sum(eta * dynamics_array(problem)(*args), axis=1))
     res = array_form(S.S_t, ())(times.t, x) + times.cells * braced
     return float(res[0]) if single else res
 

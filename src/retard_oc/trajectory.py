@@ -78,7 +78,7 @@ class HermiteCurve:
         ts, ys, ds = (np.asarray(a, dtype=float) for a in (ts, ys, ds))
         if ts.ndim != 1 or len(ts) < 2:
             raise ValueError("need at least two nodes")
-        if ys.shape != (len(ts), ys.shape[1]) or ds.shape != ys.shape:
+        if ys.ndim != 2 or len(ys) != len(ts) or ds.shape != ys.shape:
             raise ValueError("node array shapes disagree")
         if np.any(np.diff(ts) <= 0):
             raise ValueError("node times must increase")

@@ -178,9 +178,11 @@ def test_fd_jacobians_match_declared(d_problem, ld_problem, rng):
         f0_declared, f_declared, _ = model_partials(p)
         f0_fd, f_fd, _ = model_partials(_stripped(p))
         for _ in range(25):
-            args = (float(rng.uniform(0, 3)), rng.normal(size=p.n),
-                    rng.normal(size=p.n), rng.normal(size=p.m), rng.normal(size=p.m))
-            for slot in (1, 2, 3, 4):
+            # one row of (t, x, y, u, v): the partials are array forms
+            args = (np.array([rng.uniform(0, 3)]), rng.normal(size=(1, p.n)),
+                    rng.normal(size=(1, p.n)), rng.normal(size=(1, p.m)),
+                    rng.normal(size=(1, p.m)))
+            for slot in range(4):
                 np.testing.assert_allclose(f_fd[slot](*args),
                                            f_declared[slot](*args), atol=1e-6)
                 np.testing.assert_allclose(f0_fd[slot](*args),

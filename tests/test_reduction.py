@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -358,12 +359,16 @@ def test_marched_blocks_solve_the_stacked_ode(name, substeps, ld_problem, ld_can
     reassemble(sol, problem.lattice())
 
 
-def test_misread_delay_is_a_mismatch(ld_problem, ld_candidate):
+def test_misread_delay_is_a_mismatch(ld_problem, ld_candidate, monkeypatch):
     # a stacked right-hand side that reads x(t - r) one block too far back
     # disagrees with the march, which resolves the delay by itself
     lattice = ld_problem.lattice()
     aug = augment(ld_problem, lattice)
-    object.__setattr__(aug, "_shifts", (aug.state_offset + 1, aug.control_offset))
+    misread = SimpleNamespace(r=lattice.r, s=lattice.s, state_shift=lattice.state_shift + 1,
+                              control_shift=lattice.control_shift)
+    arguments = reduction.model_arguments
+    monkeypatch.setattr(reduction, "model_arguments",
+                        lambda p, _, *rows: arguments(p, misread, *rows))
     sol = integrate_augmented(aug, ld_candidate.control, IntegratorConfig(16))
     assert sol.linkage_residual() == 0.0
     with pytest.raises(SeamMismatchError, match="stacked ODE"):

@@ -319,15 +319,15 @@ def _reference_gradient(grid, xs, u):
     stage, stacked, around the same lambda recursion."""
     p, M, k_r, k_s, df = grid.p, grid.M, grid.k_r, grid.k_s, grid.df
     ts = [float(p.a) + df * i for i in range(M)]
-    (_, f0_dx, f0_dy, f0_du, f0_dv), (_, f_dx, f_dy, f_du, f_dv), g0_grad = \
-        model_partials(p)
+    (f0_dx, f0_dy, f0_du, f0_dv), (f_dx, f_dy, f_du, f_dv), g0_grad = model_partials(p)
     ys = [xs[i - k_r] if i >= k_r else np.asarray(p.phi(ts[i] - float(p.r)), float)
           for i in range(M)]
     vs = [u[i - k_s] if i >= k_s else np.asarray(p.psi(ts[i] - float(p.s)), float)
           for i in range(M)]
 
-    def stages(fn, first=0):
-        return np.array([fn(ts[i], xs[i], ys[i], u[i], vs[i]) for i in range(first, M)])
+    def stages(fn, first=0):   # each array form called on the one row of a stage
+        return np.array([fn(np.array([ts[i]]), xs[i][None], ys[i][None], u[i][None],
+                            vs[i][None])[0] for i in range(first, M)])
 
     c_x, c_y = stages(f0_dx), stages(f0_dy, k_r)
     j_x, j_y = stages(f_dx), stages(f_dy, k_r)
