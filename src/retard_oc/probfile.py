@@ -1,16 +1,15 @@
-"""Declarative text format for state-linear problems and verification functions.
+"""Declarative text format for delayed problems and verification functions.
 
-Problem files describe the expressible family: rational horizon and delays,
-matrices with polynomial-in-t entries, control terms affine or quadratic in
-the control with polynomial-in-t coefficients, costs as quadratic forms,
-and polynomial histories.  The expression language also admits ``exp(...)``
-so verification-function files can carry exponential pieces.  Anything
-beyond the family is registered in code by name instead.
+A problem file states a :class:`~retard_oc.problems.StateLinearProblem`
+(``kind state-linear``, the default) or a general
+:class:`~retard_oc.problems.DelayedProblem` with no terminal cost (``kind
+delayed``): rational horizon and delays, and fields in the expression
+language.  The registered problems are written as such texts.
 
 Problem file grammar (line oriented, ``#`` starts a comment)::
 
     problem NAME
-    kind state-linear
+    kind state-linear               # before any field; the default
     horizon a = 0  b = 4
     delays r = 2  s = 1
     dims n = 1  m = 1
@@ -23,6 +22,9 @@ Problem file grammar (line oriented, ``#`` starts a comment)::
     f0u = 100*u0^2
     phi[0] = 1
     psi[0] = 0
+
+A ``kind delayed`` file gives ``f0`` (required), ``f``, ``phi`` and ``psi``
+in place of ``A`` to ``f0u``, e.g. ``f0 = x0^2 + u0^2`` and ``f[0] = y0*v0``.
 
 Value-function file grammar (pieces are affine in the state)::
 
@@ -44,7 +46,8 @@ decimals or rationals like ``1/2``, with an optional sign; any other
 spelling is refused with its line, as are indices outside ``dims``.
 
 A parsed problem carries the exact partials the table lists, differentiated
-once with :meth:`Expr.diff`, so nothing falls back to finite differences.
+once with :meth:`Expr.diff`, and a delayed one the exact zero gradient of
+its terminal cost, so nothing falls back to finite differences.
 Every field also carries its array form: :meth:`Expr.eval` reads float
 arrays as it reads floats, so one walk of a tree evaluates it at all times,
 and a scalar call is the array form on one row.
@@ -64,8 +67,8 @@ import numpy as np
 
 from .errors import IncommensurableDelayError, ProblemFileError
 from .lattice import as_rational
-from .problems import (MODEL_FIELDS, ControlSet, StateLinearProblem, array_field,
-                       field_layout, int_power)
+from .problems import (MODEL_FIELDS, AnyProblem, ControlSet, DelayedProblem,
+                       StateLinearProblem, array_field, field_layout, int_power)
 
 # -- expression language -------------------------------------------------------
 
@@ -288,8 +291,12 @@ def parse_expression(text: str, allowed: set, line: Optional[int] = None) -> Exp
 
 # -- problem files ---------------------------------------------------------------
 
-# the fields of a problem file; their partials are differentiated from them
-_FILE_FIELDS = ("A", "A_D", "g", "g_D", "f0x", "f0u", "phi", "psi")
+# the class of each kind of problem file and its fields, by their spelling in a
+# file (AD for A_D); their partials are differentiated from them, and the
+# running cost, the scalar fields, is required
+_KINDS = {kind: (cls, {field.replace("_", ""): field for field in fields}) for kind, cls, fields in (
+    ("state-linear", StateLinearProblem, ("A", "A_D", "g", "g_D", "f0x", "f0u", "phi", "psi")),
+    ("delayed", DelayedProblem, ("f0", "f", "phi", "psi")))}
 # the horizon and delays, each with the line that gives it
 _LATTICE_KEYS = (("a", "horizon"), ("b", "horizon"), ("r", "delays"), ("s", "delays"))
 _ASSIGN = re.compile(
@@ -330,16 +337,22 @@ def _entry_evaluator(exprs: dict, shape: tuple, *vectors, memo=None) -> Callable
     """The field with entries ``exprs`` (by index; entries left out are zero;
     folded by :func:`fold` with ``memo``) as a function of (t, *values),
     the values named by the ``(prefix, dim)`` pairs of ``vectors``, with
-    its array form; a scalar call is the array form on one row."""
-    names = [[f"{prefix}{i}" for i in range(dim)] for prefix, dim in vectors]
+    its array form; a scalar call is the array form on one row.  Only the
+    variables the entries read are bound."""
     exprs = dict(zip(exprs, fold(*exprs.values(), memo=memo)))
+    entries = [((slice(None),) + idx, expr) for idx, expr in exprs.items()]
+    read = set().union(*(expr.variables() for expr in exprs.values()))
+    binds = [(k, dim, used) for k, (prefix, dim) in enumerate(vectors)
+             if (used := [(i, f"{prefix}{i}") for i in range(dim) if f"{prefix}{i}" in read])]
 
     def many(ts, *values):
         env, out = {"t": ts}, np.zeros((len(ts),) + shape)
-        for keys, vec in zip(names, values):
-            env.update(zip(keys, np.asarray(vec, dtype=float).reshape(len(ts), len(keys)).T))
-        for idx, expr in exprs.items():
-            out[(slice(None),) + idx] = expr.eval(env)
+        for k, dim, used in binds:
+            vec = np.asarray(values[k], dtype=float).reshape(len(ts), dim)
+            for i, name in used:
+                env[name] = vec[:, i]
+        for rows, expr in entries:
+            out[rows] = expr.eval(env)
         return out
     return array_field(many)
 
@@ -355,8 +368,8 @@ def _statements(text: str):
             yield lineno, head[0], head[1] if len(head) > 1 else "", stripped
 
 
-def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
-    """Parse a state-linear problem from declarative text.
+def parse_problem(text: str, source: str = "<string>") -> AnyProblem:
+    """Parse a state-linear or delayed problem from declarative text.
 
     Each field's variables, index bound and exact partials follow its row
     of :data:`~retard_oc.problems.MODEL_FIELDS`.  Raises
@@ -367,18 +380,21 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     dims: dict = {}
     control: Optional[ControlSet] = None
     control_line = None   # where the control set was given
-    # the fields a file assigns and their entries, by their spelling there (AD for A_D)
-    fields = {field.replace("_", ""): field for field in _FILE_FIELDS}
-    entries: dict[str, dict] = {spelling: {} for spelling in fields}
+    kind, kind_line = "state-linear", None
+    entries: dict[str, dict] = {}   # the entries given, by field spelling
 
     for lineno, keyword, rest, stripped in _statements(text):
         if keyword == "problem":
             name = rest.strip() or None
             continue
         if keyword == "kind":
-            if rest.strip() != "state-linear":
+            if kind_line or entries:
+                raise ProblemFileError("kind given twice" if kind_line
+                                       else "kind must precede field definitions", lineno)
+            kind, kind_line = rest.strip(), lineno
+            if kind not in _KINDS:
                 raise ProblemFileError(
-                    f"unsupported kind {rest.strip()!r}; only 'state-linear' "
+                    f"unsupported kind {kind!r}; only 'state-linear' and 'delayed' "
                     f"problems are expressible in files", lineno)
             continue
         if keyword in given:
@@ -414,6 +430,7 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
         if not m:
             raise ProblemFileError(f"cannot parse {stripped!r}", lineno)
         target, idx, rhs = m.group("name"), m.group("idx"), m.group("rhs")
+        fields = _KINDS[kind][1]
         if target not in fields:
             raise ProblemFileError(f"unknown field {target!r}", lineno)
         scalar = not MODEL_FIELDS[fields[target]][1]
@@ -431,7 +448,7 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
         if len(index) != len(bound) or any(i >= b for i, b in zip(index, bound)):
             raise ProblemFileError(f"index {index} out of range for {target} "
                                    f"with dims {bound}", lineno)
-        entries[target][index] = expr
+        entries.setdefault(target, {})[index] = expr
 
     for key, what in _LATTICE_KEYS:
         if key not in given[what]:
@@ -442,8 +459,10 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     if isinstance(control, ControlSet) and control.m != m_dim:
         raise ProblemFileError(f"control-set box has {control.m} bounds per "
                                f"side, dims has m = {m_dim}", control_line)
-    if not entries["f0x"] or not entries["f0u"]:
-        raise ProblemFileError("both f0x and f0u must be given")
+    cls, fields = _KINDS[kind]
+    cost = [spelling for spelling, field in fields.items() if not MODEL_FIELDS[field][1]]
+    if not entries.keys() >= set(cost):   # f0x and f0u, or f0
+        raise ProblemFileError(f"{'both ' * (len(cost) > 1)}{' and '.join(cost)} must be given")
 
     def evaluator(field: str, exprs: dict, var: str = "") -> Callable:
         """``field`` with entries ``exprs``, or the partial ``field`` of them in
@@ -459,15 +478,18 @@ def parse_problem(text: str, source: str = "<string>") -> StateLinearProblem:
     for field in MODEL_FIELDS:   # F_dw, the partial of a file field F in slot w
         of = re.fullmatch(r"(\w+)_d([xyuv])", field)
         if of and of[1] in fields:
-            partials[field] = evaluator(field, entries[of[1]], of[2])
-    return StateLinearProblem(
+            partials[field] = evaluator(field, entries.get(of[1], {}), of[2])
+    if cls is DelayedProblem:   # no terminal cost: its gradient is an exact zero
+        partials["g0_grad"] = np.zeros_like
+    return cls(
         **{key: given[what][key] for key, what in _LATTICE_KEYS}, n=n, m=m_dim,
         control_set=(ControlSet.free(m_dim) if control in (None, "all") else control),
         name=name or source, **partials,
-        **{field: evaluator(field, entries[spelling]) for spelling, field in fields.items()})
+        **{field: evaluator(field, entries.get(spelling, {}))
+           for spelling, field in fields.items()})
 
 
-def load_problem(path: str) -> StateLinearProblem:
+def load_problem(path: str) -> AnyProblem:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_problem(fh.read(), source=path)
 

@@ -48,8 +48,8 @@ class ControlSet:
     def box(lo, hi) -> "ControlSet":
         lo = np.atleast_1d(np.asarray(lo, dtype=float))
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
-        if lo.shape != hi.shape or not np.all(lo <= hi):
-            raise ValueError("invalid box bounds")
+        if lo.shape != hi.shape or not np.all((lo <= hi) & np.isfinite(lo) & np.isfinite(hi)):
+            raise ValueError("invalid box bounds (need finite lo <= hi)")
         return ControlSet(m=len(lo), lo=lo, hi=hi)
 
     @property
@@ -262,11 +262,7 @@ class StateLinearProblem(_Problem):
         return self.a - self.r
 
     def dynamics(self, t, x, y, u, v) -> Vec:
-        t, n = float(t), self.n
-        return (np.asarray(self.A(t), dtype=float).reshape(n, n) @ np.asarray(x, float)
-                + np.asarray(self.A_D(t), dtype=float).reshape(n, n) @ np.asarray(y, float)
-                + np.asarray(self.g(t, np.asarray(u, float)), float).reshape(n)
-                + np.asarray(self.g_D(t, np.asarray(v, float)), float).reshape(n))
+        return array_field(dynamics_array(self))(t, x, y, u, v)
 
     def running_cost(self, t, x, y, u, v) -> float:
         return float(self.f0x(float(t), x, y)) + float(self.f0u(float(t), u, v))

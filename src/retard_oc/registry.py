@@ -5,10 +5,13 @@ the nonlinear one a verification function with its feedback law); they are
 the oracles most of the test suite is written against.  The fixtures are
 deliberately tiny problems that isolate a single behaviour.
 
-Every model field, curve and the feedback law is written once, as its array
-form (:func:`~retard_oc.problems.array_field`); a scalar call is the array
-form on one row, as for a parsed problem file.  A closed form evaluates each
-of its branches only at the times that branch owns (:func:`_branches`).
+Every problem is written once, as problem-file text
+(:mod:`~retard_oc.probfile`) parsed at first use and then kept, so each
+partial is differentiated exactly from its field.  Every curve and the
+feedback law is written once, as its array form
+(:func:`~retard_oc.problems.array_field`); a scalar call is the array form
+on one row.  A closed form evaluates each of its branches only at the times
+that branch owns (:func:`_branches`).
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .problems import (CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, TerminalSet, array_field, int_power)
+from .probfile import parse_problem, parse_value_function
+from .problems import (CandidateSolution, DelayedProblem, StateLinearProblem, array_field,
+                       model_arrays)
 from .trajectory import Trajectory, from_pieces
 
 E2 = math.exp(2.0)
@@ -50,10 +53,8 @@ def _pieces(fn: Callable, *bounds) -> list:
     return [(lo, hi, curve) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _constant(value) -> Callable:
-    """A model field equal to ``value`` whatever its arguments."""
-    value = np.array(value, dtype=float)
-    return array_field(lambda ts, *args: np.full((len(ts),) + value.shape, value))
+# each problem text is parsed once per process; problems are frozen
+_parsed = functools.cache(parse_problem)
 
 
 # ---------------------------------------------------------------------------
@@ -67,27 +68,23 @@ def _constant(value) -> Callable:
 
 LD_COST = (23.0 + E2 + 34.0 * E4 - 2.0 * E6) / 16.0
 
+LD_PROBLEM = """\
+problem ocp-ld-paper
+kind state-linear
+horizon a = 0  b = 4
+delays r = 2  s = 1
+dims n = 1  m = 1
+A[0,0] = 1
+AD[0,0] = 1
+gD[0] = -10*v0
+f0x = x0
+f0u = 100*u0^2
+phi[0] = 1
+"""
+
 
 def make_ld_problem() -> StateLinearProblem:
-    return StateLinearProblem(
-        a=Fraction(0), b=Fraction(4), r=Fraction(2), s=Fraction(1),
-        n=1, m=1,
-        A=_constant([[1.0]]),
-        A_D=_constant([[1.0]]),
-        g=_constant([0.0]),
-        g_D=array_field(lambda ts, V: -10.0 * V[:, :1]),
-        f0x=array_field(lambda ts, X, Y: X[:, 0]),
-        f0u=array_field(lambda ts, U, V: 100.0 * int_power(U[:, 0], 2)),
-        phi=_constant([1.0]),
-        psi=_constant([0.0]),
-        control_set=ControlSet.free(1),
-        f0x_dx=_constant([1.0]),
-        f0x_dy=_constant([0.0]),
-        g_du=_constant([[0.0]]), gD_dv=_constant([[-10.0]]),
-        f0u_du=array_field(lambda ts, U, V: 200.0 * U[:, :1]),
-        f0u_dv=_constant([0.0]),
-        name="ocp-ld-paper",
-    )
+    return _parsed(LD_PROBLEM)
 
 
 def _branches(t: np.ndarray, cases, default) -> np.ndarray:
@@ -157,30 +154,20 @@ D_COST = (3.0 * E2 + 1.0) / (E2 + 1.0)  # == 2 + tanh(1)
 _Q = (E2 + 1.0)
 _Q2 = _Q * _Q
 
+D_PROBLEM = """\
+problem ocp-d-goellmann
+kind delayed
+horizon a = 0  b = 3
+delays r = 1  s = 2
+dims n = 1  m = 1
+f0 = x0^2 + u0^2
+f[0] = y0*v0
+phi[0] = 1
+"""
+
 
 def make_d_problem() -> DelayedProblem:
-    return DelayedProblem(
-        a=Fraction(0), b=Fraction(3), r=Fraction(1), s=Fraction(2),
-        n=1, m=1,
-        f0=array_field(lambda ts, X, Y, U, V: int_power(X[:, 0], 2)
-                       + int_power(U[:, 0], 2)),
-        f=array_field(lambda ts, X, Y, U, V: Y[:, :1] * V[:, :1]),
-        phi=_constant([1.0]),
-        psi=_constant([0.0]),
-        g0=lambda x: 0.0,
-        control_set=ControlSet.free(1),
-        terminal_set=TerminalSet.free(1),
-        f_dx=_constant([[0.0]]),
-        f_dy=array_field(lambda ts, X, Y, U, V: V[:, :1, None]),
-        f_du=_constant([[0.0]]),
-        f_dv=array_field(lambda ts, X, Y, U, V: Y[:, :1, None]),
-        f0_dx=array_field(lambda ts, X, Y, U, V: 2.0 * X[:, :1]),
-        f0_dy=_constant([0.0]),
-        f0_du=array_field(lambda ts, X, Y, U, V: 2.0 * U[:, :1]),
-        f0_dv=_constant([0.0]),
-        g0_grad=lambda x: np.array([0.0]),
-        name="ocp-d-goellmann",
-    )
+    return _parsed(D_PROBLEM)
 
 
 @_elementwise
@@ -255,8 +242,6 @@ def make_d_value_function(eta3_scale: float = 1.0, c3_shift: float = 0.0):
     eta_3 or a shifted c_3 gives the documented broken variants; the
     defaults, a factor 1 and a term 0, drop out of the parsed expressions.
     """
-    from .probfile import parse_value_function
-
     number = lambda v: np.format_float_positional(v, trim="-")
     return parse_value_function(D_VALUE_FUNCTION.format(scale=number(eta3_scale),
                                                         shift=number(c3_shift)))
@@ -268,69 +253,60 @@ def make_d_value_function(eta3_scale: float = 1.0, c3_shift: float = 0.0):
 
 def make_zero_problem() -> DelayedProblem:
     """No dynamics, no cost.  State stays at the history value."""
-    return DelayedProblem(
-        a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1),
-        n=1, m=1,
-        f0=lambda t, x, y, u, v: 0.0,
-        f=lambda t, x, y, u, v: np.array([0.0]),
-        phi=lambda t: np.array([0.75]),
-        psi=lambda t: np.array([0.0]),
-        name="zero-delayed",
-    )
+    return _parsed("""\
+problem zero-delayed
+kind delayed
+horizon a = 0  b = 2
+delays r = 1  s = 1
+dims n = 1  m = 1
+f0 = 0
+phi[0] = 0.75
+""")
 
 
-def make_zero_candidate() -> CandidateSolution:
-    state = from_pieces(1, _pieces(lambda t: 0.75, -2, 0, 2), main_start=0)
-    control = from_pieces(1, _pieces(lambda t: 0.0, -1, 0, 2), main_start=0)
-    return CandidateSolution(state=state, control=control, cost=0.0)
-
-
-def _inert_dynamics_problem(name: str, **costs) -> StateLinearProblem:
-    """A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
-    whatever the control does.  ``costs`` replace fields of the running
-    cost f0x = x, f0u = 0."""
-    fields = dict(f0x=array_field(lambda ts, X, Y: X[:, 0]),
-                  f0x_dx=_constant([1.0]), f0u=_constant(0.0), f0u_du=_constant([0.0]))
-    return StateLinearProblem(
-        a=Fraction(0), b=Fraction(2), r=Fraction(1), s=Fraction(1), n=1, m=1,
-        A=_constant([[0.0]]), A_D=_constant([[0.0]]),
-        g=_constant([0.0]), g_D=_constant([0.0]),
-        phi=_constant([1.0]), psi=_constant([0.0]), f0x_dy=_constant([0.0]),
-        g_du=_constant([[0.0]]), gD_dv=_constant([[0.0]]), f0u_dv=_constant([0.0]),
-        name=name, **{**fields, **costs})
+# A = A_D = 0 and g = g_D = 0: the state is pinned to its history value
+# whatever the control does; the running cost is {f0x} + {f0u}
+INERT_DYNAMICS = """\
+problem {name}
+kind state-linear
+horizon a = 0  b = 2
+delays r = 1  s = 1
+dims n = 1  m = 1
+f0x = {f0x}
+f0u = {f0u}
+phi[0] = 1
+"""
 
 
 def make_drift_problem() -> StateLinearProblem:
     """Uncontrollable state with a pure control-energy cost."""
-    return _inert_dynamics_problem(
-        "drift-linear",
-        f0u=array_field(lambda ts, U, V: int_power(U[:, 0], 2)),
-        f0u_du=array_field(lambda ts, U, V: 2.0 * U[:, :1]))
+    return _parsed(INERT_DYNAMICS.format(name="drift-linear", f0x="x0", f0u="u0^2"))
 
 
 def make_inert_problem() -> StateLinearProblem:
     """Neither the dynamics nor the cost see the control."""
-    return _inert_dynamics_problem("inert-linear")
+    return _parsed(INERT_DYNAMICS.format(name="inert-linear", f0x="x0", f0u="0"))
 
 
 def make_concave_problem() -> StateLinearProblem:
     """Concave running state cost: the convexity hypothesis fails and
     nothing else does."""
-    return _inert_dynamics_problem(
-        "concave-cost",
-        f0x=array_field(lambda ts, X, Y: -int_power(X[:, 0], 2)),
-        f0x_dx=array_field(lambda ts, X, Y: -2.0 * X[:, :1]))
+    return _parsed(INERT_DYNAMICS.format(name="concave-cost", f0x="-x0^2", f0u="0"))
 
 
-def make_rest_candidate(problem) -> CandidateSolution:
-    """x pinned at the history value, u identically zero."""
-    hist = float(problem.phi(float(problem.a))[0])
+def make_rest_candidate(problem, cost: Optional[float] = None) -> CandidateSolution:
+    """x pinned at the history value, u identically zero, with ``cost``."""
+    hist = float(model_arrays(problem, "phi")[0](np.array([float(problem.a)]))[0, 0])
     a, b = problem.a, problem.b
     return CandidateSolution(
         state=from_pieces(1, _pieces(lambda t: hist, problem.state_history_start, a, b),
                           main_start=a),
         control=from_pieces(1, _pieces(lambda t: 0.0, problem.control_history_start, a, b),
-                            main_start=a))
+                            main_start=a), cost=cost)
+
+
+def make_zero_candidate() -> CandidateSolution:
+    return make_rest_candidate(make_zero_problem(), cost=0.0)
 
 
 # ---------------------------------------------------------------------------

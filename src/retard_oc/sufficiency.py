@@ -146,7 +146,7 @@ class VerifyConfig:
     convexity_halfwidth: float = 1.0
 
     def __post_init__(self):
-        _check_settings(self, {"grid_points_per_cell": 1, "probes_per_point": 0,
+        _check_settings(self, {"grid_points_per_cell": 1, "probes_per_point": 0, "seed": 0,
                                "convexity_pairs": 1, "quadrature_steps_per_cell": 2},
                         [name for name in vars(self) if name.startswith(("tol_", "tube_"))]
                         + ["convexity_halfwidth"])
@@ -506,9 +506,10 @@ def check_continuity_spot(problem: StateLinearProblem, tol: float = 1e-5,
     a, b = float(problem.a), float(problem.b)
     delta = 1e-7 * max(1.0, b - a)
     ts = np.linspace(a, b - delta, samples)
-    x = np.tile(np.asarray(problem.phi(a), float).reshape(problem.n), (samples, 1))
+    phi, A, A_D, g, g_D, f0x, f0u = model_arrays(problem, "phi", "A", "A_D", "g", "g_D",
+                                                 "f0x", "f0u")
+    x = np.tile(phi(np.array([a])), (samples, 1))
     u = np.zeros((samples, problem.m))
-    A, A_D, g, g_D, f0x, f0u = model_arrays(problem, "A", "A_D", "g", "g_D", "f0x", "f0u")
     # every coefficient value at each time, one row per time
     v0, v1 = (np.column_stack([A(t).reshape(samples, -1), A_D(t).reshape(samples, -1),
                                g(t, u), g_D(t, u), f0x(t, x, x), f0u(t, u, u)])
@@ -716,8 +717,8 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
         cfg.tol_smoothness, detail="value and S_x matched across interior breakpoints"))
 
     cost = evaluate_cost(problem, cand, cfg.quadrature_steps_per_cell)
-    predicted = -S.value(problem.a, np.asarray(problem.phi(float(problem.a)),
-                                               float).reshape(problem.n))
+    predicted = -S.value(problem.a, model_arrays(problem, "phi")[0](
+        np.array([float(problem.a)]))[0])
     gap = abs(cost - predicted)
     cert.checks.append(CheckResult("cost_consistency", gap <= cfg.tol_cost,
                                    gap, float(problem.a)))

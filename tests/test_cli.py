@@ -366,6 +366,26 @@ def test_a_non_integer_seed_env_is_a_usage_error(monkeypatch, capsys):
     assert err.startswith("error: ") and "RETARD_OC_SEED" in err and "'abc'" in err
 
 
+def test_a_negative_seed_is_a_usage_error(capsys):
+    # refused when the certificate's config is built, before any probe is drawn
+    assert main(["verify-linear", "ocp-ld-paper", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0 and an integer, not -1")
+
+
+def test_goellmann_from_its_text_solves_as_by_name(tmp_path, capsys):
+    # the registry's own text, given as a file, is the registered problem
+    from retard_oc.registry import D_PROBLEM
+    path = tmp_path / "goellmann.ocp"
+    path.write_text(D_PROBLEM)
+    flags = ["--N", "300", "--max-iter", "200", "--tol", "1e-9", "--substeps", "16"]
+    for target, out in ((["--file", str(path)], "file"), (["ocp-d-goellmann"], "name")):
+        assert main(["solve-direct", *target, *flags, "--out", str(tmp_path / out)]) == 0
+    capsys.readouterr()
+    written = [(tmp_path / out / "trajectories.csv").read_bytes() for out in ("file", "name")]
+    assert written[0] == written[1] and len(written[0]) > 1000
+
+
 def test_list_examples_with_empty_registry():
     from retard_oc.registry import list_examples
     assert list_examples(registry={}) == []

@@ -13,8 +13,9 @@ from retard_oc.cost import evaluate_cost
 from retard_oc.errors import ProblemFileError
 from retard_oc.probfile import (parse_expression, parse_problem,
                                 parse_value_function)
-from retard_oc.registry import (D_COST, LD_COST, d_adjoint_value, make_d_value_function,
-                                make_ld_candidate)
+from retard_oc.problems import DelayedProblem
+from retard_oc.registry import (D_COST, D_PROBLEM, LD_COST, d_adjoint_value,
+                                make_d_value_function, make_ld_candidate)
 from retard_oc.solve import TranscriptionConfig, solve_direct_euler
 from retard_oc.dde import IntegratorConfig
 
@@ -202,8 +203,51 @@ def test_unknown_field_rejected():
 
 def test_kind_must_be_state_linear():
     bad = LD_FILE.replace("kind state-linear", "kind nonlinear")
-    with pytest.raises(ProblemFileError, match="state-linear"):
+    with pytest.raises(ProblemFileError) as err:
         parse_problem(bad)
+    assert (str(err.value), err.value.line) == (
+        "line 3: unsupported kind 'nonlinear'; only 'state-linear' and 'delayed' "
+        "problems are expressible in files", 3)
+
+
+# Goellmann's benchmark as a delayed file, and ld's as a state-linear one, by line
+D_LINES, LD_LINES = D_PROBLEM.splitlines(), LD_FILE.splitlines()
+
+
+@pytest.mark.parametrize("lines, message, line", [
+    # kind after a field (phi reads the same in both kinds), and kind twice
+    (D_LINES[:1] + D_LINES[2:5] + D_LINES[7:] + D_LINES[1:2] + D_LINES[5:7],
+     "kind must precede field definitions", 6),
+    (D_LINES[:2] + ["kind delayed"] + D_LINES[2:], "kind given twice", 3),
+    (D_LINES + ["A[0,0] = 1"], "unknown field 'A'", 9),
+    (LD_LINES + ["f0 = x0^2"], "unknown field 'f0'", len(LD_LINES) + 1),
+    (D_LINES[:5] + D_LINES[6:], "f0 must be given", None),
+    (D_LINES + ["f[1] = y0"], "index (1,) out of range for f with dims (1,)", 9),
+    (D_LINES + ["f[0,0] = y0"], "index (0, 0) out of range for f with dims (1,)", 9),
+    (D_LINES + ["f = y0"], "f needs an index like f[0]", 9),
+    (D_LINES + ["f[0] = x1"], "variables ['x1'] not allowed here (allowed: "
+     "['t', 'u0', 'v0', 'x0', 'y0'])", 9),
+])
+def test_a_delayed_file_names_its_error_and_line(lines, message, line):
+    with pytest.raises(ProblemFileError) as err:
+        parse_problem("\n".join(lines))
+    assert (str(err.value), err.value.line) == (
+        (message if line is None else f"line {line}: {message}"), line)
+
+
+def test_a_delayed_file_declares_exact_partials_and_no_terminal_cost():
+    problem = parse_problem(D_PROBLEM + "psi[0] = t\ncontrol-set box lo = -1 hi = 2\n")
+    assert isinstance(problem, DelayedProblem) and problem.name == "ocp-d-goellmann"
+    assert problem.terminal_cost(np.array([3.0])) == 0.0
+    assert problem.g0_grad(np.array([3.0])).tolist() == [0.0]
+    assert problem.psi(-0.5).tolist() == [-0.5]
+    assert (problem.control_set.lo.tolist(), problem.control_set.hi.tolist()) == ([-1.0], [2.0])
+    args = (0.5, [2.0], [3.0], [5.0], [7.0])
+    assert problem.f(*args).tolist() == [21.0] and problem.f0(*args) == 29.0
+    assert [problem.f_dy(*args).tolist(), problem.f_dv(*args).tolist()] == [[[7.0]], [[3.0]]]
+    assert [problem.f0_dx(*args).tolist(), problem.f0_du(*args).tolist()] == [[4.0], [10.0]]
+    for zero in ("f_dx", "f_du", "f0_dy", "f0_dv"):
+        assert getattr(problem, zero)(*args).tolist() in ([0.0], [[0.0]]), zero
 
 
 def test_expression_language():
@@ -452,6 +496,26 @@ def test_a_folded_partial_evaluates_bit_for_bit_like_its_tree():
     with np.errstate(all="ignore"):
         got, want = folded.eval(env), tree.eval(env)
     assert got.tobytes() == want.tobytes()
+
+
+def test_a_field_of_constant_and_varying_entries_is_each_entrys_tree():
+    # each entry is written into its rows, a constant -0 with its sign; a
+    # slot no entry reads is not touched, whatever is passed for it
+    text = "\n".join(["problem mixed", "horizon a = 0  b = 1", "delays r = 1  s = 1",
+                      "dims n = 2  m = 1", "A[0,0] = -0", "A[0,1] = 2*t - 1",
+                      "A[1,1] = (1/2)*3", "g[1] = u0^2", "gD[0] = -0*v0",
+                      "f0x = x1*y0", "f0u = 0", "phi[1] = -0"])
+    problem, rng = parse_problem(text), np.random.default_rng(2)
+    ts, U = rng.uniform(0, 1, 9), rng.normal(size=(9, 1))
+    want_A = np.zeros((9, 2, 2))
+    want_A[:, 0, 0], want_A[:, 0, 1], want_A[:, 1, 1] = -0.0, 2.0 * ts - 1.0, 1.5
+    assert problem.A.many(ts).tobytes() == want_A.tobytes()
+    assert problem.g.many(ts, U).tobytes() == np.column_stack(
+        [np.zeros(9), [u ** 2 for u in U[:, 0].tolist()]]).tobytes()
+    assert np.signbit(problem.phi.many(ts)[:, 1]).all() and not np.signbit(
+        problem.phi.many(ts)[:, 0]).any()
+    assert problem.f0u.many(ts, "unread", None).tobytes() == np.zeros(9).tobytes()
+    assert problem.f0x(0.5, [1.0, 3.0], [5.0, 7.0]) == 15.0
 
 
 def test_file_fields_and_partials_are_folded_at_parse_time(monkeypatch):

@@ -12,7 +12,8 @@ from retard_oc import (ControlSet, HermiteCurve, IntegratorConfig, SweepConfig,
 COUNTS = [(IntegratorConfig, "substeps_per_cell"), (SweepConfig, "max_iterations"),
           (TranscriptionConfig, "n_steps"), (TranscriptionConfig, "max_iterations"),
           (VerifyConfig, "grid_points_per_cell"), (VerifyConfig, "probes_per_point"),
-          (VerifyConfig, "quadrature_steps_per_cell"), (VerifyConfig, "convexity_pairs")]
+          (VerifyConfig, "quadrature_steps_per_cell"), (VerifyConfig, "convexity_pairs"),
+          (VerifyConfig, "seed")]
 TOLERANCES = [(SweepConfig, "tol"), (TranscriptionConfig, "grad_tol")] + [
     (VerifyConfig, name) for name in (
         "tol_maximality", "tol_transversality", "tol_convexity", "tol_continuity",
@@ -57,6 +58,22 @@ def test_a_tolerance_may_be_any_finite_non_negative_number(config, name, value):
 def test_a_box_with_a_nan_bound_is_refused():
     # NaN > 1 is False, so a test for lo > hi let it through to NaN projections
     for lo, hi in (([np.nan], [1.0]), ([0.0], [np.nan]), ([0.0, np.nan], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="invalid box bounds"):
+            ControlSet.box(lo, hi)
+
+
+def test_a_seed_is_an_integer_of_at_least_zero():
+    # a seed of 2.5 (a count above) reached np.random.default_rng, which
+    # raised numpy's bare TypeError
+    for value in (-1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed must be >= 0 and an integer"):
+            VerifyConfig(seed=value)
+    assert VerifyConfig(seed=0).seed == 0
+
+
+def test_a_box_with_an_infinite_bound_is_refused():
+    # the maximality probes drew from rng.uniform, which raised OverflowError
+    for lo, hi in (([-np.inf], [np.inf]), ([0.0], [np.inf]), ([-np.inf, 0.0], [1.0, 1.0])):
         with pytest.raises(ValueError, match="invalid box bounds"):
             ControlSet.box(lo, hi)
 
