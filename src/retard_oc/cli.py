@@ -67,7 +67,7 @@ def write_trajectories_csv(path: Path, problem, cand: CandidateSolution,
     t_hi = float(problem.b)
     count = int(round((t_hi - t_lo) * SAMPLES_PER_UNIT_TIME)) + 1
     grid = set(np.linspace(t_lo, t_hi, count).tolist())
-    grid.update(float(bp) for bp in lattice.breakpoints)
+    grid.update(lattice.edges.tolist())
     grid.update((float(problem.state_history_start),
                  float(problem.control_history_start)))
 

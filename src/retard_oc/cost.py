@@ -46,7 +46,7 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     if not cand.control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control trajectory does not cover [a - s, b]")
 
-    lo, hi = np.array([(float(lo), float(hi)) for _, lo, hi in lattice.cells()]).T
+    lo, hi = lattice.edges[:-1], lattice.edges[1:]
     span = hi - lo
     T = lo[:, None] + span[:, None] * (np.arange(steps + 1) / steps)
     T[:, -1] = hi

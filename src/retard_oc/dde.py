@@ -127,7 +127,7 @@ def _cell_schedule(t_start, t_end, substeps: int):
 def _schedules(lattice: CommensurabilityLattice, substeps: int, backward: bool = False):
     """:func:`_cell_schedule` of every lattice cell, from its right end when
     ``backward``: widths and distinct stage times T, row i for cell i."""
-    edges = np.array([float(t) for t in lattice.breakpoints])
+    edges = lattice.edges
     ends = (edges[1:], edges[:-1]) if backward else (edges[:-1], edges[1:])
     return _cell_schedule(*ends, substeps)
 

@@ -17,6 +17,10 @@ class ZeroDelaysError(RetardOCError):
     """Both delays are zero; the problem class requires (r, s) != (0, 0)."""
 
 
+class LatticePrecisionError(RetardOCError):
+    """A lattice grid's common denominator is too large for exact float times."""
+
+
 class MismatchedLatticeError(RetardOCError):
     """A lattice was built from constants that differ from the problem's."""
 

@@ -4,6 +4,7 @@ All switching times in a commensurable delayed problem (delay multiples,
 cell boundaries, indicator windows) are integer combinations of a single
 grid amplitude h.  Keeping a, b, r, s and h as exact rationals means cell
 membership and indicator windows are decided without floating-point ties.
+Each lattice is built once, with its cells and their float ``edges``.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import IncommensurableDelayError, ZeroDelaysError
+from .errors import IncommensurableDelayError, LatticePrecisionError, ZeroDelaysError
 
 #: Exact rational scalar used for every lattice quantity.  Stored in lowest
 #: terms with a positive denominator, which ``fractions.Fraction`` guarantees.
@@ -78,7 +80,8 @@ class CommensurabilityLattice:
     """Uniform rational grid on [a, b] whose amplitude divides both delays.
 
     ``h`` is the gcd of the nonzero members of {r, s, b - a}; every delay
-    shift is then an exact integer number of cells.
+    shift is then an exact integer number of cells.  ``edges`` holds the
+    breakpoints as floats, read-only.
     """
 
     a: Rational
@@ -88,9 +91,13 @@ class CommensurabilityLattice:
     h: Rational
     n_cells: int
 
-    @property
-    def breakpoints(self) -> tuple[Rational, ...]:
-        return tuple(self.a + i * self.h for i in range(self.n_cells + 1))
+    def __post_init__(self):
+        points = tuple(self.a + i * self.h for i in range(self.n_cells + 1))
+        edges = np.array([float(t) for t in points])
+        edges.flags.writeable = False
+        for name, value in (("breakpoints", points), ("edges", edges),
+                            ("_cells", tuple(zip(range(self.n_cells), points, points[1:])))):
+            object.__setattr__(self, name, value)
 
     @property
     def state_shift(self) -> int:
@@ -109,24 +116,25 @@ class CommensurabilityLattice:
     def cell(self, i: int) -> tuple[Rational, Rational]:
         if not 0 <= i < self.n_cells:
             raise IndexError(f"cell {i} outside 0..{self.n_cells - 1}")
-        return self.a + i * self.h, self.a + (i + 1) * self.h
+        return self._cells[i][1:]
 
-    def cells(self):
-        for i in range(self.n_cells):
-            yield i, self.a + i * self.h, self.a + (i + 1) * self.h
+    def cells(self) -> tuple[tuple[int, Rational, Rational], ...]:
+        return self._cells
 
 
 def make_lattice(a: RationalLike, b: RationalLike, r: RationalLike,
                  s: RationalLike) -> CommensurabilityLattice:
-    """Build the commensurability lattice for horizon [a, b] and delays r, s.
+    """Build the commensurability lattice for horizon [a, b] and delays r, s,
+    once for equal constants (a lattice is immutable, so they share it).
 
     Raises :class:`ZeroDelaysError` when r = s = 0 and
     :class:`IncommensurableDelayError` when an input is not an exact rational.
     """
-    a = as_rational(a)
-    b = as_rational(b)
-    r = as_rational(r)
-    s = as_rational(s)
+    return _lattice(as_rational(a), as_rational(b), as_rational(r), as_rational(s))
+
+
+@lru_cache(maxsize=256)
+def _lattice(a: Rational, b: Rational, r: Rational, s: Rational) -> CommensurabilityLattice:
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     if r < 0 or s < 0:
@@ -182,7 +190,7 @@ def _sample_times(lattice: CommensurabilityLattice, times: Sequence) -> _SampleT
         return [x - C if type(x) is int else x - F for x in xs]
 
     A, B, G, H = unit(a), unit(b), unit(b - s), unit(h)
-    ends = np.array(lattice.breakpoints, dtype=float) if len(exact) < len(ts) else None
+    ends = lattice.edges if len(exact) < len(ts) else None
     gated = [A <= t <= G if type(t) is int else bool(_closed(t, a, b - s)) for t in ts]
     cells = [int(A <= t <= B) + int(A < t < B and (t - A) % H == 0) if type(t) is int
              else int(np.count_nonzero(_closed(t, ends[:-1], ends[1:]))) for t in ts]
@@ -207,7 +215,10 @@ def _lattice_grid(lattice: CommensurabilityLattice, per_cell: int, interior_only
                                            lattice.s, lattice.h))) * per_cell
     a, b, r, s, h = (x.numerator * (D // x.denominator) for x in
                      (lattice.a, lattice.b, lattice.r, lattice.s, lattice.h))
-    assert D + max(abs(a), abs(b)) + r + s < 2 ** 53   # bounds every shifted time
+    if D + max(abs(a), abs(b)) + r + s >= 2 ** 53:   # bounds every shifted time
+        raise LatticePrecisionError(
+            f"lattice grid denominator {D} is too large for exact float times "
+            f"({per_cell} points per cell)")
     j = np.arange(int(interior_only), per_cell + both_ends)
     num = (a + h * np.arange(lattice.n_cells)[:, None] + h // per_cell * j).ravel()
     num = (num if interior_only or both_ends else np.append(num, b))[rows]

@@ -17,6 +17,7 @@ time; it may carry an array form over K times at once (:func:`batched`).
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -128,14 +129,18 @@ def array_field(many: Callable) -> Callable:
 
 def array_form(fn: Callable, shape: tuple) -> Callable:
     """``fn`` over an array of times, values of ``shape`` stacked: its
-    declared ``.many``, or a loop calling ``fn`` once per time whose values
-    are the scalar calls' bit for bit, written into one preallocated array."""
+    declared ``.many``, or a loop calling ``fn`` once per time, in order,
+    whose values are the scalar calls' bit for bit, converted in one call
+    after the last (so ``fn`` must return a new value each call)."""
     many = getattr(fn, "many", None)
 
     def loop(ts, *args):
-        out = np.empty((len(ts),) + shape)
-        for i, (t, *row) in enumerate(zip(map(float, ts), *args)):
-            out[i] = np.asarray(fn(t, *row), dtype=float).reshape(shape)
+        rows = [fn(t, *row) for t, *row in zip(map(float, ts), *args)]
+        with suppress(TypeError, ValueError, OverflowError):   # ragged or mis-sized rows:
+            return np.array(rows, dtype=float).reshape((len(rows),) + shape)
+        out = np.empty((len(rows),) + shape)   # row by row, raising at the first bad one
+        for i, row in enumerate(rows):
+            out[i] = np.asarray(row, dtype=float).reshape(shape)
         return out
 
     def resolved(ts, *args):

@@ -43,7 +43,7 @@ class AugmentedProblem:
         # lattice floats and model array forms, resolved once per problem
         p, lat = self.problem, self.lattice
         for name, value in dict(
-                _starts=np.array([float(lo) for _, lo, _ in lat.cells()]),
+                _starts=lat.edges[:-1],
                 _dynamics=dynamics_array(p), _running_cost=running_cost_array(p)).items():
             object.__setattr__(self, name, value)
 

@@ -7,15 +7,17 @@ definitions like "u(t) = 0 on ]3, 4]".  Segment bounds are exact rationals;
 only curve evaluation uses floats, and a curve answers a single time as
 an array of one time, so there is one lookup.  Segments (and cells, in
 :func:`block_rows`) whose curves share one function are evaluated in one
-call.  :func:`delayed_rows` is the library's one delayed-argument
-resolver: on a lattice, a delay is a block shift.
+call, and Hermite cells in one pass over their stacked nodes, bit for
+bit their own calls.  :func:`delayed_rows` is the library's one
+delayed-argument resolver: on a lattice, a delay is a block shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from itertools import groupby
+from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -67,6 +69,20 @@ def _hermite_basis(theta):
     return 2 * t3 - 3 * t2 + 1, t3 - 2 * t2 + theta, -2 * t3 + 3 * t2, t3 - t2
 
 
+def _hermite(nodes, k, t: np.ndarray) -> np.ndarray:
+    """The one Hermite blend: curve ``k`` of ``nodes`` (a curve, k = 0, or a
+    node table, k[j] for row j) at each time of ``t``, on the interval one
+    search of all nodes finds, clipped onto the curve's own (never past its
+    edge), the time clamped onto it."""
+    i = (np.searchsorted(nodes.ts, t, side="right") - 1).clip(nodes._first[k], nodes._last[k])
+    t0 = nodes.ts[i][:, None]
+    dt = nodes._dt[i][:, None]
+    theta = ((t[:, None] - t0) / dt).clip(0.0, 1.0)
+    h00, h10, h01, h11 = _hermite_basis(theta)
+    return (h00 * nodes.ys[i] + h10 * dt * nodes.ds[i]
+            + h01 * nodes.ys[i + 1] + h11 * dt * nodes.ds[i + 1])
+
+
 class HermiteCurve:
     """Cubic Hermite interpolant through (ts, ys) with nodal slopes ds.
 
@@ -80,10 +96,10 @@ class HermiteCurve:
             raise ValueError("need at least two nodes")
         if ys.ndim != 2 or len(ys) != len(ts) or ds.shape != ys.shape:
             raise ValueError("node array shapes disagree")
-        if np.any(np.diff(ts) <= 0):
+        if not (np.isfinite(ts).all() and (np.diff(ts) > 0).all()):   # NaN fails both
             raise ValueError("node times must increase")
         self.ts, self.ys, self.ds, self.dim = ts, ys, ds, ys.shape[1]
-        self._inner, self._dt = ts[1:-1], np.diff(ts)   # interior nodes, interval widths
+        self._dt, self._first, self._last = np.diff(ts), (0,), (len(ts) - 2,)   # a table of one
         self._slack = _SNAP * max(1.0, abs(ts[0]), abs(ts[-1]))
 
     __call__ = _one_row
@@ -97,16 +113,47 @@ class HermiteCurve:
         if lo < ts[0] - slack or hi > ts[-1] + slack:
             raise OutOfDomainError(
                 f"t={lo if lo < ts[0] - slack else hi} outside nodes [{ts[0]}, {ts[-1]}]")
-        i = np.searchsorted(self._inner, t, side="right")
-        t0 = ts[i][:, None]
-        dt = self._dt[i][:, None]
-        theta = np.clip((t[:, None] - t0) / dt, 0.0, 1.0)
-        h00, h10, h01, h11 = _hermite_basis(theta)
-        return (h00 * self.ys[i] + h10 * dt * self.ds[i]
-                + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
+        return _hermite(self, 0, t)
 
 
 Curve = Union[CallableCurve, HermiteCurve]
+
+
+def _node_table(curves: Sequence[HermiteCurve], lo: np.ndarray, hi: np.ndarray):
+    """Hermite curves' nodes stacked for :func:`_hermite` (curve k owns node
+    intervals _first[k] to _last[k]), or None unless no node of a curve lies
+    before one of the curve ahead and curve k takes [lo[k], hi[k]]."""
+    ts, ys, ds = (np.concatenate([getattr(c, key) for c in curves]) for key in ("ts", "ys", "ds"))
+    dt, ends = np.diff(ts), np.cumsum([len(c.ts) for c in curves])
+    first, slack = np.r_[0, ends[:-1]], np.array([c._slack for c in curves])
+    if np.all(dt >= 0) and np.all((ts[first] - slack <= lo) & (hi <= ts[ends - 1] + slack)):
+        return SimpleNamespace(ts=ts, ys=ys, ds=ds, _dt=dt, _first=first, _last=ends - 2)
+
+
+def _grouping(curves: Sequence[Curve], lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """``curves``, curve k's group (the first curve with its function: fn, or
+    itself; the Hermite curves one group if they have a node table on [lo[k],
+    hi[k]]), that table and each one's place in it, -1 for the others."""
+    hermite = [k for k, c in enumerate(curves) if isinstance(c, HermiteCurve)]
+    table = hermite and _node_table([curves[k] for k in hermite], lo[hermite], hi[hermite])
+    pos = np.full(len(curves), -1)
+    if table:
+        pos[hermite] = np.arange(len(hermite))
+    first = {}
+    return curves, np.array([first.setdefault(id(table if pos[k] >= 0 else getattr(
+        c, "fn", c)), k) for k, c in enumerate(curves)], dtype=int), table, pos
+
+
+def _evaluate(grouping: tuple, k: np.ndarray, t: np.ndarray, dim: int) -> np.ndarray:
+    """Curve k[j] of a :func:`_grouping` at t[j] for every row j, one call per group touched."""
+    curves, group, table, pos = grouping
+    g, out = group[k], np.empty((t.size, dim))
+    touched = np.flatnonzero(np.bincount(g))
+    for j in touched:
+        sel = g == j if len(touched) > 1 else slice(None)
+        out[sel] = (_hermite(table, pos[k[sel]], t[sel]) if pos[j] >= 0
+                    else curves[j].eval_many(t[sel]))
+    return out
 
 
 class Segment(NamedTuple):
@@ -144,11 +191,13 @@ class Trajectory:
             raise ValueError(f"segments end at {prev}, expected {self.end}")
         bounds = np.array([float(s.lo) for s in self.segments] + [float(self.end)])
         object.__setattr__(self, "_bounds", bounds)
-        first = {}   # segment k's group: the first segment with its curve function (fn, or itself)
-        object.__setattr__(self, "_group", np.array([first.setdefault(
-            id(getattr(s.curve, "fn", s.curve)), k) for k, s in enumerate(self.segments)]))
         object.__setattr__(self, "_slack", _SNAP * max(
             1.0, bounds[-1] - bounds[0], abs(bounds[0]), abs(bounds[-1])))
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """:func:`_grouping` of the segments' curves on their bounds."""
+        return _grouping([s.curve for s in self.segments], self._bounds[:-1], self._bounds[1:])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -170,7 +219,7 @@ class Trajectory:
                                    f"outside [{self.history_start}, {self.end}]")
         i = np.searchsorted(bounds[1:-1], tf, side="right")
         i = i + ((i < last) & (abs(tf - bounds[i + 1]) <= slack))
-        return i, np.clip(tf, bounds[i], bounds[i + 1])
+        return i, tf.clip(bounds[i], bounds[i + 1])
 
     eval = _one_row
     __call__ = eval
@@ -178,14 +227,9 @@ class Trajectory:
     def eval_many(self, ts) -> np.ndarray:
         """Values at each of the times ``ts``, shape (len(ts), dimension),
         located by :meth:`_lookup`; one call per curve function touched, at
-        the times of all its segments."""
+        the times of all its segments, and one pass over the Hermite segments."""
         i, tf = self._lookup(ts)
-        group = self._group[i]
-        out = np.empty((tf.size, self.dimension))
-        for j in np.flatnonzero(np.bincount(group)):   # each group touched
-            sel = group == j
-            out[sel] = self.segments[j].curve.eval_many(tf[sel])
-        return out
+        return _evaluate(self._groups, i, tf, self.dimension)
 
     def covers(self, lo: RationalLike, hi: RationalLike) -> bool:
         return self.history_start <= as_rational(lo) and as_rational(hi) <= self.end
@@ -237,12 +281,11 @@ def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def block_rows(curves: Sequence[Curve], T: np.ndarray) -> np.ndarray:
     """Curve i at the times of row i of the (N, K) array ``T``, block-major:
-    row i K + k is ``curves[i]`` at ``T[i, k]``; a run of consecutive curves
-    with one function is evaluated in one call."""
-    runs = groupby(curves[:len(T)], key=lambda curve: getattr(curve, "fn", curve))
-    ends = np.cumsum([len(list(run)) for _, run in runs])
-    return np.concatenate([curves[i].eval_many(T[i:j].ravel())
-                           for i, j in zip(np.r_[0, ends[:-1]], ends)])
+    row i K + k is ``curves[i]`` at ``T[i, k]``; evaluated by their
+    :func:`_grouping` on the extremes of each row."""
+    grouping = _grouping(list(curves[:len(T)]), T.min(axis=1, initial=np.inf),
+                         T.max(axis=1, initial=-np.inf))
+    return _evaluate(grouping, np.arange(len(T)).repeat(T.shape[1]), T.ravel(), curves[0].dim)
 
 
 def delayed_rows(history: Callable[[np.ndarray], np.ndarray], T: np.ndarray,

@@ -1,20 +1,33 @@
 """The curve kernels against verbatim copies of their earlier forms: the
 registry's closed forms written with ``np.select`` and ``np.where`` (every
 branch at every time), the clipped-index trajectory lookup and Hermite
-kernel.  The current forms must give the same bytes; they evaluate each
-branch only at the times it owns, and one call per curve function."""
+kernel, the per-cell Hermite path of a trajectory and of ``block_rows``, the
+``Fraction`` cell generator and the model-call loop's per-row conversion.
+The current forms must give the same bytes (and the same errors); they
+evaluate each branch only at the times it owns, one call per curve
+function, one pass of a node table over all Hermite cells, a lattice built
+once, and one conversion of the loop's rows."""
 
+import dataclasses
+import functools
 import re
 import warnings
+from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 import pytest
 
-from retard_oc import registry
+from retard_oc import (CommensurabilityLattice, TranscriptionConfig, integrate_adjoint_linear,
+                       integrate_forward, make_lattice, registry, solve_direct_euler,
+                       solve_fbsm, trajectory)
 from retard_oc.cost import evaluate_cost
-from retard_oc.errors import OutOfDomainError
+from retard_oc.dde import _cell_schedule
+from retard_oc.errors import NoConvergenceError, OutOfDomainError, ZeroDelaysError
+from retard_oc.problems import array_form
 from retard_oc.registry import E2, E4, E6, _Q, d_eta1, d_eta2, d_eta3
-from retard_oc.trajectory import HermiteCurve, _hermite_basis, hermite_from_samples
+from retard_oc.trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
+                                  _hermite_basis, block_rows, hermite_from_samples)
 
 # -- reference closed forms, as written with np.select and np.where --------------
 
@@ -241,3 +254,267 @@ def test_eval_many_takes_only_a_one_dimensional_sequence(curve, ts):
     assert curve.eval_many([0.5]).shape == (1, curve(0.5).shape[0])
     assert curve(0.5).tobytes() == curve.eval_many(np.array([0.5]))[0].tobytes()
 
+
+
+# -- one node table per cell trajectory: the per-cell Hermite path, block_rows and
+# the Fraction cell generator as written before -------------------------------------
+
+
+def ref_hermite_curve(self, t):
+    """HermiteCurve.eval_many as written before the node table."""
+    ts, slack, t = self.ts, self._slack, np.asarray(t, dtype=float)
+    lo, hi = t.min(initial=np.inf), t.max(initial=-np.inf)
+    if lo < ts[0] - slack or hi > ts[-1] + slack:
+        raise OutOfDomainError(
+            f"t={lo if lo < ts[0] - slack else hi} outside nodes [{ts[0]}, {ts[-1]}]")
+    i = np.searchsorted(ts[1:-1], t, side="right")
+    t0 = ts[i][:, None]
+    dt = np.diff(ts)[i][:, None]
+    theta = np.clip((t[:, None] - t0) / dt, 0.0, 1.0)
+    h00, h10, h01, h11 = _hermite_basis(theta)
+    return (h00 * self.ys[i] + h10 * dt * self.ds[i]
+            + h01 * self.ys[i + 1] + h11 * dt * self.ds[i + 1])
+
+
+def _ref_curve(curve, t):
+    return ref_hermite_curve(curve, t) if isinstance(curve, HermiteCurve) else curve.eval_many(t)
+
+
+def ref_eval_many(self, ts):
+    """Trajectory.eval_many as written before: one call per group of segments
+    with one curve function, each Hermite segment a group of its own."""
+    first = {}
+    groups = np.array([first.setdefault(id(getattr(s.curve, "fn", s.curve)), k)
+                       for k, s in enumerate(self.segments)])
+    i, tf = self._lookup(ts)
+    group = groups[i]
+    out = np.empty((tf.size, self.dimension))
+    for j in np.flatnonzero(np.bincount(group)):
+        sel = group == j
+        out[sel] = _ref_curve(self.segments[j].curve, tf[sel])
+    return out
+
+
+def ref_block_rows(curves, T):
+    runs = groupby(curves[:len(T)], key=lambda curve: getattr(curve, "fn", curve))
+    ends = np.cumsum([len(list(run)) for _, run in runs])
+    return np.concatenate([_ref_curve(curves[i], T[i:j].ravel())
+                           for i, j in zip(np.r_[0, ends[:-1]], ends)])
+
+
+def ref_cells(lattice):
+    for i in range(lattice.n_cells):
+        yield i, lattice.a + i * lattice.h, lattice.a + (i + 1) * lattice.h
+
+
+def _samples(lo, hi, count=9):
+    """A two-component Hermite curve with ``count`` nodes from lo to hi."""
+    ts = np.linspace(lo, hi, count)
+    return hermite_from_samples(ts, np.c_[np.sin(3.0 * ts), np.cos(ts) + ts])
+
+
+def _tiled(curves) -> Trajectory:
+    """``curves[k]`` on [k, k + 1], with no history."""
+    return Trajectory(dimension=2, history_start=Fraction(0), main_start=Fraction(0),
+                      end=Fraction(len(curves)), segments=tuple(
+                          Segment(Fraction(k), Fraction(k + 1), c) for k, c in enumerate(curves)))
+
+
+FUZZ = 1e-13   # well inside a trajectory's snapping slack of 1e-11 and more
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectories() -> dict:
+    p = registry.get_example("ocp-ld-paper").make_problem()
+    try:
+        direct = solve_direct_euler(p, TranscriptionConfig(n_steps=400, max_iterations=20))
+    except NoConvergenceError as err:
+        direct = err.best
+    return {
+        "ld forward state": integrate_forward(p, LD_CAND.control),
+        "ld costate": integrate_adjoint_linear(p, LD_CAND).trajectory,
+        "sweep control": solve_fbsm(p).control,
+        "direct control": direct.control,
+        # a segment's nodes within float fuzz inside its bounds: a time at a
+        # bound lies before its curve's first node or past its last one
+        "nodes inside the bounds": _tiled([_samples(k + FUZZ, k + 1 - FUZZ) for k in range(3)]),
+        # a node of a curve before one of the curve ahead: no table, curve by curve
+        "overlapping nodes": _tiled([_samples(k - 0.3, k + 1.3) for k in range(3)]),
+        "a callable between Hermite cells": _tiled(
+            [_samples(0, 1), CallableCurve(lambda t: [t, -t], 2), _samples(2, 3), _samples(3, 4)]),
+        # a segment its curve does not cover raises as its curve does
+        "an uncovered segment": _tiled([_samples(0, 1), _samples(1, 1.5), _samples(2, 3)]),
+    }
+
+
+def _kernel_times(traj) -> np.ndarray:
+    """Every segment bound and Hermite node of ``traj``, their float
+    neighbours and the times within and just past the snapping slack."""
+    nodes = [s.curve.ts for s in traj.segments if isinstance(s.curve, HermiteCurve)]
+    return _near(np.concatenate([traj._bounds, *nodes]), traj._slack)
+
+
+TRAJECTORIES = ["ld forward state", "ld costate", "sweep control", "direct control",
+                "nodes inside the bounds", "overlapping nodes",
+                "a callable between Hermite cells", "an uncovered segment"]
+
+
+@pytest.mark.parametrize("name", TRAJECTORIES)
+def test_a_trajectory_lookup_is_its_per_cell_hermite_path_byte_for_byte(name):
+    traj = _trajectories()[name]
+    new, ref = traj.eval_many, lambda t: ref_eval_many(traj, t)
+    ts = _kernel_times(traj)
+    inside = ts[(ts >= traj._bounds[0] - traj._slack) & (ts <= traj._bounds[-1] + traj._slack)]
+    shuffled = inside[np.random.default_rng(0).permutation(len(inside))]
+    for batch in (inside, shuffled, np.r_[inside, np.nan], np.array([]), ts):
+        _same_or_same_error(new, ref, batch)
+    for t in np.r_[_near(traj._bounds, traj._slack), ts[::17], np.nan]:   # one at a time
+        _same_or_same_error(new, ref, np.array([t]))
+
+
+def _end_rows(traj, ks) -> np.ndarray:
+    """Row j: times at both ends of segment ks[j]'s curve (its nodes' ends, a
+    callable's segment bounds), their float neighbours and moves of up to
+    the curve's own slack either way."""
+    moves = np.array([-1.0, -0.999, -0.5, 0.0, 0.5, 0.999, 1.0])
+    rows = []
+    for k in ks:
+        curve = traj.segments[k].curve
+        ends, slack = ((curve.ts[[0, -1]], curve._slack) if isinstance(curve, HermiteCurve)
+                       else (traj._bounds[[k, k + 1]], traj._slack))
+        rows.append(np.concatenate([np.r_[x + slack * moves, np.nextafter(x, np.inf),
+                                          np.nextafter(x, -np.inf)] for x in ends]))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", TRAJECTORIES)
+def test_block_rows_is_its_per_cell_path_byte_for_byte(name):
+    traj = _trajectories()[name]
+    segments = range(len(traj.segments))
+    for ks in (segments, segments[1:]):   # with and without the first segment
+        curves = [traj.segments[k].curve for k in ks]
+        lo, hi = traj._bounds[list(ks)], traj._bounds[[k + 1 for k in ks]]
+        schedule = _cell_schedule(lo, hi, 4)[1]
+        ends = _end_rows(traj, ks)
+        nan, out = schedule.copy(), ends.copy()
+        nan[-1, 3] = np.nan
+        out[-1, -3] += 2.0 * np.abs(out[-1, -3]) * 1e-11 + 1e-10   # past every slack
+        for T in (schedule, _cell_schedule(hi, lo, 4)[1], ends, nan, out,
+                  np.empty((len(ks), 0))):
+            _same_or_same_error(lambda T: block_rows(curves, T),
+                                lambda T: ref_block_rows(curves, T), T)
+
+
+def test_a_lookup_and_block_rows_take_one_hermite_pass(monkeypatch):
+    calls = []
+    blend = trajectory._hermite
+    monkeypatch.setattr(trajectory, "_hermite", lambda *args: calls.append(1) or blend(*args))
+    traj = _trajectories()["ld forward state"]   # history, then four Hermite cells
+    traj.eval_many(np.linspace(-2.0, 4.0, 1001))
+    assert len(calls) == 1
+    block_rows(traj.cell_curves(make_lattice(0, 4, 2, 1)), _cell_schedule(
+        traj._bounds[1:-1], traj._bounds[2:], 4)[1])
+    assert len(calls) == 2
+
+
+# -- each lattice built once ------------------------------------------------------
+
+
+@pytest.mark.parametrize("a,b,r,s", [(0, 4, 2, 1), (-1, 2, "1/3", "1/2"), ("1/7", "22/7", 1, 0),
+                                     (0, 1, 5, 0), (0, 3, 0, "3/4")])
+def test_a_lattice_holds_the_fraction_cells_and_their_floats(a, b, r, s):
+    lattice = make_lattice(a, b, r, s)
+    cells = list(ref_cells(lattice))
+    assert lattice.cells() == tuple(cells) and lattice.cells() is lattice.cells()
+    assert all(type(x) is Fraction for _, lo, hi in lattice.cells() for x in (lo, hi))
+    assert lattice.breakpoints == tuple(lattice.a + i * lattice.h
+                                        for i in range(lattice.n_cells + 1))
+    assert [lattice.cell(i) for i in range(lattice.n_cells)] == [(lo, hi) for _, lo, hi in cells]
+    with pytest.raises(IndexError):
+        lattice.cell(lattice.n_cells)
+    assert lattice.edges.tobytes() == np.array(
+        [float(t) for t in lattice.breakpoints]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        lattice.edges[0] = 1.0
+    # the lattice's equality and hash read its constants only
+    assert lattice == make_lattice(a, b, r, s) and hash(lattice) == hash(make_lattice(a, b, r, s))
+
+
+def test_each_lattice_is_built_once(monkeypatch):
+    built = []
+    init = CommensurabilityLattice.__post_init__
+    monkeypatch.setattr(CommensurabilityLattice, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    ld = registry.get_example("ocp-ld-paper").make_problem()
+    p = dataclasses.replace(ld, b=Fraction(29, 3))   # constants no other test builds
+    assert p.lattice() is p.lattice() is make_lattice("0", "29/3", 2.0, 1)
+    assert len(built) == 1 and p.lattice().n_cells == 29
+    wider = dataclasses.replace(p, b=Fraction(31, 3))
+    assert wider.lattice() is not p.lattice() and len(built) == 2
+    # a problem with both delays zero is built; its lattice is refused at each call
+    zero = dataclasses.replace(p, r=0, s=0)
+    for _ in range(2):
+        with pytest.raises(ZeroDelaysError):
+            zero.lattice()
+    assert len(built) == 2
+
+
+# -- one conversion of a model callable's per-time loop -----------------------------
+
+
+def ref_loop(fn, shape):
+    """array_form's per-time loop as written before: each row converted and
+    reshaped as it comes."""
+    def loop(ts, *args):
+        out = np.empty((len(ts),) + shape)
+        for i, (t, *row) in enumerate(zip(map(float, ts), *args)):
+            out[i] = np.asarray(fn(t, *row), dtype=float).reshape(shape)
+        return out
+    return loop
+
+
+ROWS = {
+    "scalar": ((1,), lambda t, x: t * x[0]),
+    "(1,)": ((1,), lambda t, x: np.array([t * x[0]])),
+    "(1, 1)": ((1,), lambda t, x: [[t * x[0]]]),
+    "python ints": ((2,), lambda t, x: [int(10 * t), 3]),
+    "(2, 2) as (4,)": ((2, 2), lambda t, x: np.r_[t, x[0], -t, np.float32(x[0] / 3)]),
+    "(2, 2)": ((2, 2), lambda t, x: np.array([[t, 1.0], [x[0], t * x[0]]])),
+    "ragged": ((1,), lambda t, x: [t] if t < 0.5 else [t, t]),
+    "a size too large": ((1,), lambda t, x: [t, t]),
+    "(2,) for (2, 2)": ((2, 2), lambda t, x: [t, t]),
+    "a row that cannot be a float": ((1,), lambda t, x: [t] if t < 0.5 else ["a"]),
+}
+
+
+@pytest.mark.parametrize("ts", [np.linspace(0.0, 1.0, 7), np.array([0.25]), np.array([])],
+                         ids=["seven", "one", "empty"])
+@pytest.mark.parametrize("name", ROWS)
+def test_the_loop_is_the_per_row_loop_with_one_call_per_time(name, ts):
+    shape, rows = ROWS[name]
+    X = np.c_[np.linspace(-1.0, 2.0, len(ts))]
+    calls = []
+    new = array_form(lambda t, x: calls.append(t) or rows(t, x), shape)
+    ref = ref_loop(rows, shape)
+    try:
+        expected = ref(ts, X)
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            new(ts, X)
+    else:
+        got = new(ts, X)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    assert calls == ts.tolist()   # once per time, in order
+
+
+def test_the_loop_stops_at_the_first_raising_call():
+    calls = []
+
+    def fn(t):
+        calls.append(t)
+        if t > 0.4:
+            raise ArithmeticError(f"at {t}")
+        return t
+    with pytest.raises(ArithmeticError, match="at 0.5"):
+        array_form(fn, (1,))(np.linspace(0.0, 1.0, 5))
+    assert calls == [0.0, 0.25, 0.5]

@@ -4,8 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from retard_oc.errors import IncommensurableDelayError, ZeroDelaysError
-from retard_oc.lattice import Rational, as_rational, make_lattice, rational_gcd
+from retard_oc.errors import IncommensurableDelayError, LatticePrecisionError, ZeroDelaysError
+from retard_oc.lattice import Rational, _lattice_grid, as_rational, make_lattice, rational_gcd
 
 
 @pytest.mark.parametrize("a,b,r,s,h,n", [
@@ -87,3 +87,18 @@ def test_as_rational_lowest_terms():
     q = as_rational("6/4")
     assert (q.numerator, q.denominator) == (3, 2)
     assert isinstance(q, Rational)
+
+
+def test_a_grid_whose_times_are_not_exact_floats_raises_naming_the_denominator():
+    # 16 points per cell put the common denominator past 2^53: the guard was an
+    # assert, so a run raised a bare AssertionError, and under python -O the
+    # times came out inexact (t[1] = 0.0625, not 0.0625000000000018)
+    a = Fraction(1, 562949953421311)
+    lattice = make_lattice(a, a + 4, 2, 1)
+    assert lattice.n_cells == 4
+    with pytest.raises(LatticePrecisionError, match=r"denominator 9007199254740976\b"):
+        _lattice_grid(lattice, 16)
+    # with a denominator of 2^49 the grid is built, its times exact
+    a = Fraction(1, 2 ** 45)
+    grid = _lattice_grid(make_lattice(a, a + 4, 2, 1), 16)
+    assert grid.t.tolist() == [float(a + Fraction(j, 16)) for j in range(64)] + [float(a + 4)]

@@ -85,6 +85,16 @@ def test_a_hermite_curve_of_one_dimensional_values_names_the_shapes():
         HermiteCurve([0.0, 1.0], [[1.0], [2.0], [3.0]], [[0.0], [0.0], [0.0]])
 
 
+@pytest.mark.parametrize("ts", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.nan],
+                                [0.0, 0.5, np.inf], [-np.inf, 0.5, 1.0], [0.0, 1.0, 1.0],
+                                [0.0, 2.0, 1.0]])
+def test_a_hermite_curve_refuses_non_finite_or_non_increasing_node_times(ts):
+    # a NaN node passed the check `np.diff(ts) <= 0`, and the curve then
+    # evaluated to NaN; a node table's one search needs sorted, finite nodes
+    with pytest.raises(ValueError, match="node times must increase"):
+        HermiteCurve(ts, np.zeros((3, 1)), np.zeros((3, 1)))
+
+
 def test_the_public_api_is_this_list():
     # a change to __all__ must be deliberate: it is made here as well
     assert sorted(retard_oc.__all__) == [

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
+from retard_oc.errors import LatticePrecisionError
 from retard_oc.lattice import _lattice_grid, _sample_times, make_lattice
 from retard_oc.probfile import parse_value_function
 from retard_oc.problems import batched
@@ -142,7 +143,7 @@ def test_the_integer_grid_refuses_numerators_past_2_to_the_53():
     lattice = make_lattice(Fraction(1, 2 ** 47), 1 + Fraction(1, 2 ** 47), Fraction(1, 2), 0)
     assert lattice.n_cells == 2
     assert _lattice_grid(lattice, 1).t.tolist() == [float(t) for t in lattice.breakpoints]
-    with pytest.raises(AssertionError):
+    with pytest.raises(LatticePrecisionError, match=f"denominator {2 ** 47 * 64} "):
         _lattice_grid(lattice, 64)
 
 
