@@ -32,8 +32,7 @@ from .solve import (DirectSolution, SweepConfig, SweepSolution,
 from .sufficiency import (Certificate, CheckResult, ValueFunctionCandidate,
                           VerifyConfig, argmax_control_state_linear,
                           check_convexity_f0x, check_maximality,
-                          check_transversality, hamiltonian_nonlinear,
-                          hamiltonian_state_linear, hj_residual,
+                          check_transversality, hj_residual,
                           maximality_criterion, verify_nonlinear_hj,
                           verify_state_linear)
 from .trajectory import (HermiteCurve, Segment, Trajectory, eval_delayed,

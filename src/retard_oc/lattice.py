@@ -81,7 +81,8 @@ class CommensurabilityLattice:
 
     ``h`` is the gcd of the nonzero members of {r, s, b - a}; every delay
     shift is then an exact integer number of cells.  ``edges`` holds the
-    breakpoints as floats, read-only.
+    breakpoints as floats, read-only.  An h that does not divide r, s and
+    b - a is refused with :class:`IncommensurableDelayError`.
     """
 
     a: Rational
@@ -92,6 +93,10 @@ class CommensurabilityLattice:
     n_cells: int
 
     def __post_init__(self):
+        for name, value in (("r", self.r), ("s", self.s), ("b - a", self.b - self.a)):
+            if (Fraction(value) / Fraction(self.h)).denominator != 1:
+                raise IncommensurableDelayError(f"grid amplitude h={self.h} does not divide "
+                                                f"{name}={value}")
         points = tuple(self.a + i * self.h for i in range(self.n_cells + 1))
         edges = np.array([float(t) for t in points])
         edges.flags.writeable = False
@@ -102,16 +107,12 @@ class CommensurabilityLattice:
     @property
     def state_shift(self) -> int:
         """Number of whole cells spanned by the state delay r."""
-        shift = self.r / self.h
-        assert shift.denominator == 1
-        return int(shift)
+        return int(self.r / self.h)
 
     @property
     def control_shift(self) -> int:
         """Number of whole cells spanned by the control delay s."""
-        shift = self.s / self.h
-        assert shift.denominator == 1
-        return int(shift)
+        return int(self.s / self.h)
 
     def cell(self, i: int) -> tuple[Rational, Rational]:
         if not 0 <= i < self.n_cells:
@@ -143,9 +144,7 @@ def _lattice(a: Rational, b: Rational, r: Rational, s: Rational) -> Commensurabi
         raise ZeroDelaysError("state and control delays are both zero")
     members = [v for v in (r, s, b - a) if v != 0]
     h = rational_gcd(members)
-    n_cells = (b - a) / h
-    assert n_cells.denominator == 1
-    return CommensurabilityLattice(a=a, b=b, r=r, s=s, h=h, n_cells=int(n_cells))
+    return CommensurabilityLattice(a=a, b=b, r=r, s=s, h=h, n_cells=int((b - a) / h))
 
 
 # -- sample times ----------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import UnboundedCriterionError
 from .lattice import (CommensurabilityLattice, _lattice_grid, _sample_times, _SampleTimes,
                       as_rational)
 from .numdiff import central_scalar, gradient, hessians
-from .problems import (CandidateSolution, ControlSet, DelayedProblem,
+from .problems import (AnyProblem, CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem, array_form, dynamics_array, model_arrays,
                        running_cost_array)
 from .trajectory import Trajectory
@@ -167,51 +167,32 @@ class VerifyConfig:
 
 # -- Hamiltonians ----------------------------------------------------------------
 
-def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
-                             eta) -> float:
-    """Two-parameter Hamiltonian of the state-linear theorem:
-
-        H^p = -[f0x(t,x,y) + f0u(t,u,v)]
-              + eta [A(t) x + A_D(t) y + p g(t,u) + (1-p) g_D(t,v)]
-    """
-    if p not in (0, 1):
-        raise ValueError("p must be 0 or 1")
-    t, n, m = float(t), problem.n, problem.m
-    x, y, eta = (np.asarray(w, float).reshape(n) for w in (x, y, eta))
-    u, v = (np.asarray(w, float).reshape(m) for w in (u, v))
-    drift = (np.asarray(problem.A(t), float).reshape(n, n) @ x
-             + np.asarray(problem.A_D(t), float).reshape(n, n) @ y
-             + np.asarray(problem.g(t, u) if p == 1 else problem.g_D(t, v),
-                          float).reshape(n))
-    return (-(float(problem.f0x(t, x, y)) + float(problem.f0u(t, u, v)))
-            + float(eta @ drift))
-
-
-def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
-    """H(t,x,y,u,v,eta) = -f0(t,x,y,u,v) + eta f(t,x,y,u,v)."""
-    t = float(t)
-    eta = np.asarray(eta, float).reshape(problem.n)
-    return (-float(problem.f0(t, x, y, u, v))
-            + float(eta @ np.asarray(problem.f(t, x, y, u, v), float).reshape(problem.n)))
+def hamiltonian(problem: AnyProblem) -> Callable:
+    """H = -f0 + eta f over K times, (ts, X, Y, U, V, E) -> (K,), for either
+    class: one call of the running cost's and the dynamics' array forms."""
+    f0, f = running_cost_array(problem), dynamics_array(problem)
+    return lambda ts, x, y, u, v, eta: (-f0(ts, x, y, u, v)
+                                        + np.sum(eta * f(ts, x, y, u, v), axis=1))
 
 
 # -- maximality ------------------------------------------------------------------
 
 class _Criterion:
-    """The two-term criterion at every sample time of a :class:`_SampleTimes`.
+    """The criterion of :func:`maximality_criterion` at every sample time of
+    a :class:`_SampleTimes`, for either problem class.
 
-    The u-independent parts (drift, f0x, eta, v = u(t - s) and the gated
-    H^0 parts at t + s) are computed once per time, from one curve lookup
-    per curve and argument.  :meth:`values` then scores any number of
-    (time, control) pairs in array passes, in the operation order of
-    :func:`hamiltonian_state_linear`, with one call of each model field's
-    array form per term.
+    The u-independent arguments are computed once per time, one curve lookup
+    per curve and argument; :meth:`values` then scores any number of (time,
+    control) pairs in array passes, one call per term.
     """
 
-    def __init__(self, problem: StateLinearProblem, cand: CandidateSolution,
+    def __init__(self, problem: AnyProblem, cand: CandidateSolution,
                  eta: AdjointTrajectory, times: _SampleTimes):
         self.problem, self.t = problem, times.t.tolist()
-        self.model = model_arrays(problem, "A", "A_D", "f0x", "g", "g_D", "f0u")
+        if isinstance(problem, StateLinearProblem):
+            self.model = model_arrays(problem, "A", "A_D", "f0x", "g", "g_D", "f0u")
+        else:
+            self.model, self.H = None, hamiltonian(problem)
         self.ahead = np.where(times.gated, np.cumsum(times.gated) - 1, -1)
         self.now = self._parts(cand, eta, times.t, times.delayed_state,
                                times.delayed_control)
@@ -219,19 +200,25 @@ class _Criterion:
                                  times.ahead)
 
     def _parts(self, cand, eta, t, t_delayed, t_control):
-        """(t, w = u(t_control), eta, drift A(t) x + A_D(t) x(t - r), f0x)."""
-        A, A_D, f0x = self.model[:3]
+        """(t, w = u(t_control), eta, x, y = x(t_delayed)), then for a
+        state-linear problem its drift A(t) x + A_D(t) y and f0x."""
         x, y = cand.state.eval_many(t), cand.state.eval_many(t_delayed)
-        drift = (A(t) @ x[:, :, None] + A_D(t) @ y[:, :, None])[:, :, 0]
-        return t, cand.control.eval_many(t_control), eta.eval_many(t), drift, f0x(t, x, y)
+        parts = (t, cand.control.eval_many(t_control), eta.eval_many(t), x, y)
+        if self.model is not None:
+            A, A_D, f0x = self.model[:3]
+            parts += ((A(t) @ x[:, :, None] + A_D(t) @ y[:, :, None])[:, :, 0], f0x(t, x, y))
+        return parts
 
     def _terms(self, p: int, parts, rows: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """H^p at ``rows`` of ``parts`` with U in the slot of u (p = 1) or
-        of the delayed control v (p = 0)."""
-        g, g_D, f0u = self.model[3:]
-        ts, w, eta, drift, f0x = parts
+        """H at ``rows`` of ``parts`` with U in the slot of u (p = 1) or of the
+        delayed control v (p = 0): one :func:`hamiltonian` call, or for a
+        state-linear problem H^p, one call of each control field's array form."""
+        ts, w, eta, x, y, *linear = parts
         t = ts[rows]
         u, v = (U, w[rows]) if p == 1 else (w[rows], U)
+        if self.model is None:
+            return self.H(t, x[rows], y[rows], u, v, eta[rows])
+        (drift, f0x), (g, g_D, f0u) = linear, self.model[3:]
         drift = drift[rows] + (g(t, u) if p == 1 else g_D(t, v))
         return -(f0x[rows] + f0u(t, u, v)) + np.sum(eta[rows] * drift, axis=1)
 
@@ -250,12 +237,16 @@ class _Criterion:
         return lambda u: float(self.values(np.array([k]), u)[0])
 
 
-def maximality_criterion(problem: StateLinearProblem, cand: CandidateSolution,
+def maximality_criterion(problem: AnyProblem, cand: CandidateSolution,
                          eta: AdjointTrajectory, t) -> Callable[[np.ndarray], float]:
     """Two-term criterion maximised by the optimal control at time t:
 
-        u -> H^1(t, x(t), x(t-r), u, u(t-s), eta(t))
-             + H^0(t+s, x(t+s), x(t+s-r), u(t+s), u, eta(t+s)) chi_[a, b-s](t)
+        u -> H(t, x(t), x(t-r), u, u(t-s), eta(t))
+             + H(t+s, x(t+s), x(t+s-r), u(t+s), u, eta(t+s)) chi_[a, b-s](t)
+
+    with eta in the sign of :func:`~retard_oc.dde.integrate_adjoint_linear`.
+    A state-linear problem's terms are H^1 and H^0 of its theorem, which drop
+    the parts of H that do not depend on the control scored.
     """
     return _Criterion(problem, cand, eta, _sample_times(problem.lattice(), [t])).at(0)
 
@@ -333,9 +324,10 @@ def _golden_section(crit: _Criterion, k: np.ndarray, a: np.ndarray, b: np.ndarra
     return 0.5 * (a + b)
 
 
-def _argmax_all(problem: StateLinearProblem, crit: _Criterion,
+def _argmax_all(problem: AnyProblem, crit: _Criterion,
                 rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Maximiser at every time of ``crit``, shape (len(crit.t), m).
+    """Maximiser at every time of ``crit`` (either problem class, eta in the
+    sign of :func:`maximality_criterion`), shape (len(crit.t), m).
 
     A scalar control runs at all times in array passes.  Where the quadratic
     fit at u = 0, 1, -1 predicts the values at 2, 0.5 and -1.5, a strictly
@@ -382,30 +374,39 @@ def _argmax_all(problem: StateLinearProblem, crit: _Criterion,
     return out
 
 
-def argmax_control_state_linear(problem: StateLinearProblem,
+def _one_or_many(lattice: CommensurabilityLattice, t) -> tuple[_SampleTimes, bool]:
+    """The sample times of ``t`` and whether it is one time (of ``np.ndim`` 0: a
+    float, a ``Fraction``, a 0-d array) rather than many or ``_SampleTimes``."""
+    if isinstance(t, _SampleTimes):
+        return t, False
+    single = np.ndim(t) == 0
+    return _sample_times(lattice, [t] if single else t), single
+
+
+def argmax_control_state_linear(problem: AnyProblem,
                                 cand: CandidateSolution,
                                 eta: AdjointTrajectory, t,
                                 rng: Optional[np.random.Generator] = None
                                 ) -> np.ndarray:
-    """Maximiser of the two-term criterion over the admissible control set.
+    """Maximiser of :func:`maximality_criterion` over the admissible control
+    set, for either problem class, eta in the sign stated there.
 
     ``t`` is one time (result shape (m,)) or a sequence of times (result
     shape (len(t), m), bit for bit the stacked one-time results); the curve
     values at all times are looked up together.  A solver whose sample times
     never change passes them prepared once, as a ``_SampleTimes``.
     """
-    single = not isinstance(t, (Sequence, np.ndarray, _SampleTimes))
-    times = t if isinstance(t, _SampleTimes) else _sample_times(problem.lattice(),
-                                                                 [t] if single else t)
+    times, single = _one_or_many(problem.lattice(), t)
     out = _argmax_all(problem, _Criterion(problem, cand, eta, times), rng)
     return out[0] if single else out
 
 
-def check_maximality(problem: StateLinearProblem, cand: CandidateSolution,
+def check_maximality(problem: AnyProblem, cand: CandidateSolution,
                      eta: AdjointTrajectory, grid_points_per_cell: int = 24,
                      tol: float = 1e-6, probes: int = 32,
                      seed: int = 0) -> CheckResult:
-    """Verify the candidate control maximises the two-term criterion.
+    """Verify the candidate control maximises :func:`maximality_criterion`,
+    for either problem class, eta in the sign stated there.
 
     At each rational sample time the candidate value is compared against the
     computed argmax and against random probes in U; the worst positive gap
@@ -628,8 +629,7 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     control u*(t-s) stay on the centerline: the equation is stated along
     trajectories, so this only probes robustness of S in x.
     """
-    single = not isinstance(t, (Sequence, np.ndarray, _SampleTimes))
-    times = t if isinstance(t, _SampleTimes) else _sample_times(lattice, [t] if single else t)
+    times, single = _one_or_many(lattice, t)
     u, x, y, eta = _closed_loop(problem, S, feedback, state_traj, times.t,
                                 times.delayed_state, dx)
     early, lag = times.before_start, ~times.before_start
@@ -637,9 +637,7 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     v[early] = model_arrays(problem, "psi")[0](times.delayed_control[early])
     v[lag] = _closed_loop(problem, S, feedback, state_traj, times.delayed_control[lag],
                           times.delayed_both[lag])[0]
-    args = (times.t, x, y, u, v)
-    braced = (-running_cost_array(problem)(*args)
-              + np.sum(eta * dynamics_array(problem)(*args), axis=1))
+    braced = hamiltonian(problem)(times.t, x, y, u, v, eta)
     res = array_form(S.S_t, ())(times.t, x) + times.cells * braced
     return float(res[0]) if single else res
 

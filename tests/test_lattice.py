@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from retard_oc.errors import IncommensurableDelayError, LatticePrecisionError, ZeroDelaysError
-from retard_oc.lattice import Rational, _lattice_grid, as_rational, make_lattice, rational_gcd
+from retard_oc.lattice import (CommensurabilityLattice, Rational, _lattice_grid, as_rational,
+                               make_lattice, rational_gcd)
 
 
 @pytest.mark.parametrize("a,b,r,s,h,n", [
@@ -70,6 +71,16 @@ def test_shifts_are_exact_integers():
     assert (lat.state_shift, lat.control_shift) == (2, 1)
     lat = make_lattice(0, 3, 1, 2)
     assert (lat.state_shift, lat.control_shift) == (1, 2)
+
+
+@pytest.mark.parametrize("r, s, b, named", [
+    (Fraction(1, 3), 0, 1, "r=1/3"), (1, Fraction(1, 4), 1, "s=1/4"),
+    (1, 0, Fraction(3, 4), "b - a=3/4")])
+def test_a_lattice_whose_h_does_not_divide_a_delay_or_the_horizon_is_refused(r, s, b, named):
+    # a typed error, under python -O as well: an assert would be dropped there
+    with pytest.raises(IncommensurableDelayError, match=f"h=1/2 does not divide {named}"):
+        CommensurabilityLattice(a=Fraction(0), b=Fraction(b), r=Fraction(r), s=Fraction(s),
+                                h=Fraction(1, 2), n_cells=2)
 
 
 def test_delay_longer_than_horizon():

@@ -111,9 +111,8 @@ def test_the_public_api_is_this_list():
         "as_rational", "augment", "augmented_cost", "check_convexity_f0x",
         "check_maximality", "check_transversality", "cost", "dde",
         "discrete_adjoint_gradient", "errors", "eval_delayed", "evaluate_cost",
-        "from_pieces", "get_example", "hamiltonian_nonlinear", "hamiltonian_state_linear",
-        "hermite_from_samples", "hj_residual", "integrate_adjoint_linear",
-        "integrate_adjoint_nonlinear", "integrate_augmented", "integrate_forward",
+        "from_pieces", "get_example", "hermite_from_samples", "hj_residual",
+        "integrate_adjoint_linear", "integrate_adjoint_nonlinear", "integrate_augmented", "integrate_forward",
         "lattice", "list_examples", "load_problem", "load_value_function", "make_lattice",
         "maximality_criterion", "numdiff", "parse_problem", "parse_value_function",
         "probfile", "problems", "rational_gcd", "reassemble", "reduction", "registry",

@@ -10,13 +10,12 @@ from retard_oc.cost import evaluate_cost
 from retard_oc.errors import LatticePrecisionError
 from retard_oc.lattice import _lattice_grid, _sample_times, make_lattice
 from retard_oc.probfile import parse_value_function
-from retard_oc.problems import batched
+from retard_oc.problems import DelayedProblem, batched
 from retard_oc.registry import (D_VALUE_FUNCTION, d_feedback, d_state_value,
                                 make_d_value_function, make_d_zeroed_candidate,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.sufficiency import (ValueFunctionCandidate, VerifyConfig,
-                                   active_cells, hamiltonian_nonlinear,
-                                   hj_residual, verify_nonlinear_hj)
+                                   active_cells, hj_residual, verify_nonlinear_hj)
 
 NAN = float("nan")
 
@@ -162,6 +161,15 @@ def test_active_cells_on_float_times_is_the_closed_cell_count(a, h, n_cells, k, 
     assert active_cells(lattice, t) == count(Fraction(t))
 
 
+# The scalar Hamiltonian: the braced term of the reference residual below.
+def hamiltonian_nonlinear(problem: DelayedProblem, t, x, y, u, v, eta) -> float:
+    """H(t,x,y,u,v,eta) = -f0(t,x,y,u,v) + eta f(t,x,y,u,v)."""
+    t = float(t)
+    eta = np.asarray(eta, float).reshape(problem.n)
+    return (-float(problem.f0(t, x, y, u, v))
+            + float(eta @ np.asarray(problem.f(t, x, y, u, v), float).reshape(problem.n)))
+
+
 def _reference_residual(problem, S, feedback, lattice, t, state, dx):
     """The residual at one rational time, from scalar calls only."""
     x = state.eval(t) + dx
@@ -195,6 +203,14 @@ def test_residual_over_times_is_the_stacked_one_time_residuals(d_problem, d_cand
                                      d_candidate.state, 0.0 if row is None else row)
                  for t, row in zip(times, rows)]
     np.testing.assert_array_equal(many, reference)
+
+
+@pytest.mark.parametrize("t", [0.5, Fraction(1, 2), np.float64(0.5), np.array(0.5)],
+                         ids=["float", "Fraction", "float64", "0-d array"])
+def test_residual_of_one_time_in_any_scalar_form(d_problem, d_candidate, S, lattice, t):
+    res = hj_residual(d_problem, S, d_feedback, lattice, t, d_candidate.state)
+    assert type(res) is float
+    assert res == hj_residual(d_problem, S, d_feedback, lattice, [0.5], d_candidate.state)[0]
 
 
 @pytest.mark.parametrize("broken, location", [

@@ -5,12 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from retard_oc.dde import integrate_adjoint_linear
+from retard_oc.dde import integrate_adjoint_linear, integrate_adjoint_nonlinear
 from retard_oc.errors import NonFiniteDerivativeError, UnboundedCriterionError
+from retard_oc.lattice import _lattice_grid
 from retard_oc.numdiff import FD2_STEP, hessians
 from retard_oc.problems import (CandidateSolution, ControlSet,
-                                StateLinearProblem, model_arrays)
-from retard_oc.registry import (make_concave_problem, make_drift_problem,
+                                StateLinearProblem, as_delayed, model_arrays)
+from retard_oc.registry import (d_control_value, make_concave_problem,
+                                make_d_zeroed_candidate, make_drift_problem,
                                 make_inert_problem,
                                 make_ld_adjoint_trajectory,
                                 make_ld_bumped_candidate, make_ld_candidate,
@@ -18,12 +20,10 @@ from retard_oc.registry import (make_concave_problem, make_drift_problem,
                                 make_rest_candidate)
 from retard_oc.dde import AdjointTrajectory
 from retard_oc.sufficiency import (GOLDEN, ROUNDING_FLOOR, CheckResult, VerifyConfig,
-                                   _argmax_vector, _candidate_state_box,
-                                   argmax_control_state_linear,
+                                   _argmax_all, _argmax_vector, _candidate_state_box,
+                                   _Criterion, argmax_control_state_linear,
                                    check_convexity_f0x, check_maximality,
-                                   check_transversality,
-                                   hamiltonian_nonlinear,
-                                   hamiltonian_state_linear,
+                                   check_transversality, hamiltonian,
                                    maximality_criterion, verify_state_linear)
 from retard_oc.trajectory import from_pieces
 
@@ -38,11 +38,41 @@ def ld_adjoint(ld_problem, ld_candidate):
 
 # -- Hamiltonians -----------------------------------------------------------------
 
+# The scalar two-parameter Hamiltonian of the state-linear theorem: the
+# reference the criterion's state-linear terms are checked against.
+def hamiltonian_state_linear(problem: StateLinearProblem, p: int, t, x, y, u, v,
+                             eta) -> float:
+    """Two-parameter Hamiltonian of the state-linear theorem:
+
+        H^p = -[f0x(t,x,y) + f0u(t,u,v)]
+              + eta [A(t) x + A_D(t) y + p g(t,u) + (1-p) g_D(t,v)]
+    """
+    if p not in (0, 1):
+        raise ValueError("p must be 0 or 1")
+    t, n, m = float(t), problem.n, problem.m
+    x, y, eta = (np.asarray(w, float).reshape(n) for w in (x, y, eta))
+    u, v = (np.asarray(w, float).reshape(m) for w in (u, v))
+    drift = (np.asarray(problem.A(t), float).reshape(n, n) @ x
+             + np.asarray(problem.A_D(t), float).reshape(n, n) @ y
+             + np.asarray(problem.g(t, u) if p == 1 else problem.g_D(t, v),
+                          float).reshape(n))
+    return (-(float(problem.f0x(t, x, y)) + float(problem.f0u(t, u, v)))
+            + float(eta @ drift))
+
+
+def _one_row(problem, t, *args):
+    """:func:`hamiltonian` of ``problem`` at one time, its vectors as rows."""
+    return float(hamiltonian(problem)(np.array([t]), *(np.array([w], float) for w in args))[0])
+
+
 def test_hamiltonian_state_linear_benchmark_point(ld_problem):
     eta0 = E2 * (0.0 - E2 - 1.0)
     value = hamiltonian_state_linear(ld_problem, 1, 0.0, [1.0], [1.0], [0.0],
                                      [0.0], [eta0])
     assert value == pytest.approx(-1.0 + 2.0 * eta0, rel=1e-14)
+    # v = 0 adds no g_D term, so the whole Hamiltonian takes the same value
+    assert _one_row(ld_problem, 0.0, [1.0], [1.0], [0.0], [0.0],
+                    [eta0]) == pytest.approx(-1.0 + 2.0 * eta0, rel=1e-14)
 
 
 def test_hamiltonian_p_gates_control_terms(ld_problem, rng):
@@ -66,14 +96,13 @@ def test_hamiltonian_p_zero_gates_current_control(ld_problem, rng):
 def test_hamiltonian_nonlinear_benchmark_point(d_problem):
     q2 = (E2 + 1.0) ** 2
     eta1_0 = 5.0 + 2.0 * (E2 - 1.0) / q2
-    value = hamiltonian_nonlinear(d_problem, 0.0, [1.0], [1.0], [0.0], [0.0],
-                                  [eta1_0])
+    value = _one_row(d_problem, 0.0, [1.0], [1.0], [0.0], [0.0], [eta1_0])
     assert value == pytest.approx(-1.0, rel=1e-14)
 
 
 def test_hamiltonian_nonlinear_reduces_to_cost(d_problem):
-    assert hamiltonian_nonlinear(d_problem, 0.5, [2.0], [1.0], [0.3], [0.0],
-                                 [0.0]) == pytest.approx(-(4.0 + 0.09))
+    assert _one_row(d_problem, 0.5, [2.0], [1.0], [0.3], [0.0],
+                    [0.0]) == pytest.approx(-(4.0 + 0.09))
 
 
 # -- argmax -----------------------------------------------------------------------
@@ -105,6 +134,15 @@ def test_argmax_array_form_equals_stacked_scalar_calls(ld_problem, ld_candidate)
                                                     eta, t) for t in times])
     assert batched.shape == (len(times), 1)
     assert np.array_equal(batched, stacked)
+
+
+@pytest.mark.parametrize("t", [0.5, Fraction(1, 2), np.float64(0.5), np.array(0.5)],
+                         ids=["float", "Fraction", "float64", "0-d array"])
+def test_argmax_of_one_time_in_any_scalar_form(ld_problem, ld_candidate, ld_adjoint, t):
+    u = argmax_control_state_linear(ld_problem, ld_candidate, ld_adjoint, t)
+    assert u.shape == (1,)
+    assert np.array_equal(u, argmax_control_state_linear(ld_problem, ld_candidate,
+                                                         ld_adjoint, [0.5])[0])
 
 
 def _quadratic_cost_problem(center: float, sign: float = 1.0):
@@ -929,3 +967,51 @@ def test_argmax_vertex_survives_a_large_constant_offset(center, tol):
     scalar = _reference_argmax(problem, cand, eta, times)
     assert np.max(np.abs(batched - center)) <= tol
     assert np.max(np.abs(scalar - center)) <= tol
+
+
+# -- the general criterion ----------------------------------------------------------
+
+# On Goellmann's problem (f0 = x^2 + u^2, f = x(t-1) u(t-2), s = 2) the
+# criterion is maximised at u(t) = eta(t+2) x(t+1) / 2 on [0, 1] and at 0
+# after, with eta in the sign of integrate_adjoint_linear: the closed-form
+# control of Goellmann, Kern & Maurer (2009).
+
+@pytest.fixture(scope="module")
+def d_grid(d_problem):
+    return _lattice_grid(d_problem.lattice(), 24)
+
+
+def test_general_argmax_is_goellmanns_control(d_problem, d_candidate, d_grid):
+    eta = integrate_adjoint_linear(d_problem, d_candidate)
+    u = _argmax_all(d_problem, _Criterion(d_problem, d_candidate, eta, d_grid))
+    assert np.max(np.abs(u[:, 0] - d_control_value(d_grid.t))) <= 1e-9
+    # the other costate sign maximises the wrong criterion
+    eta = integrate_adjoint_nonlinear(d_problem, d_candidate)
+    u = _argmax_all(d_problem, _Criterion(d_problem, d_candidate, eta, d_grid))
+    assert np.max(np.abs(u[:, 0] - d_control_value(d_grid.t))) > 1.0
+
+
+def test_general_check_maximality_passes_goellmanns_pair(d_problem, d_candidate):
+    result = check_maximality(d_problem, d_candidate,
+                              integrate_adjoint_linear(d_problem, d_candidate))
+    assert result.passed and result.worst_residual <= 1e-12
+
+
+def test_general_check_maximality_fails_the_zeroed_control(d_problem):
+    cand = make_d_zeroed_candidate()
+    result = check_maximality(d_problem, cand, integrate_adjoint_linear(d_problem, cand))
+    assert not result.passed
+    assert result.worst_location == 0.0
+    assert result.worst_residual == pytest.approx(0.58, abs=0.01)
+
+
+def test_general_and_state_linear_terms_take_the_same_argmax(ld_problem, ld_candidate):
+    # Not bit for bit: H carries terms free of the control scored (f0x, A x,
+    # A_D x(t-r) and the other control's part) that H^1 + chi H^0 drops, so
+    # the two criteria differ by a per-time constant and round differently.
+    eta = integrate_adjoint_linear(ld_problem, ld_candidate)
+    grid = _lattice_grid(ld_problem.lattice(), 24)
+    general = as_delayed(ld_problem)
+    u = _argmax_all(ld_problem, _Criterion(ld_problem, ld_candidate, eta, grid))
+    u_general = _argmax_all(general, _Criterion(general, ld_candidate, eta, grid))
+    np.testing.assert_allclose(u_general, u, rtol=0.0, atol=1e-12)
