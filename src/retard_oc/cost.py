@@ -12,7 +12,6 @@ import numpy as np
 from .errors import OutOfDomainError
 from .problems import (AnyProblem, CandidateSolution, model_arguments,
                        running_cost_array)
-from .trajectory import block_rows
 
 
 def _simpson_weights(steps: int) -> np.ndarray:
@@ -50,8 +49,7 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     span = hi - lo
     T = lo[:, None] + span[:, None] * (np.arange(steps + 1) / steps)
     T[:, -1] = hi
-    x = block_rows(cand.state.cell_curves(lattice), T)
-    u = block_rows(cand.control.cell_curves(lattice), T)
+    x, u = cand.state.cell_rows(lattice, T), cand.control.cell_rows(lattice, T)
     f0 = running_cost_array(problem)(*model_arguments(problem, lattice, T, x, u))
     acc = np.cumsum(weights * f0.reshape(T.shape), axis=1)[:, -1]   # in node order
     total = np.cumsum(acc * (span / steps) / 3.0)[-1]               # in cell order

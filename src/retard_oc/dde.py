@@ -41,8 +41,7 @@ from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
                        dynamics_array, model_arguments, model_arrays, model_partials)
-from .trajectory import (HermiteCurve, Trajectory, block_rows, cell_trajectory,
-                         delayed_rows)
+from .trajectory import HermiteCurve, Trajectory, cell_trajectory, delayed_rows
 
 
 def _check_settings(cfg, counts: dict, tolerances=()) -> None:
@@ -294,20 +293,19 @@ def integrate_forward(problem: AnyProblem, control: Trajectory,
     if not control.covers(problem.control_history_start, problem.b):
         raise OutOfDomainError("control must cover [a - s, b]")
     schedule = _schedules(lattice, cfg.substeps_per_cell)
-    state_cells = _forward_cells(problem, control.cell_curves(lattice), lattice,
-                                 schedule, "integrate_forward")
+    state_cells = _forward_cells(problem, control, lattice, schedule, "integrate_forward")
     return cell_trajectory(lattice, problem.n, state_cells,
                            problem.state_history_start, problem.phi)
 
 
-def _forward_cells(problem: AnyProblem, control_cells, lattice: CommensurabilityLattice,
+def _forward_cells(problem: AnyProblem, control: Trajectory, lattice: CommensurabilityLattice,
                    schedule, name: str, unit: str = "cell") -> list[HermiteCurve]:
-    """The state's cell curves under ``control_cells``, marched along
+    """The state's cell curves under ``control``, marched along
     ``schedule`` (as :func:`_schedules` gives it); see :func:`_march`."""
     k_r = lattice.state_shift
     T, K = schedule[1], schedule[1].shape[1]
     phi, psi = model_arrays(problem, "phi", "psi")
-    u = block_rows(control_cells, T)
+    u = control.cell_rows(lattice, T)
     ud = delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift)
     x_hist = phi(T[:k_r].ravel() - float(lattice.r))
     linear = isinstance(problem, StateLinearProblem)
@@ -355,9 +353,9 @@ def _costate(p: AnyProblem, cand: CandidateSolution, cfg: IntegratorConfig,
     # the tuple [t] = (t, x(t), x(t-r), u(t), u(t-s)) at every stage;
     # declared state-linear partials never read the control, so it is left
     # out; finite differences of the running cost do, since f0u enters their rounding
-    x = block_rows(cand.state.cell_curves(lattice), T)
+    x = cand.state.cell_rows(lattice, T)
     u = (None if isinstance(p, StateLinearProblem) and p.f0x_dx is not None
-         and p.f0x_dy is not None else block_rows(cand.control.cell_curves(lattice), T))
+         and p.f0x_dy is not None else cand.control.cell_rows(lattice, T))
     args = model_arguments(p, lattice, T, x, u)
     # eta' = eta @ M + c: M = -d2 f[t] (also -d3 f[t+r] when r = 0), and
     # chi_[a, b-r] holds exactly on the cells i < N - k_r, whose advanced

@@ -82,7 +82,8 @@ class CommensurabilityLattice:
     ``h`` is the gcd of the nonzero members of {r, s, b - a}; every delay
     shift is then an exact integer number of cells.  ``edges`` holds the
     breakpoints as floats, read-only.  An h that does not divide r, s and
-    b - a is refused with :class:`IncommensurableDelayError`.
+    b - a, or with ``n_cells`` other than (b - a)/h, is refused with
+    :class:`IncommensurableDelayError`.
     """
 
     a: Rational
@@ -93,10 +94,16 @@ class CommensurabilityLattice:
     n_cells: int
 
     def __post_init__(self):
+        if not Fraction(self.h) > 0:
+            raise IncommensurableDelayError(f"grid amplitude h={self.h} is not positive")
         for name, value in (("r", self.r), ("s", self.s), ("b - a", self.b - self.a)):
             if (Fraction(value) / Fraction(self.h)).denominator != 1:
                 raise IncommensurableDelayError(f"grid amplitude h={self.h} does not divide "
                                                 f"{name}={value}")
+        if self.n_cells != (self.b - self.a) / Fraction(self.h):
+            raise IncommensurableDelayError(
+                f"n_cells={self.n_cells} cells of h={self.h} do not tile [{self.a}, {self.b}], "
+                f"which takes {(self.b - self.a) / Fraction(self.h)}")
         points = tuple(self.a + i * self.h for i in range(self.n_cells + 1))
         edges = np.array([float(t) for t in points])
         edges.flags.writeable = False

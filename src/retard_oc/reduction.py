@@ -1,8 +1,10 @@
 """Reduction of a delayed problem to an equivalent non-delayed one.
 
 The trajectory on [a, b] is cut into the N lattice cells and stacked: block
-i at local time sigma in [0, h] is the cell's own curve at original time
-a + i h + sigma.  Delayed arguments become inter-block references with exact
+i at local time sigma in [0, h] is the trajectory on cell i at original time
+a + i h + sigma, read by :meth:`~retard_oc.trajectory.Trajectory.cell_rows`;
+a stacked solution holds the state and control trajectories whose cells
+are its blocks.  Delayed arguments become inter-block references with exact
 integer offsets r/h and s/h: over the block axis, a delayed block is a row
 shift with baked-in history rows in front, keeping the stacked dimension at
 n N.  All blocks are resolved in one array pass by the resolver the
@@ -25,7 +27,7 @@ from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
 from .problems import (AnyProblem, CandidateSolution, dynamics_array,
                        model_arguments, running_cost_array)
-from .trajectory import Trajectory, block_rows, cell_trajectory
+from .trajectory import Trajectory, cell_trajectory
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,6 @@ class AugmentedProblem:
     def control_offset(self) -> int:
         return self.lattice.control_shift
 
-    def _block_rows(self, curves, sigmas) -> np.ndarray:
-        """Values of the block ``curves`` at the local times ``sigmas``,
-        block-major: row i K + k is block i at ``sigmas[k]``."""
-        return block_rows(curves, self._starts[:, None] + np.atleast_1d(sigmas))
-
     def _arguments(self, sigmas, X: np.ndarray, W: np.ndarray) -> tuple:
         """The original model's arguments (t, x, x(t-r), u, u(t-s)) of every
         block at the K local times ``sigmas``, block-major like ``X`` and
@@ -93,7 +90,8 @@ class AugmentedProblem:
     def dynamics(self, sigma, X: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Stacked right-hand side; an ordinary ODE in R^{n N}.  At K local
         times ``sigma`` (a 1-D array), X and W are block-major rows as
-        :meth:`_block_rows` gives them; the slopes come in the shape of X."""
+        :meth:`~retard_oc.trajectory.Trajectory.cell_rows` gives them; the
+        slopes come in the shape of X."""
         args = self._arguments(np.asarray(sigma, dtype=float), X, W)
         return self._dynamics(*args).reshape(np.shape(X))
 
@@ -115,30 +113,31 @@ def augment(problem: AnyProblem, lattice: CommensurabilityLattice) -> AugmentedP
 
 @dataclass
 class AugmentedSolution:
-    """Stacked trajectories, one curve per block.
-
-    ``state_blocks[i]`` and ``control_blocks[i]`` are the curves of lattice
-    cell i in original time: block i at local time sigma in [0, h] is the
-    curve's value at a + i h + sigma.
+    """Stacked trajectories: block i of ``state`` and ``control`` is the
+    trajectory on lattice cell i, at local time sigma in [0, h] its value at
+    a + i h + sigma.
     """
 
     aug: AugmentedProblem
-    state_blocks: list
-    control_blocks: list
+    state: Trajectory
+    control: Trajectory
     ode_residual: float | None = None   # see integrate_augmented; None if stacked
 
     def linkage_residual(self) -> float:
         """Worst block-boundary mismatch |X_i(h) - X_{i+1}(0)|_inf, each block read at its edges."""
-        s = self.aug._starts
-        ends = block_rows(self.state_blocks, np.c_[s, np.r_[s[1:], s[-1]]]).reshape(len(s), 2, -1)
+        lattice, e = self.aug.lattice, self.aug.lattice.edges
+        ends = self.state.cell_rows(lattice, np.c_[e[:-1], e[1:]]).reshape(lattice.n_cells, 2, -1)
         return float(np.max(np.abs(ends[:-1, 1] - ends[1:, 0]), initial=0.0))   # NaN propagates
 
 
 def stack_candidate(aug: AugmentedProblem, cand: CandidateSolution) -> AugmentedSolution:
-    """Slice a candidate pair into its cell curves, the stacked blocks (the
-    forward half of the round trip; ``reassemble`` is its inverse)."""
-    return AugmentedSolution(aug=aug, state_blocks=cand.state.cell_curves(aug.lattice),
-                             control_blocks=cand.control.cell_curves(aug.lattice))
+    """A candidate pair as stacked blocks: its own trajectories, once their
+    cell curves show no segment edge inside a lattice cell (else
+    :class:`OutOfDomainError` naming it).  The forward half of the round
+    trip; ``reassemble`` is its inverse."""
+    for traj in (cand.state, cand.control):
+        traj.cell_curves(aug.lattice)   # raises on a segment edge inside a cell
+    return AugmentedSolution(aug=aug, state=cand.state, control=cand.control)
 
 
 def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
@@ -157,17 +156,16 @@ def integrate_augmented(aug: AugmentedProblem, control: Trajectory,
     """
     lattice = aug.lattice
     widths, sigmas = _cell_schedule(0.0, float(lattice.h), cfg.substeps_per_cell)
-    control_blocks = control.cell_curves(lattice)
     schedule = (np.broadcast_to(widths, (aug.n_blocks, len(widths))),
                 aug._starts[:, None] + sigmas)
-    blocks = _forward_cells(aug.problem, control_blocks, lattice, schedule,
+    blocks = _forward_cells(aug.problem, control, lattice, schedule,
                             "integrate_augmented", "block")
     nodes = sigmas[_slots(len(widths), _NODE_SLOTS)]
     slopes = aug.dynamics(nodes, np.concatenate([b.ys for b in blocks]),
-                          aug._block_rows(control_blocks, nodes))
+                          control.cell_rows(lattice, aug._starts[:, None] + nodes))
     gap = np.max(np.abs(slopes - np.concatenate([b.ds for b in blocks])))
-    return AugmentedSolution(aug=aug, state_blocks=blocks, control_blocks=control_blocks,
-                             ode_residual=float(gap))
+    return AugmentedSolution(aug=aug, state=cell_trajectory(lattice, aug.problem.n, blocks),
+                             control=control, ode_residual=float(gap))
 
 
 def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice,
@@ -182,9 +180,9 @@ def reassemble(aug_solution: AugmentedSolution, lattice: CommensurabilityLattice
                            ("stacked ODE", aug_solution.ode_residual)):
         if residual is not None and not residual <= tol:
             raise SeamMismatchError(f"{what} residual {residual:.3e} exceeds {tol:g}")
-    state = cell_trajectory(lattice, problem.n, aug_solution.state_blocks,
+    state = cell_trajectory(lattice, problem.n, aug_solution.state.cell_curves(lattice),
                             problem.state_history_start, problem.phi)
-    control = cell_trajectory(lattice, problem.m, aug_solution.control_blocks,
+    control = cell_trajectory(lattice, problem.m, aug_solution.control.cell_curves(lattice),
                               problem.control_history_start, problem.psi)
     return CandidateSolution(state=state, control=control)
 
@@ -197,7 +195,8 @@ def augmented_cost(aug: AugmentedProblem, sol: AugmentedSolution,
     hf = float(aug.block_length)
     sigmas = hf * (np.arange(quadrature_steps + 1) / quadrature_steps)
     sigmas[-1] = hf
-    x = aug._block_rows(sol.state_blocks, sigmas)
-    totals = aug._summed_cost(sigmas, x, aug._block_rows(sol.control_blocks, sigmas))
+    T = aug._starts[:, None] + sigmas
+    x = sol.state.cell_rows(aug.lattice, T)
+    totals = aug._summed_cost(sigmas, x, sol.control.cell_rows(aug.lattice, T))
     acc = np.cumsum(_simpson_weights(quadrature_steps) * totals)[-1]   # in node order
     return float(acc * (hf / quadrature_steps) / 3.0 + aug.problem.terminal_cost(x[-1]))

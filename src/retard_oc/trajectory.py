@@ -5,11 +5,14 @@ A :class:`Trajectory` tiles [history_start, end] with half-open segments
 at the left endpoint of the following segment, matching piecewise
 definitions like "u(t) = 0 on ]3, 4]".  Segment bounds are exact rationals;
 only curve evaluation uses floats, and a curve answers a single time as
-an array of one time, so there is one lookup.  Segments (and cells, in
-:func:`block_rows`) whose curves share one function are evaluated in one
-call, and Hermite cells in one pass over their stacked nodes, bit for
-bit their own calls.  :func:`delayed_rows` is the library's one
-delayed-argument resolver: on a lattice, a delay is a block shift.
+an array of one time, so there is one lookup.  A trajectory reads lattice
+cells through the same evaluator (:meth:`Trajectory.cell_rows`: cell i at
+its row of times, each cell's segment found by one lookup of the cell
+midpoints).  Segments whose curves share one function are evaluated in one
+call, and Hermite segments in one pass over their stacked nodes, built once
+per trajectory, bit for bit their own calls.  :func:`delayed_rows` is the
+library's one delayed-argument resolver: on a lattice, a delay is a block
+shift.
 """
 
 from __future__ import annotations
@@ -130,32 +133,6 @@ def _node_table(curves: Sequence[HermiteCurve], lo: np.ndarray, hi: np.ndarray):
         return SimpleNamespace(ts=ts, ys=ys, ds=ds, _dt=dt, _first=first, _last=ends - 2)
 
 
-def _grouping(curves: Sequence[Curve], lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """``curves``, curve k's group (the first curve with its function: fn, or
-    itself; the Hermite curves one group if they have a node table on [lo[k],
-    hi[k]]), that table and each one's place in it, -1 for the others."""
-    hermite = [k for k, c in enumerate(curves) if isinstance(c, HermiteCurve)]
-    table = hermite and _node_table([curves[k] for k in hermite], lo[hermite], hi[hermite])
-    pos = np.full(len(curves), -1)
-    if table:
-        pos[hermite] = np.arange(len(hermite))
-    first = {}
-    return curves, np.array([first.setdefault(id(table if pos[k] >= 0 else getattr(
-        c, "fn", c)), k) for k, c in enumerate(curves)], dtype=int), table, pos
-
-
-def _evaluate(grouping: tuple, k: np.ndarray, t: np.ndarray, dim: int) -> np.ndarray:
-    """Curve k[j] of a :func:`_grouping` at t[j] for every row j, one call per group touched."""
-    curves, group, table, pos = grouping
-    g, out = group[k], np.empty((t.size, dim))
-    touched = np.flatnonzero(np.bincount(g))
-    for j in touched:
-        sel = g == j if len(touched) > 1 else slice(None)
-        out[sel] = (_hermite(table, pos[k[sel]], t[sel]) if pos[j] >= 0
-                    else curves[j].eval_many(t[sel]))
-    return out
-
-
 class Segment(NamedTuple):
     lo: Rational
     hi: Rational
@@ -196,8 +173,20 @@ class Trajectory:
 
     @cached_property
     def _groups(self) -> tuple:
-        """:func:`_grouping` of the segments' curves on their bounds."""
-        return _grouping([s.curve for s in self.segments], self._bounds[:-1], self._bounds[1:])
+        """The segments' curves, segment k's group (the first segment with
+        its curve's function: fn, or the curve itself; the Hermite segments
+        one group if their curves have a node table on their bounds), that
+        table and each Hermite segment's place in it, -1 for the others."""
+        curves = [s.curve for s in self.segments]
+        hermite = [k for k, c in enumerate(curves) if isinstance(c, HermiteCurve)]
+        table = hermite and _node_table([curves[k] for k in hermite], self._bounds[hermite],
+                                        self._bounds[np.add(hermite, 1)])
+        pos = np.full(len(curves), -1)
+        if table:
+            pos[hermite] = np.arange(len(hermite))
+        first = {}
+        return curves, np.array([first.setdefault(id(table if pos[k] >= 0 else getattr(
+            c, "fn", c)), k) for k, c in enumerate(curves)], dtype=int), table, pos
 
     # -- evaluation ---------------------------------------------------------
 
@@ -226,39 +215,56 @@ class Trajectory:
 
     def eval_many(self, ts) -> np.ndarray:
         """Values at each of the times ``ts``, shape (len(ts), dimension),
-        located by :meth:`_lookup`; one call per curve function touched, at
-        the times of all its segments, and one pass over the Hermite segments."""
-        i, tf = self._lookup(ts)
-        return _evaluate(self._groups, i, tf, self.dimension)
+        located by :meth:`_lookup`; see :meth:`_evaluate`."""
+        return self._evaluate(*self._lookup(ts))
+
+    def _evaluate(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Segment k[j]'s curve at t[j] for every row j: one call per curve
+        function touched, at the times of all its segments, and one pass
+        over the Hermite segments' node table."""
+        curves, group, table, pos = self._groups
+        g, out = group[k], np.empty((t.size, self.dimension))
+        touched = np.flatnonzero(np.bincount(g))
+        for j in touched:
+            sel = g == j if len(touched) > 1 else slice(None)
+            out[sel] = (_hermite(table, pos[k[sel]], t[sel]) if pos[j] >= 0
+                        else curves[j].eval_many(t[sel]))
+        return out
 
     def covers(self, lo: RationalLike, hi: RationalLike) -> bool:
         return self.history_start <= as_rational(lo) and as_rational(hi) <= self.end
 
-    def cell_curve(self, lo: Rational, hi: Rational) -> Curve:
-        """Curve valid on the closed cell [lo, hi], from the segment holding
-        the cell's midpoint (so boundary ownership never comes into play).
-
-        Evaluating it at ``hi`` yields the left limit when a jump sits there,
-        which is the a.e.-correct restriction integrators and quadrature need.
-        Raises :class:`OutOfDomainError` naming the cell when a segment edge
-        falls inside it.
-        """
-        return self._cell_curves([(lo, hi)])[0]
-
-    def cell_curves(self, lattice) -> list[Curve]:
-        """:meth:`cell_curve` of every lattice cell, in cell order."""
-        return self._cell_curves([(lo, hi) for _, lo, hi in lattice.cells()])
-
-    def _cell_curves(self, cells) -> list[Curve]:
-        """:meth:`cell_curve` of each (lo, hi) of ``cells``: one lookup of
-        all their midpoints."""
-        index, _ = self._lookup([float((lo + hi) / 2) for lo, hi in cells])
-        segs = [self.segments[i] for i in index]
-        for (lo, hi), seg in zip(cells, segs):
+    def _cell_segments(self, lattice) -> np.ndarray:
+        """Index of the segment holding each lattice cell, from one
+        :meth:`_lookup` of the cells' midpoints (so boundary ownership never
+        comes into play).  Raises :class:`OutOfDomainError` naming the cell
+        when a segment edge falls inside it."""
+        index, _ = self._lookup((lattice.edges[:-1] + lattice.edges[1:]) / 2)
+        for (_, lo, hi), seg in zip(lattice.cells(), [self.segments[k] for k in index]):
             if not (seg.lo <= lo and hi <= seg.hi):
                 raise OutOfDomainError(
                     f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
-        return [seg.curve for seg in segs]
+        return index
+
+    def cell_curves(self, lattice) -> list[Curve]:
+        """The curve holding each lattice cell, in cell order; see :meth:`_cell_segments`."""
+        return [self.segments[k].curve for k in self._cell_segments(lattice)]
+
+    def cell_rows(self, lattice, T) -> np.ndarray:
+        """Row i K + k is the curve holding lattice cell i (see
+        :meth:`_cell_segments`) at ``T[i, k]``, for an (n_cells, K) ``T``: at a
+        cell's right end, the left limit of a jump there, as integrators and
+        quadrature need.  A time further than float fuzz outside its cell
+        raises :class:`OutOfDomainError` naming the cell; a NaN gives NaN."""
+        if (T := np.asarray(T, dtype=float)).ndim != 2 or len(T) != lattice.n_cells:
+            raise ValueError(f"cell_rows takes one row per cell, not shape {T.shape}")
+        index, edges, slack = self._cell_segments(lattice), lattice.edges, self._slack
+        outside = (T < edges[:-1, None] - slack) | (T > edges[1:, None] + slack)
+        if outside.any():
+            i, k = np.argwhere(outside)[0]
+            raise OutOfDomainError(f"t={T[i, k]} outside cell {i} [{lattice.breakpoints[i]}, "
+                                   f"{lattice.breakpoints[i + 1]}]")
+        return self._evaluate(index.repeat(T.shape[1]), T.ravel())
 
 
 def eval_delayed(traj: Trajectory, t: TimeLike, tau: RationalLike) -> np.ndarray:
@@ -279,20 +285,11 @@ def shifted_rows(history_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.concatenate([history_rows, rows[:len(rows) - len(history_rows)]])
 
 
-def block_rows(curves: Sequence[Curve], T: np.ndarray) -> np.ndarray:
-    """Curve i at the times of row i of the (N, K) array ``T``, block-major:
-    row i K + k is ``curves[i]`` at ``T[i, k]``; evaluated by their
-    :func:`_grouping` on the extremes of each row."""
-    grouping = _grouping(list(curves[:len(T)]), T.min(axis=1, initial=np.inf),
-                         T.max(axis=1, initial=-np.inf))
-    return _evaluate(grouping, np.arange(len(T)).repeat(T.shape[1]), T.ravel(), curves[0].dim)
-
-
 def delayed_rows(history: Callable[[np.ndarray], np.ndarray], T: np.ndarray,
                  rows: np.ndarray, delay: float, shift: int) -> np.ndarray:
     """The method of steps' delayed-argument resolver.  Row i of ``T`` holds
     the times of lattice cell i, the same pattern in every cell, and
-    ``rows`` the block-major values there (:func:`block_rows`).  A delay of
+    ``rows`` the block-major values there (:meth:`Trajectory.cell_rows`).  A delay of
     ``shift`` whole cells reads block i - shift at that cell's own times;
     the first ``shift`` cells read the array-form ``history`` at their
     times minus ``delay``."""

@@ -1,7 +1,7 @@
 """The curve kernels against verbatim copies of their earlier forms: the
 registry's closed forms written with ``np.select`` and ``np.where`` (every
 branch at every time), the clipped-index trajectory lookup and Hermite
-kernel, the per-cell Hermite path of a trajectory and of ``block_rows``, the
+kernel, the per-cell Hermite path of a trajectory and of its cell reader, the
 ``Fraction`` cell generator and the model-call loop's per-row conversion.
 The current forms must give the same bytes (and the same errors); they
 evaluate each branch only at the times it owns, one call per curve
@@ -27,7 +27,7 @@ from retard_oc.errors import NoConvergenceError, OutOfDomainError, ZeroDelaysErr
 from retard_oc.problems import array_form
 from retard_oc.registry import E2, E4, E6, _Q, d_eta1, d_eta2, d_eta3
 from retard_oc.trajectory import (CallableCurve, HermiteCurve, Segment, Trajectory,
-                                  _hermite_basis, block_rows, hermite_from_samples)
+                                  _hermite_basis, from_pieces, hermite_from_samples)
 
 # -- reference closed forms, as written with np.select and np.where --------------
 
@@ -256,8 +256,9 @@ def test_eval_many_takes_only_a_one_dimensional_sequence(curve, ts):
 
 
 
-# -- one node table per cell trajectory: the per-cell Hermite path, block_rows and
-# the Fraction cell generator as written before -------------------------------------
+# -- one node table per cell trajectory: the per-cell Hermite path, the cell
+# reader (block_rows over the cells' curves) and the Fraction cell generator as
+# written before ----------------------------------------------------------------
 
 
 def ref_hermite_curve(self, t):
@@ -372,49 +373,107 @@ def test_a_trajectory_lookup_is_its_per_cell_hermite_path_byte_for_byte(name):
         _same_or_same_error(new, ref, np.array([t]))
 
 
-def _end_rows(traj, ks) -> np.ndarray:
-    """Row j: times at both ends of segment ks[j]'s curve (its nodes' ends, a
-    callable's segment bounds), their float neighbours and moves of up to
-    the curve's own slack either way."""
+def ref_cell_curves(traj, lattice):
+    """The curve of the segment holding each lattice cell, in exact arithmetic."""
+    return [next(seg.curve for seg in traj.segments if seg.lo <= lo and hi <= seg.hi)
+            for _, lo, hi in lattice.cells()]
+
+
+def _unit_lattices(traj):
+    """Lattices of unit cells on the trajectory, with and without its first segment."""
+    return [make_lattice(traj.segments[k].lo, traj.end, 1, 0) for k in (0, 1)]
+
+
+def _end_rows(traj, lattice) -> np.ndarray:
+    """Row i: times at both ends of cell i's curve (its nodes' ends with the
+    curve's own slack, a callable's cell edges with the trajectory's),
+    their float neighbours and moves of up to that slack either way, each
+    kept within the trajectory's slack of the cell."""
     moves = np.array([-1.0, -0.999, -0.5, 0.0, 0.5, 0.999, 1.0])
-    rows = []
-    for k in ks:
-        curve = traj.segments[k].curve
+    rows, lo, hi = [], lattice.edges[:-1], lattice.edges[1:]
+    for i, curve in enumerate(ref_cell_curves(traj, lattice)):
         ends, slack = ((curve.ts[[0, -1]], curve._slack) if isinstance(curve, HermiteCurve)
-                       else (traj._bounds[[k, k + 1]], traj._slack))
+                       else ((lo[i], hi[i]), traj._slack))
         rows.append(np.concatenate([np.r_[x + slack * moves, np.nextafter(x, np.inf),
                                           np.nextafter(x, -np.inf)] for x in ends]))
-    return np.array(rows)
+    return np.array(rows).clip((lo - traj._slack)[:, None], (hi + traj._slack)[:, None])
 
 
 @pytest.mark.parametrize("name", TRAJECTORIES)
-def test_block_rows_is_its_per_cell_path_byte_for_byte(name):
+def test_cell_rows_is_its_per_cell_path_byte_for_byte(name):
     traj = _trajectories()[name]
-    segments = range(len(traj.segments))
-    for ks in (segments, segments[1:]):   # with and without the first segment
-        curves = [traj.segments[k].curve for k in ks]
-        lo, hi = traj._bounds[list(ks)], traj._bounds[[k + 1 for k in ks]]
+    for lattice in _unit_lattices(traj):
+        curves = ref_cell_curves(traj, lattice)
+        lo, hi = lattice.edges[:-1], lattice.edges[1:]
         schedule = _cell_schedule(lo, hi, 4)[1]
-        ends = _end_rows(traj, ks)
-        nan, out = schedule.copy(), ends.copy()
+        nan = schedule.copy()
         nan[-1, 3] = np.nan
-        out[-1, -3] += 2.0 * np.abs(out[-1, -3]) * 1e-11 + 1e-10   # past every slack
-        for T in (schedule, _cell_schedule(hi, lo, 4)[1], ends, nan, out,
-                  np.empty((len(ks), 0))):
-            _same_or_same_error(lambda T: block_rows(curves, T),
+        for T in (schedule, _cell_schedule(hi, lo, 4)[1], _end_rows(traj, lattice), nan,
+                  np.empty((lattice.n_cells, 0))):
+            _same_or_same_error(lambda T: traj.cell_rows(lattice, T),
                                 lambda T: ref_block_rows(curves, T), T)
 
 
-def test_a_lookup_and_block_rows_take_one_hermite_pass(monkeypatch):
+@pytest.mark.parametrize("kind", ["closed form", "hermite"])
+def test_a_row_outside_its_cell_is_refused_naming_the_cell(kind):
+    traj = LD_CAND.state if kind == "closed form" else _trajectories()["ld forward state"]
+    lattice = make_lattice(0, 4, 1, 0)
+    schedule = _cell_schedule(lattice.edges[:-1], lattice.edges[1:], 4)[1]
+    for j, past in ((0, -1.0), (-1, 1.0)):
+        T = schedule.copy()
+        T[2, j] += past * 2.0 * traj._slack
+        with pytest.raises(OutOfDomainError, match=r"outside cell 2 \[2, 3\]"):
+            traj.cell_rows(lattice, T)
+        T[2, j] -= past * 1.5 * traj._slack   # within the slack: read as the cell's end
+        assert np.isfinite(traj.cell_rows(lattice, T)).all()
+    with pytest.raises(ValueError, match=r"one row per cell"):
+        traj.cell_rows(lattice, schedule[1:])
+
+
+def test_a_segment_edge_inside_a_cell_is_refused_naming_the_cell():
+    # cells of width 1 on [0, 4]; a segment edge at 5/4 falls inside [1, 2]
+    traj = from_pieces(1, [(-2, 0, lambda t: [1.0]), (0, Fraction(5, 4), lambda t: [t]),
+                           (Fraction(5, 4), 4, lambda t: [t])], main_start=0)
+    lattice = make_lattice(0, 4, 1, 0)
+    T = _cell_schedule(lattice.edges[:-1], lattice.edges[1:], 4)[1]
+    for read in (lambda: traj.cell_rows(lattice, T), lambda: traj.cell_curves(lattice)):
+        with pytest.raises(OutOfDomainError,
+                           match=r"cell \[1, 2\] straddles segment \[5/4, 4\]"):
+            read()
+    quarters = make_lattice(0, 4, "1/4", 0)   # cells of width 1/4: none straddles
+    assert traj.cell_curves(quarters) == [traj.segments[1].curve] * 5 + [
+        traj.segments[2].curve] * 11
+    T = _cell_schedule(quarters.edges[:-1], quarters.edges[1:], 4)[1]
+    _same_or_same_error(lambda T: traj.cell_rows(quarters, T),
+                        lambda T: ref_block_rows(ref_cell_curves(traj, quarters), T), T)
+
+
+def test_a_lookup_and_cell_rows_take_one_hermite_pass(monkeypatch):
     calls = []
     blend = trajectory._hermite
     monkeypatch.setattr(trajectory, "_hermite", lambda *args: calls.append(1) or blend(*args))
     traj = _trajectories()["ld forward state"]   # history, then four Hermite cells
     traj.eval_many(np.linspace(-2.0, 4.0, 1001))
     assert len(calls) == 1
-    block_rows(traj.cell_curves(make_lattice(0, 4, 2, 1)), _cell_schedule(
-        traj._bounds[1:-1], traj._bounds[2:], 4)[1])
+    lattice = make_lattice(0, 4, 2, 1)
+    traj.cell_rows(lattice, _cell_schedule(lattice.edges[:-1], lattice.edges[1:], 4)[1])
     assert len(calls) == 2
+
+
+def test_a_trajectory_builds_one_node_table_for_every_read(monkeypatch):
+    tables = []
+    build = trajectory._node_table
+    monkeypatch.setattr(trajectory, "_node_table",
+                        lambda *args: tables.append(1) or build(*args))
+    p = registry.get_example("ocp-ld-paper").make_problem()
+    traj = integrate_forward(p, LD_CAND.control)   # a new trajectory: nothing cached
+    lattice = p.lattice()
+    T = _cell_schedule(lattice.edges[:-1], lattice.edges[1:], 4)[1]
+    for _ in range(2):
+        traj.eval_many(np.linspace(-1.0, 4.0, 101))
+        traj.cell_rows(lattice, T)
+        traj.cell_rows(lattice, T[:, ::-1])
+    assert len(tables) == 1
 
 
 # -- each lattice built once ------------------------------------------------------

@@ -83,6 +83,27 @@ def test_a_lattice_whose_h_does_not_divide_a_delay_or_the_horizon_is_refused(r, 
                                 h=Fraction(1, 2), n_cells=2)
 
 
+@pytest.mark.parametrize("h", [Fraction(0), Fraction(-1, 2)])
+def test_a_lattice_with_a_nonpositive_h_is_refused(h):
+    # a typed error, not a ZeroDivisionError, under python -O as well
+    with pytest.raises(IncommensurableDelayError, match=f"h={h} is not positive"):
+        CommensurabilityLattice(a=Fraction(0), b=Fraction(1), r=Fraction(1), s=Fraction(0),
+                                h=h, n_cells=2)
+
+
+@pytest.mark.parametrize("n_cells", [5, 1, 0, -2])
+def test_a_lattice_whose_cells_do_not_tile_the_horizon_is_refused(n_cells):
+    # five cells of 1/2 would run the breakpoints to 5/2, past b = 1
+    with pytest.raises(IncommensurableDelayError,
+                       match=rf"n_cells={n_cells} cells of h=1/2 do not tile \[0, 1\], "
+                             r"which takes 2"):
+        CommensurabilityLattice(a=Fraction(0), b=Fraction(1), r=Fraction(1), s=Fraction(0),
+                                h=Fraction(1, 2), n_cells=n_cells)
+    lattice = CommensurabilityLattice(a=Fraction(0), b=Fraction(1), r=Fraction(1),
+                                      s=Fraction(0), h=Fraction(1, 2), n_cells=2)
+    assert lattice.breakpoints[-1] == lattice.b
+
+
 def test_delay_longer_than_horizon():
     lat = make_lattice(0, 1, 5, 0)
     assert lat.h == 1

@@ -16,7 +16,7 @@ from retard_oc.problems import (CandidateSolution, DelayedProblem,
                                 StateLinearProblem, as_delayed, batched)
 from retard_oc.reduction import (augment, augmented_cost, integrate_augmented,
                                  reassemble, stack_candidate)
-from retard_oc.trajectory import CallableCurve, from_pieces
+from retard_oc.trajectory import CallableCurve, cell_trajectory, from_pieces
 
 from conftest import stage_by_stage, two_state_free_problem
 
@@ -110,9 +110,10 @@ def test_dynamics_equivalence(case):
 def test_broken_seam_raises(ld_problem, ld_candidate):
     lattice = ld_problem.lattice()
     sol = stack_candidate(augment(ld_problem, lattice), ld_candidate)
-    third = sol.state_blocks[2]
-    sol.state_blocks = list(sol.state_blocks)
-    sol.state_blocks[2] = CallableCurve(lambda t: third(t) + 0.1, 1)
+    blocks = sol.state.cell_curves(lattice)
+    third = blocks[2]
+    blocks[2] = CallableCurve(lambda t: third(t) + 0.1, 1)
+    sol.state = cell_trajectory(lattice, 1, blocks)
     with pytest.raises(SeamMismatchError):
         reassemble(sol, lattice)
 
@@ -172,8 +173,10 @@ def _assert_blocks_are_the_stage_march(problem, control, substeps):
     cfg = IntegratorConfig(substeps)
     got, want = (integrate_augmented(augment(p, p.lattice()), control, cfg)
                  for p in (problem, stage_by_stage(problem)))
-    assert len(got.state_blocks) == len(want.state_blocks) == problem.lattice().n_cells
-    for mine, ref in zip(got.state_blocks, want.state_blocks):
+    lattice = problem.lattice()
+    got_blocks, want_blocks = got.state.cell_curves(lattice), want.state.cell_curves(lattice)
+    assert len(got_blocks) == len(want_blocks) == lattice.n_cells
+    for mine, ref in zip(got_blocks, want_blocks):
         for a, b in ((mine.ts, ref.ts), (mine.ys, ref.ys), (mine.ds, ref.ds)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
     assert got.ode_residual == want.ode_residual
@@ -233,8 +236,9 @@ def test_augmented_blow_up_raises_naming_the_block():
 def test_nan_seam_is_a_mismatch(ld_problem, ld_candidate):
     lattice = ld_problem.lattice()
     sol = stack_candidate(augment(ld_problem, lattice), ld_candidate)
-    sol.state_blocks = list(sol.state_blocks)
-    sol.state_blocks[1] = CallableCurve(lambda t: [np.nan], 1)
+    blocks = sol.state.cell_curves(lattice)
+    blocks[1] = CallableCurve(lambda t: [np.nan], 1)
+    sol.state = cell_trajectory(lattice, 1, blocks)
     assert np.isnan(sol.linkage_residual())
     with pytest.raises(SeamMismatchError):
         reassemble(sol, lattice)
@@ -322,15 +326,16 @@ def test_augmented_cost_makes_no_per_time_running_cost_call(case, monkeypatch):
 
 def test_blocks_are_the_cell_curves(case):
     # the round trip is the identity by construction: the blocks are the
-    # candidate's own cell curves, and reassembling passes them on unchanged
+    # cells of the candidate's own trajectories, and reassembling passes
+    # their curves on unchanged
     problem, cand = case
     lattice = problem.lattice()
     sol = stack_candidate(augment(problem, lattice), cand)
-    cells = cand.state.cell_curves(lattice)
-    assert all(a is b for a, b in zip(sol.state_blocks, cells))
+    assert sol.state is cand.state and sol.control is cand.control
     back = reassemble(sol, lattice)
-    tail = back.state.segments[-lattice.n_cells:]
-    assert all(seg.curve is blk for seg, blk in zip(tail, sol.state_blocks))
+    for mine, own in ((back.state, cand.state), (back.control, cand.control)):
+        tail = mine.segments[-lattice.n_cells:]
+        assert all(seg.curve is blk for seg, blk in zip(tail, own.cell_curves(lattice)))
 
 
 def _two_by_two_control(problem):
@@ -354,7 +359,8 @@ def test_marched_blocks_solve_the_stacked_ode(name, substeps, ld_problem, ld_can
             problem = as_delayed(problem)
     sol = integrate_augmented(augment(problem, problem.lattice()), control,
                               IntegratorConfig(substeps))
-    largest = max(float(np.max(np.abs(block.ds))) for block in sol.state_blocks)
+    largest = max(float(np.max(np.abs(block.ds)))
+                  for block in sol.state.cell_curves(problem.lattice()))
     assert sol.ode_residual <= 1e-13 * largest
     reassemble(sol, problem.lattice())
 

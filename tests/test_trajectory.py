@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retard_oc.errors import OutOfDomainError
+from retard_oc.lattice import make_lattice
 from retard_oc.trajectory import (HermiteCurve, Trajectory, eval_delayed,
                                   from_pieces, hermite_from_samples)
 
@@ -64,26 +65,13 @@ def test_state_continuity_enforced():
                     main_start=0, require_continuity=True)
 
 
-def test_cell_curve_left_limit_semantics():
-    # the curve sliced for [0,1) evaluates the left piece at the shared edge
+def test_cell_rows_left_limit_semantics():
+    # the cell [0, 1] is read on the left piece up to its shared edge
     traj = from_pieces(1, [(0, 1, lambda t: [t]), (1, 2, lambda t: [5.0])],
                        main_start=0)
-    curve = traj.cell_curve(Fraction(0), Fraction(1))
-    assert curve(1.0)[0] == pytest.approx(1.0)   # left limit, not the jump value
-    assert traj.eval(1.0)[0] == 5.0              # plain eval: right segment owns t=1
-
-
-def test_a_segment_edge_inside_a_cell_is_refused_naming_the_cell():
-    from retard_oc.lattice import make_lattice
-    # cells of width 1 on [0, 4]; a segment edge at 5/4 falls inside [1, 2]
-    traj = from_pieces(1, [(-2, 0, lambda t: [1.0]), (0, Fraction(5, 4), lambda t: [t]),
-                           (Fraction(5, 4), 4, lambda t: [t])], main_start=0)
-    lattice = make_lattice(0, 4, 2, 1)
-    with pytest.raises(OutOfDomainError, match=r"cell \[1, 2\] straddles segment \[5/4, 4\]"):
-        traj.cell_curve(Fraction(1), Fraction(2))
-    with pytest.raises(OutOfDomainError, match=r"cell \[1, 2\] straddles"):
-        traj.cell_curves(lattice)
-    assert traj.cell_curve(Fraction(2), Fraction(3)) is traj.segments[2].curve
+    rows = traj.cell_rows(make_lattice(0, 2, 1, 0), np.array([[0.5, 1.0], [1.0, 1.5]]))
+    assert rows[:, 0].tolist() == [0.5, 1.0, 5.0, 5.0]   # left limit, not the jump value
+    assert traj.eval(1.0)[0] == 5.0                      # plain eval: right segment owns t=1
 
 
 def test_hermite_reproduces_cubics():
