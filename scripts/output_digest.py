@@ -8,9 +8,12 @@ compare the two lines.
 The digest covers the sweep solve of ``ocp-ld-paper``, a direct solve, the
 forward and costate integrations of both benchmarks, their quadrature
 costs, the delay-free reduction's round trip, stacked integration and
-stacked cost, and both certificates' text.  Curves enter by their values
-on a fixed time grid and, for Hermite segments, by their nodes.  Only the
-public API is used, so the script runs against any earlier version too.
+stacked cost, both certificates' text, and the text of the six negative
+certificate fixtures (ld control-bump, ld transversality-shift,
+concave-cost, Göllmann zero-control, scale-eta3 and shift-c3).  Curves
+enter by their values on a fixed time grid and, for Hermite segments, by
+their nodes.  Only the public API and the registry's fixture helpers are
+used, so the script runs against any earlier version too.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import numpy as np
 
 import retard_oc as rc
+from retard_oc import registry
 
 
 def _curve_bytes(traj) -> bytes:
@@ -80,8 +84,25 @@ def _outputs():
                             integrated.linkage_residual(), integrated.ode_residual))
 
     yield "verify_state_linear(ld)", rc.verify_state_linear(ld_problem, ld_cand).to_text().encode()
+    S = d.make_value_function()
     yield "verify_nonlinear_hj(d)", rc.verify_nonlinear_hj(
-        d_problem, d_cand, d.make_value_function(), d.feedback).to_text().encode()
+        d_problem, d_cand, S, d.feedback).to_text().encode()
+
+    concave = rc.get_example("concave-cost")
+    for label, run in (
+            ("ld control-bump", lambda: rc.verify_state_linear(
+                ld_problem, registry.make_ld_bumped_candidate())),
+            ("ld transversality-shift", lambda: rc.verify_state_linear(
+                ld_problem, ld_cand, adjoint_override=registry.make_ld_shifted_adjoint())),
+            ("concave-cost", lambda: rc.verify_state_linear(
+                concave.make_problem(), concave.make_candidate())),
+            ("goellmann zero-control", lambda: rc.verify_nonlinear_hj(
+                d_problem, registry.make_d_zeroed_candidate(), S, d.feedback)),
+            ("goellmann scale-eta3", lambda: rc.verify_nonlinear_hj(
+                d_problem, d_cand, d.make_value_function(eta3_scale=1.1), d.feedback)),
+            ("goellmann shift-c3", lambda: rc.verify_nonlinear_hj(
+                d_problem, d_cand, d.make_value_function(c3_shift=1.0), d.feedback))):
+        yield f"certificate({label})", run().to_text().encode()
 
 
 def main() -> None:

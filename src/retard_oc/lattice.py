@@ -10,7 +10,7 @@ Each lattice is built once, with its cells and their float ``edges``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence, Union
@@ -179,6 +179,13 @@ class _SampleTimes:
     ahead: np.ndarray             # t + s
     ahead_delayed: np.ndarray     # t + s - r
     cells: np.ndarray             # closed lattice cells holding t
+
+
+def _joined(*parts: _SampleTimes) -> _SampleTimes:
+    """The sample times of ``parts`` one after another, field by field (so
+    ``ahead`` and ``ahead_delayed`` stay in the order of the gated times)."""
+    return _SampleTimes(*(np.concatenate([getattr(p, f.name) for p in parts])
+                          for f in fields(_SampleTimes)))
 
 
 def _sample_times(lattice: CommensurabilityLattice, times: Sequence) -> _SampleTimes:

@@ -3,6 +3,8 @@
 Every check returns a structured record (pass flag, worst residual, worst
 location) rather than raising; a certificate is the conjunction of its
 checks together with the tolerances and random seed that produced it.
+Each check makes one pass: it evaluates each curve and model field once,
+over all of its sample sets together, and splits the rows afterwards.
 
 Indicator windows such as chi_[a, b-s] switch exactly at lattice points.
 Lattice sample grids are therefore integer numerators over one common
@@ -22,8 +24,8 @@ from .cost import evaluate_cost
 from .dde import (AdjointTrajectory, IntegratorConfig, _check_settings,
                   integrate_adjoint_linear)
 from .errors import UnboundedCriterionError
-from .lattice import (CommensurabilityLattice, _lattice_grid, _sample_times, _SampleTimes,
-                      as_rational)
+from .lattice import (CommensurabilityLattice, _joined, _lattice_grid, _sample_times,
+                      _SampleTimes, as_rational)
 from .numdiff import central_scalar, gradient, hessians
 from .problems import (AnyProblem, CandidateSolution, ControlSet, DelayedProblem,
                        StateLinearProblem, array_form, dynamics_array, model_arrays,
@@ -181,9 +183,10 @@ class _Criterion:
     """The criterion of :func:`maximality_criterion` at every sample time of
     a :class:`_SampleTimes`, for either problem class.
 
-    The u-independent arguments are computed once per time, one curve lookup
-    per curve and argument; :meth:`values` then scores any number of (time,
-    control) pairs in array passes, one call per term.
+    The u-independent arguments of both terms, at t and at t + s, are
+    computed in one pass, one curve lookup per curve; :meth:`values` then
+    scores any number of (time, control) pairs in array passes, one call per
+    term.
     """
 
     def __init__(self, problem: AnyProblem, cand: CandidateSolution,
@@ -194,15 +197,16 @@ class _Criterion:
         else:
             self.model, self.H = None, hamiltonian(problem)
         self.ahead = np.where(times.gated, np.cumsum(times.gated) - 1, -1)
-        self.now = self._parts(cand, eta, times.t, times.delayed_state,
-                               times.delayed_control)
-        self.later = self._parts(cand, eta, times.ahead, times.ahead_delayed,
-                                 times.ahead)
+        K, join = len(times.t), np.concatenate
+        both = self._parts(cand, eta, join([times.t, times.ahead]),
+                           join([times.delayed_state, times.ahead_delayed]),
+                           join([times.delayed_control, times.ahead]))
+        self.now, self.later = tuple(p[:K] for p in both), tuple(p[K:] for p in both)
 
     def _parts(self, cand, eta, t, t_delayed, t_control):
         """(t, w = u(t_control), eta, x, y = x(t_delayed)), then for a
         state-linear problem its drift A(t) x + A_D(t) y and f0x."""
-        x, y = cand.state.eval_many(t), cand.state.eval_many(t_delayed)
+        x, y = np.split(cand.state.eval_many(np.concatenate([t, t_delayed])), [len(t)])
         parts = (t, cand.control.eval_many(t_control), eta.eval_many(t), x, y)
         if self.model is not None:
             A, A_D, f0x = self.model[:3]
@@ -469,8 +473,9 @@ def check_convexity_f0x(problem: StateLinearProblem, cand: CandidateSolution,
     p, q = (box_lo + (box_hi - box_lo) * draw[:, k:k + 2 * n] for k in (1, 1 + 2 * n))
     mid = 0.5 * (p + q)
     f0x, = model_arrays(problem, "f0x")
-    at = lambda z: f0x(t, z[:, :n], z[:, n:])
-    viol = at(mid) - 0.5 * (at(p) + at(q))
+    z = np.concatenate([mid, p, q])   # one f0x call at the midpoints and both ends
+    f_mid, f_p, f_q = f0x(np.tile(t, 3), z[:, :n], z[:, n:]).reshape(3, pairs)
+    viol = f_mid - 0.5 * (f_p + f_q)
     viol = np.where(viol > 0.0, viol, 0.0)
     k = int(np.argmax(viol))   # the first pair with the worst violation
     worst, worst_loc = ((float(viol[k]), (float(t[k]), tuple(np.round(mid[k], 6).tolist())))
@@ -509,12 +514,12 @@ def check_continuity_spot(problem: StateLinearProblem, tol: float = 1e-5,
     ts = np.linspace(a, b - delta, samples)
     phi, A, A_D, g, g_D, f0x, f0u = model_arrays(problem, "phi", "A", "A_D", "g", "g_D",
                                                  "f0x", "f0u")
-    x = np.tile(phi(np.array([a])), (samples, 1))
-    u = np.zeros((samples, problem.m))
-    # every coefficient value at each time, one row per time
-    v0, v1 = (np.column_stack([A(t).reshape(samples, -1), A_D(t).reshape(samples, -1),
-                               g(t, u), g_D(t, u), f0x(t, x, x), f0u(t, u, u)])
-              for t in (ts, ts + delta))
+    t = np.concatenate([ts, ts + delta])
+    x, u = np.tile(phi(np.array([a])), (len(t), 1)), np.zeros((len(t), problem.m))
+    # every coefficient value at each time, one row per time, in one pass over both
+    v0, v1 = np.column_stack([A(t).reshape(len(t), -1), A_D(t).reshape(len(t), -1),
+                              g(t, u), g_D(t, u), f0x(t, x, x), f0u(t, u, u)]
+                             ).reshape(2, samples, -1)
     finite = np.all(np.isfinite(v0) & np.isfinite(v1), axis=1)
     if not np.all(finite):
         return CheckResult("continuity", False, np.inf, float(ts[np.argmin(finite)]),
@@ -599,11 +604,12 @@ def active_cells(lattice: CommensurabilityLattice, t) -> int:
 def _closed_loop(problem: DelayedProblem, S: ValueFunctionCandidate, feedback: Callable,
                  state_traj: Trajectory, t: np.ndarray, t_delayed: np.ndarray, dx=None):
     """Feedback control u*(t, x, x(t-r), S_x(t, x)) at the float times ``t``
-    and x = x(t) + dx, and its arguments: (u, x, x(t-r), S_x), in array passes."""
-    x = state_traj.eval_many(t)
+    and x = x(t) + dx, dx holding rows for the first times only, and its
+    arguments: (u, x, x(t-r), S_x), in array passes, one state lookup for x
+    and x(t-r)."""
+    x, y = np.split(state_traj.eval_many(np.concatenate([t, t_delayed])), [len(t)])
     if dx is not None:
-        x = x + np.asarray(dx, dtype=float)
-    y = state_traj.eval_many(t_delayed)
+        x = np.concatenate([x[:len(dx)] + dx, x[len(dx):]])
     eta = array_form(S.S_x, (problem.n,))(t, x)
     return array_form(feedback, (problem.m,))(t, x, y, eta), x, y, eta
 
@@ -630,14 +636,16 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     trajectories, so this only probes robustness of S in x.
     """
     times, single = _one_or_many(lattice, t)
-    u, x, y, eta = _closed_loop(problem, S, feedback, state_traj, times.t,
-                                times.delayed_state, dx)
-    early, lag = times.before_start, ~times.before_start
-    v = np.empty_like(u)
+    K, early, lag = len(times.t), times.before_start, ~times.before_start
+    # u*(t), then u*(t - s) on the lag rows appended undisplaced: one pass
+    u, x, y, eta = _closed_loop(
+        problem, S, feedback, state_traj, np.concatenate([times.t, times.delayed_control[lag]]),
+        np.concatenate([times.delayed_state, times.delayed_both[lag]]),
+        None if dx is None else np.broadcast_to(np.asarray(dx, dtype=float), (K, problem.n)))
+    v = np.empty((K, problem.m))
     v[early] = model_arrays(problem, "psi")[0](times.delayed_control[early])
-    v[lag] = _closed_loop(problem, S, feedback, state_traj, times.delayed_control[lag],
-                          times.delayed_both[lag])[0]
-    braced = hamiltonian(problem)(times.t, x, y, u, v, eta)
+    v[lag], x = u[K:], x[:K]
+    braced = hamiltonian(problem)(times.t, x, y[:K], u[:K], v, eta[:K])
     res = array_form(S.S_t, ())(times.t, x) + times.cells * braced
     return float(res[0]) if single else res
 
@@ -676,9 +684,13 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     # one draw, in the stream order of drawing the directions sample by sample
     directions = rng.normal(size=(len(tube_times.t), problem.n))
     directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
-    res, bp_res, tube = (
-        hj_residual(problem, S, feedback, lattice, ts, cand.state, dx) for ts, dx in
-        ((interior, None), (breakpoints, None), (tube_times, cfg.tube_radius * directions)))
+    # one residual pass over the interior grid, the breakpoints and the tube;
+    # the rows off the tube take dx = -0.0, as x + -0.0 is x bit for bit
+    times = _joined(interior, _sample_times(lattice, breakpoints), tube_times)
+    dx = np.full((len(times.t), problem.n), -0.0)
+    dx[len(times.t) - len(tube_times.t):] = cfg.tube_radius * directions
+    res, bp_res, tube = np.split(hj_residual(problem, S, feedback, lattice, times, cand.state, dx),
+                                 [len(interior.t), len(interior.t) + len(breakpoints)])
     tube_worst = float(np.max(np.abs(tube), initial=0.0))
     bp_notes = "; ".join(f"t={bp}: {value:.3e} (two cells active)"
                          for bp, value in zip(breakpoints, bp_res))
@@ -704,11 +716,12 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     tb = np.repeat(np.array(breakpoints, dtype=float), len(xs))
     x = np.tile(xs, (len(breakpoints), 1))
     # value and S_x from either side: a two-point Richardson limit removes
-    # the O(eps) drift from the one-sided time slope
-    limit = lambda fn, shape, h: (2.0 * array_form(fn, shape)(tb + h, x)
-                                  - array_form(fn, shape)(tb + 2 * h, x))
-    left, right = (np.column_stack([limit(S.S, (), h), limit(S.S_x, (problem.n,), h)])
-                   for h in (-eps, eps))
+    # the O(eps) drift from the one-sided time slope; one S and one S_x call
+    # at tb - eps, tb - 2 eps, tb + eps and tb + 2 eps
+    t4, x4 = np.concatenate([tb + k * h for h in (-eps, eps) for k in (1, 2)]), np.tile(x, (4, 1))
+    f = np.column_stack([array_form(fn, shape)(t4, x4) for fn, shape in
+                         ((S.S, ()), (S.S_x, (problem.n,)))]).reshape(4, len(tb), 1 + problem.n)
+    left, right = 2.0 * f[0] - f[1], 2.0 * f[2] - f[3]
     cert.checks.append(_scored(
         "value_smoothness", np.max(np.abs(left - right), axis=1),
         [(t, tuple(np.round(z, 6).tolist())) for t, z in zip(tb.tolist(), x)],

@@ -8,7 +8,7 @@ only curve evaluation uses floats, and a curve answers a single time as
 an array of one time, so there is one lookup.  A trajectory reads lattice
 cells through the same evaluator (:meth:`Trajectory.cell_rows`: cell i at
 its row of times, each cell's segment found by one lookup of the cell
-midpoints).  Segments whose curves share one function are evaluated in one
+midpoints, once per lattice).  Segments whose curves share one function are evaluated in one
 call, and Hermite segments in one pass over their stacked nodes, built once
 per trajectory, bit for bit their own calls.  :func:`delayed_rows` is the
 library's one delayed-argument resolver: on a lattice, a delay is a block
@@ -170,6 +170,7 @@ class Trajectory:
         object.__setattr__(self, "_bounds", bounds)
         object.__setattr__(self, "_slack", _SNAP * max(
             1.0, bounds[-1] - bounds[0], abs(bounds[0]), abs(bounds[-1])))
+        object.__setattr__(self, "_cell_index", {})   # see _cell_segments
 
     @cached_property
     def _groups(self) -> tuple:
@@ -237,13 +238,21 @@ class Trajectory:
     def _cell_segments(self, lattice) -> np.ndarray:
         """Index of the segment holding each lattice cell, from one
         :meth:`_lookup` of the cells' midpoints (so boundary ownership never
-        comes into play).  Raises :class:`OutOfDomainError` naming the cell
-        when a segment edge falls inside it."""
-        index, _ = self._lookup((lattice.edges[:-1] + lattice.edges[1:]) / 2)
-        for (_, lo, hi), seg in zip(lattice.cells(), [self.segments[k] for k in index]):
-            if not (seg.lo <= lo and hi <= seg.hi):
-                raise OutOfDomainError(
-                    f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]")
+        comes into play), decided once per lattice: kept by the lattice's id
+        beside the lattice itself, which is checked to be the one asked about.
+        Raises :class:`OutOfDomainError` naming the cell, on every read, when
+        a segment edge falls inside it."""
+        held, index = self._cell_index.get(id(lattice), (None, None))
+        if held is not lattice:
+            index, _ = self._lookup((lattice.edges[:-1] + lattice.edges[1:]) / 2)
+            index.flags.writeable = False
+            index = next((f"cell [{lo}, {hi}] straddles segment [{seg.lo}, {seg.hi}]"
+                          for (_, lo, hi), seg in zip(lattice.cells(),
+                                                      [self.segments[k] for k in index])
+                          if not (seg.lo <= lo and hi <= seg.hi)), index)
+            self._cell_index[id(lattice)] = lattice, index
+        if isinstance(index, str):
+            raise OutOfDomainError(index)
         return index
 
     def cell_curves(self, lattice) -> list[Curve]:

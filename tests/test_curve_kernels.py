@@ -448,6 +448,23 @@ def test_a_segment_edge_inside_a_cell_is_refused_naming_the_cell():
                         lambda T: ref_block_rows(ref_cell_curves(traj, quarters), T), T)
 
 
+
+def test_a_trajectory_decides_each_lattice_s_cells_once(monkeypatch):
+    lookups = []
+    lookup = Trajectory._lookup
+    monkeypatch.setattr(Trajectory, "_lookup",
+                        lambda self, ts: lookups.append(len(ts)) or lookup(self, ts))
+    traj = from_pieces(1, [(-2, 0, lambda t: [1.0]), (0, Fraction(5, 4), lambda t: [t]),
+                           (Fraction(5, 4), 4, lambda t: [t])], main_start=0)
+    straddled, quarters = make_lattice(0, 4, 1, 0), make_lattice(0, 4, "1/4", 0)
+    T = _cell_schedule(quarters.edges[:-1], quarters.edges[1:], 4)[1]
+    first = traj.cell_rows(quarters, T)
+    for _ in range(3):   # a straddled lattice is refused on every read
+        with pytest.raises(OutOfDomainError, match=r"cell \[1, 2\] straddles"):
+            traj.cell_curves(straddled)
+        assert traj.cell_rows(quarters, T).tobytes() == first.tobytes()
+    assert lookups == [16, 4]   # one lookup of each lattice's cell midpoints
+
 def test_a_lookup_and_cell_rows_take_one_hermite_pass(monkeypatch):
     calls = []
     blend = trajectory._hermite

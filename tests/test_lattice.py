@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from retard_oc.errors import IncommensurableDelayError, LatticePrecisionError, ZeroDelaysError
-from retard_oc.lattice import (CommensurabilityLattice, Rational, _lattice_grid, as_rational,
-                               make_lattice, rational_gcd)
+from retard_oc.lattice import (CommensurabilityLattice, Rational, _joined, _lattice_grid,
+                               _sample_times, _SampleTimes, as_rational, make_lattice,
+                               rational_gcd)
 
 
 @pytest.mark.parametrize("a,b,r,s,h,n", [
@@ -134,3 +135,28 @@ def test_a_grid_whose_times_are_not_exact_floats_raises_naming_the_denominator()
     a = Fraction(1, 2 ** 45)
     grid = _lattice_grid(make_lattice(a, a + 4, 2, 1), 16)
     assert grid.t.tolist() == [float(a + Fraction(j, 16)) for j in range(64)] + [float(a + 4)]
+
+
+def _same_sample_times(got: _SampleTimes, want: _SampleTimes) -> None:
+    for name in _SampleTimes.__dataclass_fields__:
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+
+
+def test_joined_sample_times_are_the_sample_times_of_all_the_times():
+    # b - s = 3: the first part is gated throughout, the second only at 3 and
+    # before, so the joined ahead rows must follow the gated rows in order
+    lattice = make_lattice(0, 4, 2, 1)
+    first = [Fraction(1, 3), Fraction(5, 2), 0.75]
+    second = [Fraction(7, 2), 3, 0.25, Fraction(4)]
+    empty = _sample_times(lattice, [])
+    joined = _joined(empty, _sample_times(lattice, first), empty,
+                     _sample_times(lattice, second), empty)
+    _same_sample_times(joined, _sample_times(lattice, first + second))
+    assert joined.gated.tolist() == [True] * 3 + [False, True, True, False]
+    assert joined.ahead.tolist() == [4 / 3, 3.5, 1.75, 4.0, 1.25]
+    # lattice grids join the same way, an empty part included
+    grid = _lattice_grid(lattice, 3)
+    _same_sample_times(_joined(grid, empty), grid)
+    _same_sample_times(_joined(grid, grid), _lattice_grid(lattice, 3, rows=np.tile(
+        np.arange(len(grid.t)), 2)))

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
 from retard_oc.errors import LatticePrecisionError
-from retard_oc.lattice import _lattice_grid, _sample_times, make_lattice
+from retard_oc import sufficiency
+from retard_oc.lattice import _joined, _lattice_grid, _sample_times, make_lattice
 from retard_oc.probfile import parse_value_function
-from retard_oc.problems import DelayedProblem, batched
+from retard_oc.problems import CandidateSolution, DelayedProblem, batched
+from retard_oc.trajectory import from_pieces
 from retard_oc.registry import (D_VALUE_FUNCTION, d_feedback, d_state_value,
                                 make_d_value_function, make_d_zeroed_candidate,
                                 make_zero_candidate, make_zero_problem)
@@ -186,20 +188,29 @@ def _reference_residual(problem, S, feedback, lattice, t, state, dx):
     return S.dt(t, x) + active_cells(lattice, t) * braced
 
 
-@pytest.mark.parametrize("dx", [None, np.array([1e-3]), np.linspace(-1e-3, 1e-3, 27)[:, None]],
-                         ids=["centerline", "one-displacement", "one-per-time"])
+# a law that reads x, x(t - r) and S_x, so that u*(t - s) shows which state it was given
+_STATE_LAW = lambda t, x, y, eta: np.array([0.5 * eta[0] * x[0] - y[0]])
+
+
+_DISPLACEMENTS = {"centerline": None, "one-displacement": np.array([1e-3]),
+                  "one-per-time": np.linspace(-1e-3, 1e-3, 27)[:, None]}
+
+
+@pytest.mark.parametrize("dx, law", [(dx, d_feedback) for dx in _DISPLACEMENTS.values()]
+                         + [(dx, _STATE_LAW) for dx in _DISPLACEMENTS.values()],
+                         ids=list(_DISPLACEMENTS) + [f"{k}-state-law" for k in _DISPLACEMENTS])
 def test_residual_over_times_is_the_stacked_one_time_residuals(d_problem, d_candidate,
-                                                               S, lattice, dx):
+                                                               S, lattice, dx, law):
     # the lattice points 0..3 (breakpoints 1 and 2 inside), rational grid
     # times between them, and t - s < a for every t < 2
     times = [Fraction(j, 8) for j in range(25)] + [Fraction(7, 3), Fraction(1, 24)]
     rows = dx if dx is not None and dx.ndim == 2 else [dx] * len(times)
-    many = hj_residual(d_problem, S, d_feedback, lattice, times, d_candidate.state, dx)
-    one = [hj_residual(d_problem, S, d_feedback, lattice, t, d_candidate.state, row)
+    many = hj_residual(d_problem, S, law, lattice, times, d_candidate.state, dx)
+    one = [hj_residual(d_problem, S, law, lattice, t, d_candidate.state, row)
            for t, row in zip(times, rows)]
     assert isinstance(many, np.ndarray) and all(type(r) is float for r in one)
     np.testing.assert_array_equal(many, one)
-    reference = [_reference_residual(d_problem, S, d_feedback, lattice, t,
+    reference = [_reference_residual(d_problem, S, law, lattice, t,
                                      d_candidate.state, 0.0 if row is None else row)
                  for t, row in zip(times, rows)]
     np.testing.assert_array_equal(many, reference)
@@ -327,6 +338,81 @@ def test_the_certificate_calls_S_and_the_law_through_their_array_forms(
     cert = verify_nonlinear_hj(d_problem, d_candidate, counted, _counted(d_feedback, calls))
     assert cert.overall
     assert calls == [S.S, S.S]   # S(b, x(b)) for the terminal value, S(a, phi(a))
+
+
+
+def _array_counted(fn, calls: list, key: str):
+    """``fn`` with an array form that logs ``key`` into ``calls`` on each call."""
+    return batched(lambda *args: fn(*args),
+                   lambda *args: calls.append(key) or fn.many(*args))
+
+
+def test_one_residual_pass_per_certificate_and_one_S_x_and_law_pass_per_residual(
+        d_problem, d_candidate, S, monkeypatch):
+    calls = []
+    residual = sufficiency.hj_residual
+
+    def spy(*args):
+        calls.append("residual(")
+        out = residual(*args)
+        calls.append(")")
+        return out
+
+    monkeypatch.setattr(sufficiency, "hj_residual", spy)
+    counted = ValueFunctionCandidate(*(_array_counted(fn, calls, key) for fn, key in
+                                       ((S.S, "S"), (S.S_t, "S_t"), (S.S_x, "S_x"))))
+    cert = verify_nonlinear_hj(d_problem, d_candidate, counted,
+                               _array_counted(d_feedback, calls, "law"))
+    assert cert.overall
+    assert calls.count("residual(") == 1
+    start, end = calls.index("residual("), calls.index(")")
+    # u*(t) and u*(t - s) in one law pass, over the interior, breakpoint and tube rows
+    assert calls[start + 1:end] == ["S_x", "law", "S_t"]
+    # the feedback check, then one S and one S_x call for the value smoothness
+    assert calls[:start] + calls[end + 1:] == ["S_x", "law", "S", "S_x"]
+
+
+def test_residual_over_joined_sample_sets_is_the_per_set_residuals(d_problem, d_candidate,
+                                                                   S, lattice):
+    # the certificate's three sets: interior grid, breakpoints, and a tube
+    # displaced on its rows only, the others taking dx = -0.0
+    interior = _lattice_grid(lattice, 6, interior_only=True)
+    tube = _lattice_grid(lattice, 6, interior_only=True,
+                         rows=np.repeat(np.arange(0, len(interior.t), 4), 3))
+    breakpoints = _sample_times(lattice, list(lattice.breakpoints[1:-1]))
+    shift = 1e-3 * np.random.default_rng(5).normal(size=(len(tube.t), 1))
+    dx = np.concatenate([np.full((len(interior.t) + len(breakpoints.t), 1), -0.0), shift])
+    got = hj_residual(d_problem, S, d_feedback, lattice, _joined(interior, breakpoints, tube),
+                      d_candidate.state, dx)
+    want = np.concatenate([
+        hj_residual(d_problem, S, d_feedback, lattice, interior, d_candidate.state),
+        hj_residual(d_problem, S, d_feedback, lattice, breakpoints, d_candidate.state),
+        hj_residual(d_problem, S, d_feedback, lattice, tube, d_candidate.state, shift)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_minus_zero_state_stays_minus_zero_off_the_tube():
+    # S_t reads the sign of x, so x + 0.0 on a -0.0 state would flip the
+    # residual from -1 to +1; x + -0.0 is x bit for bit
+    problem = make_zero_problem()
+    lattice = problem.lattice()
+    state = from_pieces(1, [(-2, 2, lambda t: [-0.0])], main_start=0)
+    sign_S = ValueFunctionCandidate(S=lambda t, x: 0.0,
+                                    S_t=lambda t, x: float(np.copysign(1.0, x[0])),
+                                    S_x=lambda t, x: np.zeros(1))
+    law = lambda t, x, y, eta: np.zeros(1)
+    grid, tube = _lattice_grid(lattice, 4, interior_only=True), _lattice_grid(lattice, 2)
+    shift = np.full((len(tube.t), 1), 1e-3)
+    dx = np.concatenate([np.full((len(grid.t), 1), -0.0), shift])
+    got = hj_residual(problem, sign_S, law, lattice, _joined(grid, tube), state, dx)
+    want = np.concatenate([hj_residual(problem, sign_S, law, lattice, grid, state),
+                           hj_residual(problem, sign_S, law, lattice, tube, state, shift)])
+    assert got.tobytes() == want.tobytes()
+    assert got.tolist() == [-1.0] * len(grid.t) + [1.0] * len(tube.t)
+    # so does the certificate's one pass: the breakpoint t = 1 reads -1
+    cand = CandidateSolution(state=state, control=make_zero_candidate().control)
+    cert = verify_nonlinear_hj(problem, cand, sign_S, law)
+    assert "t=1: -1.000e+00 (two cells active)" in cert.check("hj_residual").detail
 
 
 _DELTAS = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))

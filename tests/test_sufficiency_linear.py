@@ -1015,3 +1015,24 @@ def test_general_and_state_linear_terms_take_the_same_argmax(ld_problem, ld_cand
     u = _argmax_all(ld_problem, _Criterion(ld_problem, ld_candidate, eta, grid))
     u_general = _argmax_all(general, _Criterion(general, ld_candidate, eta, grid))
     np.testing.assert_allclose(u_general, u, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ld", "d"])
+def test_the_criterion_reads_t_and_t_plus_s_in_one_pass_bit_for_bit(name, request,
+                                                                    monkeypatch):
+    problem, cand = (request.getfixturevalue(f"{name}_{what}") for what in ("problem", "candidate"))
+    eta = integrate_adjoint_linear(problem, cand)
+    grid = _lattice_grid(problem.lattice(), 24)
+    passes, parts = [], _Criterion._parts
+    with monkeypatch.context() as m:
+        m.setattr(_Criterion, "_parts", lambda *args: passes.append(1) or parts(*args))
+        crit = _Criterion(problem, cand, eta, grid)
+    assert len(passes) == 1
+    now = crit._parts(cand, eta, grid.t, grid.delayed_state, grid.delayed_control)
+    later = crit._parts(cand, eta, grid.ahead, grid.ahead_delayed, grid.ahead)
+    # (t, u(t - s), eta, x, x(t - r)) at t; (t + s, u(t + s), eta, x, x(t + s - r)) ahead
+    lookups = [grid.t, cand.control.eval_many(grid.delayed_control), eta.eval_many(grid.t),
+               cand.state.eval_many(grid.t), cand.state.eval_many(grid.delayed_state)]
+    assert len(crit.now) == len(now) == len(crit.later) == len(later)
+    for got, want in zip(crit.now + crit.later + now, now + later + tuple(lookups)):
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
