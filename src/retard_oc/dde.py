@@ -25,14 +25,16 @@ component is marched alone on Python floats (:func:`_state_free_march`).
 Where the slope is affine in the marched value (the costate of every
 problem class, the state of a state-linear problem), each substep is an
 affine map of its start value; a cell's maps are built in one batched pass
-and only their chaining is sequential.  This agrees with the stage-by-stage
-march to rounding (about 1e-13), not bit for bit.  The direct solver's
-costate recursion is one doubling scan per lattice cell (:func:`_affine_scan`).
+and only their chaining is sequential, on Python floats for one state
+(:func:`_scalar_chain`).  This agrees with the stage-by-stage march to
+rounding (about 1e-13), not bit for bit.  The direct solver's costate
+recursion is one doubling scan per lattice cell (:func:`_affine_scan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -98,12 +100,15 @@ _STAGES = 11
 # midpoint and three quarters are 0 .. 3, and its end is 4, the next
 # substep's start (the same float) or the cell's end; the slots its stages
 # read, in call order, and those of its two nodes (start and midpoint)
-_STAGE_SLOTS, _NODE_SLOTS = [0, 2, 2, 4, 1, 1, 2, 2, 3, 3, 4], [0, 2]
+_STAGE_SLOTS, _NODE_SLOTS = (0, 2, 2, 4, 1, 1, 2, 2, 3, 3, 4), (0, 2)
 
 
-def _slots(substeps: int, pattern: list) -> np.ndarray:
-    """``pattern`` over every substep of a cell, then the slot of its end."""
-    return np.append(4 * np.arange(substeps)[:, None] + pattern, 4 * substeps)
+@lru_cache(maxsize=256)
+def _slots(substeps: int, pattern: tuple) -> np.ndarray:
+    """``pattern`` over every substep of a cell, then the slot of its end (read-only, cached)."""
+    slots = np.append(4 * np.arange(substeps)[:, None] + pattern, 4 * substeps)
+    slots.flags.writeable = False
+    return slots
 
 
 def _cell_schedule(t_start, t_end, substeps: int):
@@ -215,13 +220,24 @@ def _state_free_cell(problem: AnyProblem, k_r: int, x0: np.ndarray, args: tuple,
             return states, out
 
 
+def _scalar_chain(y: float, maps: list) -> list:
+    """``y`` and its images under the maps y -> y a + b of the pairs (a, b) of
+    ``maps`` in turn: numpy's rows [y, 1] @ [[a], [b]] bit for bit."""
+    col = [y]
+    for a, b in maps:
+        # + 0.0: a matmul sums from 0.0, turning a -0.0 product into 0.0
+        col.append(y := y * a + 0.0 + b)
+    return col
+
+
 def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
                  y0: np.ndarray):
     """:func:`_integrate_cell` for a slope ``y @ M[k] + c[k]`` at slot k:
     M, shape (4 S + 1, n, n), and c, (4 S + 1, n), hold the slope terms at
     the distinct ``times``.  Each :func:`_substep` is an affine map
     [y, 1] @ Z of its start value: the pair applied to the rows of
-    Z = [I; 0], c acting on the last row, all substeps in one batch."""
+    Z = [I; 0], c acting on the last row, all substeps in one batch, then
+    chained (by :func:`_scalar_chain` when n = 1)."""
     S, n = len(widths), M.shape[-1]
     stages = _slots(S, _STAGE_SLOTS)[:-1]
     Ms = M[stages].reshape(S, _STAGES, n, n)
@@ -231,8 +247,11 @@ def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
                                     np.eye(n + 1, n), np.asarray(widths)[:, None, None])
     ys = np.ones((S + 1, n + 1))
     ys[0, :n] = y0
-    for j in range(S):
-        ys[j + 1, :n] = ys[j] @ maps[j]
+    if n == 1:
+        ys[:, 0] = _scalar_chain(float(ys[0, 0]), maps[:, :, 0].tolist())
+    else:
+        for j in range(S):
+            ys[j + 1, :n] = ys[j] @ maps[j]
     mids = np.einsum("ji,jik->jk", ys[:-1], mid_maps)
     node_ys = np.vstack((np.stack((ys[:-1, :n], mids), axis=1).reshape(-1, n),
                          ys[-1, :n]))

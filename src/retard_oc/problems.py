@@ -129,13 +129,15 @@ def array_field(many: Callable) -> Callable:
 
 def array_form(fn: Callable, shape: tuple) -> Callable:
     """``fn`` over an array of times, values of ``shape`` stacked: its
-    declared ``.many``, or a loop calling ``fn`` once per time, in order,
-    whose values are the scalar calls' bit for bit, converted in one call
-    after the last (so ``fn`` must return a new value each call)."""
+    declared ``.many``, or a loop calling ``fn`` once per time, in order, on
+    Python floats (and the rows of any other arguments), whose values are
+    the scalar calls' bit for bit, converted in one call after the last (so
+    ``fn`` must return a new value each call)."""
     many = getattr(fn, "many", None)
 
     def loop(ts, *args):
-        rows = [fn(t, *row) for t, *row in zip(map(float, ts), *args)]
+        rows = ([fn(t, *row) for t, *row in zip(ts.tolist(), *args)] if args
+                else [fn(t) for t in ts.tolist()])
         with suppress(TypeError, ValueError, OverflowError):   # ragged or mis-sized rows:
             return np.array(rows, dtype=float).reshape((len(rows),) + shape)
         out = np.empty((len(rows),) + shape)   # row by row, raising at the first bad one

@@ -74,12 +74,14 @@ def _anderson_mix(kept: list) -> np.ndarray:
     return kept[-1][1] - (np.diff(G) @ gamma).reshape(kept[-1][1].shape)
 
 
-def solve_fbsm(problem: StateLinearProblem,
+def solve_fbsm(problem: AnyProblem,
                init_control: Optional[Trajectory] = None,
                cfg: SweepConfig = SweepConfig()) -> SweepSolution:
-    """Forward-backward sweep for the state-linear problem.
+    """Forward-backward sweep for either problem class.
 
-    Each iteration marches the state and the adjoint, takes the argmax at
+    Each iteration marches the state and the adjoint (that of
+    :func:`~retard_oc.dde.integrate_adjoint_linear`, the sign the
+    maximality criterion takes for either class), takes the argmax at
     the control nodes and moves the node control u towards the fixed point
     of u -> argmax(u) by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
     49, 2011) of the residuals r = argmax(u) - u of the last

@@ -636,6 +636,13 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     trajectories, so this only probes robustness of S in x.
     """
     times, single = _one_or_many(lattice, t)
+    res = _hj_residual_perturbed(problem, S, feedback, state_traj, times, dx)[0]
+    return float(res[0]) if single else res
+
+
+def _hj_residual_perturbed(problem: DelayedProblem, S: ValueFunctionCandidate, feedback: Callable,
+                           state_traj: Trajectory, times: _SampleTimes, dx) -> tuple:
+    """:func:`hj_residual` at ``times``, and the control u*(t) it reads there."""
     K, early, lag = len(times.t), times.before_start, ~times.before_start
     # u*(t), then u*(t - s) on the lag rows appended undisplaced: one pass
     u, x, y, eta = _closed_loop(
@@ -646,8 +653,7 @@ def hj_residual(problem: DelayedProblem, S: ValueFunctionCandidate,
     v[early] = model_arrays(problem, "psi")[0](times.delayed_control[early])
     v[lag], x = u[K:], x[:K]
     braced = hamiltonian(problem)(times.t, x, y[:K], u[:K], v, eta[:K])
-    res = array_form(S.S_t, ())(times.t, x) + times.cells * braced
-    return float(res[0]) if single else res
+    return array_form(S.S_t, ())(times.t, x) + times.cells * braced, u[:K]
 
 
 def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
@@ -677,37 +683,41 @@ def verify_nonlinear_hj(problem: DelayedProblem, cand: CandidateSolution,
     cert.checks.append(CheckResult("terminal_value", term <= cfg.tol_terminal,
                                    term, float(problem.b)))
 
-    interior = _lattice_grid(lattice, cfg.grid_points_per_cell, interior_only=True)
-    tube = np.repeat(np.arange(len(interior.t))[:: max(1, len(interior.t) // 40)], 4)
-    tube_times = _lattice_grid(lattice, cfg.grid_points_per_cell, interior_only=True, rows=tube)
+    # the grid: each cell's left edge (a, then the breakpoints) and inner points, then b
+    per_cell = cfg.grid_points_per_cell
+    grid = _lattice_grid(lattice, per_cell)
+    inner = np.flatnonzero(np.arange(len(grid.t) - 1) % per_cell)
+    interior = grid.t[inner]
+    tube = np.repeat(np.arange(len(interior))[:: max(1, len(interior) // 40)], 4)
+    tube_times = _lattice_grid(lattice, per_cell, interior_only=True, rows=tube)
     breakpoints = list(lattice.breakpoints[1:-1])
     # one draw, in the stream order of drawing the directions sample by sample
     directions = rng.normal(size=(len(tube_times.t), problem.n))
     directions /= np.maximum(np.linalg.norm(directions, axis=1, keepdims=True), 1e-30)
-    # one residual pass over the interior grid, the breakpoints and the tube;
-    # the rows off the tube take dx = -0.0, as x + -0.0 is x bit for bit
-    times = _joined(interior, _sample_times(lattice, breakpoints), tube_times)
-    dx = np.full((len(times.t), problem.n), -0.0)
-    dx[len(times.t) - len(tube_times.t):] = cfg.tube_radius * directions
-    res, bp_res, tube = np.split(hj_residual(problem, S, feedback, lattice, times, cand.state, dx),
-                                 [len(interior.t), len(interior.t) + len(breakpoints)])
+    # one residual pass over the grid and the tube, whose u*(t) on the grid the
+    # feedback check reads; the rows off the tube take dx = -0.0, as x + -0.0
+    # is x bit for bit, and the residual at a and b is not checked
+    dx = np.full((len(grid.t) + len(tube_times.t), problem.n), -0.0)
+    dx[len(grid.t):] = cfg.tube_radius * directions
+    both, u = _hj_residual_perturbed(problem, S, feedback, cand.state,
+                                     _joined(grid, tube_times), dx)
+    res, bp_res, tube = both[inner], both[per_cell:len(grid.t) - 1:per_cell], both[len(grid.t):]
     tube_worst = float(np.max(np.abs(tube), initial=0.0))
     bp_notes = "; ".join(f"t={bp}: {value:.3e} (two cells active)"
                          for bp, value in zip(breakpoints, bp_res))
     # the breakpoint and tube samples weigh in here only when non-finite
     gaps = [np.abs(res)] + [np.where(np.isfinite(v), 0.0, np.inf) for v in (bp_res, tube)]
     check = _scored("hj_residual", np.concatenate(gaps),
-                    interior.t.tolist() + [float(t) for t in breakpoints] + tube_times.t.tolist(),
+                    interior.tolist() + [float(t) for t in breakpoints] + tube_times.t.tolist(),
                     cfg.tol_residual,
                     detail=(f"tube worst {tube_worst:.3e} at radius {cfg.tube_radius:g}; "
                             f"breakpoint samples: {bp_notes or 'none'}"))
     check.passed = check.passed and tube_worst <= cfg.tube_tol
     cert.checks.append(check)
 
-    grid = _lattice_grid(lattice, cfg.grid_points_per_cell)
-    u = _closed_loop(problem, S, feedback, cand.state, grid.t, grid.delayed_state)[0]
     cert.checks.append(_scored(
-        "feedback_consistency", np.max(np.abs(u - cand.control.eval_many(grid.t)), axis=1),
+        "feedback_consistency",
+        np.max(np.abs(u[:len(grid.t)] - cand.control.eval_many(grid.t)), axis=1),
         grid.t.tolist(), cfg.tol_feedback))
 
     eps = 1e-6 * max(1.0, float(problem.b) - float(problem.a))

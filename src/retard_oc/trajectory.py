@@ -239,7 +239,8 @@ class Trajectory:
         """Index of the segment holding each lattice cell, from one
         :meth:`_lookup` of the cells' midpoints (so boundary ownership never
         comes into play), decided once per lattice: kept by the lattice's id
-        beside the lattice itself, which is checked to be the one asked about.
+        beside the lattice itself, which is checked to be the one asked about
+        (:func:`cell_trajectory` keeps the index of the lattice it tiles).
         Raises :class:`OutOfDomainError` naming the cell, on every read, when
         a segment edge falls inside it."""
         held, index = self._cell_index.get(id(lattice), (None, None))
@@ -320,9 +321,13 @@ def cell_trajectory(lattice, dimension: int, cell_curves: Sequence[Curve],
                                 CallableCurve(history, dimension)))
     segments += [Segment(lo, hi, curve)
                  for (_, lo, hi), curve in zip(lattice.cells(), cell_curves)]
-    return Trajectory(dimension=dimension, history_start=segments[0].lo,
+    traj = Trajectory(dimension=dimension, history_start=segments[0].lo,
                       main_start=lattice.a, end=lattice.b,
                       segments=tuple(segments))
+    index = np.arange(len(segments) - lattice.n_cells, len(segments))
+    index.flags.writeable = False
+    traj._cell_index[id(lattice)] = lattice, index
+    return traj
 
 
 def from_pieces(dimension: int,

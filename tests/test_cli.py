@@ -181,6 +181,12 @@ def test_sweep_without_iterations_is_a_usage_error(capsys):
     assert "max_iterations must be >= 1" in capsys.readouterr().err
 
 
+def test_the_sweep_command_refuses_a_general_problem(capsys):
+    # the library's sweep takes either class; the command keeps to state-linear ones
+    assert main(["solve-fbsm", "ocp-d-goellmann"]) == 2
+    assert "solve-fbsm applies to state-linear problems" in capsys.readouterr().err
+
+
 def test_direct_solve_without_iterations_is_a_usage_error(capsys):
     assert main(["solve-direct", "ocp-ld-paper", "--max-iter", "-3"]) == 2
     assert "max_iterations must be >= 1" in capsys.readouterr().err

@@ -465,6 +465,31 @@ def test_a_trajectory_decides_each_lattice_s_cells_once(monkeypatch):
         assert traj.cell_rows(quarters, T).tobytes() == first.tobytes()
     assert lookups == [16, 4]   # one lookup of each lattice's cell midpoints
 
+
+@pytest.mark.parametrize("history", [True, False], ids=["history", "no history"])
+def test_a_cell_trajectory_knows_its_own_lattice_s_cells(monkeypatch, history):
+    lookups = []
+    lookup = Trajectory._lookup
+    monkeypatch.setattr(Trajectory, "_lookup",
+                        lambda self, ts: lookups.append(len(ts)) or lookup(self, ts))
+    lattice = make_lattice(0, 3, 1, 0)
+    cells = [CallableCurve(lambda t, k=k: [k + t], 1) for k in range(3)]
+    traj = trajectory.cell_trajectory(lattice, 1, cells, Fraction(-1) if history else None,
+                                      (lambda t: [t]) if history else None)
+    index = traj._cell_segments(lattice)
+    assert index.tolist() == [int(history) + i for i in range(3)] and not index.flags.writeable
+    assert traj.cell_curves(lattice) == cells and lookups == []
+    T = _cell_schedule(lattice.edges[:-1], lattice.edges[1:], 4)[1]
+    assert traj.cell_rows(lattice, T).tobytes() == ref_block_rows(cells, T).tobytes()
+    # another lattice is still checked, once, and a straddling one refused on every read
+    sixths, halves = make_lattice(0, 3, "1/2", 0), make_lattice(0, 3, "3/2", 0)
+    assert traj.cell_curves(sixths) == [c for c in cells for _ in range(2)]
+    for _ in range(2):
+        with pytest.raises(OutOfDomainError, match=r"cell \[0, 3/2\] straddles segment \[0, 1\]"):
+            traj.cell_curves(halves)
+    assert lookups == [6, 2]
+
+
 def test_a_lookup_and_cell_rows_take_one_hermite_pass(monkeypatch):
     calls = []
     blend = trajectory._hermite
@@ -581,6 +606,26 @@ def test_the_loop_is_the_per_row_loop_with_one_call_per_time(name, ts):
         got = new(ts, X)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
     assert calls == ts.tolist()   # once per time, in order
+
+
+@pytest.mark.parametrize("ts", [np.linspace(0.0, 1.0, 7), np.array([0.25]), np.array([])],
+                         ids=["seven", "one", "empty"])
+@pytest.mark.parametrize("name", ROWS)
+def test_the_loop_without_arguments_calls_fn_on_each_time_alone(name, ts):
+    shape, rows = ROWS[name]
+    calls = []
+    new = array_form(lambda *args: calls.append(args) or rows(args[0], [0.5]), shape)
+    try:
+        expected = ref_loop(lambda t: rows(t, [0.5]), shape)(ts)
+    except (TypeError, ValueError) as err:
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            new(ts)
+    else:
+        got = new(ts)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    # once per time, in order, each call the time alone as a Python float
+    assert calls == [(t,) for t in ts.tolist()]
+    assert all(type(t) is float for t, in calls)
 
 
 def test_the_loop_stops_at_the_first_raising_call():

@@ -1,17 +1,24 @@
 import dataclasses
+import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from retard_oc.cost import evaluate_cost
 from retard_oc.dde import (IntegratorConfig, _affine_cell, _cell_schedule,
-                           _integrate_cell, integrate_adjoint_nonlinear,
+                           _integrate_cell, _scalar_chain, _slots, _STAGE_SLOTS,
+                           integrate_adjoint_linear, integrate_adjoint_nonlinear,
                            integrate_forward)
 from retard_oc.errors import NonFiniteStateError, OutOfDomainError
+from retard_oc.probfile import parse_problem
 from retard_oc.problems import (CandidateSolution, DelayedProblem,
                                 StateLinearProblem, as_delayed, batched)
-from retard_oc.registry import (d_state_value, ld_state_value,
+from retard_oc.registry import (d_state_value, ld_state_value, make_ld_candidate,
                                 make_zero_candidate, make_zero_problem)
 from retard_oc.trajectory import from_pieces
 
@@ -388,3 +395,74 @@ def test_zero_state_delay_adjoint():
                                    IntegratorConfig(32))
     for t in np.linspace(0.0, 2.0, 80):
         assert eta.eval(t)[0] == pytest.approx(np.exp(t - 2.0) - 1.0, abs=1e-9)
+
+
+# every float class the chain can meet: signed zeros, subnormals, the
+# largest finite values, infinities and NaN.  The NaN is the one arithmetic
+# makes (inf - inf): where two NaNs of different bits meet, which one a sum
+# or product keeps depends on operand order, which neither numpy nor the
+# interpreter fixes; every NaN a march makes is this one.
+_NAN = math.inf - math.inf
+_CHAIN_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, 1.7976931348623157e308, _NAN]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(y0=_CHAIN_FLOATS, maps=st.lists(st.tuples(_CHAIN_FLOATS, _CHAIN_FLOATS), max_size=12))
+@example(y0=-0.0, maps=[(1.0, -0.0)])      # -0.0 + -0.0 is -0.0, but numpy sums from 0.0
+@example(y0=5e-324, maps=[(0.5, -0.0)])    # a product that underflows to 0.0
+@example(y0=1e308, maps=[(10.0, 0.0), (0.0, 1.0)])   # inf, then inf * 0 = nan
+def test_the_scalar_chain_is_numpys_row_chain(y0, maps):
+    ys = np.ones((len(maps) + 1, 2))
+    ys[0, 0] = y0
+    Z = np.array(maps, dtype=float).reshape(-1, 2, 1)
+    with np.errstate(all="ignore"):
+        for j in range(len(maps)):
+            ys[j + 1, :1] = ys[j] @ Z[j]
+    got = np.array(_scalar_chain(y0, maps), dtype=float)
+    assert got.tobytes() == ys[:, 0].tobytes()
+
+
+def test_slots_are_one_read_only_array_per_schedule():
+    slots = _slots(4, _STAGE_SLOTS)
+    assert slots is _slots(4, _STAGE_SLOTS) and not slots.flags.writeable
+    assert slots.tolist() == [4 * j + k for j in range(4) for k in _STAGE_SLOTS] + [16]
+    with pytest.raises(ValueError, match="read-only"):
+        slots[0] = 1
+
+
+def _steep_problem(n: int) -> StateLinearProblem:
+    """ld-lq.ocp with A = 600 I at n states: the state grows like e^(600 t)."""
+    if n == 1:
+        return parse_problem((Path(__file__).parent / "data" / "ld-lq.ocp").read_text()
+                             .replace("A[0,0] = 1", "A[0,0] = 600"))
+    return StateLinearProblem(
+        a=0, b=4, r=2, s=1, n=n, m=1, A=lambda t: 600.0 * np.eye(n),
+        A_D=lambda t: np.eye(n), g=lambda t, u: np.zeros(n),
+        g_D=lambda t, v: np.full(n, -10.0 * v[0]), f0x=lambda t, x, y: float(x @ x),
+        f0u=lambda t, u, v: 100.0 * float(u @ u), phi=lambda t: np.ones(n),
+        psi=lambda t: np.zeros(1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_an_overflowing_affine_march_raises_naming_the_cell(n):
+    # the state passes 1.8e308 inside [1, 2]; the costate, marched back
+    # along ld's candidate (finite), inside [2, 3]
+    problem = _steep_problem(n)
+    control = from_pieces(1, [(-1, 4, lambda t: [0.0])], main_start=0)
+    ld = make_ld_candidate()
+    cand = CandidateSolution(
+        state=from_pieces(n, [(-2, 4, lambda t: np.repeat(ld.state.eval(t), n))], main_start=0),
+        control=ld.control)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NonFiniteStateError,
+                           match=r"integrate_forward: .* cell 1 \[1, 2\]$"):
+            integrate_forward(problem, control)
+        with pytest.raises(NonFiniteStateError,
+                           match=r"integrate_adjoint_linear: .* cell 2 \[2, 3\]$"):
+            integrate_adjoint_linear(problem, cand)
+    # numpy's row chain warns of its overflow; the one-state chain on floats does not
+    messages = [str(w.message) for w in caught]
+    assert "overflow encountered in matmul" in messages if n > 1 else messages == []

@@ -8,9 +8,10 @@ from retard_oc import load_problem, solve
 from retard_oc.trajectory import from_pieces
 
 from retard_oc.dde import IntegratorConfig, integrate_adjoint_linear
-from retard_oc.registry import (LD_COST, ld_control_value, make_drift_problem)
+from retard_oc.registry import (D_COST, LD_COST, d_feedback, ld_control_value,
+                                make_d_value_function, make_drift_problem)
 from retard_oc.solve import SweepConfig, solve_fbsm
-from retard_oc.sufficiency import check_maximality
+from retard_oc.sufficiency import check_maximality, verify_nonlinear_hj
 
 DATA = Path(__file__).parent / "data"
 
@@ -135,3 +136,13 @@ def test_converged_sweep_passes_verification(ld_problem, ld_sweep):
     from retard_oc.sufficiency import VerifyConfig, verify_state_linear
     cert = verify_state_linear(ld_problem, ld_sweep, VerifyConfig.numeric())
     assert cert.overall
+
+
+def test_the_sweep_solves_the_general_benchmark(d_problem):
+    # Goellmann's problem is a DelayedProblem: the sweep's costate and
+    # argmax take either class; its one-state costate chains on floats
+    sol = solve_fbsm(d_problem)
+    assert sol.converged and sol.iterations <= 6
+    assert abs(sol.cost - D_COST) <= 1e-8
+    cert = verify_nonlinear_hj(d_problem, sol, make_d_value_function(), d_feedback)
+    assert cert.overall, cert.to_text()

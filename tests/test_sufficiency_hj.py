@@ -350,7 +350,7 @@ def _array_counted(fn, calls: list, key: str):
 def test_one_residual_pass_per_certificate_and_one_S_x_and_law_pass_per_residual(
         d_problem, d_candidate, S, monkeypatch):
     calls = []
-    residual = sufficiency.hj_residual
+    residual = sufficiency._hj_residual_perturbed
 
     def spy(*args):
         calls.append("residual(")
@@ -358,7 +358,7 @@ def test_one_residual_pass_per_certificate_and_one_S_x_and_law_pass_per_residual
         calls.append(")")
         return out
 
-    monkeypatch.setattr(sufficiency, "hj_residual", spy)
+    monkeypatch.setattr(sufficiency, "_hj_residual_perturbed", spy)
     counted = ValueFunctionCandidate(*(_array_counted(fn, calls, key) for fn, key in
                                        ((S.S, "S"), (S.S_t, "S_t"), (S.S_x, "S_x"))))
     cert = verify_nonlinear_hj(d_problem, d_candidate, counted,
@@ -366,10 +366,37 @@ def test_one_residual_pass_per_certificate_and_one_S_x_and_law_pass_per_residual
     assert cert.overall
     assert calls.count("residual(") == 1
     start, end = calls.index("residual("), calls.index(")")
-    # u*(t) and u*(t - s) in one law pass, over the interior, breakpoint and tube rows
+    # u*(t) and u*(t - s) in one law pass, over the grid (interior, breakpoint,
+    # a and b rows) and the tube; the feedback check reads u*(t) off its grid rows
     assert calls[start + 1:end] == ["S_x", "law", "S_t"]
-    # the feedback check, then one S and one S_x call for the value smoothness
-    assert calls[:start] + calls[end + 1:] == ["S_x", "law", "S", "S_x"]
+    # then one S and one S_x call for the value smoothness
+    assert calls[:start] + calls[end + 1:] == ["S", "S_x"]
+
+
+def test_the_residual_at_a_and_b_is_not_checked(d_problem, d_candidate, S):
+    # a and b join the residual pass for the feedback check's u*(t) only
+    nan_S = ValueFunctionCandidate(
+        S=S.S, S_x=S.S_x, S_t=lambda t, x: NAN if t in (0.0, 3.0) else S.S_t(t, x))
+    cert = verify_nonlinear_hj(d_problem, d_candidate, nan_S, d_feedback)
+    assert cert.overall
+    assert cert.to_text() == verify_nonlinear_hj(d_problem, d_candidate, S,
+                                                 d_feedback).to_text()
+
+
+@pytest.mark.parametrize("per_cell", [1, 5, 24])
+def test_the_feedback_check_is_the_closed_loop_over_the_lattice_grid(d_problem, S, per_cell):
+    # u*(t) comes from the residual pass; one closed-loop pass of its own
+    # over the grid (a, the interior points and breakpoints, b) gives it too
+    zeroed = make_d_zeroed_candidate()
+    cert = verify_nonlinear_hj(d_problem, zeroed, S, d_feedback,
+                               VerifyConfig(grid_points_per_cell=per_cell))
+    grid = _lattice_grid(d_problem.lattice(), per_cell)
+    u = sufficiency._closed_loop(d_problem, S, d_feedback, zeroed.state, grid.t,
+                                 grid.delayed_state)[0]
+    gaps = np.max(np.abs(u - zeroed.control.eval_many(grid.t)), axis=1)
+    check = cert.check("feedback_consistency")
+    assert not check.passed
+    assert (check.worst_residual, check.worst_location) == (gaps.max(), grid.t[gaps.argmax()])
 
 
 def test_residual_over_joined_sample_sets_is_the_per_set_residuals(d_problem, d_candidate,
