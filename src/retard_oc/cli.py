@@ -170,8 +170,6 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 def _cmd_solve_fbsm(args: argparse.Namespace) -> int:
     problem, _ = _load(args)
-    if not isinstance(problem, StateLinearProblem):
-        raise RetardOCError("solve-fbsm applies to state-linear problems")
     cfg = SweepConfig(max_iterations=args.max_iter, omega=args.omega,
                       tol=args.tol, integrator=_integrator(args))
     sol = solve_fbsm(problem, None, cfg)

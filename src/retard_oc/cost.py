@@ -10,8 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import OutOfDomainError
-from .problems import (AnyProblem, CandidateSolution, model_arguments,
-                       running_cost_array)
+from .problems import AnyProblem, CandidateSolution, model_arguments, model_arrays
 
 
 def _simpson_weights(steps: int) -> np.ndarray:
@@ -50,7 +49,7 @@ def evaluate_cost(problem: AnyProblem, cand: CandidateSolution,
     T = lo[:, None] + span[:, None] * (np.arange(steps + 1) / steps)
     T[:, -1] = hi
     x, u = cand.state.cell_rows(lattice, T), cand.control.cell_rows(lattice, T)
-    f0 = running_cost_array(problem)(*model_arguments(problem, lattice, T, x, u))
+    f0 = model_arrays(problem, "f0")[0](*model_arguments(problem, lattice, T, x, u))
     acc = np.cumsum(weights * f0.reshape(T.shape), axis=1)[:, -1]   # in node order
     total = np.cumsum(acc * (span / steps) / 3.0)[-1]               # in cell order
     return float(total + problem.terminal_cost(x[-1]))   # x(b): the last node

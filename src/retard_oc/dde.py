@@ -42,7 +42,7 @@ import numpy as np
 from .errors import NonFiniteStateError, OutOfDomainError
 from .lattice import CommensurabilityLattice, Rational
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       dynamics_array, model_arguments, model_arrays, model_partials)
+                       model_arguments, model_arrays, model_partials)
 from .trajectory import HermiteCurve, Trajectory, cell_trajectory, delayed_rows
 
 
@@ -211,7 +211,7 @@ def _state_free_cell(problem: AnyProblem, k_r: int, x0: np.ndarray, args: tuple,
     or a value overflows; numpy's warnings silenced): march stage by stage."""
     if isinstance(problem, StateLinearProblem) or k_r == 0 or not hasattr(problem.f, "many"):
         return None
-    f_many, (t, y, u, v) = dynamics_array(problem), args
+    (f_many,), (t, y, u, v) = model_arrays(problem, "f"), args
     with np.errstate(all="ignore"):
         F = f_many(t, np.broadcast_to(x0, y.shape), y, u, v)
         (states, out), read = march(F), F[rows]
@@ -249,9 +249,10 @@ def _affine_cell(M: np.ndarray, c: np.ndarray, widths, times: np.ndarray,
     ys[0, :n] = y0
     if n == 1:
         ys[:, 0] = _scalar_chain(float(ys[0, 0]), maps[:, :, 0].tolist())
-    else:
-        for j in range(S):
-            ys[j + 1, :n] = ys[j] @ maps[j]
+    else:   # an overflow is left to _march, which raises naming the cell
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(S):
+                ys[j + 1, :n] = ys[j] @ maps[j]
     mids = np.einsum("ji,jik->jk", ys[:-1], mid_maps)
     node_ys = np.vstack((np.stack((ys[:-1, :n], mids), axis=1).reshape(-1, n),
                          ys[-1, :n]))

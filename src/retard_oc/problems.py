@@ -1,24 +1,28 @@
 """Problem definitions for the two delayed optimal control classes.
 
-Both classes share the five-argument conventions
+Every problem answers one model interface: the fields
 
-    dynamics(t, x, y, u, v)      y = x(t - r), v = u(t - s)
-    running_cost(t, x, y, u, v)
+    f(t, x, y, u, v)     dynamics,      y = x(t - r), v = u(t - s)
+    f0(t, x, y, u, v)    running cost
+    g0(x)                terminal cost
 
-so integrators, quadrature and solvers treat them uniformly.  The
-state-linear class pins the structure
+and the methods ``dynamics``, ``running_cost`` and ``terminal_cost`` over
+them, so integrators, quadrature and solvers treat both classes uniformly.
+The state-linear class pins the structure
 
     xdot = A(t) x + A_D(t) x(t-r) + g(t, u(t)) + g_D(t, u(t-s))
     running cost = f0x(t, x, x(t-r)) + f0u(t, u, u(t-s))
 
-that the linear sufficiency theorem requires.  A model callable takes one
-time; it may carry an array form over K times at once (:func:`batched`).
+that the linear sufficiency theorem requires, and derives its f and f0
+from it once.  A model callable takes one time; it may carry an array form
+over K times at once (:func:`batched`).
 """
 
 from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -268,14 +272,25 @@ class StateLinearProblem(_Problem):
     def state_history_start(self) -> Rational:
         return self.a - self.r
 
-    def dynamics(self, t, x, y, u, v) -> Vec:
-        return array_field(dynamics_array(self))(t, x, y, u, v)
+    @cached_property
+    def f(self) -> Callable:
+        """The dynamics A x + A_D y + g + g_D, in that order, one call of
+        each array form."""
+        A, A_D, g, g_D = model_arrays(self, "A", "A_D", "g", "g_D")
+        return array_field(lambda ts, x, y, u, v: (
+            (A(ts) @ x[:, :, None] + A_D(ts) @ y[:, :, None])[:, :, 0] + g(ts, u) + g_D(ts, v)))
 
-    def running_cost(self, t, x, y, u, v) -> float:
-        return float(self.f0x(float(t), x, y)) + float(self.f0u(float(t), u, v))
+    @cached_property
+    def f0(self) -> Callable:
+        """The running cost f0x + f0u, one call of each array form."""
+        f0x, f0u = model_arrays(self, "f0x", "f0u")
+        return array_field(lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v))
 
-    def terminal_cost(self, x) -> float:
-        return 0.0
+    g0 = staticmethod(_zero_terminal_cost)
+    # bound here too, not only inherited: tools that rebind a class's own
+    # methods (a tracer's timing wrappers) find them in its __dict__
+    dynamics, running_cost, terminal_cost = (
+        DelayedProblem.dynamics, DelayedProblem.running_cost, DelayedProblem.terminal_cost)
 
 
 AnyProblem = DelayedProblem | StateLinearProblem
@@ -346,27 +361,6 @@ def model_arguments(problem: AnyProblem, lattice: CommensurabilityLattice, T: np
     return args + (u, delayed_rows(psi, T, u, float(lattice.s), lattice.control_shift))
 
 
-def running_cost_array(problem: AnyProblem) -> Callable:
-    """The running cost over K times, (ts, X, Y, U, V) -> (K,), with the
-    values of ``running_cost``: f0x + f0u for a state-linear problem, f0
-    otherwise, one call of each array form."""
-    if isinstance(problem, StateLinearProblem):
-        f0x, f0u = model_arrays(problem, "f0x", "f0u")
-        return lambda ts, x, y, u, v: f0x(ts, x, y) + f0u(ts, u, v)
-    return model_arrays(problem, "f0")[0]
-
-
-def dynamics_array(problem: AnyProblem) -> Callable:
-    """The dynamics over K times, (ts, X, Y, U, V) -> (K, n), with the values
-    of ``dynamics``: A x + A_D y + g + g_D, in that order, for a state-linear
-    problem, one call of each array form; the array form of f otherwise."""
-    if isinstance(problem, StateLinearProblem):
-        A, A_D, g, g_D = model_arrays(problem, "A", "A_D", "g", "g_D")
-        return lambda ts, x, y, u, v: ((A(ts) @ x[:, :, None] + A_D(ts) @ y[:, :, None])[:, :, 0]
-                                       + g(ts, u) + g_D(ts, v))
-    return model_arrays(problem, "f")[0]
-
-
 def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable]]:
     """Slot partials of the model of ``problem``, resolved once per
     integration or gradient: ``(f0, f, g0)``.
@@ -381,15 +375,13 @@ def model_partials(problem: AnyProblem) -> tuple[tuple, tuple, Optional[Callable
     """
     p, n = problem, problem.n
     if isinstance(p, StateLinearProblem):
-        names = (("f0x_dx", "f0x_dy", "f0u_du", "f0u_dv"), ("A", "A_D", "g_du", "gD_dv"))
-        f0_fn, f_fn, g0 = p.running_cost, p.dynamics, None
+        names, g0 = (("f0x_dx", "f0x_dy", "f0u_du", "f0u_dv"), ("A", "A_D", "g_du", "gD_dv")), None
     else:
         names = [[f"{fn}_d{w}" for w in "xyuv"] for fn in ("f0", "f")]
-        f0_fn, f_fn = p.f0, p.f
         g0 = ((lambda x: np.asarray(p.g0_grad(x), dtype=float).reshape(n)) if p.g0_grad is not None
               else lambda x: gradient(lambda z: float(p.g0(z)), np.asarray(x, float)))
-    differences = (lambda k, args: grad_scalar_slot(f0_fn, k, args),
-                   lambda k, args: partial_vec_slot(f_fn, k, args, n))
+    differences = (lambda k, args: grad_scalar_slot(p.running_cost, k, args),
+                   lambda k, args: partial_vec_slot(p.dynamics, k, args, n))
 
     def resolve(name: str, k: int, difference: Callable) -> Callable:
         (slots, shape), fn = field_layout(name, n, p.m), getattr(p, name)

@@ -25,8 +25,7 @@ from .cost import _simpson_weights
 from .dde import _NODE_SLOTS, IntegratorConfig, _cell_schedule, _forward_cells, _slots
 from .errors import MismatchedLatticeError, SeamMismatchError
 from .lattice import CommensurabilityLattice
-from .problems import (AnyProblem, CandidateSolution, dynamics_array,
-                       model_arguments, running_cost_array)
+from .problems import AnyProblem, CandidateSolution, model_arguments, model_arrays
 from .trajectory import Trajectory, cell_trajectory
 
 
@@ -43,10 +42,8 @@ class AugmentedProblem:
 
     def __post_init__(self):
         # lattice floats and model array forms, resolved once per problem
-        p, lat = self.problem, self.lattice
-        for name, value in dict(
-                _starts=lat.edges[:-1],
-                _dynamics=dynamics_array(p), _running_cost=running_cost_array(p)).items():
+        (f, f0), lat = model_arrays(self.problem, "f", "f0"), self.lattice
+        for name, value in dict(_starts=lat.edges[:-1], _dynamics=f, _running_cost=f0).items():
             object.__setattr__(self, name, value)
 
     @property

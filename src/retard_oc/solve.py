@@ -20,7 +20,7 @@ from .dde import (IntegratorConfig, _affine_scan, _check_settings, _state_free_c
 from .errors import NoConvergenceError, UnboundedDescentError
 from .lattice import _lattice_grid
 from .problems import (AnyProblem, CandidateSolution, StateLinearProblem,
-                       array_field, model_arrays, model_partials, running_cost_array)
+                       array_field, model_arrays, model_partials)
 from .sufficiency import argmax_control_state_linear
 from .trajectory import (CallableCurve, Trajectory, cell_trajectory,
                          hermite_from_samples, shifted_rows)
@@ -216,7 +216,7 @@ class _EulerGrid:
         self.x0 = phi(T[:1])[0]   # T[0] is a
         self.x_hist = phi(T[:self.k_r] - float(lattice.r))
         self.u_hist = psi(T[:self.k_s] - float(lattice.s))
-        self.running_cost = running_cost_array(p)
+        self.running_cost, = model_arrays(p, "f0")
         self.f0_d, self.f_d, self.g0_grad = model_partials(p)
         self.L = self.M // lattice.n_cells   # Euler stages per lattice cell
         self.A = self.A_D = None   # stay None for a general problem
@@ -296,10 +296,7 @@ def _adjoint_gradient(grid: _EulerGrid, xs: np.ndarray, u: np.ndarray) -> np.nda
         return fn(T[first:], xs[first:M], ys[first:], u[first:], vs[first:])
 
     c_x, c_y = stages(f0_dx), stages(f0_dy, k_r)
-    if grid.A is None:
-        j_x, j_y = stages(f_dx), stages(f_dy, k_r)
-    else:
-        j_x, j_y = grid.A, grid.A_D[k_r:]
+    j_x, j_y = stages(f_dx), stages(f_dy, k_r)
     lam = np.zeros((M + 1, p.n))
     if grid.g0_grad is not None:
         lam[M] = grid.g0_grad(xs[M])

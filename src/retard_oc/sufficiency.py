@@ -28,8 +28,7 @@ from .lattice import (CommensurabilityLattice, _joined, _lattice_grid, _sample_t
                       _SampleTimes, as_rational)
 from .numdiff import central_scalar, gradient, hessians
 from .problems import (AnyProblem, CandidateSolution, ControlSet, DelayedProblem,
-                       StateLinearProblem, array_form, dynamics_array, model_arrays,
-                       running_cost_array)
+                       StateLinearProblem, array_form, model_arrays)
 from .trajectory import Trajectory
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -172,7 +171,7 @@ class VerifyConfig:
 def hamiltonian(problem: AnyProblem) -> Callable:
     """H = -f0 + eta f over K times, (ts, X, Y, U, V, E) -> (K,), for either
     class: one call of the running cost's and the dynamics' array forms."""
-    f0, f = running_cost_array(problem), dynamics_array(problem)
+    f0, f = model_arrays(problem, "f0", "f")
     return lambda ts, x, y, u, v, eta: (-f0(ts, x, y, u, v)
                                         + np.sum(eta * f(ts, x, y, u, v), axis=1))
 

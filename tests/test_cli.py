@@ -11,7 +11,7 @@ import pytest
 from retard_oc import cli
 from retard_oc.cli import (CSV_BLOCK_ROWS, SAMPLES_PER_UNIT_TIME, main,
                            write_trajectories_csv)
-from retard_oc.registry import (ld_adjoint_value, ld_control_value,
+from retard_oc.registry import (D_COST, ld_adjoint_value, ld_control_value,
                                 ld_state_value)
 
 
@@ -181,10 +181,17 @@ def test_sweep_without_iterations_is_a_usage_error(capsys):
     assert "max_iterations must be >= 1" in capsys.readouterr().err
 
 
-def test_the_sweep_command_refuses_a_general_problem(capsys):
-    # the library's sweep takes either class; the command keeps to state-linear ones
-    assert main(["solve-fbsm", "ocp-d-goellmann"]) == 2
-    assert "solve-fbsm applies to state-linear problems" in capsys.readouterr().err
+def test_the_sweep_command_solves_a_general_problem(tmp_path, capsys):
+    # the command takes either class, as the library's sweep does
+    assert main(["solve-fbsm", "ocp-d-goellmann", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "converged: True after 6 iterations" in out
+    cost = float(out.split("cost: ")[1].split()[0])
+    assert abs(cost - D_COST) <= 1e-8
+    rows = _read_csv(tmp_path / "trajectories.csv")
+    history = [row for row in rows if float(row["t"]) < 0.0]   # Goellmann's a = 0
+    assert history and all(row["eta_1"] == "" for row in history)
+    assert all(row["eta_1"] != "" for row in rows if float(row["t"]) >= 0.0)
 
 
 def test_direct_solve_without_iterations_is_a_usage_error(capsys):

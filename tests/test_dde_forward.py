@@ -463,6 +463,5 @@ def test_an_overflowing_affine_march_raises_naming_the_cell(n):
         with pytest.raises(NonFiniteStateError,
                            match=r"integrate_adjoint_linear: .* cell 2 \[2, 3\]$"):
             integrate_adjoint_linear(problem, cand)
-    # numpy's row chain warns of its overflow; the one-state chain on floats does not
-    messages = [str(w.message) for w in caught]
-    assert "overflow encountered in matmul" in messages if n > 1 else messages == []
+    # the typed error is the only report: neither chain warns of its overflow
+    assert [str(w.message) for w in caught] == []

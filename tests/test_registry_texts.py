@@ -21,8 +21,8 @@ from retard_oc import numdiff
 from retard_oc.errors import NoConvergenceError
 from retard_oc.dde import IntegratorConfig, integrate_adjoint_linear, integrate_adjoint_nonlinear
 from retard_oc.problems import (MODEL_FIELDS, ControlSet, DelayedProblem, StateLinearProblem,
-                                TerminalSet, array_field, dynamics_array, field_layout,
-                                int_power, model_arrays, model_partials, running_cost_array)
+                                TerminalSet, array_field, field_layout, int_power,
+                                model_arrays, model_partials)
 from retard_oc.registry import REGISTRY
 from retard_oc.solve import TranscriptionConfig, solve_direct_euler
 
@@ -185,8 +185,9 @@ def test_every_field_and_partial_is_the_references_bit_for_bit(name, seed):
         compared += 1
     assert compared >= 4   # phi, psi and at least the running cost and the dynamics
     args = (ts,) + tuple(rows[w] for w in "xyuv")
-    _same(dynamics_array(got)(*args), dynamics_array(want)(*args), "dynamics")
-    _same(running_cost_array(got)(*args), running_cost_array(want)(*args), "running cost")
+    (gf, gf0), (wf, wf0) = model_arrays(got, "f", "f0"), model_arrays(want, "f", "f0")
+    _same(gf(*args), wf(*args), "dynamics")
+    _same(gf0(*args), wf0(*args), "running cost")
     for k in range(0, len(ts), 64):
         row = (ts[k],) + tuple(rows[w][k] for w in "xyuv")
         _same(got.dynamics(*row), want.dynamics(*row), f"dynamics at row {k}")

@@ -7,7 +7,7 @@ import pytest
 from retard_oc import solve
 from retard_oc.dde import IntegratorConfig, _affine_scan
 from retard_oc.probfile import parse_problem
-from retard_oc.problems import (DelayedProblem, as_delayed, batched, dynamics_array,
+from retard_oc.problems import (DelayedProblem, as_delayed, batched, model_arrays,
                                 model_partials)
 from retard_oc.registry import (D_COST, d_control_value, ld_control_value,
                                 make_d_problem, make_ld_problem, make_zero_problem)
@@ -356,7 +356,7 @@ def _with_array_f(problem):
     """The general view of ``problem`` with the array form of its dynamics as
     the ``.many`` of f: an f that declares an array form and reads x."""
     view = as_delayed(problem)
-    return replace(view, f=batched(lambda *args: view.f(*args), dynamics_array(problem)))
+    return replace(view, f=batched(lambda *args: view.f(*args), model_arrays(problem, "f")[0]))
 
 
 def _case(name):
